@@ -2,10 +2,18 @@
 
 Every non-strong relation is decided the same way: initialise a symmetric
 store of pairs (and, for the reactive definitions, environment-indexed
-triples) over the reachable state spaces, then repeatedly delete entries
-whose defining clauses fail against the current store, until nothing moves.
-The queried states are equivalent iff their entry survives.  Deletion order
-is deterministic, so refutation records are reproducible.
+triples) over the reachable state spaces, then delete, in synchronous
+rounds, the entries whose defining clauses fail against the store the round
+started with, until nothing moves.  The queried states are equivalent iff
+their entry survives.  Deletion order is deterministic, so ranks and
+refutation records are reproducible.
+
+Two engines run these rounds.  ``brb``, ``gbrb``, ``cbrb`` and ``tob`` check
+each stored entry on its own (``_run_fixpoint``).  t-branching bisimilarity
+(``tb`` over encoded systems, and its rooted layer) uses the row engine
+``TbRows``: the relation is one bit mask per state, and a state's clauses
+are decided for all of its partners at once, with the same rounds, ranks
+and refutation records as a per-pair check.
 
 Strong bisimilarity alone uses partition refinement.
 """
@@ -262,16 +270,57 @@ class ThetaArena(Arena):
 
 
 class RelationStore:
-    """Symmetric store of pairs and environment triples with refutation records."""
+    """Symmetric store of pairs and environment triples with refutation records.
+
+    ``rank`` maps each deleted entry (both orientations) to the round that
+    deleted it; ``fail`` maps an entry whose own clause failed to the clause
+    and its detail.  The row engine logs its deletions in ``row_kills`` as
+    (round, p, [(mask of q, why), ...]); they enter ``rank`` and ``fail`` on
+    first read, in the order ``kill_pair`` would have entered them.
+    """
 
     def __init__(self, arena: Arena, relation: str):
         self.arena = arena
         self.relation = relation
         self.pairs: Set[Tuple[int, int]] = set()
         self.triples: Set[Tuple[int, int, int]] = set()  # (state, xmask, state)
-        self.rank: Dict[tuple, int] = {}
-        self.fail: Dict[tuple, tuple] = {}
+        self._rank: Dict[tuple, int] = {}
+        self._fail: Dict[tuple, tuple] = {}
+        self.row_kills: List[Tuple[int, int, list]] = []
         self.plain: Optional["RelationStore"] = None
+
+    @property
+    def rank(self) -> Dict[tuple, int]:
+        self._enter_row_kills()
+        return self._rank
+
+    @property
+    def fail(self) -> Dict[tuple, tuple]:
+        self._enter_row_kills()
+        return self._fail
+
+    def _enter_row_kills(self):
+        kills, self.row_kills = self.row_kills, []
+        for rnd, p, fails in kills:
+            whys = {}
+            for mask, why in fails:
+                whys.update(dict.fromkeys(_bits(mask), why))
+            for q in sorted(whys):
+                self._rank.setdefault((p, q), rnd)
+                self._rank.setdefault((q, p), rnd)
+                self._fail.setdefault((p, q), whys[q])
+
+    def failure(self, entry) -> Optional[tuple]:
+        """``fail.get(entry)``, read off the row log without entering it."""
+        why = self._fail.get(entry)
+        if why is None and self.row_kills and len(entry) == 2:
+            i, j = entry
+            for _, p, fails in self.row_kills:
+                if p == i:
+                    for mask, w in fails:
+                        if mask >> j & 1:
+                            return w
+        return why
 
     def seed_pairs(self, lefts, rights):
         for i in lefts:
@@ -295,18 +344,18 @@ class RelationStore:
     def kill_pair(self, i, j, rnd, why):
         self.pairs.discard((i, j))
         self.pairs.discard((j, i))
-        self.rank.setdefault((i, j), rnd)
-        self.rank.setdefault((j, i), rnd)
+        self._rank.setdefault((i, j), rnd)
+        self._rank.setdefault((j, i), rnd)
         if why is not None:
-            self.fail.setdefault((i, j), why)
+            self._fail.setdefault((i, j), why)
 
     def kill_triple(self, i, x, j, rnd, why):
         self.triples.discard((i, x, j))
         self.triples.discard((j, x, i))
-        self.rank.setdefault((i, x, j), rnd)
-        self.rank.setdefault((j, x, i), rnd)
+        self._rank.setdefault((i, x, j), rnd)
+        self._rank.setdefault((j, x, i), rnd)
         if why is not None:
-            self.fail.setdefault((i, x, j), why)
+            self._fail.setdefault((i, x, j), why)
 
     @property
     def size(self) -> int:
@@ -345,35 +394,59 @@ class Verdict:
 
 
 def _run_fixpoint(store: RelationStore, checker) -> Tuple[int, int]:
+    """Per-entry deletion in synchronous rounds: every entry is checked
+    against the store the round started with, then the failures die in
+    sorted order.  The entries are sorted once; each round keeps the
+    survivors of the previous order, which stay sorted."""
     iterations = 0
     checked = 0
+    pairs = sorted(store.pairs)
+    triples = sorted(store.triples)
     while True:
         iterations += 1
+        checked += len(pairs) + len(triples)
         bad_pairs = []
         bad_triples = []
-        for (i, j) in sorted(store.pairs):
-            checked += 1
+        # A failing entry leaves the list at once, so the store's discard
+        # frees it, as when the sorted list lived for one loop only.
+        for k, (i, j) in enumerate(pairs):
             why = checker.check_pair(i, j)
             if why is not None:
                 bad_pairs.append((i, j, why))
-        for (i, x, j) in sorted(store.triples):
-            checked += 1
+                pairs[k] = None
+        for k, (i, x, j) in enumerate(triples):
             why = checker.check_triple(i, x, j)
             if why is not None:
                 bad_triples.append((i, x, j, why))
+                triples[k] = None
         if not bad_pairs and not bad_triples:
             return iterations, checked
         for i, j, why in bad_pairs:
             store.kill_pair(i, j, iterations, why)
         for i, x, j, why in bad_triples:
             store.kill_triple(i, x, j, iterations, why)
+        if bad_pairs:
+            _keep(pairs, store.pairs)
+        if bad_triples:
+            _keep(triples, store.triples)
+
+
+def _keep(entries: list, alive: set):
+    """Drop the dead entries of ``entries`` in place, keeping their order;
+    a filtered copy would briefly hold the store's entries twice."""
+    k = 0
+    for e in entries:
+        if e in alive:
+            entries[k] = e
+            k += 1
+    del entries[k:]
 
 
 def _refutation_records(store: RelationStore, entries) -> List[dict]:
     arena = store.arena
     out = []
     for entry in entries:
-        why = store.fail.get(entry)
+        why = store.failure(entry)
         if why is None:
             continue
         if len(entry) == 2:
@@ -793,85 +866,217 @@ class RootedTobChecker:
     check_triple = None
 
 
-class TbChecker:
-    """Pair bisimulation over encoded labels; system time-outs match in paths."""
+class TbRows:
+    """Row engine for t-branching bisimilarity over an encoded arena.
 
-    def __init__(self, arena: Arena, store: RelationStore):
+    The relation is one int per state: bit ``t`` of ``row[s]`` is set iff
+    the pair (s, t) is alive.  From the predecessor masks of every label and
+    the reverse weak closure, the clauses of the pairs (p, q) are decided for
+    every q in ``row[p]`` at once, in the order a per-pair check would try
+    them, so each failing pair gets the same first failing clause.
+    """
+
+    def __init__(self, arena: Arena):
         self.a = arena
-        self.st = store
-        self.branch_labels = [
-            lab for lab in sorted({l for out in arena.out for l in out})
-            if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+        n = arena.n
+        labels = sorted({lab for out in arena.out for lab in out})
+        branch = [lab for lab in labels
+                  if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+        # pred[lab][y]: states with a lab-step to y
+        self.pred = {lab: [0] * n for lab in labels}
+        # rweak[y]: states q with y in weak[q]
+        self.rweak = [0] * n
+        # deps[s]: s and its successors, the rows its clauses read
+        self.deps = [0] * n
+        self.unstable = 0
+        for s in range(n):
+            bit = 1 << s
+            deps = bit
+            for lab, ds in arena.out[s].items():
+                col = self.pred[lab]
+                for d in ds:
+                    col[d] |= bit
+                    deps |= 1 << d
+            self.deps[s] = deps
+            for y in arena.weak[s]:
+                self.rweak[y] |= bit
+            if not arena.stable[s]:
+                self.unstable |= bit
+        self.branch_moves = [
+            [(lab, arena.out[s][lab]) for lab in branch if lab in arena.out[s]]
+            for s in range(n)]
 
-    def check_pair(self, p, q):
+    def seeded(self, lefts, rights) -> List[int]:
+        """Rows of the symmetric store seeded with lefts x rights."""
+        lmask = sum(1 << s for s in set(lefts))
+        rmask = sum(1 << s for s in set(rights))
+        rows = [0] * self.a.n
+        for s in lefts:
+            rows[s] |= rmask
+        for s in rights:
+            rows[s] |= lmask
+        return rows
+
+    def rows_of(self, pairs) -> List[int]:
+        rows = [0] * self.a.n
+        for i, j in pairs:
+            rows[i] |= 1 << j
+        return rows
+
+    @staticmethod
+    def pairs_of(rows) -> Set[Tuple[int, int]]:
+        return {(s, t) for s, row in enumerate(rows) for t in _bits(row)}
+
+    def _pre(self, lab, mask: int, memo) -> int:
+        """States with a ``lab``-step into ``mask``.
+
+        Memoised by value: states with equal rows, common once the relation
+        settles into classes (and all of one side in round one), share it.
+        """
+        key = (lab, mask)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _gather(self.pred[lab], mask)
+        return got
+
+    def _reaching(self, good: int, live: int, memo) -> int:
+        """The states of ``live`` whose weak closure meets ``good``."""
+        key = (None, good)   # None: the weak closure, beside the labels of _pre
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _gather(self.rweak, good)
+        return got & live
+
+    def _tpath(self, alive, live, p2, rows, memo) -> int:
+        """States of ``live`` that match a time-out of p to p2.
+
+        A match is an alternating weak/t path that stays among ``alive``
+        (the partners of p) and ends at, or one t-step before, a partner of
+        p2.  ``hit`` gathers the path states that end a match; the states
+        weakly reaching one of them win, and the t-predecessors of winners
+        end a match too, until nothing is added or every live state won.
+        """
+        hit = alive & (rows[p2] | self._pre(TIMEOUT, rows[p2], memo))
+        won = self._reaching(hit, alive, memo)
+        new = won
+        tpred = self.pred[TIMEOUT]
+        while new and live & ~won:
+            more = _gather(tpred, new) & alive & ~hit
+            if not more:
+                break
+            hit |= more
+            new = self._reaching(more, alive & ~won, memo)
+            won |= new
+        return won
+
+    def tb_failures(self, p: int, rows: List[int], memo) -> List[Tuple[int, tuple]]:
+        """Failing partners of p under the tb clauses, as (mask, why) in
+        clause order; every failing q sits in the mask of its first failure."""
         a = self.a
-        out = a.out[p]
-        for lab in self.branch_labels:
-            for p2 in out.get(lab, ()):
-                if not self._match(p, lab, p2, q):
-                    return ("tb1", {"action": lab, "derivative": p2})
+        alive = live = rows[p]
+        fails = []
+        for lab, ds in self.branch_moves[p]:
+            for p2 in ds:
+                good = self._pre(lab, rows[p2], memo)
+                if lab == TAU:
+                    good |= rows[p2]
+                bad = live & ~self._reaching(good & alive, live, memo)
+                if bad:
+                    fails.append((bad, ("tb1", {"action": lab, "derivative": p2})))
+                    live ^= bad
+                    if not live:
+                        return fails
         for p2 in a.t_succ[p]:
-            if not self._tbpath(p, p2, q):
-                return ("tb2", {"derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
-            return ("tb3", {})
-        return None
+            bad = live & ~self._tpath(alive, live, p2, rows, memo)
+            if bad:
+                fails.append((bad, ("tb2", {"derivative": p2})))
+                live ^= bad
+                if not live:
+                    return fails
+        if not a.has_tau[p]:
+            bad = live & self.unstable
+            if bad:
+                fails.append((bad, ("tb3", {})))
+        return fails
 
-    check_triple = None
+    def rooted_failures(self, plain: List[int]):
+        """The rooted clause: every first step of p matched by the same step
+        of q into the plain relation."""
+        def failures(p, rows, memo):
+            live = rows[p]
+            fails = []
+            for lab, targets in sorted(self.a.out[p].items()):
+                for p2 in targets:
+                    bad = live & ~self._pre(lab, plain[p2], memo)
+                    if bad:
+                        fails.append((bad, ("rtb1", {"action": lab, "derivative": p2})))
+                        live ^= bad
+                        if not live:
+                            return fails
+            return fails
+        return failures
 
-    def _match(self, p, lab, p2, q):
-        a, pairs = self.a, self.st.pairs
-        istau = lab == TAU
-        for q1 in a.weak[q]:
-            if (p, q1) not in pairs:
-                continue
-            if istau and (p2, q1) in pairs:
-                return True
-            for q2 in a.out[q1].get(lab, ()):
-                if (p2, q2) in pairs:
-                    return True
-        return False
+    def fixpoint(self, store: RelationStore, rows: List[int], failures) -> Tuple[int, int]:
+        """Delete failing pairs from ``rows`` in synchronous rounds.
 
-    def _tbpath(self, p, p2, q):
-        a, pairs = self.a, self.st.pairs
-        seen = set()
-        stack = [q]
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if (p, s) not in pairs:
-                continue
-            for s1 in a.weak[s]:
-                if (p, s1) not in pairs:
+        As in ``_run_fixpoint``, every row is judged against the rows the
+        round started with before any pair dies, so the rounds, and the
+        ranks and refutation records entered from ``store.row_kills``, come
+        out the same.  A row is judged again only when it or a row its
+        clauses read has changed.
+        """
+        iterations = checked = 0
+        changed = -1
+        memo = {}
+        while True:
+            iterations += 1
+            bad = []
+            for p, row in enumerate(rows):
+                if not row:
                     continue
-                if (p2, s1) in pairs:
-                    return True
-                for s2 in a.t_succ[s1]:
-                    if (p2, s2) in pairs:
-                        return True
-                    if s2 not in seen:
-                        stack.append(s2)
-        return False
+                checked += row.bit_count()
+                if self.deps[p] & changed:
+                    fails = failures(p, rows, memo)
+                    if fails:
+                        bad.append((p, fails))
+            if not bad:
+                return iterations, checked
+            changed = 0
+            for p, fails in bad:
+                store.row_kills.append((iterations, p, fails))
+                dead = 0
+                for mask, _ in fails:
+                    dead |= mask
+                rows[p] &= ~dead
+                keep = ~(1 << p)
+                for q in _bits(dead):
+                    rows[q] &= keep
+                changed |= dead | (1 << p)
+
+    def holds(self, rows: List[int], failures) -> bool:
+        """True iff no pair of ``rows`` fails (one pass, nothing killed)."""
+        memo = {}
+        return not any(row and failures(p, rows, memo) for p, row in enumerate(rows))
 
 
-class RootedTbChecker:
-    def __init__(self, arena, store, plain):
-        self.a = arena
-        self.st = store
-        self.plain = plain
+def _bits(mask: int) -> List[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    def check_pair(self, p, q):
-        a, plain = self.a, self.plain
-        for lab, targets in sorted(a.out[p].items()):
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in plain.pairs for q2 in qsucc):
-                    return ("rtb1", {"action": lab, "derivative": p2})
-        return None
 
-    check_triple = None
+def _gather(table: List[int], mask: int) -> int:
+    """Union of ``table[i]`` over the set bits i of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= table[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1220,9 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
 
 
 def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
-    """t-branching bisimilarity over encoded labels (pairs only)."""
+    """t-branching bisimilarity over encoded labels (pairs only), decided by
+    the row engine; the rooted layer is one more row pass against the plain
+    rows."""
     if l1.labels != l2.labels and l2 is not l1:
         raise LabelUniverseMismatch(
             f"label universes differ: {sorted(l1.labels)} vs {sorted(l2.labels)}")
@@ -1023,16 +1230,19 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     gq = arena.state2(q)
     lefts, rights = arena.reach(p), arena.reach(gq)
     _budget_check(len(lefts) + len(rights), 1)
+    engine = TbRows(arena)
     store = RelationStore(arena, "tb")
-    _seed(store, lefts, rights, with_triples=False)
-    store.iterations, store.checked = _run_fixpoint(store, TbChecker(arena, store))
+    rows = engine.seeded(lefts, rights)
+    store.iterations, store.checked = engine.fixpoint(store, rows, engine.tb_failures)
+    store.pairs = engine.pairs_of(rows)
     relation = "tb"
     if rooted:
         relation = "tb-rooted"
         rooted_store = RelationStore(arena, relation)
-        _seed(rooted_store, lefts, rights, with_triples=False)
         rooted_store.plain = store
-        it, ch = _run_fixpoint(rooted_store, RootedTbChecker(arena, rooted_store, store))
+        rooted_rows = engine.seeded(lefts, rights)
+        it, ch = engine.fixpoint(rooted_store, rooted_rows, engine.rooted_failures(rows))
+        rooted_store.pairs = engine.pairs_of(rooted_rows)
         rooted_store.iterations = it + store.iterations
         rooted_store.checked = ch + store.checked
         store = rooted_store
@@ -1107,21 +1317,21 @@ _CHECKERS = {
     "gbrb": GbrbChecker,
     "cbrb": CbrbChecker,
     "tob": TobChecker,
-    "tb": TbChecker,
 }
 
 
 def revalidate(witness: RelationStore, definition_id: str) -> bool:
     """Re-check every clause on every stored entry in one pass."""
     arena = witness.arena
+    if definition_id in ("tb", "tb-rooted"):
+        return _revalidate_tb(witness, definition_id == "tb-rooted")
     if definition_id.endswith("-rooted"):
         plain = witness.plain
         if plain is None:
             return False
         base = definition_id[:-len("-rooted")]
         cls = {"brb": RootedBrbChecker, "gbrb": RootedGbrbChecker,
-               "cbrb": RootedBrbChecker, "tob": RootedTobChecker,
-               "tb": RootedTbChecker}[base]
+               "cbrb": RootedBrbChecker, "tob": RootedTobChecker}[base]
         checker = cls(arena, witness, plain)
         if not revalidate(plain, base):
             return False
@@ -1138,6 +1348,20 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
         if checker.check_triple is None or checker.check_triple(i, x, j) is not None:
             return False
     return True
+
+
+def _revalidate_tb(witness: RelationStore, rooted: bool) -> bool:
+    """One kill-free row pass over a symmetric, pairs-only tb witness."""
+    if witness.triples or any((j, i) not in witness.pairs for i, j in witness.pairs):
+        return False
+    engine = TbRows(witness.arena)
+    rows = engine.rows_of(witness.pairs)
+    if not rooted:
+        return engine.holds(rows, engine.tb_failures)
+    plain = witness.plain
+    if plain is None or not _revalidate_tb(plain, False):
+        return False
+    return engine.holds(rows, engine.rooted_failures(engine.rows_of(plain.pairs)))
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,

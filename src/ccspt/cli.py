@@ -1,7 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 for equivalent/true, 1 for inequivalent/false, 2 for usage or
-semantic errors.  JSON goes to stdout, diagnostics to stderr.
+Exit codes: 0 for equivalent/true, 1 for inequivalent/false, 2 for usage,
+semantic and internal errors.  JSON goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import axioms as _axioms
 from . import bisim as _bisim
@@ -119,6 +120,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect must not read as exit 1, "inequivalent"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
 
 

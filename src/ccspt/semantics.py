@@ -362,31 +362,55 @@ def to_aut(lts: Lts) -> str:
 
 
 def from_aut(text: str) -> Lts:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("des"):
-        raise ParseError("not an aut file: missing des header", 1, 1)
-    header = lines[0][lines[0].index("(") + 1:lines[0].rindex(")")]
-    try:
-        initial, m, n = (int(x.strip()) for x in header.split(","))
-    except ValueError:
-        raise ParseError(f"bad aut header {lines[0]!r}", 1, 1)
+    """Read an Aldebaran ``.aut`` file; errors name the file line at fault."""
+    head_no = None
     transitions = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if head_no is None:
+            head_no = lineno
+            initial, m, n = _aut_header(line, lineno)
+            continue
         if not (line.startswith("(") and line.endswith(")")):
             raise ParseError(f"bad aut line {line!r}", lineno, 1)
-        body = line[1:-1]
         try:
-            src_s, rest = body.split(",", 1)
+            src_s, rest = line[1:-1].split(",", 1)
             label, dst_s = rest.rsplit(",", 1)
             label = label.strip()
             if label.startswith('"') and label.endswith('"'):
                 label = label[1:-1]
-            transitions.append((int(src_s), label, int(dst_s)))
+            src, dst = int(src_s), int(dst_s)
         except ValueError:
             raise ParseError(f"bad aut line {line!r}", lineno, 1)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ParseError(f"transition {line!r} names a state outside 0..{n - 1}",
+                             lineno, 1)
+        transitions.append((src, label, dst))
+    if head_no is None:
+        raise ParseError("not an aut file: missing des header", 1, 1)
     if len(transitions) != m:
-        raise ParseError(f"aut header promises {m} transitions, found {len(transitions)}", 1, 1)
+        raise ParseError(f"aut header promises {m} transitions, found {len(transitions)}",
+                         head_no, 1)
     return Lts([f"s{i}" for i in range(n)], transitions, initial)
+
+
+def _aut_header(line: str, lineno: int) -> Tuple[int, int, int]:
+    """(initial state, transition count, state count) of a ``des`` line."""
+    if not line.startswith("des"):
+        raise ParseError("not an aut file: missing des header", lineno, 1)
+    try:
+        inner = line[line.index("(") + 1:line.rindex(")")]
+        initial, m, n = (int(x.strip()) for x in inner.split(","))
+    except ValueError:
+        raise ParseError(f"bad aut header {line!r}", lineno, 1)
+    if m < 0 or n < 0:
+        raise ParseError(f"negative count in aut header {line!r}", lineno, 1)
+    if not 0 <= initial < n:
+        raise ParseError(f"initial state {initial} out of range for {n} states",
+                         lineno, 1)
+    return initial, m, n
 
 
 def to_dot(lts: Lts, name: str = "lts") -> str:

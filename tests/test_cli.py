@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ccspt import from_aut, strong_bisim
+from ccspt import ParseError, cli, from_aut, strong_bisim
 from ccspt.cli import main
 from conftest import lts_of
 
@@ -95,6 +95,30 @@ def test_bad_input_exits_2(proc, capsys):
     assert main(["parse", proc("bad.proc", "a..0")]) == 2
     assert main(["check", proc("x.proc", "<x|{x = x}>"),
                  proc("y.proc", "0")]) == 2
+
+
+def test_aut_out_of_range_state_exits_2(proc, capsys):
+    good = proc("good.aut", 'des (0, 1, 2)\n(0,"a",1)\n')
+    bad_initial = proc("init.aut", 'des (5, 1, 2)\n(0,"a",1)\n')
+    assert main(["check", bad_initial, good]) == 2
+    assert "initial state 5" in capsys.readouterr().err
+    bad_target = proc("target.aut", 'des (0, 1, 2)\n(0,"a",7)\n')
+    assert main(["check", good, bad_target]) == 2
+    assert "at 2:1" in capsys.readouterr().err
+
+
+def test_aut_negative_count_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        from_aut("des (0, -1, 2)\n")
+    assert err.value.line == 1
+
+
+def test_internal_error_exits_2(proc, capsys, monkeypatch):
+    def broken(args, sigma):
+        raise IndexError("list index out of range")
+    monkeypatch.setattr(cli, "_dispatch", broken)
+    assert main(["parse", proc("p.proc", "a.0")]) == 2
+    assert capsys.readouterr().err.startswith("internal error: IndexError")
 
 
 def test_sigma_override(proc, capsys):

@@ -1,0 +1,320 @@
+"""The row engine for t-branching bisimilarity against a per-pair reference.
+
+The reference below is the per-pair formulation the row engine replaced:
+one clause check per stored pair, in sorted order, against the store the
+round started with.  Both must agree on every observable field.
+"""
+
+import random
+
+import pytest
+
+from ccspt import (alphabet, build_lts, encode, from_aut, revalidate,
+                   tb_check)
+from ccspt import bisim
+from ccspt.bisim import Arena, RelationStore
+from ccspt.sampling import equivalent_variant, random_process
+from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference
+
+
+class RefTb:
+    def __init__(self, arena, store):
+        self.a = arena
+        self.st = store
+        self.branch_labels = [
+            lab for lab in sorted({l for out in arena.out for l in out})
+            if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+
+    def check_pair(self, p, q):
+        a = self.a
+        out = a.out[p]
+        for lab in self.branch_labels:
+            for p2 in out.get(lab, ()):
+                if not self._match(p, lab, p2, q):
+                    return ("tb1", {"action": lab, "derivative": p2})
+        for p2 in a.t_succ[p]:
+            if not self._tbpath(p, p2, q):
+                return ("tb2", {"derivative": p2})
+        if not a.has_tau[p] and not a.stable[q]:
+            return ("tb3", {})
+        return None
+
+    def _match(self, p, lab, p2, q):
+        a, pairs = self.a, self.st.pairs
+        for q1 in a.weak[q]:
+            if (p, q1) not in pairs:
+                continue
+            if lab == TAU and (p2, q1) in pairs:
+                return True
+            for q2 in a.out[q1].get(lab, ()):
+                if (p2, q2) in pairs:
+                    return True
+        return False
+
+    def _tbpath(self, p, p2, q):
+        a, pairs = self.a, self.st.pairs
+        seen = set()
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            if (p, s) not in pairs:
+                continue
+            for s1 in a.weak[s]:
+                if (p, s1) not in pairs:
+                    continue
+                if (p2, s1) in pairs:
+                    return True
+                for s2 in a.t_succ[s1]:
+                    if (p2, s2) in pairs:
+                        return True
+                    if s2 not in seen:
+                        stack.append(s2)
+        return False
+
+
+class RefRootedTb:
+    def __init__(self, arena, plain):
+        self.a = arena
+        self.plain = plain
+
+    def check_pair(self, p, q):
+        a = self.a
+        for lab, targets in sorted(a.out[p].items()):
+            qsucc = a.out[q].get(lab, ())
+            for p2 in targets:
+                if not any((p2, q2) in self.plain.pairs for q2 in qsucc):
+                    return ("rtb1", {"action": lab, "derivative": p2})
+        return None
+
+
+def ref_fixpoint(store, checker):
+    iterations = checked = 0
+    while True:
+        iterations += 1
+        bad = []
+        for (i, j) in sorted(store.pairs):
+            checked += 1
+            why = checker.check_pair(i, j)
+            if why is not None:
+                bad.append((i, j, why))
+        if not bad:
+            return iterations, checked
+        for i, j, why in bad:
+            store.kill_pair(i, j, iterations, why)
+
+
+def ref_tb(e1, e2, rooted):
+    """(store, entry, iterations, checked) of the per-pair reference."""
+    arena = Arena(e1, None if e2 is e1 else e2, allow_encoded=True)
+    p, gq = e1.initial, arena.state2(e2.initial)
+    store = RelationStore(arena, "tb")
+    store.seed_pairs(arena.reach(p), arena.reach(gq))
+    it, ch = ref_fixpoint(store, RefTb(arena, store))
+    if rooted:
+        plain = store
+        store = RelationStore(arena, "tb-rooted")
+        store.seed_pairs(arena.reach(p), arena.reach(gq))
+        store.plain = plain
+        it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
+        it, ch = it + it2, ch + ch2
+    return store, (p, gq), it, ch
+
+
+def ref_revalidate(store, rooted):
+    if rooted:
+        if store.plain is None or not ref_revalidate(store.plain, False):
+            return False
+        checker = RefRootedTb(store.arena, store.plain)
+    else:
+        checker = RefTb(store.arena, store)
+    return all((j, i) in store.pairs and checker.check_pair(i, j) is None
+               for i, j in sorted(store.pairs)) and not store.triples
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+@pytest.fixture
+def engine_store(monkeypatch):
+    """Run tb_check and also return the store behind its verdict."""
+    seen = []
+    real = bisim._verdict
+
+    def spy(store, entry, relation):
+        seen.append(store)
+        return real(store, entry, relation)
+
+    monkeypatch.setattr(bisim, "_verdict", spy)
+
+    def run(e1, e2, rooted):
+        v = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
+        return v, seen.pop()
+    return run
+
+
+def assert_same(engine_store, e1, e2, rooted):
+    v, store = engine_store(e1, e2, rooted)
+    ref, entry, it, ch = ref_tb(e1, e2, rooted)
+    assert v.equivalent == (entry in ref.pairs)
+    assert (v.iterations, v.entries_checked) == (it, ch)
+    assert v.refutation == ([] if v.equivalent else
+                            bisim._refutation_records(ref, [entry, entry[::-1]]))
+    assert store.pairs == ref.pairs
+    assert list(store.rank.items()) == list(ref.rank.items())
+    assert list(store.fail.items()) == list(ref.fail.items())
+    if rooted:
+        assert store.plain.pairs == ref.plain.pairs
+        assert list(store.plain.rank.items()) == list(ref.plain.rank.items())
+        assert list(store.plain.fail.items()) == list(ref.plain.fail.items())
+    return v
+
+
+def sampled_pairs(n, seed):
+    """Criterion-3-style pairs: 45% equivalent variants, the rest independent."""
+    rng = random.Random(seed)
+    for i in range(n):
+        sigma = ("a",) if i % 6 == 0 else (("a", "b") if i % 3 else ("a", "b", "c"))
+        t1, _ = random_process(rng, sigma, depth=3, max_states=8)
+        t2 = None
+        if rng.random() < 0.45:
+            t2 = equivalent_variant(rng, t1)
+            try:
+                build_lts(t2)
+            except Exception:
+                t2 = None
+        if t2 is None:
+            t2, _ = random_process(rng, sigma, depth=3, max_states=8)
+        sig = frozenset(sigma) | alphabet(t1) | alphabet(t2)
+        yield build_lts(t1, sigma=sig), build_lts(t2, sigma=sig), sig
+
+
+def ring(n, markers, double_t):
+    """Ring of n states, ``t`` after every 4th, ``b`` at the markers."""
+    transitions = []
+    extra = n
+    for i in range(n):
+        j = (i + 1) % n
+        label = "t" if i % 4 == 3 else ("b" if i in markers else "a")
+        if label == "t" and double_t:
+            transitions += [(i, "t", extra), (extra, "t", j)]
+            extra += 1
+        else:
+            transitions.append((i, label, j))
+    lines = [f"des (0, {len(transitions)}, {extra})"]
+    lines += [f'({s},"{lab}",{d})' for s, lab, d in transitions]
+    return from_aut("\n".join(lines) + "\n")
+
+
+def encoded(l1, l2, sig, rooted):
+    return encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
+
+
+# ---------------------------------------------------------------------------
+# field-identical results
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_sampled_pairs_match_reference(engine_store, rooted):
+    verdicts = [assert_same(engine_store, *encoded(l1, l2, sig, rooted), rooted)
+                for l1, l2, sig in sampled_pairs(40, 7)]
+    # the sample must exercise both outcomes and more than one round
+    assert {v.equivalent for v in verdicts} == {True, False}
+    assert max(v.iterations for v in verdicts) > 2
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_ring_matches_reference(engine_store, rooted):
+    base = ring(12, {1}, False)
+    sig = frozenset({"a", "b"})
+    same = assert_same(engine_store, *encoded(base, ring(12, {1}, True), sig, rooted),
+                       rooted)
+    differ = assert_same(engine_store, *encoded(base, ring(12, {1, 6}, True), sig, rooted),
+                         rooted)
+    assert same.equivalent and not differ.equivalent
+    assert differ.iterations > 3
+
+
+def test_random_raw_systems_match_reference(engine_store):
+    # tiny systems over raw labels reach corners the encodings do not:
+    # tau cycles, time-outs from unstable states, several time-outs in a row
+    rng = random.Random(11)
+    labels = ("a", "b", TAU, TAU, TIMEOUT, TIMEOUT)
+    for _ in range(150):
+        systems = []
+        for _ in range(2):
+            n = rng.randint(1, 5)
+            moves = [(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            systems.append(Lts([f"s{i}" for i in range(n)], moves, 0, labels={"a", "b"}))
+        for rooted in (False, True):
+            assert_same(engine_store, *systems, rooted)
+
+
+def test_same_system_matches_reference(engine_store):
+    # lefts and rights overlap when both states come from one system
+    l1, _, sig = next(sampled_pairs(1, 3))
+    e1 = encode(l1, sigma=sig)
+    assert_same(engine_store, e1, e1, False)
+
+
+# ---------------------------------------------------------------------------
+# revalidation
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_tb_witness_revalidates(rooted):
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    e1, e2 = encoded(l1, l2, sig, rooted)
+    v = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
+    assert v.equivalent
+    assert revalidate(v.witness, v.relation)
+
+
+def test_damaged_tb_witness_fails():
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    e1, e2 = encoded(l1, l2, sig, False)
+    store = tb_check(e1, e1.initial, e2, e2.initial).witness
+    pairs = set(store.pairs)
+    verdicts = []
+    for i, j in sorted(p for p in pairs if p[0] < p[1]):
+        store.pairs = pairs - {(i, j), (j, i)}
+        verdicts.append(revalidate(store, "tb"))
+        assert verdicts[-1] == ref_revalidate(store, False), (i, j)
+    assert not all(verdicts)
+    store.pairs = pairs
+
+
+def test_asymmetric_tb_witness_fails():
+    # two deadlocks: each orientation of the pair passes every clause, so
+    # only the symmetry check can reject the one-sided store
+    dead = from_aut("des (0, 0, 1)\n")
+    store = tb_check(dead, 0, from_aut("des (0, 0, 1)\n"), 0).witness
+    assert store.pairs == {(0, 1), (1, 0)}
+    assert revalidate(store, "tb")
+    store.pairs.discard((1, 0))
+    assert not revalidate(store, "tb")
+
+
+def test_damaged_rooted_tb_witness_fails():
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    e1, e2 = encoded(l1, l2, sig, True)
+    store = tb_check(e1, e1.initial, e2, e2.initial, rooted=True).witness
+    assert revalidate(store, "tb-rooted")
+    plain = set(store.plain.pairs)
+    verdicts = []
+    for i, j in sorted(p for p in plain if p[0] < p[1]):
+        store.plain.pairs = plain - {(i, j), (j, i)}
+        verdicts.append(revalidate(store, "tb-rooted"))
+        assert verdicts[-1] == ref_revalidate(store, True), (i, j)
+    assert not all(verdicts)
+    store.plain.pairs = plain
+    store.plain = None
+    assert not revalidate(store, "tb-rooted")
