@@ -8,12 +8,14 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-Two engines run these rounds.  ``brb``, ``gbrb``, ``cbrb`` and ``tob`` check
-each stored entry on its own (``_run_fixpoint``).  t-branching bisimilarity
-(``tb`` over encoded systems, and its rooted layer) uses the row engine
-``TbRows``: the relation is one bit mask per state, and a state's clauses
-are decided for all of its partners at once, with the same rounds, ranks
-and refutation records as a per-pair check.
+Two engines run these rounds.  The row engine ``RowEngine`` decides ``brb``,
+``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
+too), ``tb`` over encoded systems, and the rooted layer of each.  It keeps a
+relation as bit masks, one pair row per state and one triple row per state
+and environment mask, and decides a row's clauses for all of its partners at
+once, with the same rounds, ranks and refutation records as a per-entry
+check.  ``tob`` still checks each stored pair on its own
+(``_run_fixpoint``) over the environment-augmented ``ThetaArena``.
 
 Strong bisimilarity alone uses partition refinement.
 """
@@ -24,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .errors import LabelUniverseMismatch, StateBudgetExceeded
+from .errors import LabelUniverseMismatch, StateBudgetExceeded, ThetaDepthExceeded
 from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind
 
 TRIPLE_BUDGET = 50_000_000
@@ -60,7 +62,6 @@ class Arena:
         self.full_mask = (1 << len(self.sigma)) - 1
         self._xmasks = None
 
-        self.n = sum(len(s) for s in systems)
         self.tags = []
         self.out: List[Dict[str, Tuple[int, ...]]] = []
         for k, lts in enumerate(systems):
@@ -69,6 +70,11 @@ class Arena:
             for s in range(len(lts)):
                 self.out.append({lab: tuple(d + off for d in ds)
                                  for lab, ds in lts.out(s).items()})
+        self._build_tables()
+
+    def _build_tables(self):
+        """Move tables, weak closure and stability of every state in ``out``."""
+        self.n = len(self.out)
         self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
         self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
         self.has_tau = [bool(self.tau_succ[s]) for s in range(self.n)]
@@ -171,7 +177,7 @@ class ThetaArena(Arena):
                         level.append(self._new_wrap(x, s))
             for w in level:
                 self._wrap_moves(w)
-            self._refresh_tables()
+            self._build_tables()
             frontier = level
 
     def _wrap_moves(self, w: int):
@@ -193,10 +199,6 @@ class ThetaArena(Arena):
             return d
         return self._new_wrap(x, d)
 
-    def vis_moves_of(self, s):
-        return tuple((lab, ds) for lab, ds in sorted(self.out[s].items())
-                     if label_kind(lab)[0] == "visible")
-
     def _new_wrap(self, x: int, s: int) -> int:
         key = (x, s)
         w = self.wrapped.get(key)
@@ -217,27 +219,6 @@ class ThetaArena(Arena):
         if w is None:
             self.unresolved += 1
         return w
-
-    def _refresh_tables(self):
-        self.n = len(self.tags)
-        self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
-        self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
-        self.has_tau = [bool(self.tau_succ[s]) for s in range(self.n)]
-        self.vis_moves = []
-        self.moves_vt = []
-        self.vis_mask = []
-        for s in range(self.n):
-            vis = self.vis_moves_of(s)
-            self.vis_moves.append(vis)
-            vt = vis + ((TAU, self.tau_succ[s]),) if self.has_tau[s] else vis
-            self.moves_vt.append(vt)
-            mask = 0
-            for lab, _ in vis:
-                mask |= self.bit.get(lab, 0)
-            self.vis_mask.append(mask)
-        self.weak = self._weak_closure()
-        self.stable = [any(not self.has_tau[u] for u in self.weak[s])
-                       for s in range(self.n)]
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         base = self.reach_base(root)
@@ -272,22 +253,73 @@ class ThetaArena(Arena):
 class RelationStore:
     """Symmetric store of pairs and environment triples with refutation records.
 
+    The entries live either in bit-mask rows or in sets.  The row engine
+    leaves rows: bit q of ``rows[p]`` is set iff the pair (p, q) is alive,
+    bit q of ``trows[x][p]`` iff the triple (p, x, q) is.  ``pairs`` and
+    ``triples`` are the sets; reading one builds it from its rows, once, and
+    the set is the relation from then on.
+
     ``rank`` maps each deleted entry (both orientations) to the round that
     deleted it; ``fail`` maps an entry whose own clause failed to the clause
     and its detail.  The row engine logs its deletions in ``row_kills`` as
-    (round, p, [(mask of q, why), ...]); they enter ``rank`` and ``fail`` on
-    first read, in the order ``kill_pair`` would have entered them.
+    (round, row key, [(mask of q, why), ...]), where the row key is (p,) or
+    (p, x); they enter ``rank`` and ``fail`` on first read, in the order
+    ``kill_pair`` would have entered them.
     """
 
-    def __init__(self, arena: Arena, relation: str):
+    def __init__(self, arena: Arena, relation: str,
+                 rows: Optional[List[int]] = None,
+                 trows: Optional[List[List[int]]] = None):
         self.arena = arena
         self.relation = relation
-        self.pairs: Set[Tuple[int, int]] = set()
-        self.triples: Set[Tuple[int, int, int]] = set()  # (state, xmask, state)
+        self.rows = rows
+        self.trows = trows
+        self._pairs: Optional[Set[Tuple[int, int]]] = set() if rows is None else None
+        # (state, xmask, state)
+        self._triples: Optional[Set[Tuple[int, int, int]]] = set() if trows is None else None
         self._rank: Dict[tuple, int] = {}
         self._fail: Dict[tuple, tuple] = {}
-        self.row_kills: List[Tuple[int, int, list]] = []
+        self.row_kills: List[Tuple[int, tuple, list]] = []
         self.plain: Optional["RelationStore"] = None
+
+    @property
+    def pairs(self) -> Set[Tuple[int, int]]:
+        if self._pairs is None:
+            self._pairs = {(p, q) for p, row in enumerate(self.rows) for q in _bits(row)}
+            self.rows = None
+        return self._pairs
+
+    @pairs.setter
+    def pairs(self, entries):
+        self._pairs, self.rows = entries, None
+
+    @property
+    def triples(self) -> Set[Tuple[int, int, int]]:
+        if self._triples is None:
+            self._triples = {(p, x, q) for x, rows in enumerate(self.trows)
+                             for p, row in enumerate(rows) for q in _bits(row)}
+            self.trows = None
+        return self._triples
+
+    @triples.setter
+    def triples(self, entries):
+        self._triples, self.trows = entries, None
+
+    def row_form(self, with_triples: bool) -> Tuple[List[int], Optional[List[List[int]]]]:
+        """The entries as (pair rows, triple rows or None), read off the
+        sets where those exist."""
+        n = self.arena.n
+        rows = self.rows
+        if rows is None:
+            rows = [0] * n
+            for p, q in self._pairs:
+                rows[p] |= 1 << q
+        trows = self.trows
+        if trows is None and with_triples:
+            trows = [[0] * n for _ in self.arena.xmasks]
+            for p, x, q in self._triples:
+                trows[x][p] |= 1 << q
+        return rows, trows
 
     @property
     def rank(self) -> Dict[tuple, int]:
@@ -301,65 +333,60 @@ class RelationStore:
 
     def _enter_row_kills(self):
         kills, self.row_kills = self.row_kills, []
-        for rnd, p, fails in kills:
+        for rnd, key, fails in kills:
             whys = {}
             for mask, why in fails:
                 whys.update(dict.fromkeys(_bits(mask), why))
+            p, env = key[0], key[1:]
             for q in sorted(whys):
-                self._rank.setdefault((p, q), rnd)
-                self._rank.setdefault((q, p), rnd)
-                self._fail.setdefault((p, q), whys[q])
+                self._rank.setdefault(key + (q,), rnd)
+                self._rank.setdefault((q,) + env + (p,), rnd)
+                self._fail.setdefault(key + (q,), whys[q])
 
     def failure(self, entry) -> Optional[tuple]:
         """``fail.get(entry)``, read off the row log without entering it."""
         why = self._fail.get(entry)
-        if why is None and self.row_kills and len(entry) == 2:
-            i, j = entry
-            for _, p, fails in self.row_kills:
-                if p == i:
+        if why is None and self.row_kills:
+            key, q = entry[:-1], entry[-1]
+            for _, k, fails in self.row_kills:
+                if k == key:
                     for mask, w in fails:
-                        if mask >> j & 1:
+                        if mask >> q & 1:
                             return w
         return why
 
     def seed_pairs(self, lefts, rights):
+        pairs = self.pairs
         for i in lefts:
             for j in rights:
-                self.pairs.add((i, j))
-                self.pairs.add((j, i))
-
-    def seed_triples(self, lefts, rights, xmasks):
-        for i in lefts:
-            for j in rights:
-                for x in xmasks:
-                    self.triples.add((i, x, j))
-                    self.triples.add((j, x, i))
+                pairs.add((i, j))
+                pairs.add((j, i))
 
     def has_pair(self, i, j) -> bool:
-        return (i, j) in self.pairs
+        if self.rows is not None:
+            return bool(self.rows[i] >> j & 1)
+        return (i, j) in self._pairs
 
     def has_triple(self, i, xmask, j) -> bool:
-        return (i, xmask, j) in self.triples
+        if self.trows is not None:
+            return bool(self.trows[xmask][i] >> j & 1)
+        return (i, xmask, j) in self._triples
 
     def kill_pair(self, i, j, rnd, why):
-        self.pairs.discard((i, j))
-        self.pairs.discard((j, i))
+        pairs = self.pairs
+        pairs.discard((i, j))
+        pairs.discard((j, i))
         self._rank.setdefault((i, j), rnd)
         self._rank.setdefault((j, i), rnd)
         if why is not None:
             self._fail.setdefault((i, j), why)
 
-    def kill_triple(self, i, x, j, rnd, why):
-        self.triples.discard((i, x, j))
-        self.triples.discard((j, x, i))
-        self._rank.setdefault((i, x, j), rnd)
-        self._rank.setdefault((j, x, i), rnd)
-        if why is not None:
-            self._fail.setdefault((i, x, j), why)
-
     @property
     def size(self) -> int:
-        return len(self.pairs) + len(self.triples)
+        pairs = len(self._pairs) if self.rows is None else _count(self.rows)
+        triples = (len(self._triples) if self.trows is None
+                   else sum(_count(rows) for rows in self.trows))
+        return pairs + triples
 
 
 @dataclass
@@ -394,41 +421,29 @@ class Verdict:
 
 
 def _run_fixpoint(store: RelationStore, checker) -> Tuple[int, int]:
-    """Per-entry deletion in synchronous rounds: every entry is checked
+    """Per-pair deletion in synchronous rounds: every pair is checked
     against the store the round started with, then the failures die in
-    sorted order.  The entries are sorted once; each round keeps the
+    sorted order.  The pairs are sorted once; each round keeps the
     survivors of the previous order, which stay sorted."""
     iterations = 0
     checked = 0
     pairs = sorted(store.pairs)
-    triples = sorted(store.triples)
     while True:
         iterations += 1
-        checked += len(pairs) + len(triples)
-        bad_pairs = []
-        bad_triples = []
-        # A failing entry leaves the list at once, so the store's discard
+        checked += len(pairs)
+        bad = []
+        # A failing pair leaves the list at once, so the store's discard
         # frees it, as when the sorted list lived for one loop only.
         for k, (i, j) in enumerate(pairs):
             why = checker.check_pair(i, j)
             if why is not None:
-                bad_pairs.append((i, j, why))
+                bad.append((i, j, why))
                 pairs[k] = None
-        for k, (i, x, j) in enumerate(triples):
-            why = checker.check_triple(i, x, j)
-            if why is not None:
-                bad_triples.append((i, x, j, why))
-                triples[k] = None
-        if not bad_pairs and not bad_triples:
+        if not bad:
             return iterations, checked
-        for i, j, why in bad_pairs:
+        for i, j, why in bad:
             store.kill_pair(i, j, iterations, why)
-        for i, x, j, why in bad_triples:
-            store.kill_triple(i, x, j, iterations, why)
-        if bad_pairs:
-            _keep(pairs, store.pairs)
-        if bad_triples:
-            _keep(triples, store.triples)
+        _keep(pairs, store.pairs)
 
 
 def _keep(entries: list, alive: set):
@@ -474,283 +489,7 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Clause checkers
-
-
-class _ReactiveChecker:
-    """Shared matching machinery for the triple-based definitions."""
-
-    def __init__(self, arena: Arena, store: RelationStore):
-        self.a = arena
-        self.st = store
-
-    # -- branching matches ---------------------------------------------
-    def _match_pair(self, p, lab, p2, q) -> bool:
-        a, pairs = self.a, self.st.pairs
-        istau = lab == TAU
-        for q1 in a.weak[q]:
-            if (p, q1) not in pairs:
-                continue
-            if istau and (p2, q1) in pairs:
-                return True
-            for q2 in a.out[q1].get(lab, ()):
-                if (p2, q2) in pairs:
-                    return True
-        return False
-
-    def _match_tau_triple(self, p, x, p2, q) -> bool:
-        a, triples = self.a, self.st.triples
-        for q1 in a.weak[q]:
-            if (p, x, q1) not in triples:
-                continue
-            if (p2, x, q1) in triples:
-                return True
-            for q2 in a.tau_succ[q1]:
-                if (p2, x, q2) in triples:
-                    return True
-        return False
-
-    def _match_vis_triple(self, p, x, lab, p2, q) -> bool:
-        a = self.a
-        triples, pairs = self.st.triples, self.st.pairs
-        for q1 in a.weak[q]:
-            if (p, x, q1) not in triples:
-                continue
-            for q2 in a.out[q1].get(lab, ()):
-                if (p2, q2) in pairs:
-                    return True
-        return False
-
-    def _tpath(self, p, x, p2, q) -> bool:
-        """Alternating weak/t path matching a time-out, final step optional."""
-        a, triples = self.a, self.st.triples
-        seen = set()
-        stack = [q]
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if (p, x, s) not in triples:
-                continue
-            for s1 in a.weak[s]:
-                if not a.idle(s1, x):
-                    continue
-                if (p2, x, s1) in triples:
-                    return True
-                for s2 in a.t_succ[s1]:
-                    if (p2, x, s2) in triples:
-                        return True
-                    if s2 not in seen:
-                        stack.append(s2)
-        return False
-
-    def _gpath(self, p, x, p2, q) -> bool:
-        """Time-out match whose first intermediate state need only be stable."""
-        a, triples = self.a, self.st.triples
-        stack = []
-        for q1 in a.weak[q]:
-            if a.has_tau[q1]:
-                continue
-            if (p2, x, q1) in triples:
-                return True
-            for q2 in a.t_succ[q1]:
-                if (p2, x, q2) in triples:
-                    return True
-                stack.append(q2)
-        seen = set()
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if (p, x, s) not in triples:
-                continue
-            for s1 in a.weak[s]:
-                if not a.idle(s1, x):
-                    continue
-                if (p2, x, s1) in triples:
-                    return True
-                for s2 in a.t_succ[s1]:
-                    if (p2, x, s2) in triples:
-                        return True
-                    if s2 not in seen:
-                        stack.append(s2)
-        return False
-
-
-class BrbChecker(_ReactiveChecker):
-    """Branching reactive bisimulation clauses."""
-
-    def check_pair(self, p, q):
-        a = self.a
-        for lab, targets in a.moves_vt[p]:
-            for p2 in targets:
-                if not self._match_pair(p, lab, p2, q):
-                    return ("1a", {"action": lab, "derivative": p2})
-        for x in a.xmasks:
-            if (p, x, q) not in self.st.triples:
-                return ("1b", {"env": x})
-        return None
-
-    def check_triple(self, p, x, q):
-        a = self.a
-        for p2 in a.tau_succ[p]:
-            if not self._match_tau_triple(p, x, p2, q):
-                return ("2a", {"derivative": p2})
-        for lab, targets in a.vis_moves[p]:
-            if a.bit.get(lab, 0) & x:
-                for p2 in targets:
-                    if not self._match_vis_triple(p, x, lab, p2, q):
-                        return ("2b", {"action": lab, "derivative": p2})
-        if a.idle(p, x):
-            if not any((p, q0) in self.st.pairs for q0 in a.weak[q]):
-                return ("2c", {})
-            for p2 in a.t_succ[p]:
-                if not self._tpath(p, x, p2, q):
-                    return ("2d", {"derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
-            return ("2e", {})
-        return None
-
-
-class CbrbChecker(BrbChecker):
-    """Concrete variant: each time-out matched by exactly one time-out."""
-
-    def _tpath(self, p, x, p2, q) -> bool:
-        a, triples = self.a, self.st.triples
-        for q1 in a.weak[q]:
-            for q2 in a.t_succ[q1]:
-                if (p2, x, q2) in triples:
-                    return True
-        return False
-
-
-class GbrbChecker(_ReactiveChecker):
-    """Generalised clauses: triples are consulted only after time-outs."""
-
-    def check_pair(self, p, q):
-        a = self.a
-        for lab, targets in a.moves_vt[p]:
-            for p2 in targets:
-                if not self._match_pair(p, lab, p2, q):
-                    return ("1a", {"action": lab, "derivative": p2})
-        if a.t_succ[p]:
-            for x in a.xmasks:
-                if a.idle(p, x):
-                    for p2 in a.t_succ[p]:
-                        if not self._gpath(p, x, p2, q):
-                            return ("1b", {"env": x, "derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
-            return ("1c", {})
-        return None
-
-    def check_triple(self, p, x, q):
-        a = self.a
-        for p2 in a.tau_succ[p]:
-            if not self._match_tau_triple(p, x, p2, q):
-                return ("2a", {"derivative": p2})
-        idle = a.idle(p, x)
-        for lab, targets in a.vis_moves[p]:
-            if idle or a.bit.get(lab, 0) & x:
-                for p2 in targets:
-                    if not self._match_vis_triple(p, x, lab, p2, q):
-                        return ("2b", {"action": lab, "derivative": p2})
-        if idle and a.t_succ[p]:
-            for y in a.xmasks:
-                if a.idle(p, y):
-                    for p2 in a.t_succ[p]:
-                        if not self._gpath(p, y, p2, q):
-                            return ("2c", {"env": y, "derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
-            return ("2d-stable", {})
-        return None
-
-
-class RootedBrbChecker:
-    """Congruence-closure layer: first steps matched strongly, then plain."""
-
-    def __init__(self, arena, store, plain):
-        self.a = arena
-        self.st = store
-        self.plain = plain
-
-    def check_pair(self, p, q):
-        a, plain = self.a, self.plain
-        for lab, targets in a.moves_vt[p]:
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in plain.pairs for q2 in qsucc):
-                    return ("r1a", {"action": lab, "derivative": p2})
-        for x in a.xmasks:
-            if (p, x, q) not in self.st.triples:
-                return ("r1b", {"env": x})
-        return None
-
-    def check_triple(self, p, x, q):
-        a, plain = self.a, self.plain
-        for p2 in a.tau_succ[p]:
-            if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
-                return ("r2a", {"derivative": p2})
-        for lab, targets in a.vis_moves[p]:
-            if a.bit.get(lab, 0) & x:
-                qsucc = a.out[q].get(lab, ())
-                for p2 in targets:
-                    if not any((p2, q2) in plain.pairs for q2 in qsucc):
-                        return ("r2b", {"action": lab, "derivative": p2})
-        if a.idle(p, x):
-            if (p, q) not in self.st.pairs:
-                return ("r2c", {})
-            for p2 in a.t_succ[p]:
-                if not any((p2, x, q2) in plain.triples for q2 in a.t_succ[q]):
-                    return ("r2d", {"derivative": p2})
-        return None
-
-
-class RootedGbrbChecker:
-    """Generalised rooted clauses; conditions reference only the plain fixpoint."""
-
-    def __init__(self, arena, store, plain):
-        self.a = arena
-        self.st = store
-        self.plain = plain
-
-    def check_pair(self, p, q):
-        a, plain = self.a, self.plain
-        for lab, targets in a.moves_vt[p]:
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in plain.pairs for q2 in qsucc):
-                    return ("r1a", {"action": lab, "derivative": p2})
-        if a.t_succ[p]:
-            for x in a.xmasks:
-                if a.idle(p, x):
-                    for p2 in a.t_succ[p]:
-                        if not any((p2, x, q2) in plain.triples
-                                   for q2 in a.t_succ[q]):
-                            return ("r1b", {"env": x, "derivative": p2})
-        return None
-
-    def check_triple(self, p, x, q):
-        a, plain = self.a, self.plain
-        for p2 in a.tau_succ[p]:
-            if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
-                return ("r2a", {"derivative": p2})
-        idle = a.idle(p, x)
-        for lab, targets in a.vis_moves[p]:
-            if idle or a.bit.get(lab, 0) & x:
-                qsucc = a.out[q].get(lab, ())
-                for p2 in targets:
-                    if not any((p2, q2) in plain.pairs for q2 in qsucc):
-                        return ("r2b", {"action": lab, "derivative": p2})
-        if idle and a.t_succ[p]:
-            for y in a.xmasks:
-                if a.idle(p, y):
-                    for p2 in a.t_succ[p]:
-                        if not any((p2, y, q2) in plain.triples
-                                   for q2 in a.t_succ[q]):
-                            return ("r2c", {"env": y, "derivative": p2})
-        return None
+# Per-pair clause checkers (time-out bisimulation)
 
 
 class TobChecker:
@@ -758,7 +497,7 @@ class TobChecker:
 
     def __init__(self, arena: ThetaArena, store: RelationStore):
         self.a = arena
-        self.st = store
+        self.pairs = store.pairs   # the set the fixpoint deletes from
 
     def check_pair(self, u, v):
         a = self.a
@@ -776,10 +515,8 @@ class TobChecker:
             return ("t3", {})
         return None
 
-    check_triple = None  # pairs only
-
     def _match(self, u, lab, u2, v):
-        a, pairs = self.a, self.st.pairs
+        a, pairs = self.a, self.pairs
         istau = lab == TAU
         for v1 in a.weak[v]:
             if (u, v1) not in pairs:
@@ -792,7 +529,7 @@ class TobChecker:
         return False
 
     def _tobpath(self, u, x, u2, v):
-        a, pairs = self.a, self.st.pairs
+        a, pairs = self.a, self.pairs
         lhs2 = a.wrap(x, u2)
         if lhs2 is None:
             return False
@@ -837,15 +574,14 @@ class TobChecker:
 class RootedTobChecker:
     def __init__(self, arena: ThetaArena, store, plain):
         self.a = arena
-        self.st = store
-        self.plain = plain
+        self.plain = plain.pairs
 
     def check_pair(self, p, q):
         a, plain = self.a, self.plain
         for lab, targets in a.moves_vt[p]:
             qsucc = a.out[q].get(lab, ())
             for p2 in targets:
-                if not any((p2, q2) in plain.pairs for q2 in qsucc):
+                if not any((p2, q2) in plain for q2 in qsucc):
                     return ("rt1", {"action": lab, "derivative": p2})
         if a.t_succ[p]:
             for x in a.xmasks:
@@ -856,39 +592,60 @@ class RootedTobChecker:
                         for q2 in a.t_succ[q]:
                             wq = a.wrap(x, q2)
                             if w2 is not None and wq is not None \
-                                    and (w2, wq) in plain.pairs:
+                                    and (w2, wq) in plain:
                                 ok = True
                                 break
                         if not ok:
                             return ("rt2", {"env": x, "derivative": p2})
         return None
 
-    check_triple = None
+
+class _StrongChecker:
+    def __init__(self, arena, store):
+        self.a = arena
+        self.pairs = store.pairs
+
+    def check_pair(self, p, q):
+        a = self.a
+        for lab, targets in a.out[p].items():
+            qsucc = a.out[q].get(lab, ())
+            for p2 in targets:
+                if not any((p2, q2) in self.pairs for q2 in qsucc):
+                    return ("strong", {"action": lab, "derivative": p2})
+        return None
 
 
-class TbRows:
-    """Row engine for t-branching bisimilarity over an encoded arena.
+# ---------------------------------------------------------------------------
+# The row engine
 
-    The relation is one int per state: bit ``t`` of ``row[s]`` is set iff
-    the pair (s, t) is alive.  From the predecessor masks of every label and
-    the reverse weak closure, the clauses of the pairs (p, q) are decided for
-    every q in ``row[p]`` at once, in the order a per-pair check would try
-    them, so each failing pair gets the same first failing clause.
+
+class RowEngine:
+    """Row engine for ``brb``, ``cbrb``, ``gbrb`` and ``tb`` and their rooted
+    layers.
+
+    A relation is a list of pair rows and, for the reactive families, a
+    list of triple rows per environment mask (the layout of
+    ``RelationStore``).  From the predecessor masks of every label and the
+    reverse weak closure, the clauses of a row's entries are decided for
+    every partner q at once: each clause gives the mask of partners it lets
+    pass, in the order a per-entry check would try the clauses, so each
+    failing partner gets the same first failing clause.
     """
+
+    FAMILIES = ("brb", "cbrb", "gbrb", "tb")
 
     def __init__(self, arena: Arena):
         self.a = arena
         n = arena.n
-        labels = sorted({lab for out in arena.out for lab in out})
-        branch = [lab for lab in labels
-                  if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+        labels = {TAU, TIMEOUT} | {lab for out in arena.out for lab in out}
         # pred[lab][y]: states with a lab-step to y
-        self.pred = {lab: [0] * n for lab in labels}
+        self.pred = {lab: [0] * n for lab in sorted(labels)}
         # rweak[y]: states q with y in weak[q]
         self.rweak = [0] * n
-        # deps[s]: s and its successors, the rows its clauses read
+        # deps[s]: s and its successors, the states whose rows s's clauses read
         self.deps = [0] * n
         self.unstable = 0
+        self.notau = 0
         for s in range(n):
             bit = 1 << s
             deps = bit
@@ -902,31 +659,26 @@ class TbRows:
                 self.rweak[y] |= bit
             if not arena.stable[s]:
                 self.unstable |= bit
-        self.branch_moves = [
-            [(lab, arena.out[s][lab]) for lab in branch if lab in arena.out[s]]
-            for s in range(n)]
+            if not arena.has_tau[s]:
+                self.notau |= bit
+        self._idle: Optional[List[int]] = None
 
-    def seeded(self, lefts, rights) -> List[int]:
-        """Rows of the symmetric store seeded with lefts x rights."""
+    # -- seeding ------------------------------------------------------------
+    def seeded(self, relation, lefts, rights, with_triples: bool) -> RelationStore:
+        """The symmetric store seeded with lefts x rights, as rows (and the
+        same rows under every environment mask)."""
+        n = self.a.n
         lmask = sum(1 << s for s in set(lefts))
         rmask = sum(1 << s for s in set(rights))
-        rows = [0] * self.a.n
+        rows = [0] * n
         for s in lefts:
             rows[s] |= rmask
         for s in rights:
             rows[s] |= lmask
-        return rows
+        trows = [list(rows) for _ in self.a.xmasks] if with_triples else None
+        return RelationStore(self.a, relation, rows, trows)
 
-    def rows_of(self, pairs) -> List[int]:
-        rows = [0] * self.a.n
-        for i, j in pairs:
-            rows[i] |= 1 << j
-        return rows
-
-    @staticmethod
-    def pairs_of(rows) -> Set[Tuple[int, int]]:
-        return {(s, t) for s, row in enumerate(rows) for t in _bits(row)}
-
+    # -- mask primitives -----------------------------------------------------
     def _pre(self, lab, mask: int, memo) -> int:
         """States with a ``lab``-step into ``mask``.
 
@@ -939,124 +691,347 @@ class TbRows:
             got = memo[key] = _gather(self.pred[lab], mask)
         return got
 
-    def _reaching(self, good: int, live: int, memo) -> int:
-        """The states of ``live`` whose weak closure meets ``good``."""
+    def _reaching(self, good: int, memo) -> int:
+        """The states whose weak closure meets ``good``."""
         key = (None, good)   # None: the weak closure, beside the labels of _pre
         got = memo.get(key)
         if got is None:
             got = memo[key] = _gather(self.rweak, good)
-        return got & live
+        return got
 
-    def _tpath(self, alive, live, p2, rows, memo) -> int:
-        """States of ``live`` that match a time-out of p to p2.
+    def _weak_step(self, lab, target: int, alive: int, memo) -> int:
+        """Partners that weakly reach, within ``alive``, a state with a
+        ``lab``-step into ``target`` (for tau, also a state of ``target``)."""
+        good = self._pre(lab, target, memo)
+        if lab == TAU:
+            good |= target
+        return self._reaching(good & alive, memo)
 
-        A match is an alternating weak/t path that stays among ``alive``
-        (the partners of p) and ends at, or one t-step before, a partner of
-        p2.  ``hit`` gathers the path states that end a match; the states
-        weakly reaching one of them win, and the t-predecessors of winners
-        end a match too, until nothing is added or every live state won.
+    def _tpath(self, alive: int, mid: int, target: int, memo) -> int:
+        """States of ``alive`` that match a time-out into ``target``.
+
+        A match is an alternating weak/t path whose stations (its start and
+        every t-target) lie in ``alive`` and whose weak steps end in ``mid``
+        (the partners themselves for tb, the states idle under the
+        environment for the reactive relations); it ends at, or one t-step
+        before, a state of ``target``.  ``hit`` gathers the states of ``mid``
+        that end a match; the stations weakly reaching one of them win, and
+        the t-predecessors in ``mid`` of winners end a match too, until
+        nothing is added or every station won.
         """
-        hit = alive & (rows[p2] | self._pre(TIMEOUT, rows[p2], memo))
-        won = self._reaching(hit, alive, memo)
+        hit = mid & (target | self._pre(TIMEOUT, target, memo))
+        won = self._reaching(hit, memo) & alive
         new = won
         tpred = self.pred[TIMEOUT]
-        while new and live & ~won:
-            more = _gather(tpred, new) & alive & ~hit
+        while new and alive & ~won:
+            more = _gather(tpred, new) & mid & ~hit
             if not more:
                 break
             hit |= more
-            new = self._reaching(more, alive & ~won, memo)
+            new = self._reaching(more, memo) & alive & ~won
             won |= new
         return won
 
-    def tb_failures(self, p: int, rows: List[int], memo) -> List[Tuple[int, tuple]]:
-        """Failing partners of p under the tb clauses, as (mask, why) in
-        clause order; every failing q sits in the mask of its first failure."""
-        a = self.a
-        alive = live = rows[p]
-        fails = []
-        for lab, ds in self.branch_moves[p]:
+    def _idle_masks(self) -> List[int]:
+        """``idle[x]``: the states idle under environment mask x."""
+        if self._idle is None:
+            a = self.a
+            offers = [0] * len(a.sigma)
+            for s, vis in enumerate(a.vis_mask):
+                for k in _bits(vis):
+                    offers[k] |= 1 << s
+            busy = [0]
+            for x in range(1, len(a.xmasks)):
+                low = x & -x
+                busy.append(busy[x ^ low] | offers[low.bit_length() - 1])
+            self._idle = [self.notau & ~b for b in busy]
+        return self._idle
+
+    def _idle_timeouts(self, p):
+        """(y, p2) for every environment mask y that p idles under and every
+        time-out p -t-> p2, in the order the clauses try them."""
+        for y, idles in enumerate(self._idle_masks()):
+            if idles >> p & 1:
+                for p2 in self.a.t_succ[p]:
+                    yield y, p2
+
+    def _strong(self, moves, plain, clause, memo):
+        """Each move p -lab-> p2 matched by the same step of the partner
+        into the plain pair rows."""
+        for lab, ds in moves:
             for p2 in ds:
-                good = self._pre(lab, rows[p2], memo)
-                if lab == TAU:
-                    good |= rows[p2]
-                bad = live & ~self._reaching(good & alive, live, memo)
-                if bad:
-                    fails.append((bad, ("tb1", {"action": lab, "derivative": p2})))
-                    live ^= bad
-                    if not live:
-                        return fails
-        for p2 in a.t_succ[p]:
-            bad = live & ~self._tpath(alive, live, p2, rows, memo)
-            if bad:
-                fails.append((bad, ("tb2", {"derivative": p2})))
-                live ^= bad
-                if not live:
-                    return fails
-        if not a.has_tau[p]:
-            bad = live & self.unstable
-            if bad:
-                fails.append((bad, ("tb3", {})))
-        return fails
+                yield self._pre(lab, plain[p2], memo), clause, lab, None, p2
 
-    def rooted_failures(self, plain: List[int]):
-        """The rooted clause: every first step of p matched by the same step
-        of q into the plain relation."""
-        def failures(p, rows, memo):
-            live = rows[p]
-            fails = []
-            for lab, targets in sorted(self.a.out[p].items()):
-                for p2 in targets:
-                    bad = live & ~self._pre(lab, plain[p2], memo)
-                    if bad:
-                        fails.append((bad, ("rtb1", {"action": lab, "derivative": p2})))
-                        live ^= bad
-                        if not live:
-                            return fails
-            return fails
-        return failures
+    # -- clauses -------------------------------------------------------------
+    def clauses(self, family: str, rows, trows, plain=None):
+        """(pair clauses, triple clauses or None) of a relation family over
+        ``rows``/``trows``; with ``plain``, the plain fixpoint's (rows,
+        trows), those of its rooted layer.  A clause function takes a row's
+        key and a memo and yields, clause by clause, (mask of the partners
+        that pass, clause, action, env, derivative), with None for a field
+        the clause does not name."""
+        if family == "tb":
+            if plain is None:
+                return self._tb(rows), None
+            return self._rooted_tb(plain[0]), None
+        if plain is None:
+            if family == "gbrb":
+                return self._gbrb(rows, trows)
+            return self._brb(rows, trows, concrete=family == "cbrb")
+        return self._rooted(rows, trows, plain, generalised=family == "gbrb")
 
-    def fixpoint(self, store: RelationStore, rows: List[int], failures) -> Tuple[int, int]:
-        """Delete failing pairs from ``rows`` in synchronous rounds.
+    def _tb(self, rows):
+        a = self.a
+        branch = [lab for lab in self.pred
+                  if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+        moves = [[(lab, a.out[s][lab]) for lab in branch if lab in a.out[s]]
+                 for s in range(a.n)]
+
+        def pair(p, memo):
+            alive = rows[p]
+            for lab, ds in moves[p]:
+                for p2 in ds:
+                    yield (self._weak_step(lab, rows[p2], alive, memo),
+                           "tb1", lab, None, p2)
+            for p2 in a.t_succ[p]:
+                yield (self._tpath(alive, alive, rows[p2], memo),
+                       "tb2", None, None, p2)
+            if not a.has_tau[p]:
+                yield ~self.unstable, "tb3", None, None, None
+        return pair
+
+    def _rooted_tb(self, plain):
+        """Every first step of p matched by the same step of q into the
+        plain relation."""
+        a = self.a
+
+        def pair(p, memo):
+            return self._strong(sorted(a.out[p].items()), plain, "rtb1", memo)
+        return pair
+
+    def _brb(self, rows, trows, concrete: bool):
+        """Clauses 1a/1b and 2a-2e of brb; ``concrete`` (cbrb) matches a
+        time-out by exactly one time-out in 2d."""
+        a = self.a
+        idle = self._idle_masks()
+
+        def pair(p, memo):
+            alive = rows[p]
+            for lab, ds in a.moves_vt[p]:
+                for p2 in ds:
+                    yield (self._weak_step(lab, rows[p2], alive, memo),
+                           "1a", lab, None, p2)
+            for x, line in enumerate(trows):
+                yield line[p], "1b", None, x, None
+
+        def triple(p, x, memo):
+            line = trows[x]
+            alive = line[p]
+            for p2 in a.tau_succ[p]:
+                yield (self._weak_step(TAU, line[p2], alive, memo),
+                       "2a", None, None, p2)
+            for lab, ds in a.vis_moves[p]:
+                if a.bit.get(lab, 0) & x:
+                    for p2 in ds:
+                        yield (self._weak_step(lab, rows[p2], alive, memo),
+                               "2b", lab, None, p2)
+            if idle[x] >> p & 1:
+                yield self._reaching(rows[p], memo), "2c", None, None, None
+                for p2 in a.t_succ[p]:
+                    if concrete:
+                        ok = self._reaching(self._pre(TIMEOUT, line[p2], memo), memo)
+                    else:
+                        ok = self._tpath(alive, idle[x], line[p2], memo)
+                    yield ok, "2d", None, None, p2
+            if not a.has_tau[p]:
+                yield ~self.unstable, "2e", None, None, None
+        return pair, triple
+
+    def _gbrb(self, rows, trows):
+        """Clauses 1a-1c and 2a-2d-stable of gbrb: triples are consulted
+        only after time-outs."""
+        a = self.a
+        idle = self._idle_masks()
+
+        def gpath(p, y, p2, memo):
+            """Partners matching p's time-out to p2 under y: a stable state
+            of their weak closure is in the target, or times out into it or
+            into a station that matches (the first station need not be
+            alive)."""
+            alive, target = trows[y][p], trows[y][p2]
+            key = ("g", y, alive, target)
+            got = memo.get(key)
+            if got is None:
+                won = self._tpath(alive, idle[y], target, memo)
+                hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
+                got = memo[key] = self._reaching(hit, memo)
+            return got
+
+        def timeouts(p, clause, memo):
+            for y, p2 in self._idle_timeouts(p):
+                yield gpath(p, y, p2, memo), clause, None, y, p2
+
+        def pair(p, memo):
+            alive = rows[p]
+            for lab, ds in a.moves_vt[p]:
+                for p2 in ds:
+                    yield (self._weak_step(lab, rows[p2], alive, memo),
+                           "1a", lab, None, p2)
+            if a.t_succ[p]:
+                yield from timeouts(p, "1b", memo)
+            if not a.has_tau[p]:
+                yield ~self.unstable, "1c", None, None, None
+
+        def triple(p, x, memo):
+            line = trows[x]
+            alive = line[p]
+            for p2 in a.tau_succ[p]:
+                yield (self._weak_step(TAU, line[p2], alive, memo),
+                       "2a", None, None, p2)
+            idles = idle[x] >> p & 1
+            for lab, ds in a.vis_moves[p]:
+                if idles or a.bit.get(lab, 0) & x:
+                    for p2 in ds:
+                        yield (self._weak_step(lab, rows[p2], alive, memo),
+                               "2b", lab, None, p2)
+            if idles and a.t_succ[p]:
+                yield from timeouts(p, "2c", memo)
+            if not a.has_tau[p]:
+                yield ~self.unstable, "2d-stable", None, None, None
+        return pair, triple
+
+    def _rooted(self, rows, trows, plain, generalised: bool):
+        """Rooted clauses r1a/r1b and r2a-r2d: first steps matched strongly
+        into the plain fixpoint.  ``generalised`` (gbrb) reads only the
+        plain fixpoint; otherwise r1b and r2c read the rooted store."""
+        a = self.a
+        idle = self._idle_masks()
+        prows, ptrows = plain
+
+        def timeouts(p, clause, memo):
+            for y, p2 in self._idle_timeouts(p):
+                yield self._pre(TIMEOUT, ptrows[y][p2], memo), clause, None, y, p2
+
+        def pair(p, memo):
+            yield from self._strong(a.moves_vt[p], prows, "r1a", memo)
+            if generalised:
+                if a.t_succ[p]:
+                    yield from timeouts(p, "r1b", memo)
+            else:
+                for x, line in enumerate(trows):
+                    yield line[p], "r1b", None, x, None
+
+        def triple(p, x, memo):
+            for p2 in a.tau_succ[p]:
+                yield (self._pre(TAU, ptrows[x][p2], memo),
+                       "r2a", None, None, p2)
+            idles = idle[x] >> p & 1
+            yield from self._strong([(lab, ds) for lab, ds in a.vis_moves[p]
+                                     if (generalised and idles) or a.bit.get(lab, 0) & x],
+                                    prows, "r2b", memo)
+            if generalised:
+                if idles and a.t_succ[p]:
+                    yield from timeouts(p, "r2c", memo)
+            elif idles:
+                yield rows[p], "r2c", None, None, None
+                for p2 in a.t_succ[p]:
+                    yield (self._pre(TIMEOUT, ptrows[x][p2], memo),
+                           "r2d", None, None, p2)
+        return pair, triple
+
+    # -- drivers -------------------------------------------------------------
+    def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
+        """Delete failing entries from the store's rows in synchronous rounds.
 
         As in ``_run_fixpoint``, every row is judged against the rows the
-        round started with before any pair dies, so the rounds, and the
-        ranks and refutation records entered from ``store.row_kills``, come
-        out the same.  A row is judged again only when it or a row its
-        clauses read has changed.
+        round started with before any entry dies, pair rows first and then
+        triple rows in (p, x) order, so the rounds, and the ranks and
+        refutation records entered from ``store.row_kills``, come out the
+        same.  A state's rows are judged again only when a row of it or of
+        a successor has changed.
         """
+        rows, trows = store.rows, store.trows
+        alive = _count(rows) + (sum(_count(line) for line in trows) if trows else 0)
         iterations = checked = 0
         changed = -1
         memo = {}
         while True:
             iterations += 1
+            checked += alive
+            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
             bad = []
-            for p, row in enumerate(rows):
-                if not row:
-                    continue
-                checked += row.bit_count()
-                if self.deps[p] & changed:
-                    fails = failures(p, rows, memo)
+            for p in todo:
+                if rows[p]:
+                    fails = _failures(rows[p], pair(p, memo))
                     if fails:
-                        bad.append((p, fails))
+                        bad.append(((p,), rows, fails))
+            if trows is not None:
+                for p in todo:
+                    for x, line in enumerate(trows):
+                        if line[p]:
+                            fails = _failures(line[p], triple(p, x, memo))
+                            if fails:
+                                bad.append(((p, x), line, fails))
             if not bad:
                 return iterations, checked
             changed = 0
-            for p, fails in bad:
-                store.row_kills.append((iterations, p, fails))
+            for key, line, fails in bad:
+                store.row_kills.append((iterations, key, fails))
+                p = key[0]
                 dead = 0
                 for mask, _ in fails:
                     dead |= mask
-                rows[p] &= ~dead
-                keep = ~(1 << p)
-                for q in _bits(dead):
-                    rows[q] &= keep
-                changed |= dead | (1 << p)
+                gone = line[p] & dead
+                line[p] ^= gone
+                alive -= gone.bit_count()
+                bit = 1 << p
+                changed |= dead | bit
+                while dead:
+                    low = dead & -dead
+                    q = low.bit_length() - 1
+                    if line[q] & bit:
+                        line[q] ^= bit
+                        alive -= 1
+                    dead ^= low
 
-    def holds(self, rows: List[int], failures) -> bool:
-        """True iff no pair of ``rows`` fails (one pass, nothing killed)."""
+    def holds(self, rows, trows, pair, triple=None) -> bool:
+        """True iff no entry of the rows fails (one pass, nothing killed)."""
         memo = {}
-        return not any(row and failures(p, rows, memo) for p, row in enumerate(rows))
+        for p, row in enumerate(rows):
+            if row and any(row & ~clause[0] for clause in pair(p, memo)):
+                return False
+        for x, line in enumerate(trows or ()):
+            for p, row in enumerate(line):
+                if row and any(row & ~clause[0] for clause in triple(p, x, memo)):
+                    return False
+        return True
+
+
+def _failures(live: int, clauses) -> List[Tuple[int, tuple]]:
+    """Failing partners of ``live`` as (mask, why) in clause order; every
+    failing partner sits in the mask of its first failing clause.  A why is
+    (clause, info), info holding whichever of action, env and derivative
+    the clause names."""
+    fails = []
+    for ok, clause, action, env, derivative in clauses:
+        bad = live & ~ok
+        if bad:
+            info = {}
+            if action is not None:
+                info["action"] = action
+            if env is not None:
+                info["env"] = env
+            if derivative is not None:
+                info["derivative"] = derivative
+            fails.append((bad, (clause, info)))
+            live ^= bad
+            if not live:
+                break
+    return fails
+
+
+def _count(rows: List[int]) -> int:
+    return sum(row.bit_count() for row in rows)
 
 
 def _bits(mask: int) -> List[int]:
@@ -1079,6 +1054,10 @@ def _gather(table: List[int], mask: int) -> int:
     return acc
 
 
+def _symmetric(rows: List[int]) -> bool:
+    return all(rows[q] >> p & 1 for p, row in enumerate(rows) for q in _bits(row))
+
+
 # ---------------------------------------------------------------------------
 # Drivers
 
@@ -1088,24 +1067,30 @@ def _budget_check(n_states: int, n_masks: int):
         raise StateBudgetExceeded(n_states * n_states * n_masks, TRIPLE_BUDGET)
 
 
-def _seed(store: RelationStore, lefts, rights, with_triples: bool):
-    store.seed_pairs(lefts, rights)
-    if with_triples:
-        store.seed_triples(lefts, rights, store.arena.xmasks)
-
-
 def _make_arena(l1, l2, sigma):
     return Arena(l1, None if l2 is l1 else l2, sigma)
 
 
-def _reactive_fixpoint(arena, p, q, relation, checker_cls) -> RelationStore:
-    gq = arena.state2(q)
-    lefts, rights = arena.reach(p), arena.reach(gq)
-    _budget_check(len(lefts) + len(rights), 1 << len(arena.sigma))
-    store = RelationStore(arena, relation)
-    _seed(store, lefts, rights, with_triples=True)
-    checker = checker_cls(arena, store)
-    store.iterations, store.checked = _run_fixpoint(store, checker)
+def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
+                   rooted: bool) -> RelationStore:
+    """The plain fixpoint of a family on the row engine, seeded over the
+    states reachable from p and q; with ``rooted``, the rooted layer over
+    it (its ``plain`` is the plain store)."""
+    with_triples = family != "tb"
+    lefts, rights = arena.reach(p), arena.reach(arena.state2(q))
+    _budget_check(len(lefts) + len(rights), 1 << len(arena.sigma) if with_triples else 1)
+    engine = RowEngine(arena)
+    store = engine.seeded(relation, lefts, rights, with_triples)
+    store.iterations, store.checked = engine.fixpoint(
+        store, *engine.clauses(family, store.rows, store.trows))
+    if rooted:
+        plain = store
+        store = engine.seeded(relation + "-rooted", lefts, rights, with_triples)
+        store.plain = plain
+        it, ch = engine.fixpoint(store, *engine.clauses(
+            family, store.rows, store.trows, (plain.rows, plain.trows)))
+        store.iterations = it + plain.iterations
+        store.checked = ch + plain.checked
     return store
 
 
@@ -1125,61 +1110,35 @@ def _verdict(store: RelationStore, entry, relation) -> Verdict:
     )
 
 
-def _rooted_layer(arena, p, q, plain, relation, checker_cls) -> RelationStore:
+def _reactive_check(family: str, relation: str, l1, p, l2, q, rooted, sigma,
+                    env=None) -> Verdict:
+    arena = _make_arena(l1, l2, sigma)
+    store = _row_fixpoints(arena, p, q, family, relation, rooted)
     gq = arena.state2(q)
-    lefts, rights = arena.reach(p), arena.reach(gq)
-    store = RelationStore(arena, relation)
-    _seed(store, lefts, rights, with_triples=True)
-    store.plain = plain
-    checker = checker_cls(arena, store, plain)
-    it, ch = _run_fixpoint(store, checker)
-    store.iterations = it + getattr(plain, "iterations", 0)
-    store.checked = ch + getattr(plain, "checked", 0)
-    return store
+    entry = (p, gq) if env is None else (p, arena.mask_of(env), gq)
+    return _verdict(store, entry, store.relation)
 
 
 def brb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
               sigma: Iterable[str] = ()) -> Verdict:
     """Decide branching reactive bisimilarity of two states (Verdict)."""
-    arena = _make_arena(l1, l2, sigma)
-    plain = _reactive_fixpoint(arena, p, q, "brb", BrbChecker)
-    if not rooted:
-        return _verdict(plain, (p, arena.state2(q)), "brb")
-    store = _rooted_layer(arena, p, q, plain, "brb-rooted", RootedBrbChecker)
-    return _verdict(store, (p, arena.state2(q)), "brb-rooted")
+    return _reactive_check("brb", "brb", l1, p, l2, q, rooted, sigma)
 
 
 def brb_X_check(l1: Lts, p: int, l2: Lts, q: int, env: Iterable[str],
                 sigma: Iterable[str] = (), rooted: bool = False) -> Verdict:
     """Branching X-bisimilarity: the queried entry is the environment triple."""
-    arena = _make_arena(l1, l2, sigma)
-    xmask = arena.mask_of(env)
-    plain = _reactive_fixpoint(arena, p, q, "brbX", BrbChecker)
-    entry = (p, xmask, arena.state2(q))
-    if not rooted:
-        return _verdict(plain, entry, "brbX")
-    store = _rooted_layer(arena, p, q, plain, "brbX-rooted", RootedBrbChecker)
-    return _verdict(store, entry, "brbX-rooted")
+    return _reactive_check("brb", "brbX", l1, p, l2, q, rooted, sigma, env)
 
 
 def gbrb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
                sigma: Iterable[str] = ()) -> Verdict:
-    arena = _make_arena(l1, l2, sigma)
-    plain = _reactive_fixpoint(arena, p, q, "gbrb", GbrbChecker)
-    if not rooted:
-        return _verdict(plain, (p, arena.state2(q)), "gbrb")
-    store = _rooted_layer(arena, p, q, plain, "gbrb-rooted", RootedGbrbChecker)
-    return _verdict(store, (p, arena.state2(q)), "gbrb-rooted")
+    return _reactive_check("gbrb", "gbrb", l1, p, l2, q, rooted, sigma)
 
 
 def cbrb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
                sigma: Iterable[str] = ()) -> Verdict:
-    arena = _make_arena(l1, l2, sigma)
-    plain = _reactive_fixpoint(arena, p, q, "cbrb", CbrbChecker)
-    if not rooted:
-        return _verdict(plain, (p, arena.state2(q)), "cbrb")
-    store = _rooted_layer(arena, p, q, plain, "cbrb-rooted", RootedBrbChecker)
-    return _verdict(store, (p, arena.state2(q)), "cbrb-rooted")
+    return _reactive_check("cbrb", "cbrb", l1, p, l2, q, rooted, sigma)
 
 
 def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
@@ -1188,34 +1147,34 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
     """Branching time-out bisimulation over the theta-augmented state space.
 
     With ``env`` given, the verdict reads off the wrapped pair, deciding
-    X-bisimilarity through the environment operator.
+    X-bisimilarity through the environment operator; a wrapper nested past
+    ``theta_depth`` raises ``ThetaDepthExceeded`` before any fixpoint runs.
     """
     arena = ThetaArena(l1, None if l2 is l1 else l2, sigma, theta_depth=theta_depth)
     gq = arena.state2(q)
+    entry = (p, gq)
+    if env is not None:
+        x = arena.mask_of(env)
+        entry = (arena.wrap(x, p), arena.wrap(x, gq))
+        if None in entry:
+            raise ThetaDepthExceeded(
+                f"the environment wrapper of the queried pair under "
+                f"{sorted(arena.mask_names(x))} lies beyond theta_depth={theta_depth}")
     lefts, rights = arena.side_states(p), arena.side_states(gq)
     _budget_check(len(lefts) + len(rights), 1)
     store = RelationStore(arena, "tob")
-    _seed(store, lefts, rights, with_triples=False)
+    store.seed_pairs(lefts, rights)
     store.iterations, store.checked = _run_fixpoint(store, TobChecker(arena, store))
-
-    if env is not None:
-        x = arena.mask_of(env)
-        u, v = arena.wrap(x, p), arena.wrap(x, gq)
-        entry = (u, v) if u is not None and v is not None else None
-    else:
-        entry = (p, gq)
     relation = "tob"
     if rooted:
         relation = "tob-rooted"
         rooted_store = RelationStore(arena, relation)
-        _seed(rooted_store, lefts, rights, with_triples=False)
+        rooted_store.seed_pairs(lefts, rights)
         rooted_store.plain = store
         it, ch = _run_fixpoint(rooted_store, RootedTobChecker(arena, rooted_store, store))
         rooted_store.iterations = it + store.iterations
         rooted_store.checked = ch + store.checked
         store = rooted_store
-    if entry is None:
-        raise StateBudgetExceeded(arena.n, arena.n)
     return _verdict(store, entry, relation)
 
 
@@ -1227,26 +1186,8 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
         raise LabelUniverseMismatch(
             f"label universes differ: {sorted(l1.labels)} vs {sorted(l2.labels)}")
     arena = Arena(l1, None if l2 is l1 else l2, allow_encoded=True)
-    gq = arena.state2(q)
-    lefts, rights = arena.reach(p), arena.reach(gq)
-    _budget_check(len(lefts) + len(rights), 1)
-    engine = TbRows(arena)
-    store = RelationStore(arena, "tb")
-    rows = engine.seeded(lefts, rights)
-    store.iterations, store.checked = engine.fixpoint(store, rows, engine.tb_failures)
-    store.pairs = engine.pairs_of(rows)
-    relation = "tb"
-    if rooted:
-        relation = "tb-rooted"
-        rooted_store = RelationStore(arena, relation)
-        rooted_store.plain = store
-        rooted_rows = engine.seeded(lefts, rights)
-        it, ch = engine.fixpoint(rooted_store, rooted_rows, engine.rooted_failures(rows))
-        rooted_store.pairs = engine.pairs_of(rooted_rows)
-        rooted_store.iterations = it + store.iterations
-        rooted_store.checked = ch + store.checked
-        store = rooted_store
-    return _verdict(store, (p, gq), relation)
+    store = _row_fixpoints(arena, p, q, "tb", "tb", rooted)
+    return _verdict(store, (p, arena.state2(q)), store.relation)
 
 
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int) -> Verdict:
@@ -1273,11 +1214,12 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int) -> Verdict:
     equivalent = block[p] == block[gq]
     lefts, rights = arena.reach(p), arena.reach(gq)
     store = RelationStore(arena, "strong")
+    pairs = store.pairs
     for i in lefts:
         for j in rights:
             if block[i] == block[j]:
-                store.pairs.add((i, j))
-                store.pairs.add((j, i))
+                pairs.add((i, j))
+                pairs.add((j, i))
     store.iterations = iterations
     store.checked = arena.n * iterations
     refutation = []
@@ -1294,74 +1236,44 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int) -> Verdict:
 # Revalidation
 
 
-class _StrongChecker:
-    def __init__(self, arena, store):
-        self.a = arena
-        self.st = store
-
-    def check_pair(self, p, q):
-        a = self.a
-        for lab, targets in a.out[p].items():
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in self.st.pairs for q2 in qsucc):
-                    return ("strong", {"action": lab, "derivative": p2})
-        return None
-
-    check_triple = None
-
-
-_CHECKERS = {
-    "strong": _StrongChecker,
-    "brb": BrbChecker,
-    "gbrb": GbrbChecker,
-    "cbrb": CbrbChecker,
-    "tob": TobChecker,
-}
-
-
 def revalidate(witness: RelationStore, definition_id: str) -> bool:
     """Re-check every clause on every stored entry in one pass."""
+    rooted = definition_id.endswith("-rooted")
+    base = definition_id[:-len("-rooted")] if rooted else definition_id
+    if base in RowEngine.FAMILIES:
+        return _revalidate_rows(witness, base, rooted)
     arena = witness.arena
-    if definition_id in ("tb", "tb-rooted"):
-        return _revalidate_tb(witness, definition_id == "tb-rooted")
-    if definition_id.endswith("-rooted"):
+    if rooted:
         plain = witness.plain
         if plain is None:
             return False
-        base = definition_id[:-len("-rooted")]
-        cls = {"brb": RootedBrbChecker, "gbrb": RootedGbrbChecker,
-               "cbrb": RootedBrbChecker, "tob": RootedTobChecker}[base]
-        checker = cls(arena, witness, plain)
+        checker = {"tob": RootedTobChecker}[base](arena, witness, plain)
         if not revalidate(plain, base):
             return False
     else:
-        checker = _CHECKERS[definition_id](arena, witness)
-    for (i, j) in sorted(witness.pairs):
-        if (j, i) not in witness.pairs:
-            return False
-        if checker.check_pair(i, j) is not None:
-            return False
-    for (i, x, j) in sorted(witness.triples):
-        if (j, x, i) not in witness.triples:
-            return False
-        if checker.check_triple is None or checker.check_triple(i, x, j) is not None:
-            return False
-    return True
+        checker = {"strong": _StrongChecker, "tob": TobChecker}[base](arena, witness)
+    pairs = witness.pairs
+    if witness.triples:
+        return False
+    return all((j, i) in pairs and checker.check_pair(i, j) is None
+               for i, j in sorted(pairs))
 
 
-def _revalidate_tb(witness: RelationStore, rooted: bool) -> bool:
-    """One kill-free row pass over a symmetric, pairs-only tb witness."""
-    if witness.triples or any((j, i) not in witness.pairs for i, j in witness.pairs):
+def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
+    """A kill-free row pass over a symmetric witness (pairs only for tb)."""
+    with_triples = family != "tb"
+    if not with_triples and witness.triples:
         return False
-    engine = TbRows(witness.arena)
-    rows = engine.rows_of(witness.pairs)
-    if not rooted:
-        return engine.holds(rows, engine.tb_failures)
-    plain = witness.plain
-    if plain is None or not _revalidate_tb(plain, False):
+    rows, trows = witness.row_form(with_triples)
+    if not all(_symmetric(line) for line in [rows, *(trows or ())]):
         return False
-    return engine.holds(rows, engine.rooted_failures(engine.rows_of(plain.pairs)))
+    plain = None
+    if rooted:
+        if witness.plain is None or not _revalidate_rows(witness.plain, family, False):
+            return False
+        plain = witness.plain.row_form(with_triples)
+    engine = RowEngine(witness.arena)
+    return engine.holds(rows, trows, *engine.clauses(family, rows, trows, plain))
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,

@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args, sigma)
     except CcsptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """Exceptions shared across the package."""
 
+import functools
+import sys
+
 
 class CcsptError(Exception):
     """Base class for all library errors."""
@@ -57,3 +60,28 @@ class SideConditionViolated(CcsptError):
 
 class FragmentUnsupported(CcsptError):
     """No distinguishing-formula construction for this fragment/relation."""
+
+
+class ThetaDepthExceeded(CcsptError):
+    """A queried environment wrapper lies beyond the arena's theta depth."""
+
+
+class TermTooDeep(CcsptError):
+    """A term or formula is nested deeper than the recursion limit allows."""
+
+
+def depth_guarded(fn):
+    """Re-raise a ``RecursionError`` out of ``fn`` as ``TermTooDeep``.
+
+    For entry points only: a recursive function wrapped at every level
+    would spend twice the stack per level of nesting.
+    """
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise TermTooDeep(
+                f"{fn.__name__}: input nested too deeply for the recursion "
+                f"limit ({sys.getrecursionlimit()})") from None
+    return guarded

@@ -572,21 +572,15 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
     arena = _bisim.Arena(l1, None if l2 is l1 else l2, sigma)
-    plain = _bisim._reactive_fixpoint(arena, p, q, "gbrb", _bisim.GbrbChecker)
+    store = _bisim._row_fixpoints(arena, p, q, "gbrb", "gbrb", fragment == "Lbr")
     gq = arena.state2(q)
     xmask = None if env is None else arena.mask_of(env)
-    plain_builder = _Builder(arena, plain)
     if fragment == "Lb":
-        if xmask is None:
-            return None if plain.has_pair(p, gq) else plain_builder.pair(p, gq)
-        if plain.has_triple(p, xmask, gq):
-            return None
-        return plain_builder.triple(p, xmask, gq)
-    rooted = _bisim._rooted_layer(arena, p, q, plain, "gbrb-rooted",
-                                  _bisim.RootedGbrbChecker)
-    builder = _RootedBuilder(arena, rooted, plain_builder)
+        builder = _Builder(arena, store)
+    else:
+        builder = _RootedBuilder(arena, store, _Builder(arena, store.plain))
     if xmask is None:
-        return None if rooted.has_pair(p, gq) else builder.pair(p, gq)
-    if rooted.has_triple(p, xmask, gq):
+        return None if store.has_pair(p, gq) else builder.pair(p, gq)
+    if store.has_triple(p, xmask, gq):
         return None
     return builder.triple(p, xmask, gq)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import modal as _modal
-from .errors import DuplicateEquation, ParseError, UnboundReference, ValidityError
+from .errors import (DuplicateEquation, ParseError, UnboundReference, ValidityError,
+                     depth_guarded)
 from .terms import (NIL, RESERVED_NAMES, Choice, Hide, Nil, Par, Prefix, Psi,
                     RecCall, RecSpec, Rename, Term, Theta, Var, is_valid,
                     is_visible, spec)
@@ -327,6 +328,7 @@ class _Parser:
 # Entry points
 
 
+@depth_guarded
 def parse_term(text: str, specs: Optional[Dict[str, RecSpec]] = None,
                require_valid: bool = True) -> Term:
     p = _Parser(text, specs)
@@ -343,6 +345,7 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
+@depth_guarded
 def parse_spec(text: str, specs: Optional[Dict[str, RecSpec]] = None) -> RecSpec:
     """One ``name = term`` equation per line; mutual references allowed."""
     p = _Parser(_strip_comments(text), specs)
@@ -353,6 +356,7 @@ def parse_spec(text: str, specs: Optional[Dict[str, RecSpec]] = None) -> RecSpec
     return sp
 
 
+@depth_guarded
 def parse_formula(text: str) -> "_modal.Formula":
     p = _Parser(text)
     out = p.formula()
@@ -371,6 +375,7 @@ class SourceFile:
     root: Term
 
 
+@depth_guarded
 def parse_source(text: str, open_terms: bool = False) -> SourceFile:
     """Parse a process file.
 

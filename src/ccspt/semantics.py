@@ -11,8 +11,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (ParseError, StateBudgetExceeded,
-                     UnfoldingDiverged)
+from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged,
+                     ValidityError, depth_guarded)
 from .terms import (TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
                     Rename, Term, Theta, Choice, Var, alphabet, is_visible,
                     unfold)
@@ -179,7 +179,7 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
             for key in added:
                 ctx.active.discard(key)
     if isinstance(term, Var):
-        raise ValueError(f"cannot step an open term: {term!r}")
+        raise ValidityError(f"cannot step an open term: {term!r}")
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -312,6 +312,7 @@ def is_strongly_guarded(lts: Lts) -> bool:
     return True
 
 
+@depth_guarded
 def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
               sigma: Iterable[str] = (),
               fuse: int = DEFAULT_UNFOLD_FUSE) -> Lts:

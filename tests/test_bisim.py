@@ -1,6 +1,7 @@
 import pytest
 
-from ccspt import (LabelUniverseMismatch, StateBudgetExceeded, brb_X_check,
+from ccspt import (LabelUniverseMismatch, StateBudgetExceeded,
+                   ThetaDepthExceeded, bisim, brb_X_check,
                    brb_check, cbrb_check, encode, gbrb_check, make_store,
                    parse_term, revalidate, strong_bisim, tb_check, tob_check)
 from ccspt.gallery import (divergent_timeout_trio, divergent_timeout_witness,
@@ -141,6 +142,14 @@ def test_tob_environment_entry():
     l1, l2, sig = pair_lts("t.a.0", "t.t.a.0")
     assert tob_check(l1, 0, l2, 0, sigma=sig, env=frozenset()).equivalent
     assert brb_X_check(l1, 0, l2, 0, frozenset(), sigma=sig).equivalent
+
+
+def test_tob_environment_beyond_theta_depth(monkeypatch):
+    # the wrapped entry is resolved before any fixpoint runs
+    monkeypatch.setattr(bisim, "_run_fixpoint", lambda *args: pytest.fail("fixpoint ran"))
+    lts = lts_of("a.0")
+    with pytest.raises(ThetaDepthExceeded, match="beyond theta_depth=0"):
+        tob_check(lts, 0, lts, 0, env=["a"], theta_depth=0)
 
 
 def test_tb_on_encodings():

@@ -121,6 +121,14 @@ def test_internal_error_exits_2(proc, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: IndexError")
 
 
+def test_too_deep_term_exits_2_with_its_name(proc, capsys):
+    deep = proc("deep.proc", "a." * 12_000 + "0")
+    assert main(["lts", deep]) == 2
+    assert capsys.readouterr().err.startswith("error: TermTooDeep: build_lts")
+    assert main(["check", deep, proc("nil.proc", "0")]) == 2
+    assert capsys.readouterr().err.startswith("error: TermTooDeep: build_lts")
+
+
 def test_sigma_override(proc, capsys):
     p = proc("p.proc", "t.b.0")
     q = proc("q.proc", "t.t.b.0")

@@ -1,0 +1,614 @@
+"""The row engine for the reactive triple relations against a per-entry
+reference.
+
+The reference below is the per-entry formulation the row engine replaced for
+``brb``, ``cbrb``, ``gbrb`` and their rooted layers: one clause check per
+stored pair and triple, in sorted order, against the store the round started
+with.  Both must agree on every observable field, and on the distinguishing
+formulas built from the refutation ranks.
+"""
+
+import random
+
+import pytest
+
+from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, gbrb_check,
+                   make_store, revalidate)
+from ccspt import bisim
+from ccspt.bisim import Arena, RelationStore
+from ccspt.modal import _Builder, _RootedBuilder
+from ccspt.semantics import TAU, TIMEOUT, Lts
+from test_tb_engine import ring, sampled_pairs
+
+
+# ---------------------------------------------------------------------------
+# per-entry reference
+
+
+class _ReactiveChecker:
+    """Shared matching machinery for the triple-based definitions."""
+
+    def __init__(self, arena: Arena, store: RelationStore):
+        self.a = arena
+        self.st = store
+
+    # -- branching matches ---------------------------------------------
+    def _match_pair(self, p, lab, p2, q) -> bool:
+        a, pairs = self.a, self.st.pairs
+        istau = lab == TAU
+        for q1 in a.weak[q]:
+            if (p, q1) not in pairs:
+                continue
+            if istau and (p2, q1) in pairs:
+                return True
+            for q2 in a.out[q1].get(lab, ()):
+                if (p2, q2) in pairs:
+                    return True
+        return False
+
+    def _match_tau_triple(self, p, x, p2, q) -> bool:
+        a, triples = self.a, self.st.triples
+        for q1 in a.weak[q]:
+            if (p, x, q1) not in triples:
+                continue
+            if (p2, x, q1) in triples:
+                return True
+            for q2 in a.tau_succ[q1]:
+                if (p2, x, q2) in triples:
+                    return True
+        return False
+
+    def _match_vis_triple(self, p, x, lab, p2, q) -> bool:
+        a = self.a
+        triples, pairs = self.st.triples, self.st.pairs
+        for q1 in a.weak[q]:
+            if (p, x, q1) not in triples:
+                continue
+            for q2 in a.out[q1].get(lab, ()):
+                if (p2, q2) in pairs:
+                    return True
+        return False
+
+    def _tpath(self, p, x, p2, q) -> bool:
+        """Alternating weak/t path matching a time-out, final step optional."""
+        a, triples = self.a, self.st.triples
+        seen = set()
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            if (p, x, s) not in triples:
+                continue
+            for s1 in a.weak[s]:
+                if not a.idle(s1, x):
+                    continue
+                if (p2, x, s1) in triples:
+                    return True
+                for s2 in a.t_succ[s1]:
+                    if (p2, x, s2) in triples:
+                        return True
+                    if s2 not in seen:
+                        stack.append(s2)
+        return False
+
+    def _gpath(self, p, x, p2, q) -> bool:
+        """Time-out match whose first intermediate state need only be stable."""
+        a, triples = self.a, self.st.triples
+        stack = []
+        for q1 in a.weak[q]:
+            if a.has_tau[q1]:
+                continue
+            if (p2, x, q1) in triples:
+                return True
+            for q2 in a.t_succ[q1]:
+                if (p2, x, q2) in triples:
+                    return True
+                stack.append(q2)
+        seen = set()
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            if (p, x, s) not in triples:
+                continue
+            for s1 in a.weak[s]:
+                if not a.idle(s1, x):
+                    continue
+                if (p2, x, s1) in triples:
+                    return True
+                for s2 in a.t_succ[s1]:
+                    if (p2, x, s2) in triples:
+                        return True
+                    if s2 not in seen:
+                        stack.append(s2)
+        return False
+
+
+class BrbChecker(_ReactiveChecker):
+    """Branching reactive bisimulation clauses."""
+
+    def check_pair(self, p, q):
+        a = self.a
+        for lab, targets in a.moves_vt[p]:
+            for p2 in targets:
+                if not self._match_pair(p, lab, p2, q):
+                    return ("1a", {"action": lab, "derivative": p2})
+        for x in a.xmasks:
+            if (p, x, q) not in self.st.triples:
+                return ("1b", {"env": x})
+        return None
+
+    def check_triple(self, p, x, q):
+        a = self.a
+        for p2 in a.tau_succ[p]:
+            if not self._match_tau_triple(p, x, p2, q):
+                return ("2a", {"derivative": p2})
+        for lab, targets in a.vis_moves[p]:
+            if a.bit.get(lab, 0) & x:
+                for p2 in targets:
+                    if not self._match_vis_triple(p, x, lab, p2, q):
+                        return ("2b", {"action": lab, "derivative": p2})
+        if a.idle(p, x):
+            if not any((p, q0) in self.st.pairs for q0 in a.weak[q]):
+                return ("2c", {})
+            for p2 in a.t_succ[p]:
+                if not self._tpath(p, x, p2, q):
+                    return ("2d", {"derivative": p2})
+        if not a.has_tau[p] and not a.stable[q]:
+            return ("2e", {})
+        return None
+
+
+class CbrbChecker(BrbChecker):
+    """Concrete variant: each time-out matched by exactly one time-out."""
+
+    def _tpath(self, p, x, p2, q) -> bool:
+        a, triples = self.a, self.st.triples
+        for q1 in a.weak[q]:
+            for q2 in a.t_succ[q1]:
+                if (p2, x, q2) in triples:
+                    return True
+        return False
+
+
+class GbrbChecker(_ReactiveChecker):
+    """Generalised clauses: triples are consulted only after time-outs."""
+
+    def check_pair(self, p, q):
+        a = self.a
+        for lab, targets in a.moves_vt[p]:
+            for p2 in targets:
+                if not self._match_pair(p, lab, p2, q):
+                    return ("1a", {"action": lab, "derivative": p2})
+        if a.t_succ[p]:
+            for x in a.xmasks:
+                if a.idle(p, x):
+                    for p2 in a.t_succ[p]:
+                        if not self._gpath(p, x, p2, q):
+                            return ("1b", {"env": x, "derivative": p2})
+        if not a.has_tau[p] and not a.stable[q]:
+            return ("1c", {})
+        return None
+
+    def check_triple(self, p, x, q):
+        a = self.a
+        for p2 in a.tau_succ[p]:
+            if not self._match_tau_triple(p, x, p2, q):
+                return ("2a", {"derivative": p2})
+        idle = a.idle(p, x)
+        for lab, targets in a.vis_moves[p]:
+            if idle or a.bit.get(lab, 0) & x:
+                for p2 in targets:
+                    if not self._match_vis_triple(p, x, lab, p2, q):
+                        return ("2b", {"action": lab, "derivative": p2})
+        if idle and a.t_succ[p]:
+            for y in a.xmasks:
+                if a.idle(p, y):
+                    for p2 in a.t_succ[p]:
+                        if not self._gpath(p, y, p2, q):
+                            return ("2c", {"env": y, "derivative": p2})
+        if not a.has_tau[p] and not a.stable[q]:
+            return ("2d-stable", {})
+        return None
+
+
+class RootedBrbChecker:
+    """Congruence-closure layer: first steps matched strongly, then plain."""
+
+    def __init__(self, arena, store, plain):
+        self.a = arena
+        self.st = store
+        self.plain = plain
+
+    def check_pair(self, p, q):
+        a, plain = self.a, self.plain
+        for lab, targets in a.moves_vt[p]:
+            qsucc = a.out[q].get(lab, ())
+            for p2 in targets:
+                if not any((p2, q2) in plain.pairs for q2 in qsucc):
+                    return ("r1a", {"action": lab, "derivative": p2})
+        for x in a.xmasks:
+            if (p, x, q) not in self.st.triples:
+                return ("r1b", {"env": x})
+        return None
+
+    def check_triple(self, p, x, q):
+        a, plain = self.a, self.plain
+        for p2 in a.tau_succ[p]:
+            if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
+                return ("r2a", {"derivative": p2})
+        for lab, targets in a.vis_moves[p]:
+            if a.bit.get(lab, 0) & x:
+                qsucc = a.out[q].get(lab, ())
+                for p2 in targets:
+                    if not any((p2, q2) in plain.pairs for q2 in qsucc):
+                        return ("r2b", {"action": lab, "derivative": p2})
+        if a.idle(p, x):
+            if (p, q) not in self.st.pairs:
+                return ("r2c", {})
+            for p2 in a.t_succ[p]:
+                if not any((p2, x, q2) in plain.triples for q2 in a.t_succ[q]):
+                    return ("r2d", {"derivative": p2})
+        return None
+
+
+class RootedGbrbChecker:
+    """Generalised rooted clauses; conditions reference only the plain fixpoint."""
+
+    def __init__(self, arena, store, plain):
+        self.a = arena
+        self.st = store
+        self.plain = plain
+
+    def check_pair(self, p, q):
+        a, plain = self.a, self.plain
+        for lab, targets in a.moves_vt[p]:
+            qsucc = a.out[q].get(lab, ())
+            for p2 in targets:
+                if not any((p2, q2) in plain.pairs for q2 in qsucc):
+                    return ("r1a", {"action": lab, "derivative": p2})
+        if a.t_succ[p]:
+            for x in a.xmasks:
+                if a.idle(p, x):
+                    for p2 in a.t_succ[p]:
+                        if not any((p2, x, q2) in plain.triples
+                                   for q2 in a.t_succ[q]):
+                            return ("r1b", {"env": x, "derivative": p2})
+        return None
+
+    def check_triple(self, p, x, q):
+        a, plain = self.a, self.plain
+        for p2 in a.tau_succ[p]:
+            if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
+                return ("r2a", {"derivative": p2})
+        idle = a.idle(p, x)
+        for lab, targets in a.vis_moves[p]:
+            if idle or a.bit.get(lab, 0) & x:
+                qsucc = a.out[q].get(lab, ())
+                for p2 in targets:
+                    if not any((p2, q2) in plain.pairs for q2 in qsucc):
+                        return ("r2b", {"action": lab, "derivative": p2})
+        if idle and a.t_succ[p]:
+            for y in a.xmasks:
+                if a.idle(p, y):
+                    for p2 in a.t_succ[p]:
+                        if not any((p2, y, q2) in plain.triples
+                                   for q2 in a.t_succ[q]):
+                            return ("r2c", {"env": y, "derivative": p2})
+        return None
+
+
+
+PLAIN = {"brb": BrbChecker, "cbrb": CbrbChecker, "gbrb": GbrbChecker}
+ROOTED = {"brb": RootedBrbChecker, "cbrb": RootedBrbChecker, "gbrb": RootedGbrbChecker}
+CHECKS = {"brb": brb_check, "cbrb": cbrb_check, "gbrb": gbrb_check}
+
+
+def kill_triple(store, i, x, j, rnd, why):
+    store.triples.discard((i, x, j))
+    store.triples.discard((j, x, i))
+    store.rank.setdefault((i, x, j), rnd)
+    store.rank.setdefault((j, x, i), rnd)
+    if why is not None:
+        store.fail.setdefault((i, x, j), why)
+
+
+def ref_fixpoint(store, checker):
+    iterations = checked = 0
+    while True:
+        iterations += 1
+        checked += len(store.pairs) + len(store.triples)
+        bad_pairs = [(i, j, checker.check_pair(i, j)) for i, j in sorted(store.pairs)]
+        bad_triples = [(i, x, j, checker.check_triple(i, x, j))
+                       for i, x, j in sorted(store.triples)]
+        bad_pairs = [b for b in bad_pairs if b[-1] is not None]
+        bad_triples = [b for b in bad_triples if b[-1] is not None]
+        if not bad_pairs and not bad_triples:
+            return iterations, checked
+        for i, j, why in bad_pairs:
+            store.kill_pair(i, j, iterations, why)
+        for i, x, j, why in bad_triples:
+            kill_triple(store, i, x, j, iterations, why)
+
+
+def ref_seeded(arena, relation, lefts, rights):
+    store = RelationStore(arena, relation)
+    store.seed_pairs(lefts, rights)
+    for i in lefts:
+        for j in rights:
+            for x in arena.xmasks:
+                store.triples.add((i, x, j))
+                store.triples.add((j, x, i))
+    return store
+
+
+def ref_check(family, l1, l2, sig, rooted):
+    """The reference store behind a verdict, and the global index of q."""
+    arena = Arena(l1, None if l2 is l1 else l2, sig)
+    p, gq = l1.initial, arena.state2(l2.initial)
+    lefts, rights = arena.reach(p), arena.reach(gq)
+    store = ref_seeded(arena, family, lefts, rights)
+    store.iterations, store.checked = ref_fixpoint(store, PLAIN[family](arena, store))
+    if rooted:
+        plain = store
+        store = ref_seeded(arena, family + "-rooted", lefts, rights)
+        store.plain = plain
+        it, ch = ref_fixpoint(store, ROOTED[family](arena, store, plain))
+        store.iterations, store.checked = it + plain.iterations, ch + plain.checked
+    return store, gq
+
+
+def ref_revalidate(store, family, rooted):
+    if rooted:
+        if store.plain is None or not ref_revalidate(store.plain, family, False):
+            return False
+        checker = ROOTED[family](store.arena, store, store.plain)
+    else:
+        checker = PLAIN[family](store.arena, store)
+    return (all((j, i) in store.pairs and checker.check_pair(i, j) is None
+                for i, j in sorted(store.pairs))
+            and all((j, x, i) in store.triples and checker.check_triple(i, x, j) is None
+                    for i, x, j in sorted(store.triples)))
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+@pytest.fixture
+def engine_store(monkeypatch):
+    """Run a check and also return the store behind its verdict."""
+    seen = []
+    real = bisim._verdict
+
+    def spy(store, entry, relation):
+        seen.append(store)
+        return real(store, entry, relation)
+
+    monkeypatch.setattr(bisim, "_verdict", spy)
+
+    def run(check, l1, l2, sig, **kw):
+        v = check(l1, l1.initial, l2, l2.initial, sigma=sig, **kw)
+        return v, seen.pop()
+    return run
+
+
+def same_store(store, ref):
+    assert store.pairs == ref.pairs
+    assert store.triples == ref.triples
+    assert list(store.rank.items()) == list(ref.rank.items())
+    assert list(store.fail.items()) == list(ref.fail.items())
+
+
+def assert_same(engine_store, family, l1, l2, sig, rooted, envs=()):
+    """Field-identical verdicts, stores and records; ``envs`` adds brbX
+    verdicts under those environments (the same stores, another entry)."""
+    ref, gq = ref_check(family, l1, l2, sig, rooted)
+    p = l1.initial
+
+    def same_verdict(v, entry):
+        assert v.equivalent == (entry in (ref.pairs if len(entry) == 2 else ref.triples))
+        assert (v.iterations, v.entries_checked) == (ref.iterations, ref.checked)
+        assert v.refutation == ([] if v.equivalent else
+                                bisim._refutation_records(ref, [entry, entry[::-1]]))
+
+    v, store = engine_store(CHECKS[family], l1, l2, sig, rooted=rooted)
+    same_verdict(v, (p, gq))
+    for env in envs:
+        vx, _ = engine_store(brb_X_check, l1, l2, sig, env=env, rooted=rooted)
+        same_verdict(vx, (p, store.arena.mask_of(env), gq))
+    same_store(store, ref)
+    if rooted:
+        same_store(store.plain, ref.plain)
+    return v
+
+
+def environments(sig):
+    names = sorted(sig)
+    return [[a for k, a in enumerate(names) if m >> k & 1] for m in range(1 << len(names))]
+
+
+def raw_systems(rng, count):
+    """Tiny systems over raw labels: tau cycles, time-outs from unstable
+    states, several time-outs in a row -- corners the sampled terms rarely
+    reach."""
+    labels = ("a", "b", TAU, TAU, TIMEOUT, TIMEOUT)
+    for _ in range(count):
+        systems = []
+        for _ in range(2):
+            n = rng.randint(1, 4)
+            moves = [(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            systems.append(Lts([f"s{i}" for i in range(n)], moves, 0, sigma={"a", "b"}))
+        yield systems
+
+
+FAMILIES = ("brb", "cbrb", "gbrb")
+
+
+# ---------------------------------------------------------------------------
+# field-identical results
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_sampled_pairs_match_reference(engine_store, rooted):
+    verdicts = []
+    for l1, l2, sig in sampled_pairs(40, 5):
+        for family in FAMILIES:
+            envs = environments(sig) if family == "brb" else ()
+            verdicts.append(assert_same(engine_store, family, l1, l2, sig, rooted, envs))
+    # the sample must exercise both outcomes and more than one round
+    assert {v.equivalent for v in verdicts} == {True, False}
+    assert max(v.iterations for v in verdicts) > 3
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_ring_matches_reference(engine_store, rooted):
+    base, sig = ring(8, {1}, False), frozenset({"a", "b"})
+    for family in FAMILIES:
+        same = assert_same(engine_store, family, base, ring(8, {1}, True), sig, rooted,
+                           environments(sig) if family == "brb" else ())
+        differ = assert_same(engine_store, family, base, ring(8, {1, 4}, True), sig, rooted)
+        assert same.equivalent == (family != "cbrb") and not differ.equivalent
+        assert differ.iterations > 3
+
+
+def test_unused_actions_match_reference(engine_store):
+    # a wide alphabet: actions no state offers multiply the masks, not the moves
+    l1, l2 = ring(4, {1}, False), ring(4, {1}, True)
+    sig = frozenset({"a", "b", "c", "d"})
+    for family in FAMILIES:
+        for rooted in (False, True):
+            assert_same(engine_store, family, l1, l2, sig, rooted)
+
+
+def test_random_raw_systems_match_reference(engine_store):
+    sig = frozenset({"a", "b"})
+    for l1, l2 in raw_systems(random.Random(11), 150):
+        for family in FAMILIES:
+            for rooted in (False, True):
+                assert_same(engine_store, family, l1, l2, sig, rooted,
+                            environments(sig) if family == "brb" else ())
+
+
+def test_timeout_path_stations_must_be_alive(engine_store):
+    # q times out twice before it idles: a match that passes a dead station
+    # must not count (found by a search over random raw systems)
+    l1 = Lts([f"p{i}" for i in range(3)], [(1, "a", 1), (0, TIMEOUT, 2)], 0,
+             sigma={"a", "b"})
+    l2 = Lts([f"q{i}" for i in range(7)],
+             [(2, "b", 3), (0, TIMEOUT, 2), (6, "b", 0), (2, TIMEOUT, 5), (3, "a", 1),
+              (5, TAU, 0), (6, TAU, 3), (2, TIMEOUT, 6)], 0, sigma={"a", "b"})
+    for family in FAMILIES:
+        for rooted in (False, True):
+            assert_same(engine_store, family, l1, l2, frozenset({"a", "b"}), rooted)
+
+
+def test_same_system_matches_reference(engine_store):
+    # lefts and rights overlap when both states come from one system
+    l1, _, sig = next(sampled_pairs(1, 3))
+    for family in FAMILIES:
+        for rooted in (False, True):
+            assert_same(engine_store, family, l1, l1, sig, rooted)
+
+
+def test_distinguishing_formulas_match_reference():
+    found = 0
+    for l1, l2, sig in sampled_pairs(40, 5):
+        for fragment in ("Lb", "Lbr"):
+            ref, gq = ref_check("gbrb", l1, l2, sig, fragment == "Lbr")
+            builder = _Builder(ref.arena, ref)
+            if fragment == "Lbr":
+                builder = _RootedBuilder(ref.arena, ref, _Builder(ref.arena, ref.plain))
+            for env in [None] + environments(sig):
+                f = distinguish(l1, l1.initial, l2, l2.initial, fragment=fragment,
+                                env=env, sigma=sig)
+                if env is None:
+                    want = None if (l1.initial, gq) in ref.pairs else \
+                        builder.pair(l1.initial, gq)
+                else:
+                    x = ref.arena.mask_of(env)
+                    want = None if (l1.initial, x, gq) in ref.triples else \
+                        builder.triple(l1.initial, x, gq)
+                assert str(f) == str(want)
+                found += f is not None
+    assert found
+
+
+# ---------------------------------------------------------------------------
+# revalidation
+
+
+def damaged(store):
+    """Each symmetric pair and triple taken out in turn (one orientation
+    of the first pair alone too); the store is restored afterwards."""
+    for i, j in sorted(e for e in store.pairs if e[0] < e[1]):
+        store.pairs -= {(i, j), (j, i)}
+        yield
+        store.pairs |= {(i, j), (j, i)}
+    for i, x, j in sorted(e for e in store.triples if e[0] < e[2]):
+        store.triples -= {(i, x, j), (j, x, i)}
+        yield
+        store.triples |= {(i, x, j), (j, x, i)}
+    i, j = min(store.pairs)
+    store.pairs.discard((j, i))
+    yield
+    store.pairs.add((j, i))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_witnesses_revalidate(family):
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, family != "cbrb"), frozenset({"a", "b"})
+    for rooted in (False, True):
+        relation = family + ("-rooted" if rooted else "")
+        v = CHECKS[family](l1, l1.initial, l2, l2.initial, rooted=rooted, sigma=sig)
+        assert v.equivalent
+        # once as rows, once as the sets read off them
+        assert revalidate(v.witness, relation)
+        assert v.witness.size == len(v.witness.pairs) + len(v.witness.triples)
+        assert revalidate(v.witness, relation)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_damaged_witnesses_match_reference(family):
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, family != "cbrb"), frozenset({"a", "b"})
+    store = CHECKS[family](l1, l1.initial, l2, l2.initial, sigma=sig).witness
+    verdicts = []
+    for _ in damaged(store):
+        verdicts.append(revalidate(store, family))
+        assert verdicts[-1] == ref_revalidate(store, family, False)
+    assert not all(verdicts)
+    assert revalidate(store, family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_damaged_rooted_witnesses_match_reference(family):
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, family != "cbrb"), frozenset({"a", "b"})
+    store = CHECKS[family](l1, l1.initial, l2, l2.initial, rooted=True, sigma=sig).witness
+    relation = family + "-rooted"
+    verdicts = []
+    for damaged_store in (store, store.plain):
+        for _ in damaged(damaged_store):
+            verdicts.append(revalidate(store, relation))
+            assert verdicts[-1] == ref_revalidate(store, family, True)
+    assert not all(verdicts)
+    assert revalidate(store, relation)
+    store.plain = None
+    assert not revalidate(store, relation)
+
+
+def test_asymmetric_triple_witness_fails():
+    # two tau loops: the triple under the empty environment passes every
+    # clause without a pair, so only the symmetry check can reject the
+    # one-sided store
+    loop = Lts(["s0"], [(0, TAU, 0)], 0, sigma={"a"})
+    store = make_store(loop, Lts(["s0"], [(0, TAU, 0)], 0, sigma={"a"}), "brb",
+                       triples=[(0, (), 0)])
+    assert store.triples == {(0, 0, 1), (1, 0, 0)}
+    assert revalidate(store, "brb") and ref_revalidate(store, "brb", False)
+    store.triples.discard((1, 0, 0))
+    assert not revalidate(store, "brb")
+    assert not ref_revalidate(store, "brb", False)

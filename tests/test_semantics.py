@@ -1,6 +1,7 @@
 import pytest
 
-from ccspt import (ExplorationLimits, StateBudgetExceeded, UnfoldingDiverged,
+from ccspt import (ExplorationLimits, StateBudgetExceeded, TermTooDeep,
+                   UnfoldingDiverged, ValidityError,
                    alphabet, build_lts, from_aut, initials, parse_term,
                    step, to_aut, weak_reach)
 from ccspt.semantics import (Lts, is_strongly_guarded, label_kind,
@@ -160,3 +161,16 @@ def test_renaming_branching_bound(rng):
         widest = max(image.values(), default=0)
         renamed = mk_rename(pairs, term)
         assert len(step(renamed)) <= max(1, widest, 1) * max(len(step(term)), 1)
+
+
+def test_too_deep_terms_raise_a_named_error():
+    # parsing a 12 000-prefix chain fits the recursion limit, building it not
+    with pytest.raises(TermTooDeep, match="build_lts"):
+        build_lts(parse_term("a." * 12_000 + "0"))
+    with pytest.raises(TermTooDeep, match="parse_term"):
+        parse_term("a." * 25_000 + "0")
+
+
+def test_open_term_build_is_a_validity_error():
+    with pytest.raises(ValidityError, match="open term"):
+        build_lts(parse_term("a.x"))
