@@ -8,14 +8,13 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-Two engines run these rounds.  The row engine ``RowEngine`` decides ``brb``,
+One engine runs these rounds.  The row engine ``RowEngine`` decides ``brb``,
 ``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
-too), ``tb`` over encoded systems, and the rooted layer of each.  It keeps a
-relation as bit masks, one pair row per state and one triple row per state
-and environment mask, and decides a row's clauses for all of its partners at
-once, with the same rounds, ranks and refutation records as a per-entry
-check.  ``tob`` still checks each stored pair on its own
-(``_run_fixpoint``) over the environment-augmented ``ThetaArena``.
+too), ``tob`` over the environment-augmented ``ThetaArena``, ``tb`` over
+encoded systems, and the rooted layer of each.  It keeps a relation as bit
+masks, one pair row per state and one triple row per state and environment
+mask, and decides a row's clauses for all of its partners at once, with the
+same rounds, ranks and refutation records as a per-entry check.
 
 Strong bisimilarity alone uses partition refinement.
 """
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import LabelUniverseMismatch, StateBudgetExceeded, ThetaDepthExceeded
-from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind
+from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind, weak_closure
 
 TRIPLE_BUDGET = 50_000_000
 
@@ -91,7 +90,7 @@ class Arena:
             for lab, _ in vis:
                 mask |= self.bit.get(lab, 0)
             self.vis_mask.append(mask)
-        self.weak = self._weak_closure()
+        self.weak = weak_closure(self.tau_succ)
         self.stable = [any(not self.has_tau[u] for u in self.weak[s])
                        for s in range(self.n)]
 
@@ -101,20 +100,6 @@ class Arena:
             _budget_check(self.n, 1 << len(self.sigma))
             self._xmasks = tuple(range(1 << len(self.sigma)))
         return self._xmasks
-
-    def _weak_closure(self) -> List[Tuple[int, ...]]:
-        closure = []
-        for s in range(self.n):
-            seen = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in self.tau_succ[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            closure.append(tuple(sorted(seen)))
-        return closure
 
     def state2(self, q: int) -> int:
         """Global index of state ``q`` of the second system."""
@@ -144,6 +129,10 @@ class Arena:
                         stack.append(v)
         return tuple(sorted(seen))
 
+    def side_states(self, root: int) -> Tuple[int, ...]:
+        """The states a store is seeded with on the side of ``root``."""
+        return self.reach(root)
+
     def describe(self, s: int) -> str:
         return str(self.tags[s])
 
@@ -155,9 +144,12 @@ class ThetaArena(Arena):
     exactly X.  When ``s`` cannot move within X or by tau, the wrapper is
     transparent (its transitions coincide with those of ``s``), so it is
     normalised to ``s`` itself; only non-transparent wrappers become fresh
-    states.  Nesting past ``theta_depth`` is unresolved: lookups return None
-    and path searches skip that option (sound: it can only under-match,
-    which the cross-characterisation agreement suite would expose).
+    states.  Nesting past ``theta_depth`` is unresolved: ``wrap`` returns
+    None, the time-out clauses that need the wrapper fail (sound: they can
+    only under-match, which the cross-characterisation agreement suite would
+    expose), and ``unresolved`` counts those ``wrap`` calls.  The row
+    engine's inverse lookups, from wrappers back to the states they wrap,
+    read ``wrapped`` directly and count nothing.
     """
 
     def __init__(self, l1, l2=None, sigma=(), theta_depth: int = 1):
@@ -263,8 +255,8 @@ class RelationStore:
     deleted it; ``fail`` maps an entry whose own clause failed to the clause
     and its detail.  The row engine logs its deletions in ``row_kills`` as
     (round, row key, [(mask of q, why), ...]), where the row key is (p,) or
-    (p, x); they enter ``rank`` and ``fail`` on first read, in the order
-    ``kill_pair`` would have entered them.
+    (p, x); they enter ``rank`` and ``fail`` on first read, in the order a
+    per-entry deletion in sorted order would have entered them.
     """
 
     def __init__(self, arena: Arena, relation: str,
@@ -355,13 +347,6 @@ class RelationStore:
                             return w
         return why
 
-    def seed_pairs(self, lefts, rights):
-        pairs = self.pairs
-        for i in lefts:
-            for j in rights:
-                pairs.add((i, j))
-                pairs.add((j, i))
-
     def has_pair(self, i, j) -> bool:
         if self.rows is not None:
             return bool(self.rows[i] >> j & 1)
@@ -371,15 +356,6 @@ class RelationStore:
         if self.trows is not None:
             return bool(self.trows[xmask][i] >> j & 1)
         return (i, xmask, j) in self._triples
-
-    def kill_pair(self, i, j, rnd, why):
-        pairs = self.pairs
-        pairs.discard((i, j))
-        pairs.discard((j, i))
-        self._rank.setdefault((i, j), rnd)
-        self._rank.setdefault((j, i), rnd)
-        if why is not None:
-            self._fail.setdefault((i, j), why)
 
     @property
     def size(self) -> int:
@@ -420,43 +396,6 @@ class Verdict:
         }, indent=2, sort_keys=True)
 
 
-def _run_fixpoint(store: RelationStore, checker) -> Tuple[int, int]:
-    """Per-pair deletion in synchronous rounds: every pair is checked
-    against the store the round started with, then the failures die in
-    sorted order.  The pairs are sorted once; each round keeps the
-    survivors of the previous order, which stay sorted."""
-    iterations = 0
-    checked = 0
-    pairs = sorted(store.pairs)
-    while True:
-        iterations += 1
-        checked += len(pairs)
-        bad = []
-        # A failing pair leaves the list at once, so the store's discard
-        # frees it, as when the sorted list lived for one loop only.
-        for k, (i, j) in enumerate(pairs):
-            why = checker.check_pair(i, j)
-            if why is not None:
-                bad.append((i, j, why))
-                pairs[k] = None
-        if not bad:
-            return iterations, checked
-        for i, j, why in bad:
-            store.kill_pair(i, j, iterations, why)
-        _keep(pairs, store.pairs)
-
-
-def _keep(entries: list, alive: set):
-    """Drop the dead entries of ``entries`` in place, keeping their order;
-    a filtered copy would briefly hold the store's entries twice."""
-    k = 0
-    for e in entries:
-        if e in alive:
-            entries[k] = e
-            k += 1
-    del entries[k:]
-
-
 def _refutation_records(store: RelationStore, entries) -> List[dict]:
     arena = store.arena
     out = []
@@ -489,115 +428,7 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Per-pair clause checkers (time-out bisimulation)
-
-
-class TobChecker:
-    """Binary time-out bisimulation over the environment-augmented arena."""
-
-    def __init__(self, arena: ThetaArena, store: RelationStore):
-        self.a = arena
-        self.pairs = store.pairs   # the set the fixpoint deletes from
-
-    def check_pair(self, u, v):
-        a = self.a
-        for lab, targets in a.moves_vt[u]:
-            for u2 in targets:
-                if not self._match(u, lab, u2, v):
-                    return ("t1", {"action": lab, "derivative": u2})
-        if a.t_succ[u]:
-            for x in a.xmasks:
-                if a.idle(u, x):
-                    for u2 in a.t_succ[u]:
-                        if not self._tobpath(u, x, u2, v):
-                            return ("t2", {"env": x, "derivative": u2})
-        if not a.has_tau[u] and not a.stable[v]:
-            return ("t3", {})
-        return None
-
-    def _match(self, u, lab, u2, v):
-        a, pairs = self.a, self.pairs
-        istau = lab == TAU
-        for v1 in a.weak[v]:
-            if (u, v1) not in pairs:
-                continue
-            if istau and (u2, v1) in pairs:
-                return True
-            for v2 in a.out[v1].get(lab, ()):
-                if (u2, v2) in pairs:
-                    return True
-        return False
-
-    def _tobpath(self, u, x, u2, v):
-        a, pairs = self.a, self.pairs
-        lhs2 = a.wrap(x, u2)
-        if lhs2 is None:
-            return False
-        stack = []
-        for v1 in a.weak[v]:
-            if a.has_tau[v1]:
-                continue
-            w1 = a.wrap(x, v1)
-            if w1 is not None and (lhs2, w1) in pairs:
-                return True
-            for v2 in a.t_succ[v1]:
-                w2 = a.wrap(x, v2)
-                if w2 is not None and (lhs2, w2) in pairs:
-                    return True
-                stack.append(v2)
-        seen = set()
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            lhs = a.wrap(x, s)
-            if lhs is None:
-                continue
-            # theta_X(u) normalises to u itself: clause 2 fires only when u idles
-            if (u, lhs) not in pairs:
-                continue
-            for s1 in a.weak[s]:
-                if not a.idle(s1, x):
-                    continue
-                if (lhs2, s1) in pairs:
-                    return True
-                for s2 in a.t_succ[s1]:
-                    w2 = a.wrap(x, s2)
-                    if w2 is not None and (lhs2, w2) in pairs:
-                        return True
-                    if s2 not in seen:
-                        stack.append(s2)
-        return False
-
-
-class RootedTobChecker:
-    def __init__(self, arena: ThetaArena, store, plain):
-        self.a = arena
-        self.plain = plain.pairs
-
-    def check_pair(self, p, q):
-        a, plain = self.a, self.plain
-        for lab, targets in a.moves_vt[p]:
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in plain for q2 in qsucc):
-                    return ("rt1", {"action": lab, "derivative": p2})
-        if a.t_succ[p]:
-            for x in a.xmasks:
-                if a.idle(p, x):
-                    for p2 in a.t_succ[p]:
-                        w2 = a.wrap(x, p2)
-                        ok = False
-                        for q2 in a.t_succ[q]:
-                            wq = a.wrap(x, q2)
-                            if w2 is not None and wq is not None \
-                                    and (w2, wq) in plain:
-                                ok = True
-                                break
-                        if not ok:
-                            return ("rt2", {"env": x, "derivative": p2})
-        return None
+# Strong bisimilarity, per pair (revalidation only)
 
 
 class _StrongChecker:
@@ -620,19 +451,21 @@ class _StrongChecker:
 
 
 class RowEngine:
-    """Row engine for ``brb``, ``cbrb``, ``gbrb`` and ``tb`` and their rooted
-    layers.
+    """Row engine for ``brb``, ``cbrb``, ``gbrb``, ``tob`` and ``tb`` and
+    their rooted layers.
 
     A relation is a list of pair rows and, for the reactive families, a
     list of triple rows per environment mask (the layout of
-    ``RelationStore``).  From the predecessor masks of every label and the
-    reverse weak closure, the clauses of a row's entries are decided for
-    every partner q at once: each clause gives the mask of partners it lets
-    pass, in the order a per-entry check would try the clauses, so each
-    failing partner gets the same first failing clause.
+    ``RelationStore``); ``tob`` and ``tb`` are pairs only.  From the
+    predecessor masks of every label and the reverse weak closure (and, over
+    a ``ThetaArena``, the inverse of its wrappers), the clauses of a row's
+    entries are decided for every partner q at once: each clause gives the
+    mask of partners it lets pass, in the order a per-entry check would try
+    the clauses, so each failing partner gets the same first failing clause.
     """
 
-    FAMILIES = ("brb", "cbrb", "gbrb", "tb")
+    FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
+    PAIR_FAMILIES = ("tob", "tb")
 
     def __init__(self, arena: Arena):
         self.a = arena
@@ -662,6 +495,17 @@ class RowEngine:
             if not arena.has_tau[s]:
                 self.notau |= bit
         self._idle: Optional[List[int]] = None
+        if isinstance(arena, ThetaArena):
+            # wrappers[x]: the wrappers under x; wrapped_of[w]: the state w wraps
+            self.wrappers = [0] * len(arena.xmasks)
+            self.wrapped_of = [0] * n
+            idle, tpred = self._idle_masks(), self.pred[TIMEOUT]
+            for (x, s), w in arena.wrapped.items():
+                self.wrappers[x] |= 1 << w
+                self.wrapped_of[w] = 1 << s
+                # a tob row reads the rows of its t-successors' wrappers
+                for p in _bits(tpred[s] & idle[x]):
+                    self.deps[p] |= 1 << w
 
     # -- seeding ------------------------------------------------------------
     def seeded(self, relation, lefts, rights, with_triples: bool) -> RelationStore:
@@ -747,6 +591,29 @@ class RowEngine:
             self._idle = [self.notau & ~b for b in busy]
         return self._idle
 
+    def _unwrap(self, x, mask: int, memo) -> int:
+        """The states whose wrapper under x lies in ``mask`` (a state idle
+        under x is its own wrapper)."""
+        key = ("u", x, mask)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = ((mask & self._idle_masks()[x])
+                               | _gather(self.wrapped_of, mask & self.wrappers[x]))
+        return got
+
+    def _gpath(self, y, alive: int, target: int, memo) -> int:
+        """Partners matching a time-out under y into ``target`` over the
+        stations ``alive``: a stable state of their weak closure is in the
+        target, or times out into it or into a station that matches (the
+        first station need not be alive)."""
+        key = ("g", y, alive, target)
+        got = memo.get(key)
+        if got is None:
+            won = self._tpath(alive, self._idle_masks()[y], target, memo)
+            hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
+            got = memo[key] = self._reaching(hit, memo)
+        return got
+
     def _idle_timeouts(self, p):
         """(y, p2) for every environment mask y that p idles under and every
         time-out p -t-> p2, in the order the clauses try them."""
@@ -771,9 +638,9 @@ class RowEngine:
         that pass, clause, action, env, derivative), with None for a field
         the clause does not name."""
         if family == "tb":
-            if plain is None:
-                return self._tb(rows), None
-            return self._rooted_tb(plain[0]), None
+            return (self._tb(rows) if plain is None else self._rooted_tb(plain[0])), None
+        if family == "tob":
+            return (self._tob(rows) if plain is None else self._rooted_tob(plain[0])), None
         if plain is None:
             if family == "gbrb":
                 return self._gbrb(rows, trows)
@@ -807,6 +674,45 @@ class RowEngine:
 
         def pair(p, memo):
             return self._strong(sorted(a.out[p].items()), plain, "rtb1", memo)
+        return pair
+
+    def _tob(self, rows):
+        """Clauses t1-t3 of time-out bisimulation: t2 matches p's time-out
+        to p2 under y as gbrb does, over the states whose wrappers under y
+        are related to p and to p2's wrapper."""
+        a = self.a
+
+        def pair(p, memo):
+            alive = rows[p]
+            for lab, ds in a.moves_vt[p]:
+                for p2 in ds:
+                    yield (self._weak_step(lab, rows[p2], alive, memo),
+                           "t1", lab, None, p2)
+            if a.t_succ[p]:
+                for y, p2 in self._idle_timeouts(p):
+                    w2 = a.wrap(y, p2)
+                    ok = 0 if w2 is None else self._gpath(
+                        y, self._unwrap(y, alive, memo), self._unwrap(y, rows[w2], memo),
+                        memo)
+                    yield ok, "t2", None, y, p2
+            if not a.has_tau[p]:
+                yield ~self.unstable, "t3", None, None, None
+        return pair
+
+    def _rooted_tob(self, plain):
+        """Clauses rt1/rt2: every first step of p, a time-out with its
+        target wrapped, matched by the same step of q into the plain
+        relation."""
+        a = self.a
+
+        def pair(p, memo):
+            yield from self._strong(a.moves_vt[p], plain, "rt1", memo)
+            if a.t_succ[p]:
+                for y, p2 in self._idle_timeouts(p):
+                    w2 = a.wrap(y, p2)
+                    ok = 0 if w2 is None else self._pre(
+                        TIMEOUT, self._unwrap(y, plain[w2], memo), memo)
+                    yield ok, "rt2", None, y, p2
         return pair
 
     def _brb(self, rows, trows, concrete: bool):
@@ -853,23 +759,9 @@ class RowEngine:
         a = self.a
         idle = self._idle_masks()
 
-        def gpath(p, y, p2, memo):
-            """Partners matching p's time-out to p2 under y: a stable state
-            of their weak closure is in the target, or times out into it or
-            into a station that matches (the first station need not be
-            alive)."""
-            alive, target = trows[y][p], trows[y][p2]
-            key = ("g", y, alive, target)
-            got = memo.get(key)
-            if got is None:
-                won = self._tpath(alive, idle[y], target, memo)
-                hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
-                got = memo[key] = self._reaching(hit, memo)
-            return got
-
         def timeouts(p, clause, memo):
             for y, p2 in self._idle_timeouts(p):
-                yield gpath(p, y, p2, memo), clause, None, y, p2
+                yield self._gpath(y, trows[y][p], trows[y][p2], memo), clause, None, y, p2
 
         def pair(p, memo):
             alive = rows[p]
@@ -943,12 +835,13 @@ class RowEngine:
     def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
         """Delete failing entries from the store's rows in synchronous rounds.
 
-        As in ``_run_fixpoint``, every row is judged against the rows the
-        round started with before any entry dies, pair rows first and then
-        triple rows in (p, x) order, so the rounds, and the ranks and
-        refutation records entered from ``store.row_kills``, come out the
-        same.  A state's rows are judged again only when a row of it or of
-        a successor has changed.
+        As in a per-entry deletion in sorted order, every row is judged
+        against the rows the round started with before any entry dies, pair
+        rows first and then triple rows in (p, x) order, so the rounds, and
+        the ranks and refutation records entered from ``store.row_kills``,
+        come out the same.  A state's rows are judged again only when a row
+        it reads has changed: its own, a successor's or, for ``tob``, that of
+        a t-successor's wrapper.
         """
         rows, trows = store.rows, store.trows
         alive = _count(rows) + (sum(_count(line) for line in trows) if trows else 0)
@@ -1067,17 +960,13 @@ def _budget_check(n_states: int, n_masks: int):
         raise StateBudgetExceeded(n_states * n_states * n_masks, TRIPLE_BUDGET)
 
 
-def _make_arena(l1, l2, sigma):
-    return Arena(l1, None if l2 is l1 else l2, sigma)
-
-
 def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
                    rooted: bool) -> RelationStore:
     """The plain fixpoint of a family on the row engine, seeded over the
-    states reachable from p and q; with ``rooted``, the rooted layer over
-    it (its ``plain`` is the plain store)."""
-    with_triples = family != "tb"
-    lefts, rights = arena.reach(p), arena.reach(arena.state2(q))
+    side states of p and q; with ``rooted``, the rooted layer over it (its
+    ``plain`` is the plain store)."""
+    with_triples = family not in RowEngine.PAIR_FAMILIES
+    lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
     _budget_check(len(lefts) + len(rights), 1 << len(arena.sigma) if with_triples else 1)
     engine = RowEngine(arena)
     store = engine.seeded(relation, lefts, rights, with_triples)
@@ -1112,7 +1001,7 @@ def _verdict(store: RelationStore, entry, relation) -> Verdict:
 
 def _reactive_check(family: str, relation: str, l1, p, l2, q, rooted, sigma,
                     env=None) -> Verdict:
-    arena = _make_arena(l1, l2, sigma)
+    arena = Arena(l1, None if l2 is l1 else l2, sigma)
     store = _row_fixpoints(arena, p, q, family, relation, rooted)
     gq = arena.state2(q)
     entry = (p, gq) if env is None else (p, arena.mask_of(env), gq)
@@ -1160,22 +1049,8 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
             raise ThetaDepthExceeded(
                 f"the environment wrapper of the queried pair under "
                 f"{sorted(arena.mask_names(x))} lies beyond theta_depth={theta_depth}")
-    lefts, rights = arena.side_states(p), arena.side_states(gq)
-    _budget_check(len(lefts) + len(rights), 1)
-    store = RelationStore(arena, "tob")
-    store.seed_pairs(lefts, rights)
-    store.iterations, store.checked = _run_fixpoint(store, TobChecker(arena, store))
-    relation = "tob"
-    if rooted:
-        relation = "tob-rooted"
-        rooted_store = RelationStore(arena, relation)
-        rooted_store.seed_pairs(lefts, rights)
-        rooted_store.plain = store
-        it, ch = _run_fixpoint(rooted_store, RootedTobChecker(arena, rooted_store, store))
-        rooted_store.iterations = it + store.iterations
-        rooted_store.checked = ch + store.checked
-        store = rooted_store
-    return _verdict(store, entry, relation)
+    store = _row_fixpoints(arena, p, q, "tob", "tob", rooted)
+    return _verdict(store, entry, store.relation)
 
 
 def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
@@ -1242,16 +1117,7 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
     base = definition_id[:-len("-rooted")] if rooted else definition_id
     if base in RowEngine.FAMILIES:
         return _revalidate_rows(witness, base, rooted)
-    arena = witness.arena
-    if rooted:
-        plain = witness.plain
-        if plain is None:
-            return False
-        checker = {"tob": RootedTobChecker}[base](arena, witness, plain)
-        if not revalidate(plain, base):
-            return False
-    else:
-        checker = {"strong": _StrongChecker, "tob": TobChecker}[base](arena, witness)
+    checker = {"strong": _StrongChecker}[definition_id](witness.arena, witness)
     pairs = witness.pairs
     if witness.triples:
         return False
@@ -1260,8 +1126,9 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
 
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
-    """A kill-free row pass over a symmetric witness (pairs only for tb)."""
-    with_triples = family != "tb"
+    """A kill-free row pass over a symmetric witness (pairs only for tob
+    and tb)."""
+    with_triples = family not in RowEngine.PAIR_FAMILIES
     if not with_triples and witness.triples:
         return False
     rows, trows = witness.row_form(with_triples)
@@ -1284,8 +1151,10 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
 
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
+    A ``tob`` store lives on the ``ThetaArena`` its relation is defined over.
     """
-    arena = _make_arena(l1, l2 if l2 is not None else l1, sigma)
+    kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena
+    arena = kind(l1, None if l2 is l1 or l2 is None else l2, sigma)
     store = RelationStore(arena, relation)
     for i, j in pairs:
         gj = arena.state2(j)

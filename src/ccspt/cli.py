@@ -53,13 +53,20 @@ def _seed(args) -> int:
     return int(os.environ.get("PABR_SEED", "0"))
 
 
-def main(argv=None) -> int:
+def _options(max_states, sigma) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-states", type=int, default=50_000)
-    common.add_argument("--sigma", default="",
+    common.add_argument("--max-states", type=int, default=max_states)
+    common.add_argument("--sigma", default=sigma,
                         help="extra visible actions, comma separated")
+    return common
+
+
+def main(argv=None) -> int:
+    # A subcommand's copies of the options default to SUPPRESS, so a value
+    # given before the subcommand survives.
+    common = _options(argparse.SUPPRESS, argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
-        prog="ccspt", parents=[common],
+        prog="ccspt", parents=[_options(50_000, "")],
         description="process algebra with time-outs: semantics, equivalences, "
                     "modal logic, axioms")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -257,24 +257,28 @@ class Lts:
                    sigma=self.sigma | frozenset(sigma), labels=self.labels)
 
 
-def weak_reach(lts: Lts) -> List[Tuple[int, ...]]:
-    """Reflexive-transitive closure of the tau edges, one tuple per state."""
-    if lts._weak is not None:
-        return lts._weak
-    n = len(lts)
-    closure: List[Tuple[int, ...]] = [()] * n
-    for s in range(n):
+def weak_closure(tau_succ: Sequence[Iterable[int]]) -> List[Tuple[int, ...]]:
+    """Reflexive-transitive closure of a tau-successor table, one sorted
+    tuple per state."""
+    closure = []
+    for s in range(len(tau_succ)):
         seen = {s}
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in lts.succ(u, TAU):
+            for v in tau_succ[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        closure[s] = tuple(sorted(seen))
-    lts._weak = closure
+        closure.append(tuple(sorted(seen)))
     return closure
+
+
+def weak_reach(lts: Lts) -> List[Tuple[int, ...]]:
+    """Reflexive-transitive closure of the tau edges, one tuple per state."""
+    if lts._weak is None:
+        lts._weak = weak_closure([lts.succ(s, TAU) for s in range(len(lts))])
+    return lts._weak
 
 
 def stable_reachable(lts: Lts, s: int) -> bool:

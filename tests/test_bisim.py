@@ -146,7 +146,8 @@ def test_tob_environment_entry():
 
 def test_tob_environment_beyond_theta_depth(monkeypatch):
     # the wrapped entry is resolved before any fixpoint runs
-    monkeypatch.setattr(bisim, "_run_fixpoint", lambda *args: pytest.fail("fixpoint ran"))
+    monkeypatch.setattr(bisim.RowEngine, "fixpoint",
+                        lambda *args: pytest.fail("fixpoint ran"))
     lts = lts_of("a.0")
     with pytest.raises(ThetaDepthExceeded, match="beyond theta_depth=0"):
         tob_check(lts, 0, lts, 0, env=["a"], theta_depth=0)

@@ -135,6 +135,22 @@ def test_sigma_override(proc, capsys):
     assert main(["--sigma", "z1,z2", "check", "--rel", "brb", p, q]) == 0
 
 
+def test_sigma_before_the_subcommand_survives(proc, capsys):
+    p = proc("p.proc", "a.0")
+    assert main(["--sigma", "z1,z2", "lts", "--fmt", "json", p]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == ["a", "z1", "z2"]
+    # given on both sides, the subcommand's value wins
+    assert main(["--sigma", "z1", "lts", "--sigma", "z2", "--fmt", "json", p]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == ["a", "z2"]
+
+
+def test_max_states_before_the_subcommand_survives(proc, capsys):
+    chain = proc("chain.proc", "a." * 40 + "0")
+    assert main(["check", chain, chain]) == 0
+    assert main(["--max-states", "30", "check", chain, chain]) == 2
+    assert capsys.readouterr().err.startswith("error: StateBudgetExceeded")
+
+
 def test_seed_env_fallback(proc, capsys, monkeypatch):
     monkeypatch.setenv("PABR_SEED", "9")
     assert main(["axioms", "soundcheck", "--which", "Axr", "--axiom",

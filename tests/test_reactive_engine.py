@@ -18,7 +18,7 @@ from ccspt import bisim
 from ccspt.bisim import Arena, RelationStore
 from ccspt.modal import _Builder, _RootedBuilder
 from ccspt.semantics import TAU, TIMEOUT, Lts
-from test_tb_engine import ring, sampled_pairs
+from test_tb_engine import kill_pair, ring, sampled_pairs, seed_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +329,14 @@ def ref_fixpoint(store, checker):
         if not bad_pairs and not bad_triples:
             return iterations, checked
         for i, j, why in bad_pairs:
-            store.kill_pair(i, j, iterations, why)
+            kill_pair(store, i, j, iterations, why)
         for i, x, j, why in bad_triples:
             kill_triple(store, i, x, j, iterations, why)
 
 
 def ref_seeded(arena, relation, lefts, rights):
     store = RelationStore(arena, relation)
-    store.seed_pairs(lefts, rights)
+    seed_pairs(store, lefts, rights)
     for i in lefts:
         for j in rights:
             for x in arena.xmasks:

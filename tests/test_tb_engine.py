@@ -94,6 +94,22 @@ class RefRootedTb:
         return None
 
 
+def seed_pairs(store, lefts, rights):
+    for i in lefts:
+        for j in rights:
+            store.pairs.add((i, j))
+            store.pairs.add((j, i))
+
+
+def kill_pair(store, i, j, rnd, why):
+    store.pairs.discard((i, j))
+    store.pairs.discard((j, i))
+    store.rank.setdefault((i, j), rnd)
+    store.rank.setdefault((j, i), rnd)
+    if why is not None:
+        store.fail.setdefault((i, j), why)
+
+
 def ref_fixpoint(store, checker):
     iterations = checked = 0
     while True:
@@ -107,7 +123,7 @@ def ref_fixpoint(store, checker):
         if not bad:
             return iterations, checked
         for i, j, why in bad:
-            store.kill_pair(i, j, iterations, why)
+            kill_pair(store, i, j, iterations, why)
 
 
 def ref_tb(e1, e2, rooted):
@@ -115,12 +131,12 @@ def ref_tb(e1, e2, rooted):
     arena = Arena(e1, None if e2 is e1 else e2, allow_encoded=True)
     p, gq = e1.initial, arena.state2(e2.initial)
     store = RelationStore(arena, "tb")
-    store.seed_pairs(arena.reach(p), arena.reach(gq))
+    seed_pairs(store, arena.reach(p), arena.reach(gq))
     it, ch = ref_fixpoint(store, RefTb(arena, store))
     if rooted:
         plain = store
         store = RelationStore(arena, "tb-rooted")
-        store.seed_pairs(arena.reach(p), arena.reach(gq))
+        seed_pairs(store, arena.reach(p), arena.reach(gq))
         store.plain = plain
         it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
         it, ch = it + it2, ch + ch2

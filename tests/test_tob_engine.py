@@ -1,0 +1,343 @@
+"""The row engine for time-out bisimulation against a per-pair reference.
+
+The reference below is the per-pair formulation the row engine replaced for
+``tob`` and ``tob-rooted`` over the environment-augmented ``ThetaArena``:
+one clause check per stored pair, in sorted order, against the store the
+round started with.  Both must agree on every observable field, under every
+environment query and at every theta depth.
+"""
+
+import random
+
+import pytest
+
+from ccspt import encode, make_store, revalidate, tob_check
+from ccspt import bisim
+from ccspt.bisim import RelationStore, ThetaArena
+from ccspt.errors import LabelUniverseMismatch, ThetaDepthExceeded
+from ccspt.semantics import TAU, TIMEOUT, Lts
+from conftest import lts_of
+from test_reactive_engine import damaged, engine_store, same_store  # noqa: F401
+from test_tb_engine import ref_fixpoint, ring, sampled_pairs, seed_pairs
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference
+
+
+class RefTob:
+    """Clauses t1-t3 of time-out bisimulation, one pair at a time."""
+
+    def __init__(self, arena, store):
+        self.a = arena
+        self.st = store
+
+    def check_pair(self, u, v):
+        a = self.a
+        for lab, targets in a.moves_vt[u]:
+            for u2 in targets:
+                if not self._match(u, lab, u2, v):
+                    return ("t1", {"action": lab, "derivative": u2})
+        if a.t_succ[u]:
+            for x in a.xmasks:
+                if a.idle(u, x):
+                    for u2 in a.t_succ[u]:
+                        if not self._tobpath(u, x, u2, v):
+                            return ("t2", {"env": x, "derivative": u2})
+        if not a.has_tau[u] and not a.stable[v]:
+            return ("t3", {})
+        return None
+
+    def _match(self, u, lab, u2, v):
+        a, pairs = self.a, self.st.pairs
+        for v1 in a.weak[v]:
+            if (u, v1) not in pairs:
+                continue
+            if lab == TAU and (u2, v1) in pairs:
+                return True
+            for v2 in a.out[v1].get(lab, ()):
+                if (u2, v2) in pairs:
+                    return True
+        return False
+
+    def _tobpath(self, u, x, u2, v):
+        a, pairs = self.a, self.st.pairs
+        lhs2 = a.wrap(x, u2)
+        if lhs2 is None:
+            return False
+        stack = []
+        for v1 in a.weak[v]:
+            if a.has_tau[v1]:
+                continue
+            w1 = a.wrap(x, v1)
+            if w1 is not None and (lhs2, w1) in pairs:
+                return True
+            for v2 in a.t_succ[v1]:
+                w2 = a.wrap(x, v2)
+                if w2 is not None and (lhs2, w2) in pairs:
+                    return True
+                stack.append(v2)
+        seen = set()
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            lhs = a.wrap(x, s)
+            if lhs is None or (u, lhs) not in pairs:
+                continue
+            for s1 in a.weak[s]:
+                if not a.idle(s1, x):
+                    continue
+                if (lhs2, s1) in pairs:
+                    return True
+                for s2 in a.t_succ[s1]:
+                    w2 = a.wrap(x, s2)
+                    if w2 is not None and (lhs2, w2) in pairs:
+                        return True
+                    if s2 not in seen:
+                        stack.append(s2)
+        return False
+
+
+class RefRootedTob:
+    """Clauses rt1/rt2: first steps matched strongly into the plain store."""
+
+    def __init__(self, arena, plain):
+        self.a = arena
+        self.plain = plain
+
+    def check_pair(self, p, q):
+        a, plain = self.a, self.plain.pairs
+        for lab, targets in a.moves_vt[p]:
+            qsucc = a.out[q].get(lab, ())
+            for p2 in targets:
+                if not any((p2, q2) in plain for q2 in qsucc):
+                    return ("rt1", {"action": lab, "derivative": p2})
+        if a.t_succ[p]:
+            for x in a.xmasks:
+                if a.idle(p, x):
+                    for p2 in a.t_succ[p]:
+                        w2 = a.wrap(x, p2)
+                        if not any(w2 is not None and a.wrap(x, q2) is not None
+                                   and (w2, a.wrap(x, q2)) in plain
+                                   for q2 in a.t_succ[q]):
+                            return ("rt2", {"env": x, "derivative": p2})
+        return None
+
+
+def ref_tob(l1, l2, sig, rooted, theta_depth=1):
+    """The reference store behind a verdict, and the global index of q."""
+    arena = ThetaArena(l1, None if l2 is l1 else l2, sig, theta_depth=theta_depth)
+    p, gq = l1.initial, arena.state2(l2.initial)
+    lefts, rights = arena.side_states(p), arena.side_states(gq)
+    store = RelationStore(arena, "tob")
+    seed_pairs(store, lefts, rights)
+    store.iterations, store.checked = ref_fixpoint(store, RefTob(arena, store))
+    if rooted:
+        plain = store
+        store = RelationStore(arena, "tob-rooted")
+        seed_pairs(store, lefts, rights)
+        store.plain = plain
+        it, ch = ref_fixpoint(store, RefRootedTob(arena, plain))
+        store.iterations, store.checked = it + plain.iterations, ch + plain.checked
+    return store, gq
+
+
+def ref_revalidate(store, rooted):
+    if rooted:
+        if store.plain is None or not ref_revalidate(store.plain, False):
+            return False
+        checker = RefRootedTob(store.arena, store.plain)
+    else:
+        checker = RefTob(store.arena, store)
+    return all((j, i) in store.pairs and checker.check_pair(i, j) is None
+               for i, j in sorted(store.pairs)) and not store.triples
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def assert_same(engine_store, l1, l2, sig, rooted, theta_depth=1, envs=False):
+    """Field-identical verdicts, stores and records; with ``envs``, the
+    verdicts of the wrapped pair under every environment mask too (the same
+    stores, another entry)."""
+    ref, gq = ref_tob(l1, l2, sig, rooted, theta_depth)
+    arena = ref.arena
+
+    def same_verdict(v, entry):
+        assert v.equivalent == (entry in ref.pairs)
+        assert (v.iterations, v.entries_checked) == (ref.iterations, ref.checked)
+        assert v.refutation == ([] if v.equivalent else
+                                bisim._refutation_records(ref, [entry, entry[::-1]]))
+
+    v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted, theta_depth=theta_depth)
+    same_verdict(v, (l1.initial, gq))
+    same_store(store, ref)
+    if rooted:
+        same_store(store.plain, ref.plain)
+    for x in (arena.xmasks if envs else ()):
+        entry = (arena.wrap(x, l1.initial), arena.wrap(x, gq))
+        names = arena.mask_names(x)
+        if None in entry:
+            with pytest.raises(ThetaDepthExceeded):
+                tob_check(l1, l1.initial, l2, l2.initial, rooted=rooted, sigma=sig,
+                          env=names, theta_depth=theta_depth)
+            continue
+        ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
+                             theta_depth=theta_depth, env=names)
+        same_verdict(ve, entry)
+    return v
+
+
+# ---------------------------------------------------------------------------
+# field-identical results
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_sampled_pairs_match_reference(engine_store, rooted):
+    verdicts = [assert_same(engine_store, l1, l2, sig, rooted, envs=True)
+                for l1, l2, sig in sampled_pairs(40, 7)]
+    # the sample must exercise both outcomes and more than one round
+    assert {v.equivalent for v in verdicts} == {True, False}
+    assert max(v.iterations for v in verdicts) > 2
+
+
+@pytest.mark.parametrize("theta_depth", [0, 2])
+def test_theta_depths_match_reference(engine_store, theta_depth):
+    # depth 0 leaves every wrapper unresolved, depth 2 nests them once more
+    verdicts = [assert_same(engine_store, l1, l2, sig, rooted, theta_depth, envs=True)
+                for l1, l2, sig in sampled_pairs(12, 5) for rooted in (False, True)]
+    assert {v.equivalent for v in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_ring_matches_reference(engine_store, rooted):
+    # the base rings whose encodings the tb engine tests check
+    base, sig = ring(12, {1}, False), frozenset({"a", "b"})
+    same = assert_same(engine_store, base, ring(12, {1}, True), sig, rooted, envs=True)
+    differ = assert_same(engine_store, base, ring(12, {1, 6}, True), sig, rooted)
+    assert same.equivalent and not differ.equivalent
+    assert differ.iterations > 3
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_unused_actions_ring_matches_reference(engine_store, rooted):
+    # |Sigma| = 4 with two actions no state offers: 16 masks per wrapper
+    base, sig = ring(8, {1}, False), frozenset({"a", "b", "c", "d"})
+    same = assert_same(engine_store, base, ring(8, {1}, True), sig, rooted, envs=True)
+    differ = assert_same(engine_store, base, ring(8, {1, 4}, True), sig, rooted)
+    assert same.equivalent and not differ.equivalent
+
+
+def test_random_raw_systems_match_reference(engine_store):
+    # tiny raw systems reach corners the sampled terms do not: tau cycles,
+    # time-outs from unstable states, several time-outs in a row
+    rng = random.Random(11)
+    labels = ("a", "b", TAU, TAU, TIMEOUT, TIMEOUT)
+    for _ in range(150):
+        systems = []
+        for _ in range(2):
+            n = rng.randint(1, 5)
+            moves = [(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            systems.append(Lts([f"s{i}" for i in range(n)], moves, 0, sigma={"a", "b"}))
+        for rooted in (False, True):
+            assert_same(engine_store, *systems, frozenset({"a", "b"}), rooted)
+
+
+@pytest.mark.parametrize("left, right", [
+    # a row whose t-successor's wrapper loses a partner in a round where
+    # the row's own successors keep theirs: the row is judged again only
+    # because the wrapper's row is among the rows it reads
+    ((2, [(0, TIMEOUT, 0)]),
+     (7, [(2, TAU, 0), (5, TIMEOUT, 2), (2, TIMEOUT, 5), (0, "a", 2)])),
+    # a partner's time-out path whose station is related to the left state
+    # through its wrapper, not as a bare state
+    ((7, [(0, TIMEOUT, 4), (4, "a", 1)]),
+     (7, [(5, TIMEOUT, 1), (0, TIMEOUT, 4), (1, "a", 5), (4, "b", 2), (4, TAU, 5)])),
+])
+def test_fixed_systems_match_reference(engine_store, left, right):
+    # found by a search over random raw systems
+    systems = [Lts([f"s{i}" for i in range(n)], moves, 0, sigma={"a", "b"})
+               for n, moves in (left, right)]
+    for rooted in (False, True):
+        assert_same(engine_store, *systems, frozenset({"a", "b"}), rooted, envs=True)
+
+
+def test_same_system_matches_reference(engine_store):
+    # lefts and rights overlap when both states come from one system
+    l1, _, sig = next(sampled_pairs(1, 3))
+    for rooted in (False, True):
+        assert_same(engine_store, l1, l1, sig, rooted, envs=True)
+
+
+def test_encoded_ring_is_refused():
+    # tob is defined over base systems; an encoding's labels are refused
+    e = encode(ring(4, {1}, False), sigma={"a", "b"})
+    with pytest.raises(LabelUniverseMismatch):
+        tob_check(e, e.initial, e, e.initial)
+
+
+# ---------------------------------------------------------------------------
+# revalidation
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_witnesses_revalidate(rooted):
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    v = tob_check(l1, l1.initial, l2, l2.initial, rooted=rooted, sigma=sig)
+    assert v.equivalent
+    # once as rows, once as the set read off them
+    assert revalidate(v.witness, v.relation)
+    assert v.witness.size == len(v.witness.pairs)
+    assert revalidate(v.witness, v.relation)
+
+
+def test_damaged_witness_matches_reference():
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, True), frozenset({"a", "b"})
+    store = tob_check(l1, l1.initial, l2, l2.initial, sigma=sig).witness
+    verdicts = []
+    for _ in damaged(store):
+        verdicts.append(revalidate(store, "tob"))
+        assert verdicts[-1] == ref_revalidate(store, False)
+    assert not all(verdicts)
+    assert revalidate(store, "tob")
+
+
+def test_damaged_rooted_witness_matches_reference():
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, True), frozenset({"a", "b"})
+    store = tob_check(l1, l1.initial, l2, l2.initial, rooted=True, sigma=sig).witness
+    verdicts = []
+    for damaged_store in (store, store.plain):
+        for _ in damaged(damaged_store):
+            verdicts.append(revalidate(store, "tob-rooted"))
+            assert verdicts[-1] == ref_revalidate(store, True)
+    assert not all(verdicts)
+    assert revalidate(store, "tob-rooted")
+    store.plain = None
+    assert not revalidate(store, "tob-rooted")
+
+
+def test_asymmetric_witness_fails():
+    # two deadlocks: each orientation of the pair passes every clause, so
+    # only the symmetry check can reject the one-sided store
+    store = tob_check(Lts(["s0"], [], 0), 0, Lts(["s0"], [], 0), 0).witness
+    assert store.pairs == {(0, 1), (1, 0)}
+    assert revalidate(store, "tob") and ref_revalidate(store, False)
+    store.pairs.discard((1, 0))
+    assert not revalidate(store, "tob")
+    assert not ref_revalidate(store, False)
+
+
+def test_store_from_entries_lives_on_the_theta_arena():
+    # the identity on base states lacks the pairs of the wrappers the
+    # time-out clause reaches; tob_check's own witness has them
+    lts = lts_of("t.a.0")
+    store = make_store(lts, lts, "tob", pairs=[(s, s) for s in range(len(lts))])
+    assert isinstance(store.arena, ThetaArena)
+    assert revalidate(store, "tob") is False
+    assert ref_revalidate(store, False) is False
+    witness = tob_check(lts, 0, lts, 0).witness
+    assert revalidate(witness, "tob") is True
