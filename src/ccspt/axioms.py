@@ -18,17 +18,8 @@ from .errors import SideConditionViolated, UnfoldingDiverged
 from .parser import render
 from .sampling import guarded_spec_pool, random_process
 from .semantics import TAU, TIMEOUT, build_lts, step
-from .terms import (NIL, Choice, Hide, Prefix, Psi, RecCall, Rename,
-                    Term, Theta, Var, alphabet, is_visible, spec, spec_apply)
-
-
-def _sum(parts: Sequence[Term]) -> Term:
-    if not parts:
-        return NIL
-    out = parts[0]
-    for p in parts[1:]:
-        out = Choice(out, p)
-    return out
+from .terms import (NIL, Choice, Hide, Par, Prefix, Psi, RecCall, Rename,
+                    Term, Theta, alphabet, choice, is_visible, spec_apply)
 
 
 @dataclass
@@ -178,7 +169,7 @@ _schema("rename-timeout", "R(t.x) = t.R(x)", "both",
 
 _schema("rename-prefix", "R(a.x) = sum of b.R(x) over (a,b) in R", "both",
         lambda b: (Rename(b["R"], Prefix(b["a"], b["x"])),
-                   _sum([Prefix(bb, Rename(b["R"], b["x"]))
+                   choice(*[Prefix(bb, Rename(b["R"], b["x"]))
                          for (aa, bb) in sorted(b["R"]) if aa == b["a"]])),
         side=lambda b: is_visible(b["a"]),
         sample=_sample_rename)
@@ -193,26 +184,21 @@ def _sample_expansion(env, rng):
 def _build_expansion(b):
     sync = b["S"]
     left, right = b["left"], b["right"]
-    p = _sum([Prefix(a, t) for a, t in left])
-    q = _sum([Prefix(a, t) for a, t in right])
+    p = choice(*[Prefix(a, t) for a, t in left])
+    q = choice(*[Prefix(a, t) for a, t in right])
     parts = []
     for a, t in left:
         if a not in sync:
-            parts.append(Prefix(a, _parallel(sync, t, q)))
+            parts.append(Prefix(a, Par(sync, t, q)))
     for a, t in right:
         if a not in sync:
-            parts.append(Prefix(a, _parallel(sync, p, t)))
+            parts.append(Prefix(a, Par(sync, p, t)))
     for a, t in left:
         if a in sync:
             for a2, t2 in right:
                 if a2 == a:
-                    parts.append(Prefix(a, _parallel(sync, t, t2)))
-    return _parallel(sync, p, q), _sum(parts)
-
-
-def _parallel(sync, l, r):
-    from .terms import Par
-    return Par(sync, l, r)
+                    parts.append(Prefix(a, Par(sync, t, t2)))
+    return Par(sync, p, q), choice(*parts)
 
 
 _schema("expansion", "P ||_S Q expands into interleavings and synchronisations",
@@ -233,7 +219,7 @@ _schema("branching", "alpha.(tau.(x + y) + x) = alpha.(x + y)", "both",
 def _tb_inner(b):
     if not b["ys"]:
         return b["x"]
-    return Choice(b["x"], _sum([Prefix(TIMEOUT, y) for y in b["ys"]]))
+    return Choice(b["x"], choice(*[Prefix(TIMEOUT, y) for y in b["ys"]]))
 
 
 _schema("t-branching",
@@ -287,8 +273,8 @@ def _theta_heads(env, rng):
 _schema("theta-stuck",
         "theta_L^U(sum alpha_i.x_i) = sum alpha_i.x_i if no alpha_i in L or tau",
         "both",
-        lambda b: (Theta(b["L"], b["U"], _sum([Prefix(a, t) for a, t in b["moves"]])),
-                   _sum([Prefix(a, t) for a, t in b["moves"]])),
+        lambda b: (Theta(b["L"], b["U"], choice(*[Prefix(a, t) for a, t in b["moves"]])),
+                   choice(*[Prefix(a, t) for a, t in b["moves"]])),
         side=lambda b: all(a not in b["L"] and a != TAU for a, _ in b["moves"]),
         sample=lambda env, rng: _pick(_theta_heads(env, rng),
                                       lambda b: all(a not in b["L"] and a != TAU
@@ -394,8 +380,8 @@ _schema("psi-prefix", "psi_X(alpha.x) = alpha.x if alpha is not t", "both",
 # the operational rules produce, and the harness is the arbiter
 _schema("psi-timeout-sum",
         "psi_X(sum t.y_i) = sum t.theta_X(y_i)", "both",
-        lambda b: (Psi(b["X"], _sum([Prefix(TIMEOUT, y) for y in b["ys"]])),
-                   _sum([Prefix(TIMEOUT, Theta(b["X"], b["X"], y))
+        lambda b: (Psi(b["X"], choice(*[Prefix(TIMEOUT, y) for y in b["ys"]])),
+                   choice(*[Prefix(TIMEOUT, Theta(b["X"], b["X"], y))
                          for y in b["ys"]])),
         sample=_sample_psi)
 
@@ -433,7 +419,7 @@ def head_normal_form(term: Term) -> Term:
     """The sum of prefixed derivatives over the term's outgoing transitions."""
     moves = step(term)
     ordered = sorted(moves, key=lambda mv: (mv[0], render(mv[1])))
-    return _sum([Prefix(lab, target) for lab, target in ordered])
+    return choice(*[Prefix(lab, target) for lab, target in ordered])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .errors import LabelUniverseMismatch, StateBudgetExceeded, ThetaDepthExceeded
+from .errors import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
+                     ThetaDepthExceeded)
 from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind, weak_closure
 
 TRIPLE_BUDGET = 50_000_000
@@ -155,12 +156,11 @@ class ThetaArena(Arena):
     def __init__(self, l1, l2=None, sigma=(), theta_depth: int = 1):
         super().__init__(l1, l2, sigma)
         self.theta_depth = theta_depth
-        self.base_n = self.n
         self.depth = [0] * self.n
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
         self.unresolved = 0
-        frontier = list(range(self.base_n))
+        frontier = list(range(self.n))
         for _ in range(theta_depth):
             level = []
             for s in frontier:
@@ -185,11 +185,7 @@ class ThetaArena(Arena):
 
     def _wrap_target(self, x: int, d: int) -> int:
         """Wrapped tau-target; transparent wrappers collapse to the bare state."""
-        if not self.out[d].get(TAU) and not any(
-                label_kind(lab)[0] == "visible" and self.bit.get(lab, 0) & x
-                for lab in self.out[d]):
-            return d
-        return self._new_wrap(x, d)
+        return d if self.idle(d, x) else self._new_wrap(x, d)
 
     def _new_wrap(self, x: int, s: int) -> int:
         key = (x, s)
@@ -213,29 +209,14 @@ class ThetaArena(Arena):
         return w
 
     def side_states(self, root: int) -> Tuple[int, ...]:
-        base = self.reach_base(root)
-        extra = [w for (x, s), w in self.wrapped.items() if s in base]
-        deeper = True
-        members = set(base) | set(extra)
-        while deeper:
-            deeper = False
-            for (x, s), w in self.wrapped.items():
-                if s in members and w not in members:
-                    members.add(w)
-                    deeper = True
+        """The base states ``root`` reaches (a base state steps only to base
+        states) and every wrapper of one of them, at any depth: a wrapper is
+        entered after the state it wraps, so one pass in order finds them."""
+        members = set(self.reach(root))
+        for (x, s), w in self.wrapped.items():
+            if s in members:
+                members.add(w)
         return tuple(sorted(members))
-
-    def reach_base(self, s: int) -> Set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for lab, ds in self.out[u].items() if u < self.base_n else ():
-                for v in ds:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return seen
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1098,9 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
     base = definition_id[:-len("-rooted")] if rooted else definition_id
     if base in RowEngine.FAMILIES:
         return _revalidate_rows(witness, base, rooted)
-    checker = {"strong": _StrongChecker}[definition_id](witness.arena, witness)
+    if definition_id != "strong":
+        raise FragmentUnsupported(f"no revalidation for definition {definition_id!r}")
+    checker = _StrongChecker(witness.arena, witness)
     pairs = witness.pairs
     if witness.triples:
         return False

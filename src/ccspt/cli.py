@@ -114,11 +114,14 @@ def main(argv=None) -> int:
     ax_sub = p_sound.add_subparsers(dest="axioms_command", required=True)
     p_sc = ax_sub.add_parser("soundcheck")
     p_sc.add_argument("--which", choices=("Ax", "Axr"), default="Axr")
-    p_sc.add_argument("--axiom", default=None)
+    p_sc.add_argument("--axiom", default=None,
+                      choices=[s.name for s in _axioms.all_schemas()])
     p_sc.add_argument("--samples", type=int, default=50)
     p_sc.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
+    if args.max_states <= 0:
+        parser.error(f"--max-states must be positive, not {args.max_states}")
     sigma = _split_sigma(args.sigma)
     try:
         return _dispatch(args, sigma)

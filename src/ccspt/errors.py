@@ -59,7 +59,7 @@ class SideConditionViolated(CcsptError):
 
 
 class FragmentUnsupported(CcsptError):
-    """No distinguishing-formula construction for this fragment/relation."""
+    """No distinguishing formula or revalidation for this fragment or relation."""
 
 
 class ThetaDepthExceeded(CcsptError):

@@ -1,6 +1,10 @@
 """Reactive Hennessy-Milner logic: formulas, satisfaction, fragments,
 and distinguishing-formula synthesis.
 
+Formulas share the node base of terms (``terms.Node``): each class is a
+frozen dataclass declared with ``terms._node``, and its recorded fields give
+its structural key, so equality and hashing need no per-class code.
+
 Satisfaction is evaluated either in a triggered environment (``env=None``)
 or under a set Y of currently allowed visible actions.  The two branching
 fragments are ``Lb`` (weak observations built from stuttering steps,
@@ -10,74 +14,62 @@ first observation whose continuation lives in ``Lb``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import bisim as _bisim
 from .errors import FragmentUnsupported
 from .semantics import TAU, TIMEOUT, Lts, weak_reach
+from .terms import Node, _node
 
 
-class Formula:
-    """Base class; subclasses are frozen dataclasses with structural equality."""
+class Formula(Node):
+    """Base class of the formulas.
+
+    The key is the class name followed by the fields in order, with
+    sub-formulas as their keys and action sets as sorted tuples.
+    """
 
     __slots__ = ()
 
-    def key(self):
-        k = self.__dict__.get("_key")
-        if k is None:
-            k = _fkey(self)
-            object.__setattr__(self, "_key", k)
-        return k
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __str__(self):
-        from .parser import render
-        return render(self)
+    def _make_key(self):
+        out = [type(self).__name__]
+        for name in self._fields:
+            v = getattr(self, name)
+            if isinstance(v, Formula):
+                v = v.key()
+            elif isinstance(v, frozenset):
+                v = tuple(sorted(v))
+            elif isinstance(v, tuple):
+                v = tuple([p.key() for p in v])
+            out.append(v)
+        return tuple(out)
 
     def __repr__(self):
         return f"<Formula {self}>"
 
 
-def _fnode(cls):
-    return dataclass(frozen=True, eq=False, repr=False)(cls)
-
-
-@_fnode
+@_node
 class Top(Formula):
     pass
 
 
-@_fnode
+@_node
 class And(Formula):
     parts: tuple
 
 
-@_fnode
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@_fnode
+@_node
 class Diamond(Formula):
     action: str
     sub: Formula
 
 
-@_fnode
+@_node
 class EnvBox(Formula):
     """An idling period under an environment allowing exactly the given set."""
 
@@ -87,24 +79,24 @@ class EnvBox(Formula):
 
 # Derived modalities.
 
-@_fnode
+@_node
 class Eps(Formula):
     sub: Formula
 
 
-@_fnode
+@_node
 class HatDiamond(Formula):
     action: str
     sub: Formula
 
 
-@_fnode
+@_node
 class TimeoutDiamond(Formula):
     allowed: frozenset
     sub: Formula
 
 
-@_fnode
+@_node
 class EpsX(Formula):
     """left <eps_X> right: a time-out path under X whose stations satisfy left."""
 
@@ -113,7 +105,7 @@ class EpsX(Formula):
     right: Formula
 
 
-@_fnode
+@_node
 class EpsStep(Formula):
     """eps(left <a^> right): reach a state satisfying left that steps into right."""
 
@@ -122,35 +114,9 @@ class EpsStep(Formula):
     right: Formula
 
 
-@_fnode
+@_node
 class Stable(Formula):
     pass
-
-
-def _fkey(f: Formula):
-    if isinstance(f, Top):
-        return ("T",)
-    if isinstance(f, Stable):
-        return ("stable",)
-    if isinstance(f, And):
-        return ("and", tuple(p.key() for p in f.parts))
-    if isinstance(f, Not):
-        return ("not", f.sub.key())
-    if isinstance(f, Diamond):
-        return ("dia", f.action, f.sub.key())
-    if isinstance(f, HatDiamond):
-        return ("hat", f.action, f.sub.key())
-    if isinstance(f, EnvBox):
-        return ("env", tuple(sorted(f.allowed)), f.sub.key())
-    if isinstance(f, TimeoutDiamond):
-        return ("tdia", tuple(sorted(f.allowed)), f.sub.key())
-    if isinstance(f, Eps):
-        return ("eps", f.sub.key())
-    if isinstance(f, EpsX):
-        return ("epsx", f.left.key(), tuple(sorted(f.allowed)), f.right.key())
-    if isinstance(f, EpsStep):
-        return ("epsstep", f.left.key(), f.action, f.right.key())
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def conj(parts: Iterable[Formula]) -> Formula:

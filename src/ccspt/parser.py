@@ -30,8 +30,8 @@ from . import modal as _modal
 from .errors import (DuplicateEquation, ParseError, UnboundReference, ValidityError,
                      depth_guarded)
 from .terms import (NIL, RESERVED_NAMES, Choice, Hide, Nil, Par, Prefix, Psi,
-                    RecCall, RecSpec, Rename, Term, Theta, Var, is_valid,
-                    is_visible, spec)
+                    RecCall, RecSpec, Rename, Term, Theta, Var, children,
+                    free_vars, is_valid, is_visible, spec)
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -436,7 +436,6 @@ def parse_source(text: str, open_terms: bool = False) -> SourceFile:
         raise ParseError("no root term", len(lines), 1)
     if not is_valid(root):
         raise ValidityError("root term is invalid")
-    from .terms import free_vars
     if not open_terms and free_vars(root):
         raise ValidityError(f"root term has free variables {sorted(free_vars(root))}")
     return SourceFile(alphabet_extra, specs, root)
@@ -526,16 +525,8 @@ def _spec_display_names(sp: RecSpec, outer: Dict[str, str]) -> Dict[str, str]:
 def _all_var_names(t: Term):
     if isinstance(t, Var):
         yield t.name
-    elif isinstance(t, Prefix):
-        yield from _all_var_names(t.body)
-    elif isinstance(t, (Choice, Par)):
-        yield from _all_var_names(t.left)
-        yield from _all_var_names(t.right)
-    elif isinstance(t, (Hide, Rename, Theta, Psi)):
-        yield from _all_var_names(t.body)
-    elif isinstance(t, RecCall):
-        for _, b in t.spec.equations:
-            yield from _all_var_names(b)
+    for kid in t.spec.bodies if isinstance(t, RecCall) else children(t):
+        yield from _all_var_names(kid)
 
 
 def _render_formula(f, top=False) -> str:

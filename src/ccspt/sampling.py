@@ -12,7 +12,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .errors import StateBudgetExceeded, UnfoldingDiverged
 from .semantics import ExplorationLimits, Lts, build_lts
 from .terms import (NIL, TAU, TIMEOUT, Choice, Hide, Par, Prefix, Psi,
-                    RecCall, Rename, Term, Theta, Var, rec, spec)
+                    RecCall, Rename, Term, Theta, Var, children, rebuild, rec,
+                    spec)
 
 DEFAULT_SIGMA = ("a", "b", "c")
 
@@ -93,45 +94,26 @@ def random_process(rng: random.Random, sigma: Sequence[str] = DEFAULT_SIGMA,
 
 
 def _positions(term: Term) -> List[tuple]:
-    """Paths to subterms that can be replaced without touching binders."""
+    """Paths (of ``children`` indices) to the subterms that can be replaced
+    without touching binders."""
     out = [()]
-    if isinstance(term, Prefix):
-        out += [("body",) + p for p in _positions(term.body)]
-    elif isinstance(term, (Choice, Par)):
-        out += [("left",) + p for p in _positions(term.left)]
-        out += [("right",) + p for p in _positions(term.right)]
-    elif isinstance(term, (Hide, Rename, Theta, Psi)):
-        out += [("body",) + p for p in _positions(term.body)]
+    for i, kid in enumerate(children(term)):
+        out += [(i,) + p for p in _positions(kid)]
     return out
 
 
 def _get(term: Term, path: tuple) -> Term:
-    for step in path:
-        term = getattr(term, step)
+    for i in path:
+        term = children(term)[i]
     return term
 
 
 def _replace(term: Term, path: tuple, new: Term) -> Term:
     if not path:
         return new
-    head, rest = path[0], path[1:]
-    sub = _replace(getattr(term, head), rest, new)
-    if isinstance(term, Prefix):
-        return Prefix(term.action, sub)
-    if isinstance(term, Choice):
-        return Choice(sub, term.right) if head == "left" else Choice(term.left, sub)
-    if isinstance(term, Par):
-        return (Par(term.sync, sub, term.right) if head == "left"
-                else Par(term.sync, term.left, sub))
-    if isinstance(term, Hide):
-        return Hide(term.hidden, sub)
-    if isinstance(term, Rename):
-        return Rename(term.pairs, sub)
-    if isinstance(term, Theta):
-        return Theta(term.low, term.high, sub)
-    if isinstance(term, Psi):
-        return Psi(term.allowed, sub)
-    raise TypeError(term)
+    kids = list(children(term))
+    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
+    return rebuild(term, kids)
 
 
 def _variant_once(rng: random.Random, term: Term) -> Term:

@@ -5,6 +5,15 @@ The term language has prefixing over visible actions, the hidden action
 composition, abstraction (hiding), relational renaming, the two environment
 operators ``theta`` / ``psi``, and calls into recursive specifications.
 
+Each operator is a frozen dataclass declared with ``_node``, which records
+its fields once; the fields annotated ``Term`` are its subterms.  Walks that
+only visit subterms go through ``children`` and ``rebuild`` and name no
+operator but the ones whose own rule they apply; a recursion call's
+equations lie under its binder, outside ``children``.  Functions that give
+each operator its own output, or run on every unfolded state (canonical
+keys, substitution, the SOS rules, rendering), stay written out per
+operator.
+
 Terms are immutable.  Equality and hashing go through a canonical key that
 numbers specification-bound variables by their binding structure, so terms
 that differ only in the names of bound variables compare equal.  That is the
@@ -14,7 +23,8 @@ state identity used by the LTS builder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import InvalidResult
@@ -41,23 +51,33 @@ def visible_set(actions: Iterable[str]) -> frozenset:
     return out
 
 
-class Term:
-    """Base class; subclasses are frozen dataclasses."""
+class Node:
+    """Base of the syntax trees: terms here, formulas in ``modal``.
+
+    Subclasses are frozen dataclasses declared with ``_node``.  Equality and
+    hashing go through ``key()``, which each family computes in its
+    ``_make_key`` and which is cached on the node.  A node only ever equals
+    a node of its own family.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if Node in cls.__bases__:
+            cls._family = cls
+
     def key(self):
-        """Canonical structural key, invariant under renaming of bound variables."""
         k = self.__dict__.get("_key")
         if k is None:
-            k = _canon(self, (), frozenset())
+            k = self._make_key()
             object.__setattr__(self, "_key", k)
         return k
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Term):
+        if not isinstance(other, self._family):
             return NotImplemented
         return self.key() == other.key()
 
@@ -76,12 +96,49 @@ class Term:
         from .parser import render
         return render(self)
 
+
+def _node(cls):
+    """Freeze ``cls`` and record its structure: ``_fields`` in declaration
+    order, and ``_kids``, those annotated with its family's base class."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    cls._kids = tuple(f.name for f in fields(cls) if f.type == cls._family.__name__)
+    cls._get_kids = staticmethod(_getter(cls._kids))
+    return cls
+
+
+def _getter(names):
+    """A function from a node to the tuple of its ``names`` fields; a
+    comprehension over the names costs several times as much per call."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+class Term(Node):
+    """Base class of the process operators."""
+
+    __slots__ = ()
+
+    def _make_key(self):
+        """Canonical structural key, invariant under renaming of bound variables."""
+        return _canon(self, (), frozenset())
+
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
 
 
-def _node(cls):
-    return dataclass(frozen=True, eq=False, repr=False)(cls)
+def children(term: Term) -> Tuple[Term, ...]:
+    """The direct subterms of ``term`` outside recursion binders, in field order."""
+    return term._get_kids(term)
+
+
+def rebuild(term: Term, kids) -> Term:
+    """``term`` with its ``children`` replaced, in order, by ``kids``."""
+    return replace(term, **dict(zip(term._kids, kids)))
 
 
 @_node
@@ -158,6 +215,10 @@ class RecSpec:
     @property
     def vars(self) -> frozenset:
         return frozenset(name for name, _ in self.equations)
+
+    @property
+    def bodies(self) -> Tuple[Term, ...]:
+        return tuple(body for _, body in self.equations)
 
     def body(self, name: str) -> Term:
         for n, b in self.equations:
@@ -320,23 +381,17 @@ def free_vars(term: Term) -> frozenset:
     cached = term.__dict__.get("_fv")
     if cached is not None:
         return cached
-    if isinstance(term, Nil):
-        fv = frozenset()
-    elif isinstance(term, Var):
+    if isinstance(term, Var):
         fv = frozenset((term.name,))
-    elif isinstance(term, Prefix):
-        fv = free_vars(term.body)
-    elif isinstance(term, (Choice, Par)):
-        fv = free_vars(term.left) | free_vars(term.right)
-    elif isinstance(term, (Hide, Rename, Theta, Psi)):
-        fv = free_vars(term.body)
     elif isinstance(term, RecCall):
         fv = frozenset()
-        for _, body in term.spec.equations:
+        for body in term.spec.bodies:
             fv |= free_vars(body)
         fv -= term.spec.vars
     else:
-        raise TypeError(f"not a term: {term!r}")
+        fv = frozenset()
+        for kid in children(term):
+            fv = (fv | free_vars(kid)) if fv else free_vars(kid)
     object.__setattr__(term, "_fv", fv)
     return fv
 
@@ -351,22 +406,28 @@ def is_valid(term: Term) -> bool:
 
 
 def _valid(term: Term, bound: frozenset) -> bool:
-    if isinstance(term, (Nil, Var)):
-        return True
-    if isinstance(term, Prefix):
-        return _valid(term.body, bound)
-    if isinstance(term, (Choice, Par)):
-        return _valid(term.left, bound) and _valid(term.right, bound)
-    if isinstance(term, (Hide, Rename)):
-        return _valid(term.body, bound)
-    if isinstance(term, (Theta, Psi)):
-        if free_vars(term.body) & bound:
-            return False
-        return _valid(term.body, bound)
     if isinstance(term, RecCall):
-        inner = bound | term.spec.vars
-        return all(_valid(body, inner) for _, body in term.spec.equations)
-    raise TypeError(f"not a term: {term!r}")
+        bound = bound | term.spec.vars
+        kids = term.spec.bodies
+    else:
+        if isinstance(term, (Theta, Psi)) and free_vars(term.body) & bound:
+            return False
+        kids = children(term)
+    for kid in kids:
+        if not _valid(kid, bound):
+            return False
+    return True
+
+
+# The visible action names an operator itself mentions, beside its subterms'.
+_OWN_ACTIONS = {
+    Prefix: lambda t: frozenset((t.action,)) if is_visible(t.action) else frozenset(),
+    Par: attrgetter("sync"),
+    Hide: attrgetter("hidden"),
+    Rename: lambda t: frozenset(a for pair in t.pairs for a in pair),
+    Theta: lambda t: t.low | t.high,
+    Psi: attrgetter("allowed"),
+}
 
 
 def alphabet(term: Term) -> frozenset:
@@ -374,32 +435,13 @@ def alphabet(term: Term) -> frozenset:
     cached = term.__dict__.get("_alpha")
     if cached is not None:
         return cached
-    if isinstance(term, (Nil, Var)):
-        out = frozenset()
-    elif isinstance(term, Prefix):
-        out = alphabet(term.body)
-        if is_visible(term.action):
-            out |= {term.action}
-    elif isinstance(term, Choice):
-        out = alphabet(term.left) | alphabet(term.right)
-    elif isinstance(term, Par):
-        out = term.sync | alphabet(term.left) | alphabet(term.right)
-    elif isinstance(term, Hide):
-        out = term.hidden | alphabet(term.body)
-    elif isinstance(term, Rename):
-        out = alphabet(term.body)
-        for a, b in term.pairs:
-            out |= {a, b}
-    elif isinstance(term, Theta):
-        out = term.low | term.high | alphabet(term.body)
-    elif isinstance(term, Psi):
-        out = term.allowed | alphabet(term.body)
-    elif isinstance(term, RecCall):
-        out = frozenset()
-        for _, body in term.spec.equations:
-            out |= alphabet(body)
+    if isinstance(term, RecCall):
+        out, kids = frozenset(), term.spec.bodies
     else:
-        raise TypeError(f"not a term: {term!r}")
+        own = _OWN_ACTIONS.get(type(term))
+        out, kids = (own(term) if own else frozenset()), children(term)
+    for kid in kids:
+        out = (out | alphabet(kid)) if out else alphabet(kid)
     object.__setattr__(term, "_alpha", out)
     return out
 
@@ -504,50 +546,38 @@ def is_well_guarded(sp: RecSpec) -> bool:
 def _has_hide(term: Term) -> bool:
     if isinstance(term, Hide):
         return True
-    if isinstance(term, (Nil, Var)):
-        return False
-    if isinstance(term, Prefix):
-        return _has_hide(term.body)
-    if isinstance(term, (Choice, Par)):
-        return _has_hide(term.left) or _has_hide(term.right)
-    if isinstance(term, (Rename, Theta, Psi)):
-        return _has_hide(term.body)
-    if isinstance(term, RecCall):
-        return any(_has_hide(b) for _, b in term.spec.equations)
-    raise TypeError(f"not a term: {term!r}")
+    for kid in term.spec.bodies if isinstance(term, RecCall) else children(term):
+        if _has_hide(kid):
+            return True
+    return False
 
 
 def _unguarded(term, names, shadow, guarded, out):
     if isinstance(term, Var):
         if term.name in names and term.name not in shadow and not guarded:
             out.add(term.name)
-    elif isinstance(term, Prefix):
-        _unguarded(term.body, names, shadow, guarded or is_visible(term.action), out)
-    elif isinstance(term, (Choice, Par)):
-        _unguarded(term.left, names, shadow, guarded, out)
-        _unguarded(term.right, names, shadow, guarded, out)
-    elif isinstance(term, (Hide, Rename, Theta, Psi)):
-        _unguarded(term.body, names, shadow, guarded, out)
     elif isinstance(term, RecCall):
         inner = shadow | term.spec.vars
-        for _, body in term.spec.equations:
+        for body in term.spec.bodies:
             _unguarded(body, names, inner, guarded, out)
+    else:
+        guarded = guarded or (isinstance(term, Prefix) and is_visible(term.action))
+        for kid in children(term):
+            _unguarded(kid, names, shadow, guarded, out)
 
 
 def is_guarded(term: Term) -> bool:
     """Every recursive specification occurring in the term is well-guarded."""
-    if isinstance(term, (Nil, Var)):
-        return True
-    if isinstance(term, Prefix):
-        return is_guarded(term.body)
-    if isinstance(term, (Choice, Par)):
-        return is_guarded(term.left) and is_guarded(term.right)
-    if isinstance(term, (Hide, Rename, Theta, Psi)):
-        return is_guarded(term.body)
     if isinstance(term, RecCall):
-        return is_well_guarded(term.spec) and all(
-            is_guarded(b) for _, b in term.spec.equations)
-    raise TypeError(f"not a term: {term!r}")
+        if not is_well_guarded(term.spec):
+            return False
+        kids = term.spec.bodies
+    else:
+        kids = children(term)
+    for kid in kids:
+        if not is_guarded(kid):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from ccspt import (LabelUniverseMismatch, StateBudgetExceeded,
+from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
                    ThetaDepthExceeded, bisim, brb_X_check,
                    brb_check, cbrb_check, encode, gbrb_check, make_store,
                    parse_term, revalidate, strong_bisim, tb_check, tob_check)
@@ -200,6 +200,13 @@ def test_damaged_witness_fails():
     entry = next(iter(sorted(store.pairs)))
     store.pairs.discard(entry)
     assert not revalidate(store, "brb")
+
+
+def test_revalidate_unknown_definition_is_a_named_error():
+    v = verdict(brb_check, "a.0", "a.0")
+    for definition in ("strong-rooted", "nosuch"):
+        with pytest.raises(FragmentUnsupported, match=repr(definition)):
+            revalidate(v.witness, definition)
 
 
 def test_manual_witness_from_the_gallery():

@@ -129,6 +129,28 @@ def test_too_deep_term_exits_2_with_its_name(proc, capsys):
     assert capsys.readouterr().err.startswith("error: TermTooDeep: build_lts")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--max-states", "0", "p.proc", "p.proc"],
+    ["--max-states", "-1", "check", "p.proc", "p.proc"],
+    ["lts", "--max-states", "0", "p.proc"],
+])
+def test_nonpositive_max_states_is_a_usage_error(proc, capsys, argv):
+    path = proc("p.proc", "a.0")
+    with pytest.raises(SystemExit) as exit_:
+        main([path if arg == "p.proc" else arg for arg in argv])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-states" in err and "internal error" not in err
+
+
+def test_unknown_axiom_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["axioms", "soundcheck", "--axiom", "nosuch"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and "internal error" not in err
+
+
 def test_sigma_override(proc, capsys):
     p = proc("p.proc", "t.b.0")
     q = proc("q.proc", "t.t.b.0")

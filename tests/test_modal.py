@@ -8,6 +8,15 @@ from ccspt.modal import And, Evaluator
 from conftest import lts_of, pair_lts
 
 
+def test_formula_equality_is_structural():
+    f = EpsX(Not(Stable()), frozenset({"b", "a"}), Diamond("a", Top()))
+    g = parse_formula(render(f))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != EpsX(Not(Stable()), frozenset({"a"}), Diamond("a", Top()))
+    assert And((Top(), Stable())) != And((Stable(), Top()))
+    assert Top() != parse_term("0") and parse_term("0") != Top()
+
+
 def test_fragments():
     assert in_fragment(Stable(), "Lb")
     assert not in_fragment(Diamond("a", Top()), "Lb")

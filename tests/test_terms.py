@@ -1,9 +1,12 @@
+import typing
+
 import pytest
 
 from ccspt import (NIL, Choice, InvalidResult, Prefix, RecCall, Var, alphabet,
                    free_vars, is_valid, is_well_guarded, parse_spec,
-                   parse_term, rec, spec, substitute, theta, theta_x, psi)
-from ccspt.terms import is_guarded, seq
+                   parse_term, rec, render, spec, substitute, theta, theta_x, psi)
+from ccspt.sampling import random_term
+from ccspt.terms import Term, children, is_guarded, rebuild, seq
 
 
 def test_free_vars():
@@ -115,3 +118,34 @@ def test_is_guarded_checks_nested_specs():
 
 def test_seq_builder():
     assert seq("a", "t", "b") == parse_term("a.t.b.0")
+
+
+def test_walks_take_one_frame_per_level():
+    def chain():
+        out = Var("x")
+        for _ in range(12_000):
+            out = Prefix("a", out)
+        return out
+
+    assert free_vars(chain()) == {"x"}
+    assert alphabet(chain()) == {"a"}
+    assert is_valid(chain())
+    assert is_guarded(chain())
+    assert free_vars(substitute(chain(), {"x": NIL})) == frozenset()
+    assert render(chain()).startswith("a.a.")
+
+
+def test_kids_are_the_fields_annotated_term():
+    operators = Term.__subclasses__()
+    assert len(operators) == 10
+    for cls in operators:
+        hints = typing.get_type_hints(cls)
+        assert cls._kids == tuple(n for n, t in hints.items() if t is Term), cls
+
+
+def test_rebuild_from_children_is_identity(rng):
+    for _ in range(200):
+        t = random_term(rng, ("a", "b"), 4)
+        assert rebuild(t, children(t)) == t
+    swapped = rebuild(Choice(NIL, Var("x")), (Var("x"), NIL))
+    assert swapped == Choice(Var("x"), NIL)
