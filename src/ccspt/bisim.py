@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
                      ThetaDepthExceeded)
@@ -42,6 +43,12 @@ class Arena:
     States are integers; those of the second system are shifted by the size
     of the first.  ``sigma`` is the shared visible alphabet, realised as bit
     masks so environment sets enumerate cheaply.
+
+    An environment X reaches a clause only through idle and permission tests
+    on the visible actions some state offers, ``vmask`` (V).  So X and X & V
+    decide every entry alike, and the relations carry one triple row per
+    effective mask, a submask of V (``xmasks``).  Each stands for
+    ``class_size`` = 2^|Sigma - V| declared masks, of which it is the least.
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None,
@@ -91,16 +98,27 @@ class Arena:
             for lab, _ in vis:
                 mask |= self.bit.get(lab, 0)
             self.vis_mask.append(mask)
+        self.vmask = 0
+        for mask in self.vis_mask:
+            self.vmask |= mask
+        self.class_size = 1 << (len(self.sigma) - self.vmask.bit_count())
         self.weak = weak_closure(self.tau_succ)
         self.stable = [any(not self.has_tau[u] for u in self.weak[s])
                        for s in range(self.n)]
 
     @property
     def xmasks(self) -> Tuple[int, ...]:
+        """The effective environment masks, the submasks of V, in increasing order."""
         if self._xmasks is None:
-            _budget_check(self.n, 1 << len(self.sigma))
-            self._xmasks = tuple(range(1 << len(self.sigma)))
+            _budget_check(self.n, 1 << self.vmask.bit_count())
+            self._xmasks = tuple(_submasks(self.vmask))
         return self._xmasks
+
+    @property
+    def unused_masks(self) -> Tuple[int, ...]:
+        """The submasks of Sigma - V in increasing order: x | u over these are
+        the declared masks of the effective mask x."""
+        return tuple(_submasks(self.full_mask & ~self.vmask))
 
     def state2(self, q: int) -> int:
         """Global index of state ``q`` of the second system."""
@@ -142,15 +160,21 @@ class ThetaArena(Arena):
     """Arena augmented with environment-wrapped copies of its states.
 
     ``wrap(X, s)`` is the state ``s`` plunged into an environment allowing
-    exactly X.  When ``s`` cannot move within X or by tau, the wrapper is
-    transparent (its transitions coincide with those of ``s``), so it is
-    normalised to ``s`` itself; only non-transparent wrappers become fresh
-    states.  Nesting past ``theta_depth`` is unresolved: ``wrap`` returns
-    None, the time-out clauses that need the wrapper fail (sound: they can
-    only under-match, which the cross-characterisation agreement suite would
-    expose), and ``unresolved`` counts those ``wrap`` calls.  The row
-    engine's inverse lookups, from wrappers back to the states they wrap,
-    read ``wrapped`` directly and count nothing.
+    exactly X.  A wrapper moves only by tau and by the actions of ``s`` in X,
+    so ``wrap(X, s)`` is ``wrap(X & V, s)``: wrappers exist for the effective
+    masks alone, and a tag names X & V.  When ``s`` cannot move within X or
+    by tau, the wrapper is transparent (its transitions coincide with those
+    of ``s``), so it is normalised to ``s`` itself; only non-transparent
+    wrappers become fresh states.  Nesting past ``theta_depth`` is
+    unresolved: ``wrap`` returns None, the time-out clauses that need the
+    wrapper fail (sound: they can only under-match, which the
+    cross-characterisation agreement suite would expose), and ``unresolved``
+    counts those ``wrap`` calls.  The row engine's inverse lookups, from
+    wrappers back to the states they wrap, read ``wrapped`` directly and
+    count nothing.
+
+    Before each level of wrappers is built, the states it can add are
+    counted against the pair budget.
     """
 
     def __init__(self, l1, l2=None, sigma=(), theta_depth: int = 1):
@@ -162,6 +186,11 @@ class ThetaArena(Arena):
         self.unresolved = 0
         frontier = list(range(self.n))
         for _ in range(theta_depth):
+            masks = len(self.xmasks)
+            # the masks a state idles under avoid its offers: 2^(|V| - |offers|)
+            _budget_check(self.n + sum(
+                masks if self.has_tau[s] else masks - (masks >> self.vis_mask[s].bit_count())
+                for s in frontier), 1)
             level = []
             for s in frontier:
                 for x in self.xmasks:
@@ -201,6 +230,7 @@ class ThetaArena(Arena):
 
     def wrap(self, x: int, s: int) -> Optional[int]:
         """Index of the wrapped state, ``s`` itself if transparent, None if too deep."""
+        x &= self.vmask
         if self.idle(s, x):
             return s
         w = self.wrapped.get((x, s))
@@ -228,21 +258,26 @@ class RelationStore:
 
     The entries live either in bit-mask rows or in sets.  The row engine
     leaves rows: bit q of ``rows[p]`` is set iff the pair (p, q) is alive,
-    bit q of ``trows[x][p]`` iff the triple (p, x, q) is.  ``pairs`` and
-    ``triples`` are the sets; reading one builds it from its rows, once, and
-    the set is the relation from then on.
+    bit q of ``trows[x][p]`` iff the triple (p, x, q) is, for every
+    effective mask x (``Arena.xmasks``).  ``pairs`` and ``triples`` are the
+    sets, whose triples name declared masks: reading one builds it from its
+    rows, once, with a triple row standing for every declared mask of its
+    class, and the set is the relation from then on.  A triple query maps its
+    mask through X & V where rows answer it.
 
     ``rank`` maps each deleted entry (both orientations) to the round that
     deleted it; ``fail`` maps an entry whose own clause failed to the clause
     and its detail.  The row engine logs its deletions in ``row_kills`` as
     (round, row key, [(mask of q, why), ...]), where the row key is (p,) or
-    (p, x); they enter ``rank`` and ``fail`` on first read, in the order a
-    per-entry deletion in sorted order would have entered them.
+    (p, x); they enter ``rank`` and ``fail`` on first read, repeated over
+    the declared masks of x, in the order a per-entry deletion in sorted
+    order over declared masks would have entered them.  ``index()`` gives
+    the same records for effective masks alone.
     """
 
     def __init__(self, arena: Arena, relation: str,
                  rows: Optional[List[int]] = None,
-                 trows: Optional[List[List[int]]] = None):
+                 trows: Optional[Dict[int, List[int]]] = None):
         self.arena = arena
         self.relation = relation
         self.rows = rows
@@ -252,6 +287,7 @@ class RelationStore:
         self._triples: Optional[Set[Tuple[int, int, int]]] = set() if trows is None else None
         self._rank: Dict[tuple, int] = {}
         self._fail: Dict[tuple, tuple] = {}
+        self._effective: Optional[Tuple[dict, dict]] = None
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.plain: Optional["RelationStore"] = None
 
@@ -269,8 +305,10 @@ class RelationStore:
     @property
     def triples(self) -> Set[Tuple[int, int, int]]:
         if self._triples is None:
-            self._triples = {(p, x, q) for x, rows in enumerate(self.trows)
-                             for p, row in enumerate(rows) for q in _bits(row)}
+            unused = self.arena.unused_masks
+            self._triples = {(p, x | u, q) for x, rows in self.trows.items()
+                             for p, row in enumerate(rows) for q in _bits(row)
+                             for u in unused}
             self.trows = None
         return self._triples
 
@@ -278,19 +316,31 @@ class RelationStore:
     def triples(self, entries):
         self._triples, self.trows = entries, None
 
-    def row_form(self, with_triples: bool) -> Tuple[List[int], Optional[List[List[int]]]]:
-        """The entries as (pair rows, triple rows or None), read off the
-        sets where those exist."""
+    @property
+    def has_triples(self) -> bool:
+        """Whether any triple is stored, without building the set."""
+        if self.trows is not None:
+            return any(any(rows) for rows in self.trows.values())
+        return bool(self._triples)
+
+    def row_form(self, xmasks: Optional[Iterable[int]] = None
+                 ) -> Tuple[List[int], Optional[Dict[int, List[int]]]]:
+        """The entries as pair rows and, with ``xmasks``, the triple rows
+        under each of those masks, read off the sets where those exist."""
         n = self.arena.n
         rows = self.rows
         if rows is None:
             rows = [0] * n
             for p, q in self._pairs:
                 rows[p] |= 1 << q
-        trows = self.trows
-        if trows is None and with_triples:
-            trows = [[0] * n for _ in self.arena.xmasks]
-            for p, x, q in self._triples:
+        if xmasks is None:
+            return rows, None
+        if self.trows is not None:
+            vmask = self.arena.vmask
+            return rows, {x: self.trows[x & vmask] for x in xmasks}
+        trows = {x: [0] * n for x in xmasks}
+        for p, x, q in self._triples:
+            if x in trows:
                 trows[x][p] |= 1 << q
         return rows, trows
 
@@ -306,21 +356,27 @@ class RelationStore:
 
     def _enter_row_kills(self):
         kills, self.row_kills = self.row_kills, []
-        for rnd, key, fails in kills:
-            whys = {}
-            for mask, why in fails:
-                whys.update(dict.fromkeys(_bits(mask), why))
-            p, env = key[0], key[1:]
-            for q in sorted(whys):
-                self._rank.setdefault(key + (q,), rnd)
-                self._rank.setdefault((q,) + env + (p,), rnd)
-                self._fail.setdefault(key + (q,), whys[q])
+        if self.arena.class_size > 1:
+            kills = _declared_kills(kills, self.arena)
+        _enter(self._rank, self._fail, kills)
+
+    def index(self) -> Tuple[Dict[tuple, int], Dict[tuple, tuple]]:
+        """(rank, fail) for the entries whose mask is effective: the same
+        records, without repeating a kill over the masks of its class."""
+        if self._effective is None:
+            if self.arena.class_size == 1 or not self.row_kills:
+                return self.rank, self.fail
+            self._effective = ({}, {})
+            _enter(*self._effective, self.row_kills)
+        return self._effective
 
     def failure(self, entry) -> Optional[tuple]:
         """``fail.get(entry)``, read off the row log without entering it."""
         why = self._fail.get(entry)
         if why is None and self.row_kills:
             key, q = entry[:-1], entry[-1]
+            if len(key) == 2:
+                key = (key[0], key[1] & self.arena.vmask)
             for _, k, fails in self.row_kills:
                 if k == key:
                     for mask, w in fails:
@@ -335,15 +391,43 @@ class RelationStore:
 
     def has_triple(self, i, xmask, j) -> bool:
         if self.trows is not None:
-            return bool(self.trows[xmask][i] >> j & 1)
+            return bool(self.trows[xmask & self.arena.vmask][i] >> j & 1)
         return (i, xmask, j) in self._triples
 
     @property
     def size(self) -> int:
+        """Entries as the sets count them: a triple row once per declared mask."""
         pairs = len(self._pairs) if self.rows is None else _count(self.rows)
         triples = (len(self._triples) if self.trows is None
-                   else sum(_count(rows) for rows in self.trows))
+                   else self.arena.class_size * sum(_count(rows) for rows in self.trows.values()))
         return pairs + triples
+
+
+def _enter(rank: Dict[tuple, int], fail: Dict[tuple, tuple], kills):
+    """Enter logged row kills into ``rank`` and ``fail``, partners in order."""
+    for rnd, key, fails in kills:
+        whys = {}
+        for mask, why in fails:
+            whys.update(dict.fromkeys(_bits(mask), why))
+        p, env = key[0], key[1:]
+        for q in sorted(whys):
+            rank.setdefault(key + (q,), rnd)
+            rank.setdefault((q,) + env + (p,), rnd)
+            fail.setdefault(key + (q,), whys[q])
+
+
+def _declared_kills(kills, arena: Arena):
+    """The row log over declared masks: a triple row's kill repeated for
+    every mask of its class, in the order a per-entry pass logs them (by
+    round, pairs, then by state and mask)."""
+    unused = arena.unused_masks
+    for (rnd, p, width), group in groupby(kills, lambda k: (k[0], k[1][0], len(k[1]))):
+        if width == 1:
+            yield from group
+            continue
+        fails = {key[1]: f for _, key, f in group}
+        for x in sorted(r | u for r in fails for u in unused):
+            yield rnd, (p, x), fails[x & arena.vmask]
 
 
 @dataclass
@@ -436,8 +520,11 @@ class RowEngine:
     their rooted layers.
 
     A relation is a list of pair rows and, for the reactive families, a
-    list of triple rows per environment mask (the layout of
-    ``RelationStore``); ``tob`` and ``tb`` are pairs only.  From the
+    list of triple rows per effective environment mask (the layout of
+    ``RelationStore``); ``tob`` and ``tb`` are pairs only.  Triple rows may
+    also be keyed by declared masks (revalidating a store built from sets):
+    a clause reads a mask only through its idle states and its permissions,
+    which X & V decides.  From the
     predecessor masks of every label and the reverse weak closure (and, over
     a ``ThetaArena``, the inverse of its wrappers), the clauses of a row's
     entries are decided for every partner q at once: each clause gives the
@@ -475,10 +562,10 @@ class RowEngine:
                 self.unstable |= bit
             if not arena.has_tau[s]:
                 self.notau |= bit
-        self._idle: Optional[List[int]] = None
+        self._idle: Optional[Dict[int, int]] = None
         if isinstance(arena, ThetaArena):
             # wrappers[x]: the wrappers under x; wrapped_of[w]: the state w wraps
-            self.wrappers = [0] * len(arena.xmasks)
+            self.wrappers = dict.fromkeys(arena.xmasks, 0)
             self.wrapped_of = [0] * n
             idle, tpred = self._idle_masks(), self.pred[TIMEOUT]
             for (x, s), w in arena.wrapped.items():
@@ -491,7 +578,7 @@ class RowEngine:
     # -- seeding ------------------------------------------------------------
     def seeded(self, relation, lefts, rights, with_triples: bool) -> RelationStore:
         """The symmetric store seeded with lefts x rights, as rows (and the
-        same rows under every environment mask)."""
+        same rows under every effective environment mask)."""
         n = self.a.n
         lmask = sum(1 << s for s in set(lefts))
         rmask = sum(1 << s for s in set(rights))
@@ -500,7 +587,7 @@ class RowEngine:
             rows[s] |= rmask
         for s in rights:
             rows[s] |= lmask
-        trows = [list(rows) for _ in self.a.xmasks] if with_triples else None
+        trows = {x: list(rows) for x in self.a.xmasks} if with_triples else None
         return RelationStore(self.a, relation, rows, trows)
 
     # -- mask primitives -----------------------------------------------------
@@ -557,20 +644,25 @@ class RowEngine:
             won |= new
         return won
 
-    def _idle_masks(self) -> List[int]:
-        """``idle[x]``: the states idle under environment mask x."""
+    def _idle_masks(self) -> Dict[int, int]:
+        """``idle[x]``: the states idle under effective environment mask x."""
         if self._idle is None:
             a = self.a
             offers = [0] * len(a.sigma)
             for s, vis in enumerate(a.vis_mask):
                 for k in _bits(vis):
                     offers[k] |= 1 << s
-            busy = [0]
-            for x in range(1, len(a.xmasks)):
+            busy = {0: 0}
+            for x in a.xmasks[1:]:
                 low = x & -x
-                busy.append(busy[x ^ low] | offers[low.bit_length() - 1])
-            self._idle = [self.notau & ~b for b in busy]
+                busy[x] = busy[x ^ low] | offers[low.bit_length() - 1]
+            self._idle = {x: self.notau & ~b for x, b in busy.items()}
         return self._idle
+
+    def _idle_of(self, trows) -> Dict[int, int]:
+        """The idle states under each mask ``trows`` is keyed by."""
+        idle, vmask = self._idle_masks(), self.a.vmask
+        return {x: idle[x & vmask] for x in trows}
 
     def _unwrap(self, x, mask: int, memo) -> int:
         """The states whose wrapper under x lies in ``mask`` (a state idle
@@ -590,15 +682,15 @@ class RowEngine:
         key = ("g", y, alive, target)
         got = memo.get(key)
         if got is None:
-            won = self._tpath(alive, self._idle_masks()[y], target, memo)
+            won = self._tpath(alive, self._idle_masks()[y & self.a.vmask], target, memo)
             hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
             got = memo[key] = self._reaching(hit, memo)
         return got
 
-    def _idle_timeouts(self, p):
-        """(y, p2) for every environment mask y that p idles under and every
+    def _idle_timeouts(self, p, idle):
+        """(y, p2) for every mask y of ``idle`` that p idles under and every
         time-out p -t-> p2, in the order the clauses try them."""
-        for y, idles in enumerate(self._idle_masks()):
+        for y, idles in idle.items():
             if idles >> p & 1:
                 for p2 in self.a.t_succ[p]:
                     yield y, p2
@@ -661,7 +753,7 @@ class RowEngine:
         """Clauses t1-t3 of time-out bisimulation: t2 matches p's time-out
         to p2 under y as gbrb does, over the states whose wrappers under y
         are related to p and to p2's wrapper."""
-        a = self.a
+        a, idle = self.a, self._idle_masks()
 
         def pair(p, memo):
             alive = rows[p]
@@ -670,7 +762,7 @@ class RowEngine:
                     yield (self._weak_step(lab, rows[p2], alive, memo),
                            "t1", lab, None, p2)
             if a.t_succ[p]:
-                for y, p2 in self._idle_timeouts(p):
+                for y, p2 in self._idle_timeouts(p, idle):
                     w2 = a.wrap(y, p2)
                     ok = 0 if w2 is None else self._gpath(
                         y, self._unwrap(y, alive, memo), self._unwrap(y, rows[w2], memo),
@@ -684,12 +776,12 @@ class RowEngine:
         """Clauses rt1/rt2: every first step of p, a time-out with its
         target wrapped, matched by the same step of q into the plain
         relation."""
-        a = self.a
+        a, idle = self.a, self._idle_masks()
 
         def pair(p, memo):
             yield from self._strong(a.moves_vt[p], plain, "rt1", memo)
             if a.t_succ[p]:
-                for y, p2 in self._idle_timeouts(p):
+                for y, p2 in self._idle_timeouts(p, idle):
                     w2 = a.wrap(y, p2)
                     ok = 0 if w2 is None else self._pre(
                         TIMEOUT, self._unwrap(y, plain[w2], memo), memo)
@@ -700,7 +792,7 @@ class RowEngine:
         """Clauses 1a/1b and 2a-2e of brb; ``concrete`` (cbrb) matches a
         time-out by exactly one time-out in 2d."""
         a = self.a
-        idle = self._idle_masks()
+        idle = self._idle_of(trows)
 
         def pair(p, memo):
             alive = rows[p]
@@ -708,7 +800,7 @@ class RowEngine:
                 for p2 in ds:
                     yield (self._weak_step(lab, rows[p2], alive, memo),
                            "1a", lab, None, p2)
-            for x, line in enumerate(trows):
+            for x, line in trows.items():
                 yield line[p], "1b", None, x, None
 
         def triple(p, x, memo):
@@ -738,10 +830,10 @@ class RowEngine:
         """Clauses 1a-1c and 2a-2d-stable of gbrb: triples are consulted
         only after time-outs."""
         a = self.a
-        idle = self._idle_masks()
+        idle = self._idle_of(trows)
 
         def timeouts(p, clause, memo):
-            for y, p2 in self._idle_timeouts(p):
+            for y, p2 in self._idle_timeouts(p, idle):
                 yield self._gpath(y, trows[y][p], trows[y][p2], memo), clause, None, y, p2
 
         def pair(p, memo):
@@ -778,11 +870,11 @@ class RowEngine:
         into the plain fixpoint.  ``generalised`` (gbrb) reads only the
         plain fixpoint; otherwise r1b and r2c read the rooted store."""
         a = self.a
-        idle = self._idle_masks()
+        idle = self._idle_of(trows)
         prows, ptrows = plain
 
         def timeouts(p, clause, memo):
-            for y, p2 in self._idle_timeouts(p):
+            for y, p2 in self._idle_timeouts(p, idle):
                 yield self._pre(TIMEOUT, ptrows[y][p2], memo), clause, None, y, p2
 
         def pair(p, memo):
@@ -791,7 +883,7 @@ class RowEngine:
                 if a.t_succ[p]:
                     yield from timeouts(p, "r1b", memo)
             else:
-                for x, line in enumerate(trows):
+                for x, line in trows.items():
                     yield line[p], "r1b", None, x, None
 
         def triple(p, x, memo):
@@ -822,10 +914,13 @@ class RowEngine:
         the ranks and refutation records entered from ``store.row_kills``,
         come out the same.  A state's rows are judged again only when a row
         it reads has changed: its own, a successor's or, for ``tob``, that of
-        a t-successor's wrapper.
+        a t-successor's wrapper.  A triple row counts once per declared mask
+        of its class in the entries checked.
         """
         rows, trows = store.rows, store.trows
-        alive = _count(rows) + (sum(_count(line) for line in trows) if trows else 0)
+        weight = self.a.class_size
+        alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
+                                if trows else 0)
         iterations = checked = 0
         changed = -1
         memo = {}
@@ -841,7 +936,7 @@ class RowEngine:
                         bad.append(((p,), rows, fails))
             if trows is not None:
                 for p in todo:
-                    for x, line in enumerate(trows):
+                    for x, line in trows.items():
                         if line[p]:
                             fails = _failures(line[p], triple(p, x, memo))
                             if fails:
@@ -852,12 +947,13 @@ class RowEngine:
             for key, line, fails in bad:
                 store.row_kills.append((iterations, key, fails))
                 p = key[0]
+                w = 1 if len(key) == 1 else weight
                 dead = 0
                 for mask, _ in fails:
                     dead |= mask
                 gone = line[p] & dead
                 line[p] ^= gone
-                alive -= gone.bit_count()
+                alive -= w * gone.bit_count()
                 bit = 1 << p
                 changed |= dead | bit
                 while dead:
@@ -865,7 +961,7 @@ class RowEngine:
                     q = low.bit_length() - 1
                     if line[q] & bit:
                         line[q] ^= bit
-                        alive -= 1
+                        alive -= w
                     dead ^= low
 
     def holds(self, rows, trows, pair, triple=None) -> bool:
@@ -874,7 +970,7 @@ class RowEngine:
         for p, row in enumerate(rows):
             if row and any(row & ~clause[0] for clause in pair(p, memo)):
                 return False
-        for x, line in enumerate(trows or ()):
+        for x, line in (trows or {}).items():
             for p, row in enumerate(line):
                 if row and any(row & ~clause[0] for clause in triple(p, x, memo)):
                     return False
@@ -928,6 +1024,16 @@ def _gather(table: List[int], mask: int) -> int:
     return acc
 
 
+def _submasks(mask: int):
+    """The submasks of ``mask`` in increasing order, from 0 to ``mask``."""
+    x = 0
+    while True:
+        yield x
+        if x == mask:
+            return
+        x = (x - mask) & mask
+
+
 def _symmetric(rows: List[int]) -> bool:
     return all(rows[q] >> p & 1 for p, row in enumerate(rows) for q in _bits(row))
 
@@ -937,6 +1043,7 @@ def _symmetric(rows: List[int]) -> bool:
 
 
 def _budget_check(n_states: int, n_masks: int):
+    """Refuse a store of n_states^2 pairs, each under n_masks effective masks."""
     if n_states * n_states * n_masks > TRIPLE_BUDGET:
         raise StateBudgetExceeded(n_states * n_states * n_masks, TRIPLE_BUDGET)
 
@@ -948,7 +1055,8 @@ def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
     ``plain`` is the plain store)."""
     with_triples = family not in RowEngine.PAIR_FAMILIES
     lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
-    _budget_check(len(lefts) + len(rights), 1 << len(arena.sigma) if with_triples else 1)
+    _budget_check(len(lefts) + len(rights),
+                  1 << arena.vmask.bit_count() if with_triples else 1)
     engine = RowEngine(arena)
     store = engine.seeded(relation, lefts, rights, with_triples)
     store.iterations, store.checked = engine.fixpoint(
@@ -1017,8 +1125,9 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
     """Branching time-out bisimulation over the theta-augmented state space.
 
     With ``env`` given, the verdict reads off the wrapped pair, deciding
-    X-bisimilarity through the environment operator; a wrapper nested past
-    ``theta_depth`` raises ``ThetaDepthExceeded`` before any fixpoint runs.
+    X-bisimilarity through the environment operator (the wrapper of X is that
+    of X & V); a wrapper nested past ``theta_depth`` raises
+    ``ThetaDepthExceeded`` before any fixpoint runs.
     """
     arena = ThetaArena(l1, None if l2 is l1 else l2, sigma, theta_depth=theta_depth)
     gq = arena.state2(q)
@@ -1102,7 +1211,7 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
         raise FragmentUnsupported(f"no revalidation for definition {definition_id!r}")
     checker = _StrongChecker(witness.arena, witness)
     pairs = witness.pairs
-    if witness.triples:
+    if witness.has_triples:
         return False
     return all((j, i) in pairs and checker.check_pair(i, j) is None
                for i, j in sorted(pairs))
@@ -1112,18 +1221,36 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     """A kill-free row pass over a symmetric witness (pairs only for tob
     and tb)."""
     with_triples = family not in RowEngine.PAIR_FAMILIES
-    if not with_triples and witness.triples:
+    if not with_triples and witness.has_triples:
         return False
-    rows, trows = witness.row_form(with_triples)
-    if not all(_symmetric(line) for line in [rows, *(trows or ())]):
-        return False
-    plain = None
+    stores = [witness]
     if rooted:
         if witness.plain is None or not _revalidate_rows(witness.plain, family, False):
             return False
-        plain = witness.plain.row_form(with_triples)
+        stores.append(witness.plain)
+    xmasks = _judged_masks(witness.arena, stores) if with_triples else None
+    rows, trows = witness.row_form(xmasks)
+    if not all(_symmetric(line) for line in [rows, *(trows or {}).values()]):
+        return False
+    plain = witness.plain.row_form(xmasks) if rooted else None
     engine = RowEngine(witness.arena)
     return engine.holds(rows, trows, *engine.clauses(family, rows, trows, plain))
+
+
+def _judged_masks(arena: Arena, stores) -> Sequence[int]:
+    """Masks whose triple rows, judged together, decide the stores as every
+    declared mask would.  Rows are the same under all masks of a class, so
+    the effective masks do.  Sets may differ within a class: then every
+    mask an entry names, and of each class the least mask none names (its
+    rows are empty in every store)."""
+    named = {x for st in stores if st.trows is None for _, x, _ in st.triples}
+    if not named:
+        return arena.xmasks
+    unused = arena.full_mask & ~arena.vmask
+    judged = set(named)
+    for x in arena.xmasks:
+        judged.add(next((x | u for u in _submasks(unused) if x | u not in named), x))
+    return sorted(judged)
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,
@@ -1134,7 +1261,10 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
 
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
-    A ``tob`` store lives on the ``ThetaArena`` its relation is defined over.
+    A triple keeps its declared mask; queries and ``revalidate`` map it
+    through X & V, and judge a class whose masks hold different entries
+    mask by mask.  A ``tob`` store lives on the ``ThetaArena`` its relation
+    is defined over.
     """
     kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena
     arena = kind(l1, None if l2 is l1 or l2 is None else l2, sigma)

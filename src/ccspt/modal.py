@@ -359,11 +359,14 @@ class _Builder:
     def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore"):
         self.a = arena
         self.st = store
+        # masks here are effective: a query's mask is X & V, and every other
+        # mask comes from a refutation record
+        self.rank, self.fail = store.index()
         self.memo: Dict[tuple, Formula] = {}
         self._ttreach: Dict[int, Tuple[int, ...]] = {}
 
     def _dead_before(self, entry, k) -> bool:
-        return self.st.rank.get(entry, 1 << 60) < k
+        return self.rank.get(entry, 1 << 60) < k
 
     def ttreach(self, q) -> Tuple[int, ...]:
         got = self._ttreach.get(q)
@@ -384,11 +387,11 @@ class _Builder:
         key = ("p", p, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.st.fail.get((p, q))
+            why = self.fail.get((p, q))
             if why is None:
                 got = Not(self.pair(q, p))
             else:
-                got = self._pair_formula(p, q, why, self.st.rank[(p, q)])
+                got = self._pair_formula(p, q, why, self.rank[(p, q)])
             self.memo[key] = got
         return got
 
@@ -396,11 +399,11 @@ class _Builder:
         key = ("t", p, x, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.st.fail.get((p, x, q))
+            why = self.fail.get((p, x, q))
             if why is None:
                 got = Not(self.triple(q, x, p))
             else:
-                got = self._triple_formula(p, x, q, why, self.st.rank[(p, x, q)])
+                got = self._triple_formula(p, x, q, why, self.rank[(p, x, q)])
             self.memo[key] = got
         return got
 
@@ -473,7 +476,7 @@ class _RootedBuilder:
 
     def __init__(self, arena, rooted_store, plain_builder):
         self.a = arena
-        self.st = rooted_store
+        self.fail = rooted_store.index()[1]
         self.plain = plain_builder
         self.memo: Dict[tuple, Formula] = {}
 
@@ -481,7 +484,7 @@ class _RootedBuilder:
         key = ("p", p, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.st.fail.get((p, q))
+            why = self.fail.get((p, q))
             if why is None:
                 got = Not(self.pair(q, p))
             else:
@@ -493,7 +496,7 @@ class _RootedBuilder:
         key = ("t", p, x, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.st.fail.get((p, x, q))
+            why = self.fail.get((p, x, q))
             if why is None:
                 got = Not(self.triple(q, x, p))
             else:
@@ -540,7 +543,7 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     arena = _bisim.Arena(l1, None if l2 is l1 else l2, sigma)
     store = _bisim._row_fixpoints(arena, p, q, "gbrb", "gbrb", fragment == "Lbr")
     gq = arena.state2(q)
-    xmask = None if env is None else arena.mask_of(env)
+    xmask = None if env is None else arena.mask_of(env) & arena.vmask
     if fragment == "Lb":
         builder = _Builder(arena, store)
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -212,7 +213,7 @@ class RecSpec:
                 raise ValueError(f"duplicate equation for {name!r}")
             seen.add(name)
 
-    @property
+    @cached_property
     def vars(self) -> frozenset:
         return frozenset(name for name, _ in self.equations)
 
@@ -272,12 +273,24 @@ NIL = Nil()
 # Canonical keys
 
 
-def _spec_order(sp: RecSpec, entry: str):
+def _spec_order(sp: RecSpec, entry: str) -> Tuple[str, ...]:
     """Deterministic ordering of a specification's variables, entry point first.
 
     Variables are numbered in the order they are first referenced, breadth
     first over equations; unreferenced equations follow sorted by name.
+    Computed once per specification and entry.
     """
+    orders = sp.__dict__.get("_orders")
+    if orders is None:
+        orders = {}
+        object.__setattr__(sp, "_orders", orders)
+    got = orders.get(entry)
+    if got is None:
+        got = orders[entry] = _first_references(sp, entry)
+    return got
+
+
+def _first_references(sp: RecSpec, entry: str) -> Tuple[str, ...]:
     order = [entry]
     seen = {entry}
     queue = [entry]
@@ -292,7 +305,7 @@ def _spec_order(sp: RecSpec, entry: str):
         if name not in seen:
             seen.add(name)
             order.append(name)
-    return order
+    return tuple(order)
 
 
 def _spec_refs(term: Term, names: frozenset, shadow: frozenset):

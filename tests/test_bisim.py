@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
@@ -7,6 +9,7 @@ from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceed
 from ccspt.gallery import (divergent_timeout_trio, divergent_timeout_witness,
                            visible_choice_pair, visible_choice_terms)
 from conftest import lts_of, pair_lts
+from test_tb_engine import ring
 
 
 def verdict(checker, s1, s2, sigma=(), **kw):
@@ -83,9 +86,38 @@ def test_brb_rejects_encoded_inputs():
 
 
 def test_brb_triple_budget():
-    lts = lts_of("a.0", sigma=[f"x{i}" for i in range(30)])
+    # thirty offered actions: 2^30 environment masks per pair
+    lts = lts_of(" + ".join(f"x{i}.0" for i in range(30)))
     with pytest.raises(StateBudgetExceeded):
         brb_check(lts, 0, lts, 0, sigma=lts.sigma)
+    # thirty actions no state offers leave one mask per pair
+    lts = lts_of("a.0", sigma=[f"x{i}" for i in range(30)])
+    assert brb_check(lts, 0, lts, 0, sigma=lts.sigma).equivalent
+
+
+def test_unused_actions_turn_refusals_into_answers():
+    # ten actions no state offers once meant 2^12 masks a pair: tob built
+    # 24 594 states and refused (604.9 M pairs), gbrb ran for minutes
+    base, variant = ring(8, {1}, False), ring(8, {1}, True)
+    used = frozenset({"a", "b"})
+    wide = used | {f"u{i}" for i in range(10)}
+    for check in (brb_check, gbrb_check, tob_check):
+        want = check(base, 0, variant, 0, sigma=used)
+        start = time.perf_counter()
+        got = check(base, 0, variant, 0, sigma=wide)
+        assert time.perf_counter() - start < 0.5, check.__name__
+        assert got.sigma == tuple(sorted(wide)) and want.equivalent
+        assert (got.equivalent, got.iterations) == (want.equivalent, want.iterations)
+
+
+def test_tob_budget_before_any_wrapper(monkeypatch):
+    # 8191 wrappers of the root would make 8193^2 pairs: refused before
+    # the first wrapper is built
+    monkeypatch.setattr(bisim.ThetaArena, "_new_wrap",
+                        lambda *args: pytest.fail("a wrapper was built"))
+    lts = lts_of(" + ".join(f"x{i}.0" for i in range(13)))
+    with pytest.raises(StateBudgetExceeded):
+        tob_check(lts, 0, lts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +239,18 @@ def test_revalidate_unknown_definition_is_a_named_error():
     for definition in ("strong-rooted", "nosuch"):
         with pytest.raises(FragmentUnsupported, match=repr(definition)):
             revalidate(v.witness, definition)
+
+
+def test_triple_witness_under_pair_definitions_lists_no_masks(monkeypatch):
+    # thirty unused actions: the witness's triple set would list 2^30 masks
+    # a row, so a pair definition must refuse it from the rows alone
+    lts = lts_of("a.0", sigma=[f"x{i}" for i in range(30)])
+    v = brb_check(lts, 0, lts, 0, sigma=lts.sigma)
+    monkeypatch.setattr(bisim.Arena, "unused_masks",
+                        property(lambda self: pytest.fail("declared masks listed")))
+    for definition in ("strong", "tob", "tb"):
+        assert not revalidate(v.witness, definition)
+    assert revalidate(v.witness, "brb")
 
 
 def test_manual_witness_from_the_gallery():

@@ -25,6 +25,12 @@ from test_tb_engine import kill_pair, ring, sampled_pairs, seed_pairs
 # per-entry reference
 
 
+def declared(arena):
+    """Every environment mask over the declared alphabet: the reference
+    judges each, where the engine judges one per class of equal X & V."""
+    return range(1 << len(arena.sigma))
+
+
 class _ReactiveChecker:
     """Shared matching machinery for the triple-based definitions."""
 
@@ -136,7 +142,7 @@ class BrbChecker(_ReactiveChecker):
             for p2 in targets:
                 if not self._match_pair(p, lab, p2, q):
                     return ("1a", {"action": lab, "derivative": p2})
-        for x in a.xmasks:
+        for x in declared(a):
             if (p, x, q) not in self.st.triples:
                 return ("1b", {"env": x})
         return None
@@ -184,7 +190,7 @@ class GbrbChecker(_ReactiveChecker):
                 if not self._match_pair(p, lab, p2, q):
                     return ("1a", {"action": lab, "derivative": p2})
         if a.t_succ[p]:
-            for x in a.xmasks:
+            for x in declared(a):
                 if a.idle(p, x):
                     for p2 in a.t_succ[p]:
                         if not self._gpath(p, x, p2, q):
@@ -205,7 +211,7 @@ class GbrbChecker(_ReactiveChecker):
                     if not self._match_vis_triple(p, x, lab, p2, q):
                         return ("2b", {"action": lab, "derivative": p2})
         if idle and a.t_succ[p]:
-            for y in a.xmasks:
+            for y in declared(a):
                 if a.idle(p, y):
                     for p2 in a.t_succ[p]:
                         if not self._gpath(p, y, p2, q):
@@ -230,7 +236,7 @@ class RootedBrbChecker:
             for p2 in targets:
                 if not any((p2, q2) in plain.pairs for q2 in qsucc):
                     return ("r1a", {"action": lab, "derivative": p2})
-        for x in a.xmasks:
+        for x in declared(a):
             if (p, x, q) not in self.st.triples:
                 return ("r1b", {"env": x})
         return None
@@ -271,7 +277,7 @@ class RootedGbrbChecker:
                 if not any((p2, q2) in plain.pairs for q2 in qsucc):
                     return ("r1a", {"action": lab, "derivative": p2})
         if a.t_succ[p]:
-            for x in a.xmasks:
+            for x in declared(a):
                 if a.idle(p, x):
                     for p2 in a.t_succ[p]:
                         if not any((p2, x, q2) in plain.triples
@@ -292,7 +298,7 @@ class RootedGbrbChecker:
                     if not any((p2, q2) in plain.pairs for q2 in qsucc):
                         return ("r2b", {"action": lab, "derivative": p2})
         if idle and a.t_succ[p]:
-            for y in a.xmasks:
+            for y in declared(a):
                 if a.idle(p, y):
                     for p2 in a.t_succ[p]:
                         if not any((p2, y, q2) in plain.triples
@@ -339,7 +345,7 @@ def ref_seeded(arena, relation, lefts, rights):
     seed_pairs(store, lefts, rights)
     for i in lefts:
         for j in rights:
-            for x in arena.xmasks:
+            for x in declared(arena):
                 store.triples.add((i, x, j))
                 store.triples.add((j, x, i))
     return store
@@ -612,3 +618,42 @@ def test_asymmetric_triple_witness_fails():
     store.triples.discard((1, 0, 0))
     assert not revalidate(store, "brb")
     assert not ref_revalidate(store, "brb", False)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_damage_under_one_declared_mask_matches_reference(family):
+    # c and d are declared but offered by no state, so four masks share each
+    # class; taking a triple out under one of them splits its class, and
+    # the store must be judged as the declared masks judge it
+    l1, l2 = ring(4, {1}, False), ring(4, {1}, family != "cbrb")
+    sig = frozenset({"a", "b", "c", "d"})
+    for rooted in (False, True):
+        store = CHECKS[family](l1, l1.initial, l2, l2.initial, rooted=rooted,
+                               sigma=sig).witness
+        relation = family + ("-rooted" if rooted else "")
+        verdicts = []
+        for damaged_store in (store, store.plain)[:1 + rooted]:
+            for _ in damaged(damaged_store):
+                verdicts.append(revalidate(store, relation))
+                assert verdicts[-1] == ref_revalidate(store, family, rooted)
+        assert not all(verdicts)
+
+
+def test_store_split_within_a_class_matches_reference():
+    # s1 offers a and no state offers c, so {} and {c} are one class (and
+    # {a} and {a,c} another); each store names a triple under some masks
+    # of a class and not under others
+    def system():
+        return Lts(["s0", "s1"], [(0, TAU, 0), (1, "a", 1)], 0, sigma={"a", "c"})
+
+    stores = [((), [()]), ((), [("c",)]), ((), [("a", "c")]),
+              ([(0, 0)], [(), ("a",), ("a", "c")]),
+              ([(0, 0)], [(), ("c",), ("a",), ("a", "c")])]
+    answers = []
+    for family in FAMILIES:
+        for pairs, envs in stores:
+            store = make_store(system(), system(), family, pairs=pairs,
+                               triples=[(0, env, 0) for env in envs])
+            answers.append(revalidate(store, family))
+            assert answers[-1] == ref_revalidate(store, family, False), (family, pairs, envs)
+    assert set(answers) == {True, False}

@@ -17,7 +17,7 @@ from ccspt.bisim import RelationStore, ThetaArena
 from ccspt.errors import LabelUniverseMismatch, ThetaDepthExceeded
 from ccspt.semantics import TAU, TIMEOUT, Lts
 from conftest import lts_of
-from test_reactive_engine import damaged, engine_store, same_store  # noqa: F401
+from test_reactive_engine import damaged, declared, engine_store, same_store  # noqa: F401
 from test_tb_engine import ref_fixpoint, ring, sampled_pairs, seed_pairs
 
 
@@ -39,7 +39,7 @@ class RefTob:
                 if not self._match(u, lab, u2, v):
                     return ("t1", {"action": lab, "derivative": u2})
         if a.t_succ[u]:
-            for x in a.xmasks:
+            for x in declared(a):
                 if a.idle(u, x):
                     for u2 in a.t_succ[u]:
                         if not self._tobpath(u, x, u2, v):
@@ -115,7 +115,7 @@ class RefRootedTob:
                 if not any((p2, q2) in plain for q2 in qsucc):
                     return ("rt1", {"action": lab, "derivative": p2})
         if a.t_succ[p]:
-            for x in a.xmasks:
+            for x in declared(a):
                 if a.idle(p, x):
                     for p2 in a.t_succ[p]:
                         w2 = a.wrap(x, p2)
@@ -126,9 +126,17 @@ class RefRootedTob:
         return None
 
 
-def ref_tob(l1, l2, sig, rooted, theta_depth=1):
+class DeclaredThetaArena(ThetaArena):
+    """One wrapper per declared mask, as if no mask were quotiented by V."""
+
+    def _build_tables(self):
+        super()._build_tables()
+        self.vmask, self.class_size = self.full_mask, 1
+
+
+def ref_tob(l1, l2, sig, rooted, theta_depth=1, kind=ThetaArena):
     """The reference store behind a verdict, and the global index of q."""
-    arena = ThetaArena(l1, None if l2 is l1 else l2, sig, theta_depth=theta_depth)
+    arena = kind(l1, None if l2 is l1 else l2, sig, theta_depth=theta_depth)
     p, gq = l1.initial, arena.state2(l2.initial)
     lefts, rights = arena.side_states(p), arena.side_states(gq)
     store = RelationStore(arena, "tob")
@@ -177,7 +185,7 @@ def assert_same(engine_store, l1, l2, sig, rooted, theta_depth=1, envs=False):
     same_store(store, ref)
     if rooted:
         same_store(store.plain, ref.plain)
-    for x in (arena.xmasks if envs else ()):
+    for x in (declared(arena) if envs else ()):
         entry = (arena.wrap(x, l1.initial), arena.wrap(x, gq))
         names = arena.mask_names(x)
         if None in entry:
@@ -229,6 +237,40 @@ def test_unused_actions_ring_matches_reference(engine_store, rooted):
     same = assert_same(engine_store, base, ring(8, {1}, True), sig, rooted, envs=True)
     differ = assert_same(engine_store, base, ring(8, {1, 4}, True), sig, rooted)
     assert same.equivalent and not differ.equivalent
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_merged_wrappers_match_declared_reference(engine_store, rooted):
+    # the reference wraps each state under every declared mask; the engine
+    # has one wrapper for X and X & V.  Verdicts, rounds and records agree,
+    # and each declared pair shares the fate of the pair it maps to
+    base = ring(8, {1}, False)
+    pairs = [(base, ring(8, {1}, True), frozenset({"a", "b", "c", "d"})),
+             (base, ring(8, {1, 4}, True), frozenset({"a", "b", "c", "d"}))]
+    pairs += [(l1, l2, sig | {"u", "v"}) for l1, l2, sig in sampled_pairs(12, 7)]
+    for l1, l2, sig in pairs:
+        ref, gq = ref_tob(l1, l2, sig, rooted, kind=DeclaredThetaArena)
+        v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted)
+        arena, declared_arena = store.arena, ref.arena
+
+        def image(s):
+            if s not in declared_arena.wrap_key:
+                return s
+            x, t = declared_arena.wrap_key[s]
+            return arena.wrapped[(x & arena.vmask, image(t))]
+
+        assert v.equivalent == ((l1.initial, gq) in ref.pairs)
+        assert v.iterations == ref.iterations
+        assert v.refutation == ([] if v.equivalent else bisim._refutation_records(
+            ref, [(l1.initial, gq), (gq, l1.initial)]))
+        assert {(image(i), image(j)) for i, j in ref.pairs} == store.pairs
+        assert {(image(i), image(j)) for i, j in ref.rank} == set(store.rank)
+        assert all(store.rank[image(i), image(j)] == k for (i, j), k in ref.rank.items())
+        for x in declared(arena):
+            entry = (declared_arena.wrap(x, l1.initial), declared_arena.wrap(x, gq))
+            ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
+                                 env=arena.mask_names(x))
+            assert ve.equivalent == (entry in ref.pairs)
 
 
 def test_random_raw_systems_match_reference(engine_store):
