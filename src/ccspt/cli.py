@@ -47,10 +47,14 @@ def _split_sigma(text):
     return frozenset(n.strip() for n in text.split(",") if n.strip()) if text else frozenset()
 
 
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+def _seed(args, parser) -> int:
+    if args.seed is not None:
         return args.seed
-    return int(os.environ.get("PABR_SEED", "0"))
+    raw = os.environ.get("PABR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"PABR_SEED must be an integer, not {raw!r}")
 
 
 def _options(max_states, sigma) -> argparse.ArgumentParser:
@@ -122,6 +126,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_states <= 0:
         parser.error(f"--max-states must be positive, not {args.max_states}")
+    if args.command == "axioms":
+        if args.samples <= 0:
+            parser.error(f"--samples must be positive, not {args.samples}")
+        args.seed = _seed(args, parser)
     sigma = _split_sigma(args.sigma)
     try:
         return _dispatch(args, sigma)
@@ -185,7 +193,7 @@ def _dispatch(args, sigma) -> int:
 
     if args.command == "axioms":
         report = _axioms.soundness_suite(args.which, samples=args.samples,
-                                         seed=_seed(args), axiom=args.axiom)
+                                         seed=args.seed, axiom=args.axiom)
         print(json.dumps(report, indent=2))
         bad = [ax for ax in report["axioms"] if ax["failures"]]
         return 1 if bad else 0

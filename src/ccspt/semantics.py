@@ -75,16 +75,41 @@ class ExplorationLimits:
 
 
 class _StepCtx:
-    __slots__ = ("budget", "active")
+    """One exploration: the unfolding budget of the state being stepped, the
+    keys of the recursion calls being unfolded, and a memo that lives as
+    long as the context.
 
-    def __init__(self, budget):
+    ``moves`` maps the id of each subterm stepped so far to its moves, the
+    number of unfoldings their derivation used, and the subterm itself
+    (which keeps the id its own).  ``calls`` holds one ``RecCall`` per
+    specification and variable, and ``unfolded`` the body each
+    (specification, variable) unfolds to, re-tied to those calls; so the
+    derivatives of a component are shared objects, and they hit ``moves``.
+    """
+
+    __slots__ = ("budget", "active", "moves", "calls", "unfolded")
+
+    def __init__(self, budget: int):
         self.budget = budget
         self.active = set()
+        self.moves = {}
+        self.calls = {}
+        self.unfolded = {}
+
+    def unfold(self, call: RecCall) -> Term:
+        sp = call.spec
+        body = self.unfolded.get((id(sp), call.var))
+        if body is None:
+            calls = self.calls.get(id(sp))
+            if calls is None:
+                calls = self.calls[id(sp)] = {v: RecCall(v, sp) for v in sp.vars}
+            body = self.unfolded[id(sp), call.var] = unfold(call, calls)
+        return body
 
 
 def step(term: Term, fuse: int = DEFAULT_UNFOLD_FUSE) -> Tuple[Tuple[str, Term], ...]:
     """All SOS-derivable transitions of a closed valid term, deduplicated."""
-    return _step(term, _StepCtx([fuse]))
+    return _step(term, _StepCtx(fuse), keep=False)
 
 
 def initials(term: Term, fuse: int = DEFAULT_UNFOLD_FUSE) -> frozenset:
@@ -99,14 +124,29 @@ def _dedup(moves):
     return tuple(out)
 
 
-def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
-    if isinstance(term, Nil):
-        return ()
+def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term], ...]:
+    """The moves of ``term``, derived at most once per context.
+
+    A memo hit charges the unfoldings its derivation used, so the fuse
+    trips exactly where a fresh derivation would trip.  Only successful
+    derivations are kept, and only when ``keep`` is set.  One frame per
+    level of nesting.
+    """
     if isinstance(term, Prefix):
         return ((term.action, term.body),)
+    if isinstance(term, Nil):
+        return ()
+    got = ctx.moves.get(id(term))
+    if got is not None:
+        moves, cost, _ = got
+        if ctx.budget < cost:
+            raise UnfoldingDiverged("recursion unfolded past the fuse")
+        ctx.budget -= cost
+        return moves
+    budget = ctx.budget
     if isinstance(term, Choice):
-        return _dedup(_step(term.left, ctx) + _step(term.right, ctx))
-    if isinstance(term, Par):
+        moves = _dedup(_step(term.left, ctx) + _step(term.right, ctx))
+    elif isinstance(term, Par):
         left = _step(term.left, ctx)
         right = _step(term.right, ctx)
         moves = []
@@ -121,14 +161,14 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
                 for lab2, nr in right:
                     if lab2 == lab:
                         moves.append((lab, Par(term.sync, nl, nr)))
-        return _dedup(moves)
-    if isinstance(term, Hide):
+        moves = _dedup(moves)
+    elif isinstance(term, Hide):
         moves = []
         for lab, nxt in _step(term.body, ctx):
             out = TAU if lab in term.hidden else lab
             moves.append((out, Hide(term.hidden, nxt)))
-        return _dedup(moves)
-    if isinstance(term, Rename):
+        moves = _dedup(moves)
+    elif isinstance(term, Rename):
         moves = []
         for lab, nxt in _step(term.body, ctx):
             if lab in (TAU, TIMEOUT):
@@ -137,8 +177,8 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
                 for a, b in term.pairs:
                     if a == lab:
                         moves.append((b, Rename(term.pairs, nxt)))
-        return _dedup(moves)
-    if isinstance(term, Theta):
+        moves = _dedup(moves)
+    elif isinstance(term, Theta):
         inner = _step(term.body, ctx)
         idles = _idles(inner, term.low)
         moves = []
@@ -149,8 +189,8 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
                 moves.append((lab, nxt))
             if idles:
                 moves.append((lab, nxt))
-        return _dedup(moves)
-    if isinstance(term, Psi):
+        moves = _dedup(moves)
+    elif isinstance(term, Psi):
         inner = _step(term.body, ctx)
         idles = _idles(inner, term.allowed)
         moves = []
@@ -159,8 +199,8 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
                 moves.append((lab, nxt))
             elif idles:
                 moves.append((TIMEOUT, Theta(term.allowed, term.allowed, nxt)))
-        return _dedup(moves)
-    if isinstance(term, RecCall):
+        moves = _dedup(moves)
+    elif isinstance(term, RecCall):
         added = []
         try:
             body: Term = term
@@ -168,19 +208,23 @@ def _step(term: Term, ctx: _StepCtx) -> Tuple[Tuple[str, Term], ...]:
                 key = body.key()
                 if key in ctx.active:
                     raise UnfoldingDiverged(f"unguarded recursion at {body!r}")
-                if ctx.budget[0] <= 0:
+                if ctx.budget <= 0:
                     raise UnfoldingDiverged("recursion unfolded past the fuse")
-                ctx.budget[0] -= 1
+                ctx.budget -= 1
                 ctx.active.add(key)
                 added.append(key)
-                body = unfold(body)
-            return _step(body, ctx)
+                body = ctx.unfold(body)
+            moves = _step(body, ctx)
         finally:
             for key in added:
                 ctx.active.discard(key)
-    if isinstance(term, Var):
+    elif isinstance(term, Var):
         raise ValidityError(f"cannot step an open term: {term!r}")
-    raise TypeError(f"not a term: {term!r}")
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    if keep:
+        ctx.moves[id(term)] = (moves, budget - ctx.budget, term)
+    return moves
 
 
 def _idles(moves, allowed) -> bool:
@@ -320,12 +364,18 @@ def is_strongly_guarded(lts: Lts) -> bool:
 def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
               sigma: Iterable[str] = (),
               fuse: int = DEFAULT_UNFOLD_FUSE) -> Lts:
-    """Breadth-first closure of ``step`` with term-keyed state identity."""
+    """Breadth-first closure of ``step`` with term-keyed state identity.
+
+    The states share one step context: each subterm object's moves are
+    derived and each recursion call unfolded once per build, and nothing
+    is kept past it.  Each state's step gets the whole ``fuse``.
+    """
     limits = limits or ExplorationLimits()
     index: Dict[object, int] = {term.key(): 0}
     tags: List[Term] = [term]
     transitions: List[Tuple[int, str, int]] = []
     frontier = [(0, term)]
+    ctx = _StepCtx(fuse)
     depth = 0
     while frontier:
         depth += 1
@@ -333,7 +383,8 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
             raise StateBudgetExceeded(len(tags), limits.max_depth)
         nxt = []
         for idx, t in frontier:
-            for lab, target in step(t, fuse):
+            ctx.budget = fuse
+            for lab, target in _step(t, ctx, keep=False):
                 key = target.key()
                 j = index.get(key)
                 if j is None:
@@ -350,12 +401,6 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
 
 # ---------------------------------------------------------------------------
 # Import/export
-
-
-def tag_name(tag) -> str:
-    if isinstance(tag, Term):
-        return str(tag)
-    return str(tag)
 
 
 def to_aut(lts: Lts) -> str:
@@ -422,7 +467,7 @@ def to_dot(lts: Lts, name: str = "lts") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;",
              f'  init [shape=point]; init -> n{lts.initial};']
     for i, tag in enumerate(lts.tags):
-        label = tag_name(tag).replace('"', r'\"')
+        label = str(tag).replace('"', r'\"')
         lines.append(f'  n{i} [shape=circle,label="{label}"];')
     for s, lab, d in lts.transitions:
         lines.append(f'  n{s} -> n{d} [label="{lab}"];')

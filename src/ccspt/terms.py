@@ -512,10 +512,16 @@ def _subst(term: Term, mapping) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-def unfold(call: RecCall) -> Term:
-    """The body of a recursion call with every bound variable re-tied to the spec."""
+def unfold(call: RecCall, calls: Mapping[str, RecCall] = None) -> Term:
+    """The body of a recursion call with every bound variable re-tied to the spec.
+
+    ``calls`` gives the call each variable is re-tied to; by default they
+    are made afresh for this unfolding.
+    """
     sp = call.spec
-    return _subst(sp.body(call.var), {v: RecCall(v, sp) for v in sp.vars})
+    if calls is None:
+        calls = {v: RecCall(v, sp) for v in sp.vars}
+    return _subst(sp.body(call.var), calls)
 
 
 def spec_apply(term: Term, sp: RecSpec) -> Term:

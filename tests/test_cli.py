@@ -151,6 +151,31 @@ def test_unknown_axiom_is_a_usage_error(capsys):
     assert "'nosuch'" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_is_a_usage_error(capsys, samples):
+    # zero samples would report every schema sound on no evidence
+    with pytest.raises(SystemExit) as exit_:
+        main(["axioms", "soundcheck", "--axiom", "sum-comm",
+              "--samples", samples])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--samples must be positive, not {samples}" in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
+def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PABR_SEED", "seven")
+    with pytest.raises(SystemExit) as exit_:
+        main(["axioms", "soundcheck", "--axiom", "sum-comm", "--samples", "1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "PABR_SEED must be an integer, not 'seven'" in err
+    assert "internal error" not in err and "Traceback" not in err
+    # an explicit --seed does not read the environment
+    assert main(["axioms", "soundcheck", "--axiom", "sum-comm",
+                 "--samples", "1", "--seed", "4"]) == 0
+
+
 def test_sigma_override(proc, capsys):
     p = proc("p.proc", "t.b.0")
     q = proc("q.proc", "t.t.b.0")

@@ -6,6 +6,7 @@ from ccspt import (ExplorationLimits, StateBudgetExceeded, TermTooDeep,
                    step, to_aut, weak_reach)
 from ccspt.semantics import (Lts, is_strongly_guarded, label_kind,
                              stable_reachable, to_dot)
+from ccspt.terms import NIL, Choice, Node, Par, Prefix, RecCall, children
 from conftest import lts_of
 
 
@@ -174,3 +175,120 @@ def test_too_deep_terms_raise_a_named_error():
 def test_open_term_build_is_a_validity_error():
     with pytest.raises(ValidityError, match="open term"):
         build_lts(parse_term("a.x"))
+
+
+# ---------------------------------------------------------------------------
+# Memoised exploration against a reference that steps each state afresh
+
+
+def reference_build(term, sigma=()):
+    """Breadth-first over the public ``step`` of each state, which shares
+    nothing between states; the same numbering as ``build_lts``."""
+    index = {term.key(): 0}
+    tags = [term]
+    transitions = []
+    s = 0
+    while s < len(tags):
+        for lab, target in step(tags[s]):
+            j = index.setdefault(target.key(), len(tags))
+            if j == len(tags):
+                tags.append(target)
+            transitions.append((s, lab, j))
+        s += 1
+    return Lts(tags, transitions, 0, sigma=frozenset(sigma) | alphabet(term))
+
+
+def assert_same_build(term, sigma=()):
+    got, want = build_lts(term, sigma=sigma), reference_build(term, sigma)
+    assert to_aut(got) == to_aut(want)
+    assert [str(t) for t in got.tags] == [str(t) for t in want.tags]
+    assert got.sigma == want.sigma
+    return got
+
+
+def walk(term):
+    """Every node under ``term``, specification bodies included."""
+    seen, stack = set(), [term]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, RecCall):
+            yield node.spec
+            stack.extend(node.spec.bodies)
+        else:
+            stack.extend(children(node))
+
+
+def component(i):
+    return f"<x|{{x = a{i}.y + tau.z; y = b{i}.z; z = t.w; w = c{i}.x}}>"
+
+
+def test_build_matches_fresh_steps_on_random_terms(rng):
+    # three random processes side by side, their recursion calls drawn from
+    # one pool of specification objects, so that derivations are shared
+    from ccspt.sampling import guarded_spec_pool, random_process
+    sigma = ("a", "b", "c")
+    pool = guarded_spec_pool(sigma)
+    kinds, states = set(), 0
+    for _ in range(60):
+        t1, t2, t3 = (random_process(rng, sigma, depth=4, rec_prob=0.3,
+                                     max_states=20, pool=pool)[0]
+                      for _ in range(3))
+        sync = frozenset(a for a in sigma if rng.random() < 0.3)
+        term = Par(sync, t1, Par(frozenset(), t2, t3))
+        kinds |= {type(n).__name__ for n in walk(term)}
+        states += len(assert_same_build(term, sigma=("d",)))
+    assert kinds >= {"RecCall", "Par", "Hide", "Rename", "Theta", "Psi"}
+    assert states > 500
+
+
+def test_build_matches_fresh_steps_on_interleaving():
+    term = parse_term(" ||{} ".join(component(i) for i in range(4)))
+    lts = assert_same_build(term)
+    assert lts.num_states == 256
+
+
+CHAIN = "<x0|{%s; x9 = a.x0 + b.x5}>" % "; ".join(
+    f"x{i} = x{i + 1}" for i in range(9))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_fuse_counts_every_unfolding_of_a_shared_derivation(shared):
+    # the first state unfolds ten calls per copy; when the copies are one
+    # object, the second and third are memo hits that charge the same ten
+    if shared:
+        one = parse_term(CHAIN)
+        term = Par(frozenset(), Par(frozenset(), one, one), one)
+    else:
+        term = parse_term(" ||{} ".join([CHAIN] * 3))
+    with pytest.raises(UnfoldingDiverged, match="past the fuse"):
+        build_lts(term, fuse=29)
+    assert build_lts(term, fuse=30).num_states == 8
+
+
+def test_unguarded_cycle_still_named():
+    with pytest.raises(UnfoldingDiverged, match="unguarded recursion"):
+        build_lts(parse_term("<x|{x = y; y = x}>"))
+
+
+def test_build_leaves_no_cache_on_terms():
+    allowed = {"_key", "_hash", "_fv", "_alpha", "_orders", "vars"}
+    term = parse_term(" ||{} ".join(component(i) for i in range(3))
+                      + " ||{} hide{a}(psi{b}(t.a.0)) ||{} " + CHAIN)
+    lts = build_lts(term)
+    for tag in lts.tags:
+        for node in walk(tag):
+            own = set(node.__dict__)
+            own -= set(node._fields) if isinstance(node, Node) else {"equations"}
+            assert own <= allowed, (node, own - allowed)
+
+
+def test_deep_choice_chain_still_builds():
+    # one frame per level of nesting, as for the canonical keys
+    term = Prefix("a", NIL)
+    for _ in range(9_950):
+        term = Choice(term, Prefix("b", NIL))
+    assert build_lts(term).num_states == 2
