@@ -448,7 +448,10 @@ def soundness_suite(which: str, checker: Optional[Callable[[Term, Term], bool]] 
                     sigma: Sequence[str] = ("a", "b"), depth: int = 3,
                     max_states: int = 16, axiom: Optional[str] = None) -> dict:
     """Randomized soundness: every schema instantiation must satisfy the
-    designated relation.  Failures are collected, not raised."""
+    designated relation.  Failures are collected, not raised.  ``samples``
+    must be positive: with none, every schema would read as sound."""
+    if samples <= 0:
+        raise ValueError(f"samples must be positive, not {samples}")
     if checker is None:
         checker = rooted_tb_equiv if which == "Ax" else rooted_brb_equiv
     schemas = schema_set(which) if axiom is None else [named_schema(axiom)]

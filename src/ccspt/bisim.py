@@ -16,7 +16,8 @@ masks, one pair row per state and one triple row per state and environment
 mask, and decides a row's clauses for all of its partners at once, with the
 same rounds, ranks and refutation records as a per-entry check.
 
-Strong bisimilarity alone uses partition refinement.
+Strong bisimilarity alone uses signature refinement over the move table
+(``strong_bisim``).
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ class Arena:
     """Disjoint union of one or two LTSs with per-state move tables.
 
     States are integers; those of the second system are shifted by the size
-    of the first.  ``sigma`` is the shared visible alphabet, realised as bit
-    masks so environment sets enumerate cheaply.
+    of the first.  ``out`` maps each state's labels to its targets, and the
+    move tables are read off it when the arena is built.  The weak closure
+    and stability are computed on their first read, so strong bisimilarity,
+    which reads ``out`` alone, never builds them.  ``sigma`` is the shared
+    visible alphabet, realised as bit masks so environment sets enumerate
+    cheaply.
 
     An environment X reaches a clause only through idle and permission tests
     on the visible actions some state offers, ``vmask`` (V).  So X and X & V
@@ -69,18 +74,19 @@ class Arena:
         self.full_mask = (1 << len(self.sigma)) - 1
         self._xmasks = None
 
-        self.tags = []
-        self.out: List[Dict[str, Tuple[int, ...]]] = []
-        for k, lts in enumerate(systems):
-            off = 0 if k == 0 else self.offset
-            self.tags.extend(lts.tags)
-            for s in range(len(lts)):
-                self.out.append({lab: tuple(d + off for d in ds)
-                                 for lab, ds in lts.out(s).items()})
+        self.tags = list(l1.tags)
+        # the first system's move dicts are shared: nothing writes to them
+        self.out: List[Dict[str, Tuple[int, ...]]] = [l1.out(s) for s in range(len(l1))]
+        if l2 is not None:
+            off = self.offset
+            self.tags.extend(l2.tags)
+            self.out.extend({lab: tuple(d + off for d in ds) for lab, ds in l2.out(s).items()}
+                            for s in range(len(l2)))
         self._build_tables()
 
     def _build_tables(self):
-        """Move tables, weak closure and stability of every state in ``out``."""
+        """Move tables of every state in ``out``; the weak closure and
+        stability are dropped, to be computed again on their next read."""
         self.n = len(self.out)
         self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
         self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
@@ -102,9 +108,26 @@ class Arena:
         for mask in self.vis_mask:
             self.vmask |= mask
         self.class_size = 1 << (len(self.sigma) - self.vmask.bit_count())
-        self.weak = weak_closure(self.tau_succ)
-        self.stable = [any(not self.has_tau[u] for u in self.weak[s])
-                       for s in range(self.n)]
+        # filled on first read; not through functools.cached_property, which
+        # writes the instance dict and so materialises it, after which
+        # CPython 3.11 reads every attribute of the arena at about twice the cost
+        self._weak: Optional[List[Tuple[int, ...]]] = None
+        self._stable: Optional[List[bool]] = None
+
+    @property
+    def weak(self) -> List[Tuple[int, ...]]:
+        """The states each state reaches over tau steps, itself included."""
+        if self._weak is None:
+            self._weak = weak_closure(self.tau_succ)
+        return self._weak
+
+    @property
+    def stable(self) -> List[bool]:
+        """Whether each state reaches, over tau steps, a state with no tau step."""
+        if self._stable is None:
+            weak, has_tau = self.weak, self.has_tau
+            self._stable = [any(not has_tau[u] for u in weak[s]) for s in range(self.n)]
+        return self._stable
 
     @property
     def xmasks(self) -> Tuple[int, ...]:
@@ -493,25 +516,6 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Strong bisimilarity, per pair (revalidation only)
-
-
-class _StrongChecker:
-    def __init__(self, arena, store):
-        self.a = arena
-        self.pairs = store.pairs
-
-    def check_pair(self, p, q):
-        a = self.a
-        for lab, targets in a.out[p].items():
-            qsucc = a.out[q].get(lab, ())
-            for p2 in targets:
-                if not any((p2, q2) in self.pairs for q2 in qsucc):
-                    return ("strong", {"action": lab, "derivative": p2})
-        return None
-
-
-# ---------------------------------------------------------------------------
 # The row engine
 
 
@@ -547,6 +551,7 @@ class RowEngine:
         self.deps = [0] * n
         self.unstable = 0
         self.notau = 0
+        weak, stable = arena.weak, arena.stable
         for s in range(n):
             bit = 1 << s
             deps = bit
@@ -556,9 +561,9 @@ class RowEngine:
                     col[d] |= bit
                     deps |= 1 << d
             self.deps[s] = deps
-            for y in arena.weak[s]:
+            for y in weak[s]:
                 self.rweak[y] |= bit
-            if not arena.stable[s]:
+            if not stable[s]:
                 self.unstable |= bit
             if not arena.has_tau[s]:
                 self.notau |= bit
@@ -1155,46 +1160,59 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     return _verdict(store, (p, arena.state2(q)), store.relation)
 
 
-def strong_bisim(l1: Lts, p: int, l2: Lts, q: int) -> Verdict:
-    """Strong bisimilarity by partition refinement on the disjoint union."""
-    if l1.labels != l2.labels and l2 is not l1:
+def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
+    """Strong bisimilarity by signature refinement on the disjoint union.
+
+    Blocks start as one.  Each round gives every state the signature (its
+    block, the set of (label, block of target) over its moves in
+    ``Arena.out``, as a sorted tuple) and numbers the blocks of the next
+    round by first occurrence of a signature, until a round moves nothing.
+    Only the move table is read, so the arena's weak closure and stability
+    are never built.  An equivalence's witness pairs each state reachable
+    on the left with the states reachable on the right in its block, both
+    orientations.
+    ``sigma`` widens the visible alphabet of both systems, as it does for
+    every other checker: it shows in the reported ``sigma`` and in the
+    label universes compared.
+    """
+    sig = frozenset(sigma)
+    if l2 is not l1 and l1.labels | sig != l2.labels | sig:
         raise LabelUniverseMismatch(
-            f"label universes differ: {sorted(l1.labels)} vs {sorted(l2.labels)}")
-    arena = Arena(l1, None if l2 is l1 else l2, allow_encoded=True)
+            f"label universes differ: {sorted(l1.labels | sig)} vs {sorted(l2.labels | sig)}")
+    arena = Arena(l1, None if l2 is l1 else l2, sig, allow_encoded=True)
     gq = arena.state2(q)
     block = [0] * arena.n
     iterations = 0
     while True:
         iterations += 1
         signatures = {}
-        nxt = []
-        for s in range(arena.n):
-            sig = (block[s], tuple(sorted(
-                (lab, tuple(sorted({block[d] for d in ds})))
-                for lab, ds in arena.out[s].items())))
-            nxt.append(signatures.setdefault(sig, len(signatures)))
+        nxt = [signatures.setdefault(
+                   (block[s], tuple(sorted({(lab, block[d]) for lab, ds in moves.items()
+                                            for d in ds}))),
+                   len(signatures))
+               for s, moves in enumerate(arena.out)]
         if nxt == block:
             break
         block = nxt
     equivalent = block[p] == block[gq]
-    lefts, rights = arena.reach(p), arena.reach(gq)
-    store = RelationStore(arena, "strong")
-    pairs = store.pairs
-    for i in lefts:
-        for j in rights:
-            if block[i] == block[j]:
-                pairs.add((i, j))
-                pairs.add((j, i))
-    store.iterations = iterations
-    store.checked = arena.n * iterations
-    refutation = []
+    checked = arena.n * iterations
     if not equivalent:
-        refutation = [{
+        return Verdict("strong", False, arena.sigma, iterations, checked, [{
             "lhs": arena.describe(p), "rhs": arena.describe(gq), "env": None,
             "clause": "strong", "detail": "states separated by partition refinement",
-        }]
-    return Verdict("strong", equivalent, arena.sigma, iterations,
-                   store.checked, refutation, store if equivalent else None)
+        }])
+    members: Dict[int, List[int]] = {}
+    for j in arena.reach(gq):
+        members.setdefault(block[j], []).append(j)
+    store = RelationStore(arena, "strong")
+    pairs = store.pairs
+    for i in arena.reach(p):
+        for j in members.get(block[i], ()):
+            pairs.add((i, j))
+            pairs.add((j, i))
+    store.iterations = iterations
+    store.checked = checked
+    return Verdict("strong", True, arena.sigma, iterations, checked, [], store)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,12 +1227,22 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
         return _revalidate_rows(witness, base, rooted)
     if definition_id != "strong":
         raise FragmentUnsupported(f"no revalidation for definition {definition_id!r}")
-    checker = _StrongChecker(witness.arena, witness)
-    pairs = witness.pairs
     if witness.has_triples:
         return False
-    return all((j, i) in pairs and checker.check_pair(i, j) is None
-               for i, j in sorted(pairs))
+    # symmetric, and every move of p is matched by a move of q under the
+    # same label into a pair: over the moves ``strong_bisim`` reads
+    pairs = witness.pairs
+    out = witness.arena.out
+    for p, q in pairs:
+        if (q, p) not in pairs:
+            return False
+        qmoves = out[q]
+        for lab, ds in out[p].items():
+            targets = qmoves.get(lab, ())
+            for d in ds:
+                if not any((d, t) in pairs for t in targets):
+                    return False
+    return True
 
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:

@@ -207,8 +207,7 @@ def _run_check(args, sigma) -> int:
     shared = l1.sigma | l2.sigma | sigma
     rel = args.rel
     if rel == "strong":
-        l1, l2 = l1.with_sigma(shared), l2.with_sigma(shared)
-        verdict = _bisim.strong_bisim(l1, l1.initial, l2, l2.initial)
+        verdict = _bisim.strong_bisim(l1, l1.initial, l2, l2.initial, sigma=shared)
     elif rel in ("brb", "brb-rooted"):
         verdict = _bisim.brb_check(l1, l1.initial, l2, l2.initial,
                                    rooted=rel.endswith("rooted"), sigma=shared)

@@ -76,8 +76,8 @@ class ExplorationLimits:
 
 class _StepCtx:
     """One exploration: the unfolding budget of the state being stepped, the
-    keys of the recursion calls being unfolded, and a memo that lives as
-    long as the context.
+    keys of the recursion calls being unfolded, and memos that live as long
+    as the context.
 
     ``moves`` maps the id of each subterm stepped so far to its moves, the
     number of unfoldings their derivation used, and the subterm itself
@@ -85,9 +85,12 @@ class _StepCtx:
     specification and variable, and ``unfolded`` the body each
     (specification, variable) unfolds to, re-tied to those calls; so the
     derivatives of a component are shared objects, and they hit ``moves``.
+    ``nodes`` holds every node the SOS rules build (see ``node``), so a
+    derivative reached from several states is one object, whose key and
+    moves are computed once.
     """
 
-    __slots__ = ("budget", "active", "moves", "calls", "unfolded")
+    __slots__ = ("budget", "active", "moves", "calls", "unfolded", "nodes")
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -95,6 +98,19 @@ class _StepCtx:
         self.moves = {}
         self.calls = {}
         self.unfolded = {}
+        self.nodes = {}
+
+    def node(self, cls, *fields) -> Term:
+        """The node ``cls(*fields)`` of this context, built once: looked up
+        by its class, its own fields by value and its subterms (the last
+        fields of every operator) by id.  The stored node keeps those ids
+        its own."""
+        own = len(fields) - len(cls._kids)
+        key = (cls, *fields[:own], *map(id, fields[own:]))
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*fields)
+        return got
 
     def unfold(self, call: RecCall) -> Term:
         sp = call.spec
@@ -152,31 +168,31 @@ def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term
         moves = []
         for lab, nxt in left:
             if lab not in term.sync:
-                moves.append((lab, Par(term.sync, nxt, term.right)))
+                moves.append((lab, ctx.node(Par, term.sync, nxt, term.right)))
         for lab, nxt in right:
             if lab not in term.sync:
-                moves.append((lab, Par(term.sync, term.left, nxt)))
+                moves.append((lab, ctx.node(Par, term.sync, term.left, nxt)))
         for lab, nl in left:
             if lab in term.sync:
                 for lab2, nr in right:
                     if lab2 == lab:
-                        moves.append((lab, Par(term.sync, nl, nr)))
+                        moves.append((lab, ctx.node(Par, term.sync, nl, nr)))
         moves = _dedup(moves)
     elif isinstance(term, Hide):
         moves = []
         for lab, nxt in _step(term.body, ctx):
             out = TAU if lab in term.hidden else lab
-            moves.append((out, Hide(term.hidden, nxt)))
+            moves.append((out, ctx.node(Hide, term.hidden, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, Rename):
         moves = []
         for lab, nxt in _step(term.body, ctx):
             if lab in (TAU, TIMEOUT):
-                moves.append((lab, Rename(term.pairs, nxt)))
+                moves.append((lab, ctx.node(Rename, term.pairs, nxt)))
             else:
                 for a, b in term.pairs:
                     if a == lab:
-                        moves.append((b, Rename(term.pairs, nxt)))
+                        moves.append((b, ctx.node(Rename, term.pairs, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, Theta):
         inner = _step(term.body, ctx)
@@ -184,7 +200,7 @@ def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term
         moves = []
         for lab, nxt in inner:
             if lab == TAU:
-                moves.append((TAU, Theta(term.low, term.high, nxt)))
+                moves.append((TAU, ctx.node(Theta, term.low, term.high, nxt)))
             if lab in term.high:
                 moves.append((lab, nxt))
             if idles:
@@ -198,7 +214,7 @@ def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term
             if lab != TIMEOUT:
                 moves.append((lab, nxt))
             elif idles:
-                moves.append((TIMEOUT, Theta(term.allowed, term.allowed, nxt)))
+                moves.append((TIMEOUT, ctx.node(Theta, term.allowed, term.allowed, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, RecCall):
         added = []
@@ -367,8 +383,9 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
     """Breadth-first closure of ``step`` with term-keyed state identity.
 
     The states share one step context: each subterm object's moves are
-    derived and each recursion call unfolded once per build, and nothing
-    is kept past it.  Each state's step gets the whole ``fuse``.
+    derived, each recursion call unfolded and each derived node built once
+    per build, and nothing is kept past it.  Each state's step gets the
+    whole ``fuse``.
     """
     limits = limits or ExplorationLimits()
     index: Dict[object, int] = {term.key(): 0}

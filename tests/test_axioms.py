@@ -105,6 +105,13 @@ def test_soundness_reports_failures_as_data():
     assert {"lhs", "rhs"} <= set(report["axioms"][0]["failures"][0])
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_nonpositive_samples_are_refused(samples):
+    # no sample would pass every schema vacuously
+    with pytest.raises(ValueError, match="samples must be positive"):
+        soundness_suite("Axr", samples=samples, axiom="sum-comm")
+
+
 def test_raa_examples():
     p = parse_term("tau.a.0 + t.b.0")
     q = parse_term("tau.a.0")

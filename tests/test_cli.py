@@ -182,6 +182,20 @@ def test_sigma_override(proc, capsys):
     assert main(["--sigma", "z1,z2", "check", "--rel", "brb", p, q]) == 0
 
 
+def test_check_strong_reports_the_shared_alphabet(proc, capsys):
+    # the systems' own label universes differ; --sigma and each other's
+    # actions widen both, and the verdict reports the union
+    left = proc("left.proc", "a.0")
+    same = proc("same.aut", 'des (0, 1, 2)\n(0,"a",1)\n')
+    other = proc("other.aut", 'des (0, 1, 2)\n(0,"b",1)\n')
+    for right, code in ((same, 0), (other, 1)):
+        assert main(["check", "--rel", "strong", "--sigma", "z", "--fmt", "json",
+                     left, right]) == code
+        data = json.loads(capsys.readouterr().out)
+        assert data["equivalent"] is (code == 0)
+        assert data["sigma"] == (["a", "z"] if code == 0 else ["a", "b", "z"])
+
+
 def test_sigma_before_the_subcommand_survives(proc, capsys):
     p = proc("p.proc", "a.0")
     assert main(["--sigma", "z1,z2", "lts", "--fmt", "json", p]) == 0

@@ -4,9 +4,11 @@ from ccspt import (ExplorationLimits, StateBudgetExceeded, TermTooDeep,
                    UnfoldingDiverged, ValidityError,
                    alphabet, build_lts, from_aut, initials, parse_term,
                    step, to_aut, weak_reach)
-from ccspt.semantics import (Lts, is_strongly_guarded, label_kind,
-                             stable_reachable, to_dot)
-from ccspt.terms import NIL, Choice, Node, Par, Prefix, RecCall, children
+from ccspt.semantics import (DEFAULT_UNFOLD_FUSE, Lts, _step, _StepCtx,
+                             is_strongly_guarded, label_kind, stable_reachable,
+                             to_dot)
+from ccspt.terms import (NIL, Choice, Hide, Node, Par, Prefix, Psi, RecCall, Rename,
+                         Theta, children)
 from conftest import lts_of
 
 
@@ -249,6 +251,55 @@ def test_build_matches_fresh_steps_on_interleaving():
     term = parse_term(" ||{} ".join(component(i) for i in range(4)))
     lts = assert_same_build(term)
     assert lts.num_states == 256
+
+
+# Each term reaches, over several states, the node one SOS rule builds for a
+# derivative: a synchronising Par, Hide, Rename, Theta under a tau move, and
+# the Theta that Psi wraps a time-out's target in.
+BUILT_NODES = {
+    Par: "<x|{x = a.b.x + c.a.x}> ||{a} <y|{y = a.c.y + b.a.y}> ||{} (d.0 + e.0)",
+    Hide: "hide{a}(<x|{x = a.b.x + b.a.0}>) ||{} (c.0 + d.0)",
+    Rename: "rename{a->b,a->c}(<x|{x = a.tau.x + t.a.0}>) ||{} d.0",
+    Theta: "theta{a}{a,b}(<x|{x = tau.(b.x + tau.a.0) + c.0}>) ||{} d.0",
+    Psi: "psi{b}(<x|{x = t.(a.x + t.b.0) + c.0}>) ||{} d.0",
+}
+
+
+@pytest.mark.parametrize("built", list(BUILT_NODES), ids=lambda cls: cls.__name__)
+def test_shared_derivatives_match_fresh_steps(built, monkeypatch):
+    seen = []
+    original = _StepCtx.node
+
+    def node(ctx, cls, *fields):
+        seen.append(cls)
+        return original(ctx, cls, *fields)
+
+    monkeypatch.setattr(_StepCtx, "node", node)
+    lts = assert_same_build(parse_term(BUILT_NODES[built]))
+    assert lts.num_states > 4
+    assert (Theta if built is Psi else built) in seen
+
+
+def test_states_share_their_unchanged_components():
+    # states that differ in their last component alone hold one object for
+    # the rest (the parser nests to the left)
+    term = parse_term("a.b.c.0 ||{} d.e.f.0 ||{} g.h.i.0 ||{} j.k.0")
+    lts = build_lts(term)
+    groups = {}
+    for tag in lts.tags:
+        groups.setdefault(tag.left.key(), []).append(tag)
+    derived = [g for g in groups.values() if g[0].left is not term.left]
+    assert len(derived) == 4 * 4 * 4 - 1
+    assert all(len(g) == 3 and t.left is g[0].left for g in derived for t in g)
+    # a.0 ||{} b.0 reaches 0 ||{} 0 by two routes: one context builds that
+    # derivative once, another context builds its own
+    ctx = _StepCtx(DEFAULT_UNFOLD_FUSE)
+    (_, after_a), (_, after_b) = _step(parse_term("a.0 ||{} b.0"), ctx)
+    [(_, done)] = _step(after_a, ctx)
+    [(_, same)] = _step(after_b, ctx)
+    [(_, fresh)] = _step(after_a, _StepCtx(DEFAULT_UNFOLD_FUSE))
+    assert same is done
+    assert fresh is not done and fresh == done
 
 
 CHAIN = "<x0|{%s; x9 = a.x0 + b.x5}>" % "; ".join(
