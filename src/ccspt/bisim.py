@@ -292,10 +292,11 @@ class RelationStore:
     deleted it; ``fail`` maps an entry whose own clause failed to the clause
     and its detail.  The row engine logs its deletions in ``row_kills`` as
     (round, row key, [(mask of q, why), ...]), where the row key is (p,) or
-    (p, x); they enter ``rank`` and ``fail`` on first read, repeated over
-    the declared masks of x, in the order a per-entry deletion in sorted
-    order over declared masks would have entered them.  ``index()`` gives
-    the same records for effective masks alone.
+    (p, x), one line per killed row.  ``lookup`` reads one entry's rank and
+    why off that log, indexed by row key on first use.  ``rank`` and
+    ``fail`` are built only when read: the log enters them then, repeated
+    over the declared masks of x, in the order a per-entry deletion in
+    sorted order over declared masks would have entered them.
     """
 
     def __init__(self, arena: Arena, relation: str,
@@ -310,7 +311,7 @@ class RelationStore:
         self._triples: Optional[Set[Tuple[int, int, int]]] = set() if trows is None else None
         self._rank: Dict[tuple, int] = {}
         self._fail: Dict[tuple, tuple] = {}
-        self._effective: Optional[Tuple[dict, dict]] = None
+        self._log: Optional[Dict[tuple, list]] = None
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.plain: Optional["RelationStore"] = None
 
@@ -383,29 +384,24 @@ class RelationStore:
             kills = _declared_kills(kills, self.arena)
         _enter(self._rank, self._fail, kills)
 
-    def index(self) -> Tuple[Dict[tuple, int], Dict[tuple, tuple]]:
-        """(rank, fail) for the entries whose mask is effective: the same
-        records, without repeating a kill over the masks of its class."""
-        if self._effective is None:
-            if self.arena.class_size == 1 or not self.row_kills:
-                return self.rank, self.fail
-            self._effective = ({}, {})
-            _enter(*self._effective, self.row_kills)
-        return self._effective
-
-    def failure(self, entry) -> Optional[tuple]:
-        """``fail.get(entry)``, read off the row log without entering it."""
-        why = self._fail.get(entry)
-        if why is None and self.row_kills:
-            key, q = entry[:-1], entry[-1]
-            if len(key) == 2:
-                key = (key[0], key[1] & self.arena.vmask)
-            for _, k, fails in self.row_kills:
-                if k == key:
-                    for mask, w in fails:
-                        if mask >> q & 1:
-                            return w
-        return why
+    def lookup(self, entry) -> Tuple[Optional[int], Optional[tuple]]:
+        """(``rank.get(entry)``, ``fail.get(entry)``), read off the row log
+        without entering it: the round of the row of p, or else of q, whose
+        logged masks hold the partner, and the why of p's mask."""
+        if not self.row_kills:   # entered already, or filled entry by entry
+            return self._rank.get(entry), self._fail.get(entry)
+        if self._log is None:
+            self._log = {}
+            for rnd, key, fails in self.row_kills:
+                self._log.setdefault(key, []).append((rnd, fails))
+        p, q = entry[0], entry[-1]
+        env = (entry[1] & self.arena.vmask,) if len(entry) == 3 else ()
+        for row, partner in ((p, q), (q, p)):
+            for rnd, fails in self._log.get((row,) + env, ()):
+                for mask, why in fails:
+                    if mask >> partner & 1:
+                        return rnd, why if row == p else None
+        return None, None
 
     def has_pair(self, i, j) -> bool:
         if self.rows is not None:
@@ -488,7 +484,7 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
     arena = store.arena
     out = []
     for entry in entries:
-        why = store.failure(entry)
+        why = store.lookup(entry)[1]
         if why is None:
             continue
         if len(entry) == 2:
@@ -916,9 +912,12 @@ class RowEngine:
         As in a per-entry deletion in sorted order, every row is judged
         against the rows the round started with before any entry dies, pair
         rows first and then triple rows in (p, x) order, so the rounds, and
-        the ranks and refutation records entered from ``store.row_kills``,
-        come out the same.  A state's rows are judged again only when a row
-        it reads has changed: its own, a successor's or, for ``tob``, that of
+        the ranks and refutation records read off ``store.row_kills``, come
+        out the same.  A round then leaves S & ~D & ~D^T, whatever the order:
+        each bad row drops its own dead partners D[p], and the rows sharing
+        one line and one dead mask are cleared from each of those partners'
+        rows at once.  A state's rows are judged again only when a row it
+        reads has changed: its own, a successor's or, for ``tob``, that of
         a t-successor's wrapper.  A triple row counts once per declared mask
         of its class in the entries checked.
         """
@@ -949,25 +948,25 @@ class RowEngine:
             if not bad:
                 return iterations, checked
             changed = 0
+            groups = {}   # (env, dead mask) -> [line, rows killing it]
             for key, line, fails in bad:
                 store.row_kills.append((iterations, key, fails))
-                p = key[0]
-                w = 1 if len(key) == 1 else weight
+                p, env = key[0], key[1:]
                 dead = 0
                 for mask, _ in fails:
                     dead |= mask
                 gone = line[p] & dead
                 line[p] ^= gone
-                alive -= w * gone.bit_count()
-                bit = 1 << p
-                changed |= dead | bit
-                while dead:
-                    low = dead & -dead
-                    q = low.bit_length() - 1
-                    if line[q] & bit:
-                        line[q] ^= bit
-                        alive -= w
-                    dead ^= low
+                alive -= (weight if env else 1) * gone.bit_count()
+                changed |= dead | 1 << p
+                groups.setdefault((env, dead), [line, 0])[1] |= 1 << p
+            for (env, dead), (line, ps) in groups.items():
+                w = weight if env else 1
+                for q in _bits(dead):
+                    gone = line[q] & ps
+                    if gone:
+                        line[q] ^= gone
+                        alive -= w * gone.bit_count()
 
     def holds(self, rows, trows, pair, triple=None) -> bool:
         """True iff no entry of the rows fails (one pass, nothing killed)."""

@@ -36,7 +36,9 @@ def _read(path: str) -> str:
 def _load_system(path: str, sigma, max_states, open_terms=False):
     text = _read(path)
     if text.lstrip().startswith("des"):
-        return from_aut(text).with_sigma(sigma), None
+        lts = from_aut(text)
+        # a second Lts only when sigma declares actions the file does not
+        return (lts if lts.sigma >= sigma else lts.with_sigma(sigma)), None
     src = parse_source(text, open_terms=open_terms)
     sig = frozenset(sigma) | src.alphabet | alphabet(src.root)
     lts = build_lts(src.root, ExplorationLimits(max_states=max_states), sigma=sig)

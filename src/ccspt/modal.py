@@ -359,14 +359,12 @@ class _Builder:
     def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore"):
         self.a = arena
         self.st = store
-        # masks here are effective: a query's mask is X & V, and every other
-        # mask comes from a refutation record
-        self.rank, self.fail = store.index()
         self.memo: Dict[tuple, Formula] = {}
         self._ttreach: Dict[int, Tuple[int, ...]] = {}
 
     def _dead_before(self, entry, k) -> bool:
-        return self.rank.get(entry, 1 << 60) < k
+        rank = self.st.lookup(entry)[0]
+        return rank is not None and rank < k
 
     def ttreach(self, q) -> Tuple[int, ...]:
         got = self._ttreach.get(q)
@@ -387,11 +385,11 @@ class _Builder:
         key = ("p", p, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.fail.get((p, q))
+            rank, why = self.st.lookup((p, q))
             if why is None:
                 got = Not(self.pair(q, p))
             else:
-                got = self._pair_formula(p, q, why, self.rank[(p, q)])
+                got = self._pair_formula(p, q, why, rank)
             self.memo[key] = got
         return got
 
@@ -399,11 +397,11 @@ class _Builder:
         key = ("t", p, x, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.fail.get((p, x, q))
+            rank, why = self.st.lookup((p, x, q))
             if why is None:
                 got = Not(self.triple(q, x, p))
             else:
-                got = self._triple_formula(p, x, q, why, self.rank[(p, x, q)])
+                got = self._triple_formula(p, x, q, why, rank)
             self.memo[key] = got
         return got
 
@@ -476,7 +474,7 @@ class _RootedBuilder:
 
     def __init__(self, arena, rooted_store, plain_builder):
         self.a = arena
-        self.fail = rooted_store.index()[1]
+        self.st = rooted_store
         self.plain = plain_builder
         self.memo: Dict[tuple, Formula] = {}
 
@@ -484,7 +482,7 @@ class _RootedBuilder:
         key = ("p", p, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.fail.get((p, q))
+            why = self.st.lookup((p, q))[1]
             if why is None:
                 got = Not(self.pair(q, p))
             else:
@@ -496,7 +494,7 @@ class _RootedBuilder:
         key = ("t", p, x, q)
         got = self.memo.get(key)
         if got is None:
-            why = self.fail.get((p, x, q))
+            why = self.st.lookup((p, x, q))[1]
             if why is None:
                 got = Not(self.triple(q, x, p))
             else:

@@ -59,9 +59,14 @@ class Node:
     hashing go through ``key()``, which each family computes in its
     ``_make_key`` and which is cached on the node.  A node only ever equals
     a node of its own family.
+
+    Caches live on the instance and are read as attributes, over these
+    class-level defaults: reading ``__dict__`` would materialise it, and
+    CPython then reads the node's fields more slowly.
     """
 
     __slots__ = ()
+    _key = _hash = _fv = _alpha = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -69,7 +74,7 @@ class Node:
             cls._family = cls
 
     def key(self):
-        k = self.__dict__.get("_key")
+        k = self._key
         if k is None:
             k = self._make_key()
             object.__setattr__(self, "_key", k)
@@ -87,7 +92,7 @@ class Node:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash(self.key())
             object.__setattr__(self, "_hash", h)
@@ -205,6 +210,7 @@ class RecSpec:
     """A set of recursive equations ``x = body`` binding the variables on the left."""
 
     equations: Tuple[Tuple[str, Term], ...]
+    _ckey = _orders = None   # caches, set on the instance
 
     def __post_init__(self):
         seen = set()
@@ -235,7 +241,7 @@ class RecSpec:
         return self._cmp_key() == other._cmp_key()
 
     def _cmp_key(self):
-        k = self.__dict__.get("_ckey")
+        k = self._ckey
         if k is None:
             first = self.equations[0][0] if self.equations else None
             k = _spec_key(self, first, (), frozenset()) if first else ("spec",)
@@ -280,7 +286,7 @@ def _spec_order(sp: RecSpec, entry: str) -> Tuple[str, ...]:
     first over equations; unreferenced equations follow sorted by name.
     Computed once per specification and entry.
     """
-    orders = sp.__dict__.get("_orders")
+    orders = sp._orders
     if orders is None:
         orders = {}
         object.__setattr__(sp, "_orders", orders)
@@ -342,7 +348,7 @@ def _canon(term: Term, env, env_names):
     becomes (distance-to-binder, index-within-binder).
     """
     if not (env_names and free_vars(term) & env_names):
-        cached = term.__dict__.get("_key")
+        cached = term._key
         if cached is not None:
             return cached
         key = _canon_raw(term, (), frozenset())
@@ -391,7 +397,7 @@ def _canon_raw(term: Term, env, env_names):
 
 def free_vars(term: Term) -> frozenset:
     """Variables with at least one free occurrence."""
-    cached = term.__dict__.get("_fv")
+    cached = term._fv
     if cached is not None:
         return cached
     if isinstance(term, Var):
@@ -445,7 +451,7 @@ _OWN_ACTIONS = {
 
 def alphabet(term: Term) -> frozenset:
     """Union of all visible action names occurring syntactically."""
-    cached = term.__dict__.get("_alpha")
+    cached = term._alpha
     if cached is not None:
         return cached
     if isinstance(term, RecCall):

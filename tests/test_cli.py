@@ -218,3 +218,25 @@ def test_seed_env_fallback(proc, capsys, monkeypatch):
                  "sum-unit", "--samples", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["seed"] == 9
+
+
+def test_check_reads_each_aut_system_once(proc, capsys, monkeypatch):
+    # widening a system's alphabet builds a second Lts; a --sigma a file
+    # already declares needs none (here only the right file lacks a)
+    from ccspt.semantics import Lts
+    built = []
+    real = Lts.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lts, "__init__", counted)
+    left = proc("left.aut", 'des (0, 2, 2)\n(0,"a",1)\n(1,"t",0)\n')
+    right = proc("right.aut", 'des (0, 2, 2)\n(0,"b",1)\n(1,"t",0)\n')
+    for sigma, lts_count, shared in (([], 2, ["a", "b"]), (["--sigma", "a"], 3, ["a", "b"]),
+                                     (["--sigma", "a,z"], 4, ["a", "b", "z"])):
+        built.clear()
+        assert main(["check", "--rel", "strong", "--fmt", "json", *sigma, left, right]) == 1
+        assert len(built) == lts_count
+        assert json.loads(capsys.readouterr().out)["sigma"] == shared
