@@ -82,9 +82,14 @@ def _xyz(env, rng, names=("x", "y", "z")):
 _SCHEMAS: List[AxiomSchema] = []
 
 
-def _schema(name, statement, sort, build, side=lambda b: True, sample=None):
-    _SCHEMAS.append(AxiomSchema(name, statement, sort, build, side,
-                                sample or (lambda env, rng: _xyz(env, rng))))
+def _schema(name, statement, sort, build, side=None, sample=_xyz):
+    """Register a schema.  With a side condition, the sampler draws again
+    until the condition holds (``_pick``)."""
+    schema = AxiomSchema(name, statement, sort, build, sample=sample)
+    if side is not None:
+        schema.side_condition = side
+        schema.sample = lambda env, rng: _pick(sample(env, rng), side, env, sample)
+    _SCHEMAS.append(schema)
 
 
 _schema("sum-assoc", "x + (y + z) = (x + y) + z", "both",
@@ -121,9 +126,7 @@ _schema("hide-prefix-free", "hide_I(alpha.x) = alpha.hide_I(x) if alpha not in I
         lambda b: (Hide(b["I"], Prefix(b["alpha"], b["x"])),
                    Prefix(b["alpha"], Hide(b["I"], b["x"]))),
         side=lambda b: b["alpha"] not in b["I"],
-        sample=lambda env, rng: _pick(_sample_hide(env, rng),
-                                      lambda b: b["alpha"] not in b["I"],
-                                      env, _sample_hide))
+        sample=_sample_hide)
 
 _schema("hide-prefix-hidden", "hide_I(a.x) = tau.hide_I(x) if a in I", "both",
         lambda b: (Hide(b["I"], Prefix(b["alpha"], b["x"])),
@@ -276,10 +279,7 @@ _schema("theta-stuck",
         lambda b: (Theta(b["L"], b["U"], choice(*[Prefix(a, t) for a, t in b["moves"]])),
                    choice(*[Prefix(a, t) for a, t in b["moves"]])),
         side=lambda b: all(a not in b["L"] and a != TAU for a, _ in b["moves"]),
-        sample=lambda env, rng: _pick(_theta_heads(env, rng),
-                                      lambda b: all(a not in b["L"] and a != TAU
-                                                    for a, _ in b["moves"]),
-                                      env, _theta_heads))
+        sample=_theta_heads)
 
 _schema("theta-prune",
         "theta_L^U(x + alpha.y + beta.z) = theta_L^U(x + alpha.y) "
@@ -291,11 +291,7 @@ _schema("theta-prune",
                          Choice(b["x"], Prefix(b["alpha"], b["y"])))),
         side=lambda b: ((b["alpha"] in b["L"] or b["alpha"] == TAU)
                         and b["beta"] not in b["U"] and b["beta"] != TAU),
-        sample=lambda env, rng: _pick(_sample_theta(env, rng),
-                                      lambda b: ((b["alpha"] in b["L"] or b["alpha"] == TAU)
-                                                 and b["beta"] not in b["U"]
-                                                 and b["beta"] != TAU),
-                                      env, _sample_theta))
+        sample=_sample_theta)
 
 _schema("theta-split",
         "theta_L^U(x + alpha.y + beta.z) = theta_L^U(x + alpha.y) + theta_L^U(beta.z) "
@@ -308,18 +304,13 @@ _schema("theta-split",
                           Theta(b["L"], b["U"], Prefix(b["beta"], b["z"])))),
         side=lambda b: ((b["alpha"] in b["L"] or b["alpha"] == TAU)
                         and (b["beta"] in b["U"] or b["beta"] == TAU)),
-        sample=lambda env, rng: _pick(_sample_theta(env, rng),
-                                      lambda b: ((b["alpha"] in b["L"] or b["alpha"] == TAU)
-                                                 and (b["beta"] in b["U"] or b["beta"] == TAU)),
-                                      env, _sample_theta))
+        sample=_sample_theta)
 
 _schema("theta-prefix", "theta_L^U(alpha.x) = alpha.x if alpha is not tau", "both",
         lambda b: (Theta(b["L"], b["U"], Prefix(b["alpha"], b["x"])),
                    Prefix(b["alpha"], b["x"])),
         side=lambda b: b["alpha"] != TAU,
-        sample=lambda env, rng: _pick(_sample_theta(env, rng),
-                                      lambda b: b["alpha"] != TAU,
-                                      env, _sample_theta))
+        sample=_sample_theta)
 
 _schema("theta-tau", "theta_L^U(tau.x) = tau.theta_L^U(x)", "both",
         lambda b: (Theta(b["L"], b["U"], Prefix(TAU, b["x"])),
@@ -339,10 +330,7 @@ _schema("psi-foreign",
                    Choice(Psi(b["X"], b["x"]), Prefix(b["alpha"], b["y"]))),
         side=lambda b: (b["alpha"] not in b["X"]
                         and b["alpha"] not in (TAU, TIMEOUT)),
-        sample=lambda env, rng: _pick(_sample_psi(env, rng),
-                                      lambda b: (b["alpha"] not in b["X"]
-                                                 and b["alpha"] not in (TAU, TIMEOUT)),
-                                      env, _sample_psi))
+        sample=_sample_psi)
 
 _schema("psi-prune",
         "psi_X(x + alpha.y + t.z) = psi_X(x + alpha.y) if alpha in X+tau", "both",
@@ -350,9 +338,7 @@ _schema("psi-prune",
                                       Prefix(TIMEOUT, b["z"]))),
                    Psi(b["X"], Choice(b["x"], Prefix(b["alpha"], b["y"])))),
         side=lambda b: b["alpha"] in b["X"] or b["alpha"] == TAU,
-        sample=lambda env, rng: _pick(_sample_psi(env, rng),
-                                      lambda b: b["alpha"] in b["X"] or b["alpha"] == TAU,
-                                      env, _sample_psi))
+        sample=_sample_psi)
 
 _schema("psi-split",
         "psi_X(x + alpha.y + beta.z) = psi_X(x + alpha.y) + beta.z "
@@ -363,18 +349,13 @@ _schema("psi-split",
                           Prefix(b["beta"], b["z"]))),
         side=lambda b: ((b["alpha"] in b["X"] or b["alpha"] == TAU)
                         and (b["beta"] in b["X"] or b["beta"] == TAU)),
-        sample=lambda env, rng: _pick(_sample_psi(env, rng),
-                                      lambda b: ((b["alpha"] in b["X"] or b["alpha"] == TAU)
-                                                 and (b["beta"] in b["X"] or b["beta"] == TAU)),
-                                      env, _sample_psi))
+        sample=_sample_psi)
 
 _schema("psi-prefix", "psi_X(alpha.x) = alpha.x if alpha is not t", "both",
         lambda b: (Psi(b["X"], Prefix(b["alpha"], b["x"])),
                    Prefix(b["alpha"], b["x"])),
         side=lambda b: b["alpha"] != TIMEOUT,
-        sample=lambda env, rng: _pick(_sample_psi(env, rng),
-                                      lambda b: b["alpha"] != TIMEOUT,
-                                      env, _sample_psi))
+        sample=_sample_psi)
 
 # printed with psi_X on the right in the source table; the theta form is what
 # the operational rules produce, and the harness is the arbiter

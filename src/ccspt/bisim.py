@@ -188,13 +188,14 @@ class ThetaArena(Arena):
     masks alone, and a tag names X & V.  When ``s`` cannot move within X or
     by tau, the wrapper is transparent (its transitions coincide with those
     of ``s``), so it is normalised to ``s`` itself; only non-transparent
-    wrappers become fresh states.  Nesting past ``theta_depth`` is
-    unresolved: ``wrap`` returns None, the time-out clauses that need the
-    wrapper fail (sound: they can only under-match, which the
-    cross-characterisation agreement suite would expose), and ``unresolved``
-    counts those ``wrap`` calls.  The row engine's inverse lookups, from
-    wrappers back to the states they wrap, read ``wrapped`` directly and
-    count nothing.
+    wrappers become fresh states.  Wrappers nested past ``theta_depth`` are
+    not built: ``wrap`` returns None for them, and the row engine's inverse
+    lookups, from wrappers back to the states they wrap, read ``wrapped``
+    and so leave out a state whose wrapper is missing.  The time-out clauses
+    that need such a wrapper fail, so the relation can only under-match,
+    and nothing counts it.  Depth 1 does under-match on wrapper entries: on
+    the criterion-3 pairs, depths 2 and 3 change some refutation records of
+    non-rooted queries under an environment, though no verdict.
 
     Before each level of wrappers is built, the states it can add are
     counted against the pair budget.
@@ -202,11 +203,8 @@ class ThetaArena(Arena):
 
     def __init__(self, l1, l2=None, sigma=(), theta_depth: int = 1):
         super().__init__(l1, l2, sigma)
-        self.theta_depth = theta_depth
-        self.depth = [0] * self.n
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
-        self.unresolved = 0
         frontier = list(range(self.n))
         for _ in range(theta_depth):
             masks = len(self.xmasks)
@@ -248,7 +246,6 @@ class ThetaArena(Arena):
             self.wrap_key[w] = key
             self.tags.append(f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})")
             self.out.append({})
-            self.depth.append(self.depth[s] + 1)
         return w
 
     def wrap(self, x: int, s: int) -> Optional[int]:
@@ -256,10 +253,7 @@ class ThetaArena(Arena):
         x &= self.vmask
         if self.idle(s, x):
             return s
-        w = self.wrapped.get((x, s))
-        if w is None:
-            self.unresolved += 1
-        return w
+        return self.wrapped.get((x, s))
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         """The base states ``root`` reaches (a base state steps only to base

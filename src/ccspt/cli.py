@@ -33,16 +33,15 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_system(path: str, sigma, max_states, open_terms=False):
+def _load_system(path: str, sigma, max_states):
     text = _read(path)
     if text.lstrip().startswith("des"):
         lts = from_aut(text)
         # a second Lts only when sigma declares actions the file does not
-        return (lts if lts.sigma >= sigma else lts.with_sigma(sigma)), None
-    src = parse_source(text, open_terms=open_terms)
+        return lts if lts.sigma >= sigma else lts.with_sigma(sigma)
+    src = parse_source(text)
     sig = frozenset(sigma) | src.alphabet | alphabet(src.root)
-    lts = build_lts(src.root, ExplorationLimits(max_states=max_states), sigma=sig)
-    return lts, src.root
+    return build_lts(src.root, ExplorationLimits(max_states=max_states), sigma=sig)
 
 
 def _split_sigma(text):
@@ -154,7 +153,7 @@ def _dispatch(args, sigma) -> int:
         return 0
 
     if args.command == "lts":
-        lts, _ = _load_system(args.file, sigma, args.max_states)
+        lts = _load_system(args.file, sigma, args.max_states)
         if args.fmt == "aut":
             sys.stdout.write(to_aut(lts))
         elif args.fmt == "dot":
@@ -172,7 +171,7 @@ def _dispatch(args, sigma) -> int:
         return 0
 
     if args.command == "encode":
-        lts, _ = _load_system(args.file, sigma, args.max_states)
+        lts = _load_system(args.file, sigma, args.max_states)
         enc = _encode_lts(lts, rooted=args.rooted, max_states=args.max_states)
         if args.fmt == "aut":
             sys.stdout.write(to_aut(enc))
@@ -204,8 +203,8 @@ def _dispatch(args, sigma) -> int:
 
 
 def _run_check(args, sigma) -> int:
-    l1, _ = _load_system(args.left, sigma, args.max_states)
-    l2, _ = _load_system(args.right, sigma, args.max_states)
+    l1 = _load_system(args.left, sigma, args.max_states)
+    l2 = _load_system(args.right, sigma, args.max_states)
     shared = l1.sigma | l2.sigma | sigma
     rel = args.rel
     if rel == "strong":
@@ -245,7 +244,7 @@ def _run_check(args, sigma) -> int:
 
 def _run_modal(args, sigma) -> int:
     if args.modal_command == "eval":
-        lts, _ = _load_system(args.file, sigma, args.max_states)
+        lts = _load_system(args.file, sigma, args.max_states)
         formula = parse_formula(args.formula)
         if args.env is None:
             holds = _modal.sat(lts, lts.initial, formula)
@@ -256,8 +255,8 @@ def _run_modal(args, sigma) -> int:
         print(json.dumps({"holds": holds, "env": env}))
         return 0 if holds else 1
     # distinguish
-    l1, _ = _load_system(args.left, sigma, args.max_states)
-    l2, _ = _load_system(args.right, sigma, args.max_states)
+    l1 = _load_system(args.left, sigma, args.max_states)
+    l2 = _load_system(args.right, sigma, args.max_states)
     shared = l1.sigma | l2.sigma | sigma
     env = None if args.env is None else _split_sigma(args.env)
     formula = _modal.distinguish(l1, l1.initial, l2, l2.initial,

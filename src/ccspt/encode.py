@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import StateBudgetExceeded
 from .semantics import (DEFAULT_MAX_STATES, T_EPS, TAU, TIMEOUT, Lts,
-                        eps_label, label_kind, t_label)
+                        eps_label, t_label)
 
 TRIGGERED = "trig"
 TRIGGERED_ROOTED = "trig_r"

@@ -10,6 +10,13 @@ or under a set Y of currently allowed visible actions.  The two branching
 fragments are ``Lb`` (weak observations built from stuttering steps,
 environment-indexed time-out paths, and stability) and ``Lbr`` (a strong
 first observation whose continuation lives in ``Lb``).
+
+``distinguish`` builds a formula of either fragment from the rounds in
+which the ``gbrb`` fixpoint (for ``Lbr`` also its rooted layer) killed
+entries: each failing clause maps to one modality over the formulas of
+entries killed earlier, and an entry that died only because its mirror did
+gets the negation of the mirror's formula.  One builder serves pairs and
+triples, plain and rooted clauses.
 """
 
 from __future__ import annotations
@@ -351,20 +358,25 @@ def enumerate_fragment(sigma: Iterable[str], max_size: int,
 class _Builder:
     """Extracts distinguishing formulas from the refutation ranks of a fixpoint.
 
-    An entry deleted at round k failed its clause against the relation that
-    survived round k-1, so the formula for it only needs formulas of entries
-    that died strictly earlier; the recursion is well-founded on ranks.
+    An entry is a pair (p, q) or a triple (p, x, q).  An entry deleted at
+    round k failed its clause against the relation that survived round k-1,
+    so the formula for it only needs formulas of entries that died strictly
+    earlier; the recursion is well-founded on ranks.  An entry that died only
+    by symmetry gets the negation of its mirror's formula.
+
+    A rooted store's builder holds the builder of the plain store as
+    ``plain``: a rooted clause (r1a-r2c) makes one strong first step and
+    continues with plain formulas.  Plain and rooted clause names never
+    overlap, so one dispatch serves both.
     """
 
-    def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore"):
+    def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore",
+                 plain: Optional["_Builder"] = None):
         self.a = arena
         self.st = store
+        self.plain = plain
         self.memo: Dict[tuple, Formula] = {}
         self._ttreach: Dict[int, Tuple[int, ...]] = {}
-
-    def _dead_before(self, entry, k) -> bool:
-        rank = self.st.lookup(entry)[0]
-        return rank is not None and rank < k
 
     def ttreach(self, q) -> Tuple[int, ...]:
         got = self._ttreach.get(q)
@@ -382,147 +394,61 @@ class _Builder:
         return got
 
     def pair(self, p, q) -> Formula:
-        key = ("p", p, q)
-        got = self.memo.get(key)
-        if got is None:
-            rank, why = self.st.lookup((p, q))
-            if why is None:
-                got = Not(self.pair(q, p))
-            else:
-                got = self._pair_formula(p, q, why, rank)
-            self.memo[key] = got
-        return got
+        return self.entry((p, q))
 
     def triple(self, p, x, q) -> Formula:
-        key = ("t", p, x, q)
-        got = self.memo.get(key)
+        return self.entry((p, x, q))
+
+    def entry(self, e: tuple) -> Formula:
+        got = self.memo.get(e)
         if got is None:
-            rank, why = self.st.lookup((p, x, q))
-            if why is None:
-                got = Not(self.triple(q, x, p))
-            else:
-                got = self._triple_formula(p, x, q, why, rank)
-            self.memo[key] = got
+            rank, why = self.st.lookup(e)
+            got = (Not(self.entry(e[::-1])) if why is None
+                   else self._formula(e, why, rank))
+            self.memo[e] = got
         return got
 
-    def _pair_formula(self, p, q, why, k) -> Formula:
+    def _dead(self, entries, k=None) -> Formula:
+        """The conjunction of the formulas of those entries that died before
+        round k (in any round when k is None)."""
+        parts = []
+        for e in entries:
+            rank = self.st.lookup(e)[0]
+            if rank is not None and (k is None or rank < k):
+                parts.append(self.entry(e))
+        return conj(parts)
+
+    def _formula(self, e, why, k) -> Formula:
         a = self.a
         clause, info = why
-        if clause == "1a":
-            lab, p2 = info["action"], info["derivative"]
-            left = conj(self.pair(p, q1) for q1 in a.weak[q]
-                        if self._dead_before((p, q1), k))
-            rights = []
-            for q1 in a.weak[q]:
-                targets = a.out[q1].get(lab, ())
-                if lab == TAU:
-                    targets = targets + (q1,)
-                for q2 in targets:
-                    if self._dead_before((p2, q2), k):
-                        rights.append(self.pair(p2, q2))
-            return EpsStep(left, lab, conj(rights))
-        if clause == "1b":
-            x, p2 = info["env"], info["derivative"]
+        p, env, q = e[0], e[1:-1], e[-1]
+        p2 = info.get("derivative")
+        if clause in ("1a", "2a", "2b"):
+            # 2a is a tau step that stays under x; 1a and 2b land in the
+            # pairs.  A tau step may be matched by staying put.
+            lab = info.get("action", TAU)
+            cont = env if clause == "2a" else ()
+            left = self._dead([(p,) + env + (q1,) for q1 in a.weak[q]], k)
+            right = self._dead([(p2,) + cont + (q2,) for q1 in a.weak[q]
+                                for q2 in a.out[q1].get(lab, ()) + (q1,) * (lab == TAU)], k)
+            return EpsStep(left, lab, right)
+        if clause in ("1b", "2c"):
+            x = info["env"]
             dom = self.ttreach(q)
-            left = conj(self.triple(p, x, u) for u in dom
-                        if self._dead_before((p, x, u), k))
-            right = conj(self.triple(p2, x, u) for u in dom
-                         if self._dead_before((p2, x, u), k))
-            return EpsX(left, frozenset(a.mask_names(x)), right)
-        if clause == "1c":
+            return EpsX(self._dead([(p, x, u) for u in dom], k),
+                        frozenset(a.mask_names(x)),
+                        self._dead([(p2, x, u) for u in dom], k))
+        if clause in ("1c", "2d-stable"):
             return Stable()
-        raise FragmentUnsupported(f"no construction for clause {clause}")
-
-    def _triple_formula(self, p, x, q, why, k) -> Formula:
-        a = self.a
-        clause, info = why
-        if clause == "2a":
-            p2 = info["derivative"]
-            left = conj(self.triple(p, x, q1) for q1 in a.weak[q]
-                        if self._dead_before((p, x, q1), k))
-            rights = []
-            for q1 in a.weak[q]:
-                for q2 in a.tau_succ[q1] + (q1,):
-                    if self._dead_before((p2, x, q2), k):
-                        rights.append(self.triple(p2, x, q2))
-            return EpsStep(left, TAU, conj(rights))
-        if clause == "2b":
-            lab, p2 = info["action"], info["derivative"]
-            left = conj(self.triple(p, x, q1) for q1 in a.weak[q]
-                        if self._dead_before((p, x, q1), k))
-            rights = []
-            for q1 in a.weak[q]:
-                for q2 in a.out[q1].get(lab, ()):
-                    if self._dead_before((p2, q2), k):
-                        rights.append(self.pair(p2, q2))
-            return EpsStep(left, lab, conj(rights))
-        if clause == "2c":
-            y, p2 = info["env"], info["derivative"]
-            dom = self.ttreach(q)
-            left = conj(self.triple(p, y, u) for u in dom
-                        if self._dead_before((p, y, u), k))
-            right = conj(self.triple(p2, y, u) for u in dom
-                         if self._dead_before((p2, y, u), k))
-            return EpsX(left, frozenset(a.mask_names(y)), right)
-        if clause == "2d-stable":
-            return Stable()
-        raise FragmentUnsupported(f"no construction for clause {clause}")
-
-
-class _RootedBuilder:
-    """Strong-first-step distinguishers over plain continuations."""
-
-    def __init__(self, arena, rooted_store, plain_builder):
-        self.a = arena
-        self.st = rooted_store
-        self.plain = plain_builder
-        self.memo: Dict[tuple, Formula] = {}
-
-    def pair(self, p, q) -> Formula:
-        key = ("p", p, q)
-        got = self.memo.get(key)
-        if got is None:
-            why = self.st.lookup((p, q))[1]
-            if why is None:
-                got = Not(self.pair(q, p))
-            else:
-                got = self._formula(p, q, why, env=None)
-            self.memo[key] = got
-        return got
-
-    def triple(self, p, x, q) -> Formula:
-        key = ("t", p, x, q)
-        got = self.memo.get(key)
-        if got is None:
-            why = self.st.lookup((p, x, q))[1]
-            if why is None:
-                got = Not(self.triple(q, x, p))
-            else:
-                got = self._formula(p, q, why, env=x)
-            self.memo[key] = got
-        return got
-
-    def _formula(self, p, q, why, env) -> Formula:
-        a, plain = self.a, self.plain
-        clause, info = why
         if clause in ("r1a", "r2b"):
-            lab, p2 = info["action"], info["derivative"]
-            body = conj(plain.pair(p2, q2)
-                        for q2 in a.out[q].get(lab, ())
-                        if not plain.st.has_pair(p2, q2))
-            return Diamond(lab, body)
+            lab = info["action"]
+            return Diamond(lab, self.plain._dead([(p2, q2) for q2 in a.out[q].get(lab, ())]))
         if clause == "r2a":
-            p2 = info["derivative"]
-            body = conj(plain.triple(p2, env, q2)
-                        for q2 in a.tau_succ[q]
-                        if not plain.st.has_triple(p2, env, q2))
-            return Diamond(TAU, body)
+            return Diamond(TAU, self.plain._dead([(p2,) + env + (q2,) for q2 in a.tau_succ[q]]))
         if clause in ("r1b", "r2c"):
-            x, p2 = info["env"], info["derivative"]
-            body = conj(plain.triple(p2, x, q2)
-                        for q2 in a.t_succ[q]
-                        if not plain.st.has_triple(p2, x, q2))
-            return TimeoutDiamond(frozenset(a.mask_names(x)), body)
+            x = info["env"]
+            return TimeoutDiamond(frozenset(a.mask_names(x)),
+                                  self.plain._dead([(p2, x, q2) for q2 in a.t_succ[q]]))
         raise FragmentUnsupported(f"no construction for clause {clause}")
 
 
@@ -542,10 +468,8 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     store = _bisim._row_fixpoints(arena, p, q, "gbrb", "gbrb", fragment == "Lbr")
     gq = arena.state2(q)
     xmask = None if env is None else arena.mask_of(env) & arena.vmask
-    if fragment == "Lb":
-        builder = _Builder(arena, store)
-    else:
-        builder = _RootedBuilder(arena, store, _Builder(arena, store.plain))
+    builder = (_Builder(arena, store) if fragment == "Lb"
+               else _Builder(arena, store, _Builder(arena, store.plain)))
     if xmask is None:
         return None if store.has_pair(p, gq) else builder.pair(p, gq)
     if store.has_triple(p, xmask, gq):

@@ -14,8 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged,
                      ValidityError, depth_guarded)
 from .terms import (TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
-                    Rename, Term, Theta, Choice, Var, alphabet, is_visible,
-                    unfold)
+                    Rename, Term, Theta, Choice, Var, alphabet, unfold)
 
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
@@ -103,23 +102,32 @@ class _StepCtx:
     def node(self, cls, *fields) -> Term:
         """The node ``cls(*fields)`` of this context, built once: looked up
         by its class, its own fields by value and its subterms (the last
-        fields of every operator) by id.  The stored node keeps those ids
-        its own."""
+        fields of every operator) by id.  A recursion call among the
+        subterms is first replaced by the context's call for its
+        specification and variable, so a parsed call and the one its
+        unfoldings are re-tied to give one node.  The stored node keeps
+        those ids its own."""
         own = len(fields) - len(cls._kids)
-        key = (cls, *fields[:own], *map(id, fields[own:]))
+        kids = [self._calls(k.spec)[k.var] if type(k) is RecCall else k
+                for k in fields[own:]]
+        key = (cls, *fields[:own], *map(id, kids))
         got = self.nodes.get(key)
         if got is None:
-            got = self.nodes[key] = cls(*fields)
+            got = self.nodes[key] = cls(*fields[:own], *kids)
         return got
+
+    def _calls(self, sp) -> Dict[str, RecCall]:
+        """The context's one call per variable of the specification."""
+        calls = self.calls.get(id(sp))
+        if calls is None:
+            calls = self.calls[id(sp)] = {v: RecCall(v, sp) for v in sp.vars}
+        return calls
 
     def unfold(self, call: RecCall) -> Term:
         sp = call.spec
         body = self.unfolded.get((id(sp), call.var))
         if body is None:
-            calls = self.calls.get(id(sp))
-            if calls is None:
-                calls = self.calls[id(sp)] = {v: RecCall(v, sp) for v in sp.vars}
-            body = self.unfolded[id(sp), call.var] = unfold(call, calls)
+            body = self.unfolded[id(sp), call.var] = unfold(call, self._calls(sp))
         return body
 
 

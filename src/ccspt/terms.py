@@ -415,10 +415,6 @@ def free_vars(term: Term) -> frozenset:
     return fv
 
 
-def is_closed(term: Term) -> bool:
-    return not free_vars(term)
-
-
 def is_valid(term: Term) -> bool:
     """False iff a theta/psi argument has a free variable bound by an enclosing binder."""
     return _valid(term, frozenset())

@@ -111,6 +111,40 @@ def test_distinguish_goldens():
     assert isinstance(f, (Diamond, Not, TimeoutDiamond, And))
 
 
+# (left, right, fragment, environment, rendered formula); together the cases
+# reach every clause the builder turns into a formula: 1a-1c and 2a-2d-stable
+# for Lb, r1a, r1b and r2a-r2c for Lbr
+PINNED_FORMULAS = [
+    ("a.t.b.0", "a.t.c.0", "Lb", None,
+     "eps(T <a^> !eps(T <c^> T) <eps_{}> eps(T <b^> T))"),
+    ("t.a.0", "a.0", "Lb", None, "!eps(T <a^> T)"),
+    ("t.a.0", "t.b.0", "Lb", (), "!eps(T <b^> T) <eps_{}> eps(T <a^> T)"),
+    ("tau.a.0 + b.0", "a.0 + b.0", "Lb", (), "eps(T <tau^> !eps(T <b^> T))"),
+    ("<x|{x = tau.x}>", "0", "Lb", None, "!stable"),
+    ("<x|{x = tau.x}>", "0", "Lb", (), "!stable"),
+    ("a.t.b.0", "a.t.c.0", "Lbr", None,
+     "<a>(!eps(T <c^> T) <eps_{}> eps(T <b^> T))"),
+    ("a.t.b.0", "a.t.c.0", "Lbr", ("a",),
+     "<a>(!eps(T <c^> T) <eps_{}> eps(T <b^> T))"),
+    ("tau.t.a.0 + b.0", "tau.t.b.0 + b.0", "Lbr", (),
+     "<tau>(!eps(T <b^> T) <eps_{}> eps(T <a^> T))"),
+    ("t.a.0", "t.b.0", "Lbr", None, "[{}]<t>eps(T <a^> T)"),
+    ("t.a.0", "t.b.0", "Lbr", ("b",), "[{}]<t>eps(T <a^> T)"),
+    ("<x|{x = a.t.x}>", "tau.a.0 + a.0 + <y|{x = a.y; y = a.x}>", "Lbr", None,
+     "<a>&(T <eps_{}> eps(T <a^> T),!eps(T <a^> T))"),
+    ("tau.(hide{a}(a.0) + a.0 ||{} 0)", "hide{a}(<x|{x = a.x}>)", "Lbr", (),
+     "<tau>eps(T <tau^> stable)"),
+]
+
+
+@pytest.mark.parametrize("left,right,fragment,env,want", PINNED_FORMULAS)
+def test_distinguish_formula_text(left, right, fragment, env, want):
+    l1, l2, sig = pair_lts(left, right)
+    f = distinguish(l1, 0, l2, 0, fragment=fragment,
+                    env=None if env is None else frozenset(env), sigma=sig)
+    assert str(f) == want
+
+
 def test_distinguish_same_state_is_none():
     lts = lts_of("a.t.b.0")
     assert distinguish(lts, 0, lts, 0, fragment="Lb") is None

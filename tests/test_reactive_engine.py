@@ -16,7 +16,7 @@ from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, gbrb_check,
                    make_store, revalidate)
 from ccspt import bisim
 from ccspt.bisim import Arena, RelationStore
-from ccspt.modal import _Builder, _RootedBuilder
+from ccspt.modal import _Builder
 from ccspt.semantics import TAU, TIMEOUT, Lts
 from test_tb_engine import kill_pair, ring, sampled_pairs, seed_pairs
 
@@ -526,9 +526,8 @@ def test_distinguishing_formulas_match_reference():
     for l1, l2, sig in sampled_pairs(40, 5):
         for fragment in ("Lb", "Lbr"):
             ref, gq = ref_check("gbrb", l1, l2, sig, fragment == "Lbr")
-            builder = _Builder(ref.arena, ref)
-            if fragment == "Lbr":
-                builder = _RootedBuilder(ref.arena, ref, _Builder(ref.arena, ref.plain))
+            builder = (_Builder(ref.arena, ref) if fragment == "Lb"
+                       else _Builder(ref.arena, ref, _Builder(ref.arena, ref.plain)))
             for env in [None] + environments(sig):
                 f = distinguish(l1, l1.initial, l2, l2.initial, fragment=fragment,
                                 env=env, sigma=sig)
