@@ -11,8 +11,8 @@ harness for the equational axioms.
 from .errors import (CcsptError, DuplicateEquation, FragmentUnsupported,
                      InvalidResult, LabelUniverseMismatch, ParseError,
                      SideConditionViolated, StateBudgetExceeded,
-                     TermTooDeep, ThetaDepthExceeded, UnboundReference,
-                     UnfoldingDiverged, ValidityError)
+                     TermTooDeep, UnboundReference, UnfoldingDiverged,
+                     ValidityError)
 from .terms import (NIL, TAU, TIMEOUT, Choice, Hide, Nil, Par, Prefix, Psi,
                     RecCall, RecSpec, Rename, Term, Theta, Var, alphabet,
                     choice, free_vars, hide, is_guarded, is_valid,

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
-                     ThetaDepthExceeded)
+from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind, weak_closure
 
 TRIPLE_BUDGET = 50_000_000
@@ -188,77 +187,66 @@ class ThetaArena(Arena):
     masks alone, and a tag names X & V.  When ``s`` cannot move within X or
     by tau, the wrapper is transparent (its transitions coincide with those
     of ``s``), so it is normalised to ``s`` itself; only non-transparent
-    wrappers become fresh states.  Wrappers nested past ``theta_depth`` are
-    not built: ``wrap`` returns None for them, and the row engine's inverse
-    lookups, from wrappers back to the states they wrap, read ``wrapped``
-    and so leave out a state whose wrapper is missing.  The time-out clauses
-    that need such a wrapper fail, so the relation can only under-match,
-    and nothing counts it.  Depth 1 does under-match on wrapper entries: on
-    the criterion-3 pairs, depths 2 and 3 change some refutation records of
-    non-rooted queries under an environment, though no verdict.
+    wrappers become fresh states.
 
-    Before each level of wrappers is built, the states it can add are
-    counted against the pair budget.
+    One level of wrappers, those of base states, is exact, for nested
+    wrappers normalise onto it.  A wrapper never times out, so every state
+    that t2 or rt2 wraps after a time-out is a base state.  A t2 path reads
+    a wrapper s = ``wrap(x, b)`` under y only where s, with no tau step,
+    lies in a partner's weak closure and is tested against the target set:
+    no time-out leads into s, so as a station it is never read.  If s idles
+    under y, its wrapper is s itself.  Otherwise that wrapper has no tau
+    step either and moves only by the actions of b in x & y, to the same
+    targets: exactly as ``wrap(x & y, b)`` does, which is seeded with the
+    same partners, so every round treats the two alike.  ``wrap`` returns
+    that state, also for a wrapper with a tau step, where no clause reads
+    it.
+
+    Before the wrappers are built, the states they can add are counted
+    against the pair budget.
     """
 
-    def __init__(self, l1, l2=None, sigma=(), theta_depth: int = 1):
+    def __init__(self, l1, l2=None, sigma=()):
         super().__init__(l1, l2, sigma)
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
-        frontier = list(range(self.n))
-        for _ in range(theta_depth):
-            masks = len(self.xmasks)
-            # the masks a state idles under avoid its offers: 2^(|V| - |offers|)
-            _budget_check(self.n + sum(
-                masks if self.has_tau[s] else masks - (masks >> self.vis_mask[s].bit_count())
-                for s in frontier), 1)
-            level = []
-            for s in frontier:
-                for x in self.xmasks:
-                    if not self.idle(s, x):
-                        level.append(self._new_wrap(x, s))
-            for w in level:
-                self._wrap_moves(w)
-            self._build_tables()
-            frontier = level
+        base = self.n
+        masks = len(self.xmasks)
+        # the masks a state idles under avoid its offers: 2^(|V| - |offers|)
+        _budget_check(base + sum(
+            masks if self.has_tau[s] else masks - (masks >> self.vis_mask[s].bit_count())
+            for s in range(base)), 1)
+        for s in range(base):
+            for x in self.xmasks:
+                if not self.idle(s, x):
+                    w = self.wrapped[x, s] = len(self.tags)
+                    self.wrap_key[w] = (x, s)
+                    names = ",".join(self.mask_names(x))
+                    self.tags.append(f"theta{{{names}}}({self.describe(s)})")
+        for (x, s) in self.wrapped:
+            moves: Dict[str, List[int]] = {}
+            for d in self.out[s].get(TAU, ()):
+                moves.setdefault(TAU, []).append(self.wrap(x, d))
+            for lab, ds in sorted(self.out[s].items()):
+                if label_kind(lab)[0] == "visible" and self.bit.get(lab, 0) & x:
+                    moves.setdefault(lab, []).extend(ds)
+            self.out.append({lab: tuple(dict.fromkeys(ds)) for lab, ds in moves.items()})
+        self._build_tables()
 
-    def _wrap_moves(self, w: int):
-        """Transitions of a non-transparent wrapper per the theta rules."""
-        x, s = self.wrap_key[w]
-        moves: Dict[str, List[int]] = {}
-        for d in self.out[s].get(TAU, ()):
-            moves.setdefault(TAU, []).append(self._wrap_target(x, d))
-        for lab, ds in sorted(self.out[s].items()):
-            if label_kind(lab)[0] == "visible" and self.bit.get(lab, 0) & x:
-                moves.setdefault(lab, []).extend(ds)
-        self.out[w] = {lab: tuple(dict.fromkeys(ds)) for lab, ds in moves.items()}
-
-    def _wrap_target(self, x: int, d: int) -> int:
-        """Wrapped tau-target; transparent wrappers collapse to the bare state."""
-        return d if self.idle(d, x) else self._new_wrap(x, d)
-
-    def _new_wrap(self, x: int, s: int) -> int:
-        key = (x, s)
-        w = self.wrapped.get(key)
-        if w is None:
-            w = len(self.tags)
-            self.wrapped[key] = w
-            self.wrap_key[w] = key
-            self.tags.append(f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})")
-            self.out.append({})
-        return w
-
-    def wrap(self, x: int, s: int) -> Optional[int]:
-        """Index of the wrapped state, ``s`` itself if transparent, None if too deep."""
+    def wrap(self, x: int, s: int) -> int:
+        """Index of the state ``s`` wrapped under x: ``s`` itself if
+        transparent, and a nested wrapper in its normal form."""
         x &= self.vmask
         if self.idle(s, x):
             return s
-        return self.wrapped.get((x, s))
+        if s in self.wrap_key:
+            inner, s = self.wrap_key[s]
+            x &= inner
+        return self.wrapped[(x, s)]
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         """The base states ``root`` reaches (a base state steps only to base
-        states) and every wrapper of one of them, at any depth: a wrapper is
-        entered after the state it wraps, so one pass in order finds them."""
+        states) and every wrapper of one of them."""
         members = set(self.reach(root))
         for (x, s), w in self.wrapped.items():
             if s in members:
@@ -520,7 +508,9 @@ class RowEngine:
     a clause reads a mask only through its idle states and its permissions,
     which X & V decides.  From the
     predecessor masks of every label and the reverse weak closure (and, over
-    a ``ThetaArena``, the inverse of its wrappers), the clauses of a row's
+    a ``ThetaArena``, one inverse of ``wrap`` per effective mask, which maps
+    each wrapper back to every state, bare or wrapped, that wraps onto it),
+    the clauses of a row's
     entries are decided for every partner q at once: each clause gives the
     mask of partners it lets pass, in the order a per-entry check would try
     the clauses, so each failing partner gets the same first failing clause.
@@ -559,13 +549,13 @@ class RowEngine:
                 self.notau |= bit
         self._idle: Optional[Dict[int, int]] = None
         if isinstance(arena, ThetaArena):
-            # wrappers[x]: the wrappers under x; wrapped_of[w]: the state w wraps
-            self.wrappers = dict.fromkeys(arena.xmasks, 0)
-            self.wrapped_of = [0] * n
+            # unwrapped[x][w]: the states whose wrapper under x is w
+            self.unwrapped = {x: [0] * n for x in arena.xmasks}
+            for x, inverse in self.unwrapped.items():
+                for s in range(n):
+                    inverse[arena.wrap(x, s)] |= 1 << s
             idle, tpred = self._idle_masks(), self.pred[TIMEOUT]
             for (x, s), w in arena.wrapped.items():
-                self.wrappers[x] |= 1 << w
-                self.wrapped_of[w] = 1 << s
                 # a tob row reads the rows of its t-successors' wrappers
                 for p in _bits(tpred[s] & idle[x]):
                     self.deps[p] |= 1 << w
@@ -660,13 +650,11 @@ class RowEngine:
         return {x: idle[x & vmask] for x in trows}
 
     def _unwrap(self, x, mask: int, memo) -> int:
-        """The states whose wrapper under x lies in ``mask`` (a state idle
-        under x is its own wrapper)."""
+        """The states whose wrapper under x lies in ``mask``."""
         key = ("u", x, mask)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = ((mask & self._idle_masks()[x])
-                               | _gather(self.wrapped_of, mask & self.wrappers[x]))
+            got = memo[key] = _gather(self.unwrapped[x], mask)
         return got
 
     def _gpath(self, y, alive: int, target: int, memo) -> int:
@@ -758,11 +746,9 @@ class RowEngine:
                            "t1", lab, None, p2)
             if a.t_succ[p]:
                 for y, p2 in self._idle_timeouts(p, idle):
-                    w2 = a.wrap(y, p2)
-                    ok = 0 if w2 is None else self._gpath(
-                        y, self._unwrap(y, alive, memo), self._unwrap(y, rows[w2], memo),
-                        memo)
-                    yield ok, "t2", None, y, p2
+                    yield (self._gpath(y, self._unwrap(y, alive, memo),
+                                       self._unwrap(y, rows[a.wrap(y, p2)], memo), memo),
+                           "t2", None, y, p2)
             if not a.has_tau[p]:
                 yield ~self.unstable, "t3", None, None, None
         return pair
@@ -777,10 +763,8 @@ class RowEngine:
             yield from self._strong(a.moves_vt[p], plain, "rt1", memo)
             if a.t_succ[p]:
                 for y, p2 in self._idle_timeouts(p, idle):
-                    w2 = a.wrap(y, p2)
-                    ok = 0 if w2 is None else self._pre(
-                        TIMEOUT, self._unwrap(y, plain[w2], memo), memo)
-                    yield ok, "rt2", None, y, p2
+                    yield (self._pre(TIMEOUT, self._unwrap(y, plain[a.wrap(y, p2)], memo), memo),
+                           "rt2", None, y, p2)
         return pair
 
     def _brb(self, rows, trows, concrete: bool):
@@ -1118,25 +1102,20 @@ def cbrb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
 
 
 def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
-              sigma: Iterable[str] = (), env: Optional[Iterable[str]] = None,
-              theta_depth: int = 1) -> Verdict:
+              sigma: Iterable[str] = (), env: Optional[Iterable[str]] = None) -> Verdict:
     """Branching time-out bisimulation over the theta-augmented state space.
 
-    With ``env`` given, the verdict reads off the wrapped pair, deciding
-    X-bisimilarity through the environment operator (the wrapper of X is that
-    of X & V); a wrapper nested past ``theta_depth`` raises
-    ``ThetaDepthExceeded`` before any fixpoint runs.
+    The relation is exact: the ``ThetaArena`` builds one level of wrappers,
+    onto which nested wrappers normalise.  With ``env`` given, the verdict
+    reads off the wrapped pair, deciding X-bisimilarity through the
+    environment operator (the wrapper of X is that of X & V).
     """
-    arena = ThetaArena(l1, None if l2 is l1 else l2, sigma, theta_depth=theta_depth)
+    arena = ThetaArena(l1, None if l2 is l1 else l2, sigma)
     gq = arena.state2(q)
     entry = (p, gq)
     if env is not None:
         x = arena.mask_of(env)
         entry = (arena.wrap(x, p), arena.wrap(x, gq))
-        if None in entry:
-            raise ThetaDepthExceeded(
-                f"the environment wrapper of the queried pair under "
-                f"{sorted(arena.mask_names(x))} lies beyond theta_depth={theta_depth}")
     store = _row_fixpoints(arena, p, q, "tob", "tob", rooted)
     return _verdict(store, entry, store.relation)
 

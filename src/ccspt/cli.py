@@ -24,6 +24,7 @@ from .terms import alphabet
 
 RELATIONS = ("strong", "brb", "brb-rooted", "brbX", "cbrb", "gbrb",
              "gbrb-rooted", "tob", "tob-rooted", "tb", "tb-rooted")
+ENV_RELATIONS = ("brbX", "tob", "tob-rooted")
 
 
 def _read(path: str) -> str:
@@ -96,7 +97,8 @@ def main(argv=None) -> int:
     p_check.add_argument("right")
     p_check.add_argument("--rel", choices=RELATIONS, default="brb")
     p_check.add_argument("--env", default=None,
-                         help="environment set for brbX, comma separated")
+                         help=f"environment set for {', '.join(ENV_RELATIONS)}, "
+                              "comma separated")
     p_check.add_argument("--fmt", choices=("human", "json"), default="human")
 
     p_modal = sub.add_parser("modal", help="evaluate or synthesise formulas", parents=[common])
@@ -127,6 +129,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_states <= 0:
         parser.error(f"--max-states must be positive, not {args.max_states}")
+    if args.command == "check" and args.env is not None and args.rel not in ENV_RELATIONS:
+        p_check.error(f"--env applies to {', '.join(ENV_RELATIONS)}, not {args.rel}")
     if args.command == "axioms":
         if args.samples <= 0:
             parser.error(f"--samples must be positive, not {args.samples}")
@@ -222,8 +226,9 @@ def _run_check(args, sigma) -> int:
     elif rel == "cbrb":
         verdict = _bisim.cbrb_check(l1, l1.initial, l2, l2.initial, sigma=shared)
     elif rel in ("tob", "tob-rooted"):
+        env = None if args.env is None else _split_sigma(args.env)
         verdict = _bisim.tob_check(l1, l1.initial, l2, l2.initial,
-                                   rooted=rel.endswith("rooted"), sigma=shared)
+                                   rooted=rel.endswith("rooted"), sigma=shared, env=env)
     else:  # tb, tb-rooted: encode first
         rooted = rel.endswith("rooted")
         e1 = _encode_lts(l1, rooted=rooted, sigma=shared,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import StateBudgetExceeded
+from .errors import LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import (DEFAULT_MAX_STATES, T_EPS, TAU, TIMEOUT, Lts,
                         eps_label, t_label)
 
@@ -53,7 +53,8 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
     """
     sig = frozenset(sigma) if sigma is not None else lts.sigma
     if not lts.sigma <= sig:
-        raise ValueError("encoding alphabet must cover the system's alphabet")
+        raise LabelUniverseMismatch(
+            f"encoding alphabet {sorted(sig)} must cover the system's {sorted(lts.sigma)}")
     xs = subsets(sig)
 
     def idle(s: int, x: frozenset) -> bool:
@@ -135,4 +136,5 @@ def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None,
     for i, tag in enumerate(encoded.tags):
         if tag == want:
             return i
-    raise KeyError(f"state {want} not present in the encoding")
+    raise LabelUniverseMismatch(
+        f"state {want} not present in the encoding over {sorted(encoded.sigma)}")

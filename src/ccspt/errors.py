@@ -62,10 +62,6 @@ class FragmentUnsupported(CcsptError):
     """No distinguishing formula or revalidation for this fragment or relation."""
 
 
-class ThetaDepthExceeded(CcsptError):
-    """A queried environment wrapper lies beyond the arena's theta depth."""
-
-
 class TermTooDeep(CcsptError):
     """A term or formula is nested deeper than the recursion limit allows."""
 

@@ -3,8 +3,7 @@ import time
 import pytest
 
 from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
-                   ThetaDepthExceeded, bisim, brb_X_check,
-                   brb_check, cbrb_check, encode, gbrb_check, make_store,
+                   bisim, brb_X_check, brb_check, cbrb_check, encode, gbrb_check, make_store,
                    parse_term, revalidate, strong_bisim, tb_check, tob_check)
 from ccspt.gallery import (divergent_timeout_trio, divergent_timeout_witness,
                            visible_choice_pair, visible_choice_terms)
@@ -112,8 +111,8 @@ def test_unused_actions_turn_refusals_into_answers():
 
 def test_tob_budget_before_any_wrapper(monkeypatch):
     # 8191 wrappers of the root would make 8193^2 pairs: refused before
-    # the first wrapper is built
-    monkeypatch.setattr(bisim.ThetaArena, "_new_wrap",
+    # the first wrapper is built (and tagged with the state it wraps)
+    monkeypatch.setattr(bisim.ThetaArena, "describe",
                         lambda *args: pytest.fail("a wrapper was built"))
     lts = lts_of(" + ".join(f"x{i}.0" for i in range(13)))
     with pytest.raises(StateBudgetExceeded):
@@ -176,13 +175,16 @@ def test_tob_environment_entry():
     assert brb_X_check(l1, 0, l2, 0, frozenset(), sigma=sig).equivalent
 
 
-def test_tob_environment_beyond_theta_depth(monkeypatch):
-    # the wrapped entry is resolved before any fixpoint runs
-    monkeypatch.setattr(bisim.RowEngine, "fixpoint",
-                        lambda *args: pytest.fail("fixpoint ran"))
-    lts = lts_of("a.0")
-    with pytest.raises(ThetaDepthExceeded, match="beyond theta_depth=0"):
-        tob_check(lts, 0, lts, 0, env=["a"], theta_depth=0)
+def test_tob_environment_reads_nested_wrappers():
+    # the mirror entry's t2 wraps the wrapper theta{..}(a.0) once more; that
+    # nested wrapper normalises onto the first level, so the clause holds in
+    # round one and the mirror entry dies only with the queried one
+    l1, l2, sig = pair_lts("a.0", "t.b.0", {"a", "b"})
+    for env in (["a"], ["a", "b"]):
+        v = tob_check(l1, 0, l2, 0, sigma=sig, env=env)
+        assert v.refutation == [{
+            "lhs": f"theta{{{','.join(env)}}}(a.0)", "rhs": "t.b.0", "env": None,
+            "clause": "t1", "detail": "action a; derivative 0"}]
 
 
 def test_tb_on_encodings():

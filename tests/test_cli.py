@@ -36,6 +36,27 @@ def test_check_every_relation(proc, capsys):
     assert main(["check", "--rel", "brbX", "--env", "", one, two]) == 0
 
 
+def test_check_tob_reads_env(proc, capsys):
+    # a.0 + b.0 and a.0 differ by b, which the environment {a} never allows
+    one = proc("one.proc", "a.0 + b.0")
+    two = proc("two.proc", "a.0")
+    assert main(["check", "--rel", "tob", one, two]) == 1
+    for rel in ("tob", "tob-rooted", "brbX"):
+        assert main(["check", "--rel", rel, "--env", "a", one, two]) == 0, rel
+    assert main(["check", "--rel", "tob", "--env", "b", one, two]) == 1
+
+
+def test_env_without_an_environment_relation_is_a_usage_error(proc, capsys):
+    path = proc("p.proc", "a.0")
+    for rel in set(cli.RELATIONS) - set(cli.ENV_RELATIONS):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--rel", rel, "--env", "a", path, path])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--env applies to brbX, tob, tob-rooted, not {rel}" in err
+        assert "internal error" not in err
+
+
 def test_check_json_schema(proc, capsys):
     one = proc("one.proc", "a.0 + b.0")
     two = proc("two.proc", "tau.a.0 + b.0")

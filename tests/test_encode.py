@@ -1,5 +1,7 @@
 
-from ccspt import brb_check, brb_X_check, encode, tb_check
+import pytest
+
+from ccspt import LabelUniverseMismatch, brb_check, brb_X_check, encode, tb_check
 from ccspt.encode import ENV, EncodedState, encoded_entry
 from ccspt.semantics import T_EPS, Lts, eps_label, t_label
 from conftest import lts_of
@@ -68,6 +70,17 @@ def test_encoded_entry_lookup():
     enc = encode(lts_of("a.0"))
     i = encoded_entry(enc, frozenset({"a"}))
     assert enc.tags[i] == EncodedState(ENV, frozenset({"a"}), enc.tags[enc.initial].base)
+
+
+def test_encoded_entry_outside_the_alphabet_is_a_named_error():
+    enc = encode(lts_of("a.0"))
+    with pytest.raises(LabelUniverseMismatch, match="not present in the encoding over"):
+        encoded_entry(enc, frozenset({"b"}))
+
+
+def test_sigma_not_covering_the_alphabet_is_a_named_error():
+    with pytest.raises(LabelUniverseMismatch, match="must cover the system's"):
+        encode(lts_of("a.b.0"), sigma={"a"})
 
 
 def test_correspondence_on_pairs(rng):

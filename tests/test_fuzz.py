@@ -106,7 +106,8 @@ def test_only_named_errors_escape(tmp_path, capsys):
         assert code == 0
         results = {rel: outcome(call) for rel, call in checks(lts, partner).items()}
         rel = sorted(results)[k % len(results)]
-        code, err = cli("check", "--rel", rel, "--env", "", str(path), str(other))
+        env = ["--env", ""] if rel == "brbX" else []
+        code, err = cli("check", "--rel", rel, *env, str(path), str(other))
         want = results[rel]
         if isinstance(want, CcsptError):
             failed["check"] += 1

@@ -3,19 +3,25 @@
 The reference below is the per-pair formulation the row engine replaced for
 ``tob`` and ``tob-rooted`` over the environment-augmented ``ThetaArena``:
 one clause check per stored pair, in sorted order, against the store the
-round started with.  Both must agree on every observable field, under every
-environment query and at every theta depth.
+round started with.  Both must agree on every observable field and under
+every environment query.
+
+The reference reads the arena's ``wrap``, so over a ``ThetaArena`` it shares
+the normal form that nested wrappers take there.  ``NestedThetaArena`` builds
+nested wrappers as states of their own instead, and the engine must agree
+with the reference over it on the base states and their wrappers.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from ccspt import encode, make_store, revalidate, tob_check
 from ccspt import bisim
-from ccspt.bisim import RelationStore, ThetaArena
-from ccspt.errors import LabelUniverseMismatch, ThetaDepthExceeded
-from ccspt.semantics import TAU, TIMEOUT, Lts
+from ccspt.bisim import Arena, RelationStore, ThetaArena
+from ccspt.errors import LabelUniverseMismatch
+from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 from conftest import lts_of
 from test_reactive_engine import damaged, declared, engine_store, same_store  # noqa: F401
 from test_tb_engine import ref_fixpoint, ring, sampled_pairs, seed_pairs
@@ -134,9 +140,50 @@ class DeclaredThetaArena(ThetaArena):
         self.vmask, self.class_size = self.full_mask, 1
 
 
-def ref_tob(l1, l2, sig, rooted, theta_depth=1, kind=ThetaArena):
+class NestedThetaArena(ThetaArena):
+    """Wrappers nested ``depth`` levels deep, built by the theta rules with
+    no normal form: each wrapper of a wrapper is a state of its own, and
+    ``wrap`` is a plain lookup that returns None past the depth.  The
+    inherited ``side_states`` finds every level in one pass, as a wrapper is
+    entered after the state it wraps."""
+
+    def __init__(self, l1, l2=None, sigma=(), depth=1):
+        Arena.__init__(self, l1, l2, sigma)
+        self.wrapped, self.wrap_key = {}, {}
+        frontier = list(range(self.n))
+        for _ in range(depth):
+            level = [self._new_wrap(x, s) for s in frontier for x in self.xmasks
+                     if not self.idle(s, x)]
+            for w in level:
+                x, s = self.wrap_key[w]
+                moves = {}
+                for d in self.out[s].get(TAU, ()):
+                    moves.setdefault(TAU, []).append(
+                        d if self.idle(d, x) else self._new_wrap(x, d))
+                for lab, ds in sorted(self.out[s].items()):
+                    if label_kind(lab)[0] == "visible" and self.bit.get(lab, 0) & x:
+                        moves.setdefault(lab, []).extend(ds)
+                self.out[w] = {lab: tuple(dict.fromkeys(ds)) for lab, ds in moves.items()}
+            self._build_tables()
+            frontier = level
+
+    def _new_wrap(self, x, s):
+        w = self.wrapped.get((x, s))
+        if w is None:
+            w = self.wrapped[x, s] = len(self.tags)
+            self.wrap_key[w] = (x, s)
+            self.tags.append(f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})")
+            self.out.append({})
+        return w
+
+    def wrap(self, x, s):
+        x &= self.vmask
+        return s if self.idle(s, x) else self.wrapped.get((x, s))
+
+
+def ref_tob(l1, l2, sig, rooted, kind=ThetaArena):
     """The reference store behind a verdict, and the global index of q."""
-    arena = kind(l1, None if l2 is l1 else l2, sig, theta_depth=theta_depth)
+    arena = kind(l1, None if l2 is l1 else l2, sig)
     p, gq = l1.initial, arena.state2(l2.initial)
     lefts, rights = arena.side_states(p), arena.side_states(gq)
     store = RelationStore(arena, "tob")
@@ -167,11 +214,11 @@ def ref_revalidate(store, rooted):
 # helpers
 
 
-def assert_same(engine_store, l1, l2, sig, rooted, theta_depth=1, envs=False):
+def assert_same(engine_store, l1, l2, sig, rooted, envs=False):
     """Field-identical verdicts, stores and records; with ``envs``, the
     verdicts of the wrapped pair under every environment mask too (the same
     stores, another entry)."""
-    ref, gq = ref_tob(l1, l2, sig, rooted, theta_depth)
+    ref, gq = ref_tob(l1, l2, sig, rooted)
     arena = ref.arena
 
     def same_verdict(v, entry):
@@ -180,22 +227,14 @@ def assert_same(engine_store, l1, l2, sig, rooted, theta_depth=1, envs=False):
         assert v.refutation == ([] if v.equivalent else
                                 bisim._refutation_records(ref, [entry, entry[::-1]]))
 
-    v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted, theta_depth=theta_depth)
+    v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted)
     same_verdict(v, (l1.initial, gq))
     same_store(store, ref)
     if rooted:
         same_store(store.plain, ref.plain)
     for x in (declared(arena) if envs else ()):
-        entry = (arena.wrap(x, l1.initial), arena.wrap(x, gq))
-        names = arena.mask_names(x)
-        if None in entry:
-            with pytest.raises(ThetaDepthExceeded):
-                tob_check(l1, l1.initial, l2, l2.initial, rooted=rooted, sigma=sig,
-                          env=names, theta_depth=theta_depth)
-            continue
-        ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
-                             theta_depth=theta_depth, env=names)
-        same_verdict(ve, entry)
+        ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted, env=arena.mask_names(x))
+        same_verdict(ve, (arena.wrap(x, l1.initial), arena.wrap(x, gq)))
     return v
 
 
@@ -212,11 +251,39 @@ def test_sampled_pairs_match_reference(engine_store, rooted):
     assert max(v.iterations for v in verdicts) > 2
 
 
-@pytest.mark.parametrize("theta_depth", [0, 2])
-def test_theta_depths_match_reference(engine_store, theta_depth):
-    # depth 0 leaves every wrapper unresolved, depth 2 nests them once more
-    verdicts = [assert_same(engine_store, l1, l2, sig, rooted, theta_depth, envs=True)
-                for l1, l2, sig in sampled_pairs(12, 5) for rooted in (False, True)]
+@pytest.mark.parametrize("depth", [2, 3])
+def test_nested_wrappers_match_reference(engine_store, depth):
+    # the engine's one level of wrappers, onto which nested ones normalise,
+    # against the reference over wrappers nested depth levels deep: the same
+    # verdicts, records and rounds under every environment, and the same
+    # pairs and ranks among the states both arenas number alike, the base
+    # states and their wrappers
+    pairs = list(sampled_pairs(12, 5))
+    pairs.append((ring(12, {1}, False), ring(12, {1}, True), frozenset({"a", "b"})))
+    verdicts = []
+    for l1, l2, sig in pairs:
+        for rooted in (False, True):
+            ref, gq = ref_tob(l1, l2, sig, rooted, partial(NestedThetaArena, depth=depth))
+            nested = ref.arena
+            v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted)
+            n = store.arena.n
+            for got, want in ([(store, ref), (store.plain, ref.plain)] if rooted
+                              else [(store, ref)]):
+                assert ({e for e in got.pairs if max(e) < n}
+                        == {e for e in want.pairs if max(e) < n})
+                assert ({e: k for e, k in got.rank.items() if max(e) < n}
+                        == {e: k for e, k in want.rank.items() if max(e) < n})
+            for x in (None, *declared(nested)):
+                if x is not None:
+                    v, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
+                                        env=nested.mask_names(x))
+                entry = ((l1.initial, gq) if x is None else
+                         (nested.wrap(x, l1.initial), nested.wrap(x, gq)))
+                assert v.equivalent == (entry in ref.pairs)
+                assert v.iterations == ref.iterations
+                assert v.refutation == ([] if v.equivalent else
+                                        bisim._refutation_records(ref, [entry, entry[::-1]]))
+                verdicts.append(v)
     assert {v.equivalent for v in verdicts} == {True, False}
 
 
