@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
-from .semantics import TAU, TIMEOUT, Lts, is_encoded_label, label_kind, weak_closure
+from .semantics import (TAU, TIMEOUT, Lts, is_encoded_label, label_kind, visible_alphabet,
+                        weak_closure)
 
 TRIPLE_BUDGET = 50_000_000
 
@@ -65,10 +65,7 @@ class Arena:
                     raise LabelUniverseMismatch(
                         "reactive checkers take base systems, not encoded ones")
         self.offset = len(l1)
-        sig = set(sigma)
-        for lts in systems:
-            sig |= lts.sigma
-        self.sigma = tuple(sorted(sig))
+        self.sigma = tuple(sorted(visible_alphabet(sigma).union(*(l.sigma for l in systems))))
         self.bit = {a: 1 << i for i, a in enumerate(self.sigma)}
         self.full_mask = (1 << len(self.sigma)) - 1
         self._xmasks = None
@@ -270,15 +267,12 @@ class RelationStore:
     class, and the set is the relation from then on.  A triple query maps its
     mask through X & V where rows answer it.
 
-    ``rank`` maps each deleted entry (both orientations) to the round that
-    deleted it; ``fail`` maps an entry whose own clause failed to the clause
-    and its detail.  The row engine logs its deletions in ``row_kills`` as
-    (round, row key, [(mask of q, why), ...]), where the row key is (p,) or
-    (p, x), one line per killed row.  ``lookup`` reads one entry's rank and
-    why off that log, indexed by row key on first use.  ``rank`` and
-    ``fail`` are built only when read: the log enters them then, repeated
-    over the declared masks of x, in the order a per-entry deletion in
-    sorted order over declared masks would have entered them.
+    The row engine logs its deletions in ``row_kills`` as (round, row key,
+    [(mask of q, why), ...]), where the row key is (p,) or (p, x), one line
+    per killed row; a why is the failing clause and its detail.  That log is
+    the one record of a fixpoint's deletions, and ``lookup`` reads an entry
+    off it.  ``iterations`` and ``checked`` count the fixpoint's rounds and
+    entry checks.
     """
 
     def __init__(self, arena: Arena, relation: str,
@@ -291,10 +285,9 @@ class RelationStore:
         self._pairs: Optional[Set[Tuple[int, int]]] = set() if rows is None else None
         # (state, xmask, state)
         self._triples: Optional[Set[Tuple[int, int, int]]] = set() if trows is None else None
-        self._rank: Dict[tuple, int] = {}
-        self._fail: Dict[tuple, tuple] = {}
         self._log: Optional[Dict[tuple, list]] = None
         self.row_kills: List[Tuple[int, tuple, list]] = []
+        self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
 
     @property
@@ -350,28 +343,12 @@ class RelationStore:
                 trows[x][p] |= 1 << q
         return rows, trows
 
-    @property
-    def rank(self) -> Dict[tuple, int]:
-        self._enter_row_kills()
-        return self._rank
-
-    @property
-    def fail(self) -> Dict[tuple, tuple]:
-        self._enter_row_kills()
-        return self._fail
-
-    def _enter_row_kills(self):
-        kills, self.row_kills = self.row_kills, []
-        if self.arena.class_size > 1:
-            kills = _declared_kills(kills, self.arena)
-        _enter(self._rank, self._fail, kills)
-
     def lookup(self, entry) -> Tuple[Optional[int], Optional[tuple]]:
-        """(``rank.get(entry)``, ``fail.get(entry)``), read off the row log
-        without entering it: the round of the row of p, or else of q, whose
-        logged masks hold the partner, and the why of p's mask."""
-        if not self.row_kills:   # entered already, or filled entry by entry
-            return self._rank.get(entry), self._fail.get(entry)
+        """(round, why) of a pair or of a triple under any declared mask:
+        the round that deleted it, in either orientation, and the clause it
+        failed by its own check, or None where it died only as its mirror
+        did.  Read off the row log, indexed by row key on first use: the
+        row of p, or else of q, whose logged masks hold the partner."""
         if self._log is None:
             self._log = {}
             for rnd, key, fails in self.row_kills:
@@ -402,33 +379,6 @@ class RelationStore:
         triples = (len(self._triples) if self.trows is None
                    else self.arena.class_size * sum(_count(rows) for rows in self.trows.values()))
         return pairs + triples
-
-
-def _enter(rank: Dict[tuple, int], fail: Dict[tuple, tuple], kills):
-    """Enter logged row kills into ``rank`` and ``fail``, partners in order."""
-    for rnd, key, fails in kills:
-        whys = {}
-        for mask, why in fails:
-            whys.update(dict.fromkeys(_bits(mask), why))
-        p, env = key[0], key[1:]
-        for q in sorted(whys):
-            rank.setdefault(key + (q,), rnd)
-            rank.setdefault((q,) + env + (p,), rnd)
-            fail.setdefault(key + (q,), whys[q])
-
-
-def _declared_kills(kills, arena: Arena):
-    """The row log over declared masks: a triple row's kill repeated for
-    every mask of its class, in the order a per-entry pass logs them (by
-    round, pairs, then by state and mask)."""
-    unused = arena.unused_masks
-    for (rnd, p, width), group in groupby(kills, lambda k: (k[0], k[1][0], len(k[1]))):
-        if width == 1:
-            yield from group
-            continue
-        fails = {key[1]: f for _, key, f in group}
-        for x in sorted(r | u for r in fails for u in unused):
-            yield rnd, (p, x), fails[x & arena.vmask]
 
 
 @dataclass
@@ -1062,8 +1012,8 @@ def _verdict(store: RelationStore, entry, relation) -> Verdict:
         relation=relation,
         equivalent=alive,
         sigma=arena.sigma,
-        iterations=getattr(store, "iterations", 0),
-        entries_checked=getattr(store, "checked", 0),
+        iterations=store.iterations,
+        entries_checked=store.checked,
         refutation=[] if alive else _refutation_records(
             store, [entry, entry[::-1]]),
         witness=store if alive else None,

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import (DEFAULT_MAX_STATES, T_EPS, TAU, TIMEOUT, Lts,
-                        eps_label, t_label)
+                        eps_label, t_label, visible_alphabet)
 
 TRIGGERED = "trig"
 TRIGGERED_ROOTED = "trig_r"
@@ -48,10 +48,10 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
     """Encode a system; states are ``EncodedState`` tags over the source indices.
 
     ``sigma`` fixes the visible-label universe the environment ranges over;
-    it must cover the system's own alphabet and, when two systems are to be
-    compared, be the same on both sides.
+    it must cover the system's own alphabet, name no reserved label and,
+    when two systems are to be compared, be the same on both sides.
     """
-    sig = frozenset(sigma) if sigma is not None else lts.sigma
+    sig = visible_alphabet(sigma) if sigma is not None else lts.sigma
     if not lts.sigma <= sig:
         raise LabelUniverseMismatch(
             f"encoding alphabet {sorted(sig)} must cover the system's {sorted(lts.sigma)}")

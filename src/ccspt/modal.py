@@ -243,39 +243,29 @@ class Evaluator:
         raise TypeError(f"not a formula: {f!r}")
 
     def _eps_x(self, s, f: EpsX, env) -> bool:
+        """A time-out path under x from ``s``: from a station, an x-idle
+        state it weakly reaches satisfies left, and it satisfies right or
+        times out into right or into a next station satisfying left.  The
+        states reached from ``s`` itself must idle under env too; ``s`` is
+        never marked seen, so a time-out cycle back to it explores it again
+        under x alone."""
         lts = self.lts
         x = f.allowed
-        stack: List[int] = []
-        for s1 in self.weak[s]:
-            if not self.idle(s1, x):
-                continue
-            if env is not None and not self.idle(s1, env):
-                continue
-            if not self.sat(s1, f.left, x):
-                continue
-            if self.sat(s1, f.right, x):
-                return True
-            for s2 in lts.succ(s1, TIMEOUT):
-                if self.sat(s2, f.right, x):
-                    return True
-                if self.sat(s2, f.left, x):
-                    stack.append(s2)
-        seen = set()
+        gate = x if env is None else x | env
+        stack, seen = [s], set()
         while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            for s1 in self.weak[u]:
-                if not self.idle(s1, x) or not self.sat(s1, f.left, x):
+            for s1 in self.weak[stack.pop()]:
+                if not self.idle(s1, gate) or not self.sat(s1, f.left, x):
                     continue
                 if self.sat(s1, f.right, x):
                     return True
                 for s2 in lts.succ(s1, TIMEOUT):
                     if self.sat(s2, f.right, x):
                         return True
-                    if self.sat(s2, f.left, x) and s2 not in seen:
+                    if s2 not in seen and self.sat(s2, f.left, x):
+                        seen.add(s2)
                         stack.append(s2)
+            gate = x
         return False
 
 

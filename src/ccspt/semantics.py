@@ -11,8 +11,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged,
-                     ValidityError, depth_guarded)
+from .errors import (LabelUniverseMismatch, ParseError, StateBudgetExceeded,
+                     UnfoldingDiverged, ValidityError, depth_guarded)
 from .terms import (TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
                     Rename, Term, Theta, Choice, Var, alphabet, unfold)
 
@@ -59,13 +59,23 @@ def is_encoded_label(label: str) -> bool:
     return label_kind(label)[0] in ("t_eps", "eps_set", "t_set")
 
 
+def visible_alphabet(names: Iterable[str]) -> frozenset:
+    """A declared alphabet of visible actions; a reserved name (``tau``,
+    ``t``, ``t_eps``, ``eps_{..}``, ``t_{..}``) raises
+    ``LabelUniverseMismatch``."""
+    sigma = frozenset(names)
+    reserved = sorted(a for a in sigma if label_kind(a)[0] != "visible")
+    if reserved:
+        raise LabelUniverseMismatch(f"reserved names in a declared alphabet: {reserved}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class ExplorationLimits:
     max_states: int = DEFAULT_MAX_STATES
-    max_depth: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_states <= 0 or self.max_depth <= 0:
+        if self.max_states <= 0:
             raise ValueError("exploration limits must be positive")
 
 
@@ -282,8 +292,8 @@ class Lts:
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"transition ({s},{lab!r},{d}) out of range")
         seen = {lab for _, lab, _ in self.transitions}
-        base = set(sigma) | {l for l in seen if label_kind(l)[0] == "visible"}
-        self.sigma = frozenset(base)
+        self.sigma = visible_alphabet(sigma) | {
+            l for l in seen if label_kind(l)[0] == "visible"}
         universe = set(labels) if labels is not None else set()
         universe |= seen | self.sigma | {TAU, TIMEOUT}
         self.labels = frozenset(universe)
@@ -401,11 +411,7 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
     transitions: List[Tuple[int, str, int]] = []
     frontier = [(0, term)]
     ctx = _StepCtx(fuse)
-    depth = 0
     while frontier:
-        depth += 1
-        if depth > limits.max_depth:
-            raise StateBudgetExceeded(len(tags), limits.max_depth)
         nxt = []
         for idx, t in frontier:
             ctx.budget = fuse

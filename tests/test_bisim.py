@@ -16,6 +16,14 @@ def verdict(checker, s1, s2, sigma=(), **kw):
     return checker(l1, 0, l2, 0, sigma=sig, **kw)
 
 
+@pytest.mark.parametrize("checker", [brb_check, cbrb_check, gbrb_check, tob_check,
+                                     strong_bisim])
+def test_reserved_name_in_sigma_is_a_named_error(checker):
+    lts = lts_of("a.0")
+    with pytest.raises(LabelUniverseMismatch, match="reserved names"):
+        checker(lts, 0, lts, 0, sigma={"a", "t"})
+
+
 # ---------------------------------------------------------------------------
 # strong bisimilarity
 

@@ -217,6 +217,25 @@ def test_check_strong_reports_the_shared_alphabet(proc, capsys):
         assert data["sigma"] == (["a", "z"] if code == 0 else ["a", "b", "z"])
 
 
+@pytest.mark.parametrize("rel", ["tb", "brb", "gbrb", "tob", "strong"])
+def test_reserved_name_in_sigma_exits_2(proc, capsys, rel):
+    # declared visible, tau used to count as an unused action, and tb alone
+    # then told tau.a.0 from a.0
+    left, right = proc("l.proc", "tau.a.0"), proc("r.proc", "a.0")
+    assert main(["check", "--rel", rel, "--sigma", "tau", left, right]) == 2
+    err = capsys.readouterr().err
+    assert "LabelUniverseMismatch: reserved names in a declared alphabet: ['tau']" in err
+
+
+@pytest.mark.parametrize("name", ["tau", "t", "t_eps"])
+def test_reserved_name_in_an_alphabet_line_exits_2(proc, capsys, name):
+    path = proc("p.proc", f"alphabet {name}\nroot a.0\n")
+    aut = proc("p.aut", 'des (0, 1, 2)\n(0,"a",1)\n')
+    for argv in (["lts", path], ["check", path, path], ["lts", "--sigma", name, aut]):
+        assert main(argv) == 2, argv
+        assert "reserved names" in capsys.readouterr().err
+
+
 def test_sigma_before_the_subcommand_survives(proc, capsys):
     p = proc("p.proc", "a.0")
     assert main(["--sigma", "z1,z2", "lts", "--fmt", "json", p]) == 0

@@ -83,6 +83,12 @@ def test_sigma_not_covering_the_alphabet_is_a_named_error():
         encode(lts_of("a.b.0"), sigma={"a"})
 
 
+@pytest.mark.parametrize("name", ["tau", "t", "t_eps", "eps_{a}"])
+def test_reserved_name_in_the_encoding_alphabet_is_a_named_error(name):
+    with pytest.raises(LabelUniverseMismatch, match="reserved names"):
+        encode(lts_of("a.0"), sigma={"a", name})
+
+
 def test_correspondence_on_pairs(rng):
     # encoded verdicts match the direct checker, including X-environments
     from ccspt.sampling import random_process

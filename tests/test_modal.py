@@ -5,6 +5,7 @@ from ccspt import (Diamond, EpsStep, EpsX, FragmentUnsupported, Not, Stable,
                    enumerate_fragment, in_fragment, parse_formula, parse_term,
                    render, sat, sat_env)
 from ccspt.modal import And, Evaluator
+from ccspt.semantics import Lts
 from conftest import lts_of, pair_lts
 
 
@@ -71,6 +72,18 @@ def test_sat_eps_x_elision():
     assert sat(lts2, 0, f)
     # zero-time-out reading: holds of the target itself
     assert sat(lts_of("b.0"), 0, f)
+
+
+def test_sat_eps_x_revisits_its_start_under_x_alone():
+    # under env {b}, the first station s1 idles and times out back to s0;
+    # from there s2, which offers b and so idles under x = {} but not under
+    # env, is a station, and it alone has no c
+    lts = Lts([f"s{i}" for i in range(6)],
+              [(0, "tau", 1), (0, "tau", 2), (0, "c", 4), (1, "c", 5), (1, "t", 0),
+               (2, "b", 3)], 0)
+    f = EpsX(Top(), frozenset(), Not(EpsStep(Top(), "c", Top())))
+    assert sat_env(lts, 0, {"b"}, f)
+    assert not sat_env(lts, 1, {"b"}, Not(EpsStep(Top(), "c", Top())))
 
 
 def test_environment_idling_collapse(rng):

@@ -18,7 +18,8 @@ from ccspt import bisim
 from ccspt.bisim import Arena, RelationStore
 from ccspt.modal import _Builder
 from ccspt.semantics import TAU, TIMEOUT, Lts
-from test_tb_engine import kill_pair, ring, sampled_pairs, seed_pairs
+from test_tb_engine import (RefStore, kill_pair, ring, same_lookups, sampled_pairs,
+                            seed_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +342,7 @@ def ref_fixpoint(store, checker):
 
 
 def ref_seeded(arena, relation, lefts, rights):
-    store = RelationStore(arena, relation)
+    store = RefStore(arena, relation)
     seed_pairs(store, lefts, rights)
     for i in lefts:
         for j in rights:
@@ -402,11 +403,10 @@ def engine_store(monkeypatch):
     return run
 
 
-def same_store(store, ref):
+def same_store(store, ref, triples=True):
     assert store.pairs == ref.pairs
     assert store.triples == ref.triples
-    assert list(store.rank.items()) == list(ref.rank.items())
-    assert list(store.fail.items()) == list(ref.fail.items())
+    same_lookups(store, ref, triples)
 
 
 def assert_same(engine_store, family, l1, l2, sig, rooted, envs=()):
@@ -621,45 +621,23 @@ def test_grouped_deletion_matches_sequential_deletion(family):
         assert len(shared) < len(got.row_kills)
 
 
-def all_entries(arena):
-    """Every pair and every triple under every declared mask."""
-    masks = sorted(x | u for x in arena.xmasks for u in arena.unused_masks)
-    for p in range(arena.n):
-        for q in range(arena.n):
-            yield p, q
-            for x in masks:
-                yield p, x, q
-
-
-def assert_lookups_agree(store, rank_first):
-    """``lookup`` answers as ``rank`` and ``fail`` do, whether it reads the
-    row log or, once ``rank`` has been read, the entered records."""
-    entries = list(all_entries(store.arena))
-    if rank_first:
-        store.rank
-    got = [store.lookup(e) for e in entries]
-    assert got == [(store.rank.get(e), store.fail.get(e)) for e in entries]
-    assert [store.lookup(e) for e in entries] == got
-
-
 @pytest.mark.parametrize("rooted", [False, True])
 def test_row_log_lookups_match_entered_records(rooted):
+    # the engine's lookups off its row log against the records the
+    # reference enters entry by entry, over every declared mask
     cases = list(sampled_pairs(12, 5))
     cases.append((ring(4, {1}, False), ring(4, {1, 2}, True), frozenset("abcd")))
     wide = found = 0
     for l1, l2, sig in cases:
         for family in FAMILIES:
-            for rank_first in (False, True):
-                arena = Arena(l1, l2, sig)
-                store = bisim._row_fixpoints(arena, l1.initial, l2.initial, family,
-                                             family, rooted)
-                found += bool(store.row_kills)
-                wide += arena.class_size > 1
-                for st in (store, store.plain)[:1 + rooted]:
-                    assert_lookups_agree(st, rank_first)
+            arena = Arena(l1, l2, sig)
+            store = bisim._row_fixpoints(arena, l1.initial, l2.initial, family,
+                                         family, rooted)
+            found += bool(store.row_kills)
+            wide += arena.class_size > 1
             ref, _ = ref_check(family, l1, l2, sig, rooted)
-            for st in (ref, ref.plain)[:1 + rooted]:
-                assert_lookups_agree(st, False)
+            for st, want in [(store, ref), (store.plain, ref.plain)][:1 + rooted]:
+                same_lookups(st, want, triples=True)
     assert found and wide
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from ccspt import (ExplorationLimits, StateBudgetExceeded, TermTooDeep,
-                   UnfoldingDiverged, ValidityError,
+from ccspt import (ExplorationLimits, LabelUniverseMismatch, StateBudgetExceeded,
+                   TermTooDeep, UnfoldingDiverged, ValidityError,
                    alphabet, build_lts, from_aut, initials, parse_term,
                    step, to_aut, weak_reach)
 from ccspt.semantics import (DEFAULT_UNFOLD_FUSE, Lts, _step, _StepCtx,
@@ -138,6 +138,21 @@ def test_label_kinds():
     assert label_kind("eps_{a,b}") == ("eps_set", frozenset({"a", "b"}))
     assert label_kind("t_{}") == ("t_set", frozenset())
     assert label_kind("collect") == ("visible", None)
+
+
+RESERVED = ("tau", "t", "t_eps", "eps_{a}", "t_{}")
+
+
+@pytest.mark.parametrize("name", RESERVED)
+def test_reserved_names_in_a_declared_alphabet_are_refused(name):
+    # a reserved name declared visible would count as an unused action
+    with pytest.raises(LabelUniverseMismatch, match="reserved names"):
+        build_lts(parse_term("a.0"), sigma={"a", name})
+    with pytest.raises(LabelUniverseMismatch, match="reserved names"):
+        Lts(["s0"], [], 0, sigma={name})
+    with pytest.raises(LabelUniverseMismatch, match="reserved names"):
+        lts_of("a.0").with_sigma({name})
+    assert lts_of("a.0").with_sigma({"b"}).sigma == {"a", "b"}
 
 
 def test_dot_export_smoke():

@@ -94,6 +94,20 @@ class RefRootedTb:
         return None
 
 
+class RefStore(RelationStore):
+    """A store the references fill entry by entry: ``rank`` maps each
+    deleted entry (both orientations) to its round, ``fail`` an entry whose
+    own clause failed to the clause and its detail, and ``lookup`` reads
+    the two in place of a row log."""
+
+    def __init__(self, arena, relation):
+        super().__init__(arena, relation)
+        self.rank, self.fail = {}, {}
+
+    def lookup(self, entry):
+        return self.rank.get(entry), self.fail.get(entry)
+
+
 def seed_pairs(store, lefts, rights):
     for i in lefts:
         for j in rights:
@@ -130,12 +144,12 @@ def ref_tb(e1, e2, rooted):
     """(store, entry, iterations, checked) of the per-pair reference."""
     arena = Arena(e1, None if e2 is e1 else e2, allow_encoded=True)
     p, gq = e1.initial, arena.state2(e2.initial)
-    store = RelationStore(arena, "tb")
+    store = RefStore(arena, "tb")
     seed_pairs(store, arena.reach(p), arena.reach(gq))
     it, ch = ref_fixpoint(store, RefTb(arena, store))
     if rooted:
         plain = store
-        store = RelationStore(arena, "tb-rooted")
+        store = RefStore(arena, "tb-rooted")
         seed_pairs(store, arena.reach(p), arena.reach(gq))
         store.plain = plain
         it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
@@ -184,13 +198,29 @@ def assert_same(engine_store, e1, e2, rooted):
     assert v.refutation == ([] if v.equivalent else
                             bisim._refutation_records(ref, [entry, entry[::-1]]))
     assert store.pairs == ref.pairs
-    assert list(store.rank.items()) == list(ref.rank.items())
-    assert list(store.fail.items()) == list(ref.fail.items())
+    same_lookups(store, ref)
     if rooted:
         assert store.plain.pairs == ref.plain.pairs
-        assert list(store.plain.rank.items()) == list(ref.plain.rank.items())
-        assert list(store.plain.fail.items()) == list(ref.plain.fail.items())
+        same_lookups(store.plain, ref.plain)
     return v
+
+
+def all_entries(arena, triples=False):
+    """Every pair and, with ``triples``, every triple under every declared
+    mask."""
+    masks = sorted(x | u for x in arena.xmasks for u in arena.unused_masks) if triples else ()
+    for p in range(arena.n):
+        for q in range(arena.n):
+            yield p, q
+            for x in masks:
+                yield p, x, q
+
+
+def same_lookups(store, ref, triples=False):
+    """The engine's ``lookup`` answers as the reference's records on every
+    entry, both orientations (and, with ``triples``, every declared mask)."""
+    entries = list(all_entries(store.arena, triples))
+    assert [store.lookup(e) for e in entries] == [ref.lookup(e) for e in entries]
 
 
 def sampled_pairs(n, seed):
