@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
-from .semantics import (TAU, TIMEOUT, Lts, is_encoded_label, label_kind, visible_alphabet,
-                        weak_closure)
+from .semantics import TAU, TIMEOUT, Lts, label_kind, visible_alphabet, weak_closure
 
 TRIPLE_BUDGET = 50_000_000
 
@@ -46,7 +45,8 @@ class Arena:
     and stability are computed on their first read, so strong bisimilarity,
     which reads ``out`` alone, never builds them.  ``sigma`` is the shared
     visible alphabet, realised as bit masks so environment sets enumerate
-    cheaply.
+    cheaply; a label is visible iff it has a bit (``Lts.sigma`` holds every
+    visible label), and any other label but tau and t is one of an encoding.
 
     An environment X reaches a clause only through idle and permission tests
     on the visible actions some state offers, ``vmask`` (V).  So X and X & V
@@ -55,15 +55,9 @@ class Arena:
     ``class_size`` = 2^|Sigma - V| declared masks, of which it is the least.
     """
 
-    def __init__(self, l1: Lts, l2: Optional[Lts] = None,
-                 sigma: Iterable[str] = (), allow_encoded: bool = False):
+    def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
         self.l1, self.l2 = l1, l2
         systems = [l1] if l2 is None else [l1, l2]
-        if not allow_encoded:
-            for lts in systems:
-                if any(is_encoded_label(l) for l in lts.labels):
-                    raise LabelUniverseMismatch(
-                        "reactive checkers take base systems, not encoded ones")
         self.offset = len(l1)
         self.sigma = tuple(sorted(visible_alphabet(sigma).union(*(l.sigma for l in systems))))
         self.bit = {a: 1 << i for i, a in enumerate(self.sigma)}
@@ -90,15 +84,15 @@ class Arena:
         self.vis_moves: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
         self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
         self.vis_mask = []
+        bit = self.bit
         for s in range(self.n):
-            vis = tuple((lab, ds) for lab, ds in sorted(self.out[s].items())
-                        if label_kind(lab)[0] == "visible")
+            vis = tuple((lab, ds) for lab, ds in sorted(self.out[s].items()) if lab in bit)
             self.vis_moves.append(vis)
             vt = vis + ((TAU, self.tau_succ[s]),) if self.has_tau[s] else vis
             self.moves_vt.append(vt)
             mask = 0
             for lab, _ in vis:
-                mask |= self.bit.get(lab, 0)
+                mask |= bit[lab]
             self.vis_mask.append(mask)
         self.vmask = 0
         for mask in self.vis_mask:
@@ -144,8 +138,9 @@ class Arena:
         return q if self.l2 is None else q + self.offset
 
     def mask_of(self, actions: Iterable[str]) -> int:
+        """The mask of an environment set, whose reserved names are refused."""
         mask = 0
-        for a in actions:
+        for a in visible_alphabet(actions, "an environment set"):
             mask |= self.bit.get(a, 0)   # names outside sigma canonicalise away
         return mask
 
@@ -225,7 +220,7 @@ class ThetaArena(Arena):
             for d in self.out[s].get(TAU, ()):
                 moves.setdefault(TAU, []).append(self.wrap(x, d))
             for lab, ds in sorted(self.out[s].items()):
-                if label_kind(lab)[0] == "visible" and self.bit.get(lab, 0) & x:
+                if self.bit.get(lab, 0) & x:
                     moves.setdefault(lab, []).extend(ds)
             self.out.append({lab: tuple(dict.fromkeys(ds)) for lab, ds in moves.items()})
         self._build_tables()
@@ -642,7 +637,12 @@ class RowEngine:
         trows), those of its rooted layer.  A clause function takes a row's
         key and a memo and yields, clause by clause, (mask of the partners
         that pass, clause, action, env, derivative), with None for a field
-        the clause does not name."""
+        the clause does not name.  Only ``tb`` reads an encoded arena, one
+        with a label that is neither visible nor tau nor t."""
+        if family != "tb" and any(lab not in self.a.bit for lab in self.pred
+                                  if lab != TAU and lab != TIMEOUT):
+            raise LabelUniverseMismatch(
+                "reactive checkers take base systems, not encoded ones")
         if family == "tb":
             return (self._tb(rows) if plain is None else self._rooted_tb(plain[0])), None
         if family == "tob":
@@ -1023,9 +1023,9 @@ def _verdict(store: RelationStore, entry, relation) -> Verdict:
 def _reactive_check(family: str, relation: str, l1, p, l2, q, rooted, sigma,
                     env=None) -> Verdict:
     arena = Arena(l1, None if l2 is l1 else l2, sigma)
-    store = _row_fixpoints(arena, p, q, family, relation, rooted)
     gq = arena.state2(q)
     entry = (p, gq) if env is None else (p, arena.mask_of(env), gq)
+    store = _row_fixpoints(arena, p, q, family, relation, rooted)
     return _verdict(store, entry, store.relation)
 
 
@@ -1077,7 +1077,7 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     if l1.labels != l2.labels and l2 is not l1:
         raise LabelUniverseMismatch(
             f"label universes differ: {sorted(l1.labels)} vs {sorted(l2.labels)}")
-    arena = Arena(l1, None if l2 is l1 else l2, allow_encoded=True)
+    arena = Arena(l1, None if l2 is l1 else l2)
     store = _row_fixpoints(arena, p, q, "tb", "tb", rooted)
     return _verdict(store, (p, arena.state2(q)), store.relation)
 
@@ -1101,7 +1101,7 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     if l2 is not l1 and l1.labels | sig != l2.labels | sig:
         raise LabelUniverseMismatch(
             f"label universes differ: {sorted(l1.labels | sig)} vs {sorted(l2.labels | sig)}")
-    arena = Arena(l1, None if l2 is l1 else l2, sig, allow_encoded=True)
+    arena = Arena(l1, None if l2 is l1 else l2, sig)
     gq = arena.state2(q)
     block = [0] * arena.n
     iterations = 0
@@ -1142,9 +1142,11 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
 
 
 def revalidate(witness: RelationStore, definition_id: str) -> bool:
-    """Re-check every clause on every stored entry in one pass."""
+    """Re-check every clause on every stored entry in one pass; a ``brbX``
+    witness is a ``brb`` store."""
     rooted = definition_id.endswith("-rooted")
     base = definition_id[:-len("-rooted")] if rooted else definition_id
+    base = "brb" if base == "brbX" else base
     if base in RowEngine.FAMILIES:
         return _revalidate_rows(witness, base, rooted)
     if definition_id != "strong":
@@ -1169,38 +1171,25 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     """A kill-free row pass over a symmetric witness (pairs only for tob
-    and tb)."""
+    and tb).  Stores held as rows, the same under every mask of a class, are
+    judged under the effective masks; a store held as sets under every
+    declared mask, counted against the budget first."""
     with_triples = family not in RowEngine.PAIR_FAMILIES
     if not with_triples and witness.has_triples:
         return False
-    stores = [witness]
-    if rooted:
-        if witness.plain is None or not _revalidate_rows(witness.plain, family, False):
-            return False
-        stores.append(witness.plain)
-    xmasks = _judged_masks(witness.arena, stores) if with_triples else None
+    if rooted and (witness.plain is None or not _revalidate_rows(witness.plain, family, False)):
+        return False
+    arena = witness.arena
+    xmasks = arena.xmasks if with_triples else None
+    if with_triples and any(st.trows is None for st in (witness, witness.plain)[:1 + rooted]):
+        _budget_check(arena.n, arena.full_mask + 1)
+        xmasks = range(arena.full_mask + 1)
     rows, trows = witness.row_form(xmasks)
     if not all(_symmetric(line) for line in [rows, *(trows or {}).values()]):
         return False
     plain = witness.plain.row_form(xmasks) if rooted else None
-    engine = RowEngine(witness.arena)
+    engine = RowEngine(arena)
     return engine.holds(rows, trows, *engine.clauses(family, rows, trows, plain))
-
-
-def _judged_masks(arena: Arena, stores) -> Sequence[int]:
-    """Masks whose triple rows, judged together, decide the stores as every
-    declared mask would.  Rows are the same under all masks of a class, so
-    the effective masks do.  Sets may differ within a class: then every
-    mask an entry names, and of each class the least mask none names (its
-    rows are empty in every store)."""
-    named = {x for st in stores if st.trows is None for _, x, _ in st.triples}
-    if not named:
-        return arena.xmasks
-    unused = arena.full_mask & ~arena.vmask
-    judged = set(named)
-    for x in arena.xmasks:
-        judged.add(next((x | u for u in _submasks(unused) if x | u not in named), x))
-    return sorted(judged)
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,
@@ -1211,9 +1200,8 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
 
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
-    A triple keeps its declared mask; queries and ``revalidate`` map it
-    through X & V, and judge a class whose masks hold different entries
-    mask by mask.  A ``tob`` store lives on the ``ThetaArena`` its relation
+    A triple keeps its declared mask: queries map it through X & V, and
+    ``revalidate`` judges the store under every declared mask.  A ``tob`` store lives on the ``ThetaArena`` its relation
     is defined over.
     """
     kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena

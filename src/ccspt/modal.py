@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import bisim as _bisim
 from .errors import FragmentUnsupported
-from .semantics import TAU, TIMEOUT, Lts, weak_reach
+from .semantics import TAU, TIMEOUT, Lts, visible_alphabet, weak_reach
 from .terms import Node, _node
 
 
@@ -275,8 +275,9 @@ def sat(lts: Lts, s: int, f: Formula) -> bool:
 
 
 def sat_env(lts: Lts, s: int, allowed: Iterable[str], f: Formula) -> bool:
-    """Satisfaction while the environment allows exactly the given actions."""
-    return Evaluator(lts).sat(s, f, frozenset(allowed))
+    """Satisfaction while the environment allows exactly the given actions;
+    a reserved name among them raises ``LabelUniverseMismatch``."""
+    return Evaluator(lts).sat(s, f, visible_alphabet(allowed, "an environment set"))
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +456,9 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
     arena = _bisim.Arena(l1, None if l2 is l1 else l2, sigma)
+    xmask = None if env is None else arena.mask_of(env) & arena.vmask
     store = _bisim._row_fixpoints(arena, p, q, "gbrb", "gbrb", fragment == "Lbr")
     gq = arena.state2(q)
-    xmask = None if env is None else arena.mask_of(env) & arena.vmask
     builder = (_Builder(arena, store) if fragment == "Lb"
                else _Builder(arena, store, _Builder(arena, store.plain)))
     if xmask is None:

@@ -13,8 +13,12 @@ Grammar (terms)::
             | "psi{" acts "}(" term ")"
             | "<" ident "|" ident ">"            -- call into a named spec
             | "<" ident "|" "{" eqs "}" ">"      -- call with inline equations
-    action := "tau" | "t" | ident
-    acts   := (ident ("," ident)*)?
+    action := "tau" | "t" | visible ident
+    acts   := (visible ident ("," visible ident)*)?
+
+A visible ident, as in renamings and the actions of formulas too, is one
+``terms.is_visible`` accepts: not ``tau``, ``t`` or ``t_eps``, a label of
+the encoding.
 
 Spec files are ``ident = term`` lines with ``#`` comments.  Rendering is the
 inverse: ``parse(render(x))`` is structurally equal to ``x``.
@@ -29,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from . import modal as _modal
 from .errors import (DuplicateEquation, ParseError, UnboundReference, ValidityError,
                      depth_guarded)
-from .terms import (NIL, RESERVED_NAMES, Choice, Hide, Nil, Par, Prefix, Psi,
+from .terms import (NIL, TAU, TIMEOUT, Choice, Hide, Nil, Par, Prefix, Psi,
                     RecCall, RecSpec, Rename, Term, Theta, Var, children,
                     free_vars, is_valid, is_visible, spec)
 
@@ -102,6 +106,19 @@ class _Parser:
                              tok.line, tok.col, expected="an identifier")
         return tok
 
+    def visible(self) -> str:
+        """An identifier naming a visible action; a reserved name is refused
+        at its own position."""
+        tok = self.expect_ident()
+        if not is_visible(tok.text):
+            raise ParseError(f"{tok.text!r} is reserved and cannot name a visible action",
+                             tok.line, tok.col)
+        return tok.text
+
+    def action(self) -> str:
+        """``tau``, ``t`` or a visible action name."""
+        return self.next().text if self.peek().text in (TAU, TIMEOUT) else self.visible()
+
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
 
@@ -126,7 +143,7 @@ class _Parser:
     def prefix(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).text == ".":
-            action = self.next().text
+            action = self.action()
             self.next()
             return Prefix(action, self.prefix())
         return self.atom()
@@ -226,23 +243,18 @@ class _Parser:
     def acts(self) -> frozenset:
         names = []
         if self.peek().kind == "ident":
-            names.append(self.expect_ident().text)
+            names.append(self.visible())
             while self.peek().text == ",":
                 self.next()
-                names.append(self.expect_ident().text)
-        for n in names:
-            if not is_visible(n):
-                tok = self.peek()
-                raise ParseError(f"{n!r} cannot occur in an action set",
-                                 tok.line, tok.col)
+                names.append(self.visible())
         return frozenset(names)
 
     def renpairs(self) -> frozenset:
         pairs = []
         while self.peek().kind == "ident":
-            a = self.expect_ident().text
+            a = self.visible()
             self.expect("->")
-            b = self.expect_ident().text
+            b = self.visible()
             pairs.append((a, b))
             if self.peek().text != ",":
                 break
@@ -299,7 +311,7 @@ class _Parser:
             return _modal.EnvBox(acts, body)
         if tok.text == "<":
             self.next()
-            action = self.expect_ident().text
+            action = self.action()
             if self.peek().text == "^":
                 self.next()
                 self.expect(">")
@@ -314,7 +326,7 @@ class _Parser:
                 self.next()
                 return _modal.Eps(left)
             self.expect("<")
-            action = self.expect_ident().text
+            action = self.action()
             self.expect("^")
             self.expect(">")
             right = self.formula()
@@ -514,7 +526,7 @@ def _spec_display_names(sp: RecSpec, outer: Dict[str, str]) -> Dict[str, str]:
         base = n.split("~", 1)[0] or "v"
         cand = base
         k = 0
-        while cand in taken or not _IDENT_RE.match(cand) or cand in RESERVED_NAMES:
+        while cand in taken or not _IDENT_RE.match(cand) or cand in (TAU, TIMEOUT):
             k += 1
             cand = f"{base}_{k}"
         names[n] = cand

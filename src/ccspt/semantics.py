@@ -11,63 +11,18 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (LabelUniverseMismatch, ParseError, StateBudgetExceeded,
-                     UnfoldingDiverged, ValidityError, depth_guarded)
-from .terms import (TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
-                    Rename, Term, Theta, Choice, Var, alphabet, unfold)
+from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged, ValidityError,
+                     depth_guarded)
+# the label vocabulary of ``terms`` is read from here too
+from .terms import (T_EPS, TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
+                    Rename, Term, Theta, Choice, Var, alphabet, eps_label,
+                    is_visible, label_kind, t_label, unfold, visible_alphabet)
 
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_UNFOLD_FUSE = 10_000
-
-# Labels carried by encoded systems only.
-T_EPS = "t_eps"
-
-
-def eps_label(members: Iterable[str]) -> str:
-    return "eps_{%s}" % ",".join(sorted(members))
-
-
-def t_label(members: Iterable[str]) -> str:
-    return "t_{%s}" % ",".join(sorted(members))
-
-
-def label_kind(label: str) -> Tuple[str, Optional[frozenset]]:
-    """Classify a transition label.
-
-    Returns one of ``("tau", None)``, ``("timeout", None)``,
-    ``("visible", None)``, ``("t_eps", None)``, ``("eps_set", X)``,
-    ``("t_set", X)``.
-    """
-    if label == TAU:
-        return ("tau", None)
-    if label == TIMEOUT:
-        return ("timeout", None)
-    if label == T_EPS:
-        return ("t_eps", None)
-    for prefix, kind in (("eps_{", "eps_set"), ("t_{", "t_set")):
-        if label.startswith(prefix) and label.endswith("}"):
-            inner = label[len(prefix):-1]
-            members = frozenset(n for n in inner.split(",") if n)
-            return (kind, members)
-    return ("visible", None)
-
-
-def is_encoded_label(label: str) -> bool:
-    return label_kind(label)[0] in ("t_eps", "eps_set", "t_set")
-
-
-def visible_alphabet(names: Iterable[str]) -> frozenset:
-    """A declared alphabet of visible actions; a reserved name (``tau``,
-    ``t``, ``t_eps``, ``eps_{..}``, ``t_{..}``) raises
-    ``LabelUniverseMismatch``."""
-    sigma = frozenset(names)
-    reserved = sorted(a for a in sigma if label_kind(a)[0] != "visible")
-    if reserved:
-        raise LabelUniverseMismatch(f"reserved names in a declared alphabet: {reserved}")
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -277,8 +232,10 @@ class Lts:
     """A finite LTS with indexed states and a fixed label universe.
 
     ``tags`` carries one descriptive object per state (a term, an encoding
-    tag, or a plain name).  Derived tables (successors, weak reachability,
-    stability) are computed once and cached.
+    tag, or a plain name).  ``sigma`` is the visible alphabet: the declared
+    names and every visible transition label, classified once here.  Derived
+    tables (successors, weak reachability, stability) are computed once and
+    cached.
     """
 
     def __init__(self, tags: Sequence, transitions: Iterable[Tuple[int, str, int]],
@@ -292,8 +249,7 @@ class Lts:
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"transition ({s},{lab!r},{d}) out of range")
         seen = {lab for _, lab, _ in self.transitions}
-        self.sigma = visible_alphabet(sigma) | {
-            l for l in seen if label_kind(l)[0] == "visible"}
+        self.sigma = visible_alphabet(sigma) | {l for l in seen if is_visible(l)}
         universe = set(labels) if labels is not None else set()
         universe |= seen | self.sigma | {TAU, TIMEOUT}
         self.labels = frozenset(universe)
@@ -327,8 +283,7 @@ class Lts:
         return bool(self._out[s].get(TAU))
 
     def initials_visible(self, s: int) -> frozenset:
-        return frozenset(l for l in self._out[s]
-                         if label_kind(l)[0] == "visible")
+        return frozenset(l for l in self._out[s] if l in self.sigma)
 
     def with_sigma(self, sigma: Iterable[str]) -> "Lts":
         return Lts(self.tags, self.transitions, self.initial,
@@ -403,9 +358,11 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
     The states share one step context: each subterm object's moves are
     derived, each recursion call unfolded and each derived node built once
     per build, and nothing is kept past it.  Each state's step gets the
-    whole ``fuse``.
+    whole ``fuse``.  A term that uses a reserved name as a visible action
+    is refused before it is explored.
     """
     limits = limits or ExplorationLimits()
+    actions = visible_alphabet(alphabet(term), "the term's alphabet")
     index: Dict[object, int] = {term.key(): 0}
     tags: List[Term] = [term]
     transitions: List[Tuple[int, str, int]] = []
@@ -427,7 +384,7 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
                     nxt.append((j, target))
                 transitions.append((idx, lab, j))
         frontier = nxt
-    return Lts(tags, transitions, 0, sigma=frozenset(sigma) | alphabet(term))
+    return Lts(tags, transitions, 0, sigma=frozenset(sigma) | actions)
 
 
 # ---------------------------------------------------------------------------

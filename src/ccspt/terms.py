@@ -26,29 +26,61 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import InvalidResult
+from .errors import InvalidResult, LabelUniverseMismatch
 
 TAU = "tau"
 TIMEOUT = "t"
-RESERVED_NAMES = (TAU, TIMEOUT)
+# Labels carried by encoded systems only.
+T_EPS = "t_eps"
 
 ActionSet = frozenset
 
 _fresh_counter = itertools.count()
 
 
-def is_visible(action: str) -> bool:
-    return action not in RESERVED_NAMES
+def eps_label(members: Iterable[str]) -> str:
+    return "eps_{%s}" % ",".join(sorted(members))
 
 
-def visible_set(actions: Iterable[str]) -> frozenset:
-    """Freeze a collection of visible action names, rejecting tau/t."""
-    out = frozenset(actions)
-    for a in out:
-        if not is_visible(a):
-            raise ValueError(f"{a!r} is not a visible action name")
+def t_label(members: Iterable[str]) -> str:
+    return "t_{%s}" % ",".join(sorted(members))
+
+
+def label_kind(label: str) -> Tuple[str, Optional[frozenset]]:
+    """Classify a transition label.
+
+    Returns one of ``("tau", None)``, ``("timeout", None)``,
+    ``("visible", None)``, ``("t_eps", None)``, ``("eps_set", X)``,
+    ``("t_set", X)``.
+    """
+    if label == TAU:
+        return ("tau", None)
+    if label == TIMEOUT:
+        return ("timeout", None)
+    if label == T_EPS:
+        return ("t_eps", None)
+    for prefix, kind in (("eps_{", "eps_set"), ("t_{", "t_set")):
+        if label.startswith(prefix) and label.endswith("}"):
+            inner = label[len(prefix):-1]
+            members = frozenset(n for n in inner.split(",") if n)
+            return (kind, members)
+    return ("visible", None)
+
+
+def is_visible(name: str) -> bool:
+    """Whether a name can be a visible action: not tau, t or a label of the encoding."""
+    return label_kind(name)[0] == "visible"
+
+
+def visible_alphabet(names: Iterable[str], what: str = "a declared alphabet") -> frozenset:
+    """Freeze a set of visible action names; a reserved name raises
+    ``LabelUniverseMismatch``, whose message names the set as ``what``."""
+    out = frozenset(names)
+    reserved = sorted(a for a in out if not is_visible(a))
+    if reserved:
+        raise LabelUniverseMismatch(f"reserved names in {what}: {reserved}")
     return out
 
 
@@ -435,8 +467,10 @@ def _valid(term: Term, bound: frozenset) -> bool:
 
 
 # The visible action names an operator itself mentions, beside its subterms'.
+# A prefix names its action unless it is tau or t: a reserved label used as
+# an action stays in the alphabet, where ``build_lts`` refuses it by name.
 _OWN_ACTIONS = {
-    Prefix: lambda t: frozenset((t.action,)) if is_visible(t.action) else frozenset(),
+    Prefix: lambda t: frozenset() if t.action in (TAU, TIMEOUT) else frozenset((t.action,)),
     Par: attrgetter("sync"),
     Hide: attrgetter("hidden"),
     Rename: lambda t: frozenset(a for pair in t.pairs for a in pair),
@@ -627,32 +661,31 @@ def choice(*parts: Term) -> Term:
 
 
 def par(sync: Iterable[str], left: Term, right: Term) -> Term:
-    return Par(visible_set(sync), left, right)
+    return Par(visible_alphabet(sync, "an action set"), left, right)
 
 
 def hide(hidden: Iterable[str], body: Term) -> Term:
-    return Hide(visible_set(hidden), body)
+    return Hide(visible_alphabet(hidden, "an action set"), body)
 
 
 def rename(pairs: Iterable[Tuple[str, str]], body: Term) -> Term:
     frozen = frozenset(pairs)
-    for a, b in frozen:
-        if not (is_visible(a) and is_visible(b)):
-            raise ValueError("renamings relate visible actions only")
+    visible_alphabet((a for pair in frozen for a in pair), "a renaming")
     return Rename(frozen, body)
 
 
 def theta(low: Iterable[str], high: Iterable[str], body: Term) -> Term:
-    return Theta(visible_set(low), visible_set(high), body)
+    return Theta(visible_alphabet(low, "an action set"),
+                 visible_alphabet(high, "an action set"), body)
 
 
 def theta_x(allowed: Iterable[str], body: Term) -> Term:
-    x = visible_set(allowed)
+    x = visible_alphabet(allowed, "an action set")
     return Theta(x, x, body)
 
 
 def psi(allowed: Iterable[str], body: Term) -> Term:
-    return Psi(visible_set(allowed), body)
+    return Psi(visible_alphabet(allowed, "an action set"), body)
 
 
 def rec(var: str, equations) -> RecCall:

@@ -244,6 +244,63 @@ def test_damaged_witness_fails():
     assert not revalidate(store, "brb")
 
 
+# The first pair elides a tau after a visible action, which every relation
+# but strong bisimilarity allows; the second reorders a choice, for strong.
+WITNESS_PAIRS = {"branching": ("a.tau.t.b.0", "a.t.b.0"),
+                 "strong": ("a.t.b.0 + b.0", "b.0 + a.t.b.0")}
+
+
+def _equivalent_verdict(relation):
+    rooted = relation.endswith("-rooted")
+    base = relation[:-len("-rooted")] if rooted else relation
+    l1, l2, sig = pair_lts(*WITNESS_PAIRS["strong" if base == "strong" else "branching"])
+    if base == "strong":
+        return strong_bisim(l1, 0, l2, 0, sigma=sig)
+    if base == "brbX":
+        return brb_X_check(l1, 0, l2, 0, ["a"], sigma=sig, rooted=rooted)
+    if base == "tb":
+        e1, e2 = encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
+        return tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
+    checker = {"brb": brb_check, "cbrb": cbrb_check, "gbrb": gbrb_check, "tob": tob_check}
+    return checker[base](l1, 0, l2, 0, rooted=rooted, sigma=sig)
+
+
+@pytest.mark.parametrize("relation", [
+    "strong", "brb", "brb-rooted", "brbX", "brbX-rooted", "cbrb", "cbrb-rooted",
+    "gbrb", "gbrb-rooted", "tob", "tob-rooted", "tb", "tb-rooted"])
+def test_every_witness_revalidates_under_its_own_relation(relation):
+    v = _equivalent_verdict(relation)
+    assert v.equivalent and v.relation == relation
+    assert revalidate(v.witness, v.relation)
+
+
+def test_hand_built_tb_store_over_encodings_revalidates():
+    l1, l2, sig = pair_lts("a.0", "a.0")
+    e1, e2 = encode(l1, sigma=sig), encode(l2, sigma=sig)
+    v = tb_check(e1, e1.initial, e2, e2.initial)
+    n1 = len(e1)
+    pairs = [(i, j - n1) for i, j in v.witness.pairs if i < n1 <= j]
+    store = make_store(e1, e2, "tb", pairs=pairs)
+    assert revalidate(store, "tb")
+    store.pairs.discard(min(store.pairs))
+    assert not revalidate(store, "tb")
+
+
+def test_set_store_over_many_declared_masks_is_refused_before_judging():
+    # a store held as sets is judged under every declared mask: 2^30 here
+    lts = lts_of("a.0", sigma=[f"x{i}" for i in range(30)])
+    store = make_store(lts, lts, "brb", pairs=[(0, 0)], triples=[(0, ["a"], 0)])
+    with pytest.raises(StateBudgetExceeded):
+        revalidate(store, "brb")
+
+
+def test_reserved_name_in_an_environment_set_is_a_named_error():
+    l1, l2, sig = pair_lts("a.0 + b.0", "a.0")
+    for check in (tob_check, brb_X_check):
+        with pytest.raises(LabelUniverseMismatch, match="an environment set: \\['t'\\]"):
+            check(l1, 0, l2, 0, sigma=sig, env=["t"])
+
+
 def test_revalidate_unknown_definition_is_a_named_error():
     v = verdict(brb_check, "a.0", "a.0")
     for definition in ("strong-rooted", "nosuch"):

@@ -236,6 +236,17 @@ def test_reserved_name_in_an_alphabet_line_exits_2(proc, capsys, name):
         assert "reserved names" in capsys.readouterr().err
 
 
+def test_reserved_name_in_an_environment_set_exits_2(proc, capsys):
+    # a.0 + b.0 against a.0 under the empty environment is inequivalent: a
+    # dropped tau would read as exit 1
+    one, two = proc("ab.proc", "a.0 + b.0"), proc("a.proc", "a.0")
+    for argv in (["check", "--rel", "brbX", "--env", "tau", one, two],
+                 ["modal", "eval", one, "--formula", "T", "--env", "tau"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "LabelUniverseMismatch: reserved names in an environment set: ['tau']" in err
+
+
 def test_sigma_before_the_subcommand_survives(proc, capsys):
     p = proc("p.proc", "a.0")
     assert main(["--sigma", "z1,z2", "lts", "--fmt", "json", p]) == 0

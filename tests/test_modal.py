@@ -1,9 +1,9 @@
 import pytest
 
-from ccspt import (Diamond, EpsStep, EpsX, FragmentUnsupported, Not, Stable,
-                   TimeoutDiamond, Top, brb_X_check, brb_check, distinguish,
-                   enumerate_fragment, in_fragment, parse_formula, parse_term,
-                   render, sat, sat_env)
+from ccspt import (Diamond, EpsStep, EpsX, FragmentUnsupported, LabelUniverseMismatch,
+                   Not, Stable, TimeoutDiamond, Top, brb_X_check, brb_check,
+                   distinguish, enumerate_fragment, in_fragment, parse_formula,
+                   parse_term, render, sat, sat_env)
 from ccspt.modal import And, Evaluator
 from ccspt.semantics import Lts
 from conftest import lts_of, pair_lts
@@ -208,3 +208,11 @@ def test_theorem_soundness_small(rng):
         e1, e2 = Evaluator(l1), Evaluator(l2)
         for f in froms:
             assert e1.sat(0, f, None) == e2.sat(0, f, None), render(f)
+
+
+def test_reserved_name_in_an_environment_set_is_a_named_error():
+    l1, l2, sig = pair_lts("a.0 + b.0", "a.0")
+    with pytest.raises(LabelUniverseMismatch, match="an environment set"):
+        distinguish(l1, 0, l2, 0, env=["t_eps"], sigma=sig)
+    with pytest.raises(LabelUniverseMismatch, match="an environment set"):
+        sat_env(l1, 0, ["tau"], Top())

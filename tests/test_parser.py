@@ -54,6 +54,30 @@ def test_theta_set_inclusion_is_a_parse_error():
         parse_term("theta{a,b}{a}(0)")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("t_eps.0", 1, 1),
+    ("a.t_eps.0", 1, 3),
+    ("rename{tau->a}(0)", 1, 8),
+    ("rename{a->t}(a.0)", 1, 11),
+    ("hide{t_eps}(a.0)", 1, 6),
+    ("a.0 ||{b, t} b.0", 1, 11),
+    ("(a.0 +\n psi{a,tau}(0))", 2, 8),
+])
+def test_reserved_name_as_a_visible_action_is_refused_at_its_position(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "reserved" in str(err.value)
+
+
+@pytest.mark.parametrize("text, col", [("<t_eps>T", 2), ("eps(T <t_eps^> T)", 8),
+                                       ("[{a,t}]T", 5)])
+def test_reserved_name_in_a_formula_is_refused_at_its_position(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_recursion_forms():
     inline = parse_term("<x|{x = a.x}>")
     named = parse_term("<x|S>", specs={"S": parse_spec("x = a.x")})

@@ -8,7 +8,7 @@ from ccspt.semantics import (DEFAULT_UNFOLD_FUSE, Lts, _step, _StepCtx,
                              is_strongly_guarded, label_kind, stable_reachable,
                              to_dot)
 from ccspt.terms import (NIL, Choice, Hide, Node, Par, Prefix, Psi, RecCall, Rename,
-                         Theta, children)
+                         Theta, children, is_visible)
 from conftest import lts_of
 
 
@@ -138,6 +138,16 @@ def test_label_kinds():
     assert label_kind("eps_{a,b}") == ("eps_set", frozenset({"a", "b"}))
     assert label_kind("t_{}") == ("t_set", frozenset())
     assert label_kind("collect") == ("visible", None)
+    for name in ("tau", "t", "t_eps", "eps_{a}", "t_{}"):
+        assert not is_visible(name), name
+    for name in ("eps_", "a"):
+        assert is_visible(name), name
+
+
+def test_reserved_prefix_action_built_in_code_is_refused():
+    # the parser refuses t_eps.0; a term built in code reaches build_lts
+    with pytest.raises(LabelUniverseMismatch, match="the term's alphabet: \\['t_eps'\\]"):
+        build_lts(Prefix("t_eps", NIL))
 
 
 RESERVED = ("tau", "t", "t_eps", "eps_{a}", "t_{}")

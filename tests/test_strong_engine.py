@@ -23,7 +23,7 @@ from test_tb_engine import ring, sampled_pairs
 
 
 def ref_strong(l1, p, l2, q):
-    arena = Arena(l1, None if l2 is l1 else l2, allow_encoded=True)
+    arena = Arena(l1, None if l2 is l1 else l2)
     gq = arena.state2(q)
     block = [0] * arena.n
     iterations = 0

@@ -142,7 +142,7 @@ def ref_fixpoint(store, checker):
 
 def ref_tb(e1, e2, rooted):
     """(store, entry, iterations, checked) of the per-pair reference."""
-    arena = Arena(e1, None if e2 is e1 else e2, allow_encoded=True)
+    arena = Arena(e1, None if e2 is e1 else e2)
     p, gq = e1.initial, arena.state2(e2.initial)
     store = RefStore(arena, "tb")
     seed_pairs(store, arena.reach(p), arena.reach(gq))

@@ -28,6 +28,16 @@ def test_theta_requires_lower_in_upper():
         theta(["a", "b"], ["a"], NIL)
 
 
+def test_constructors_refuse_reserved_names():
+    from ccspt import LabelUniverseMismatch, hide, par, rename
+    for build in (lambda: hide(["t_eps"], NIL), lambda: par(["tau"], NIL, NIL),
+                  lambda: theta_x(["t"], NIL), lambda: psi(["eps_{a}"], NIL)):
+        with pytest.raises(LabelUniverseMismatch, match="an action set"):
+            build()
+    with pytest.raises(LabelUniverseMismatch, match="a renaming: \\['t_eps'\\]"):
+        rename([("a", "t_eps")], NIL)
+
+
 def test_substitute_examples():
     out = substitute(Prefix("a", Var("x")), {"x": parse_term("b.0")})
     assert out == parse_term("a.b.0")
