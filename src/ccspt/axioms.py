@@ -50,15 +50,8 @@ class _SampleEnv:
                                  max_states=self.max_states, pool=self.pool)
         return term
 
-    def action(self, include=( "vis", "tau", "t")) -> str:
-        options = []
-        if "vis" in include:
-            options += self.sigma
-        if "tau" in include:
-            options.append(TAU)
-        if "t" in include:
-            options.append(TIMEOUT)
-        return self.rng.choice(options)
+    def action(self) -> str:
+        return self.rng.choice(self.sigma + [TAU, TIMEOUT])
 
     def subset(self, prob=0.4) -> frozenset:
         return frozenset(a for a in self.sigma if self.rng.random() < prob)
@@ -138,8 +131,12 @@ _schema("hide-prefix-hidden", "hide_I(a.x) = tau.hide_I(x) if a in I", "both",
                                  "alpha": rng.choice(sorted(s))})
 
 
-def _pick(bindings, cond, env, resample, tries=50):
+_PICK_TRIES = 50
+
+
+def _pick(bindings, cond, env, resample):
     rng = env.rng
+    tries = _PICK_TRIES
     while not cond(bindings) and tries:
         bindings = resample(env, rng)
         tries -= 1

@@ -46,7 +46,8 @@ class Arena:
     which reads ``out`` alone, never builds them.  ``sigma`` is the shared
     visible alphabet, realised as bit masks so environment sets enumerate
     cheaply; a label is visible iff it has a bit (``Lts.sigma`` holds every
-    visible label), and any other label but tau and t is one of an encoding.
+    visible label), and any other label but tau and t is one of an encoding
+    (``encoded`` says whether a move carries one).
 
     An environment X reaches a clause only through idle and permission tests
     on the visible actions some state offers, ``vmask`` (V).  So X and X & V
@@ -94,6 +95,8 @@ class Arena:
             for lab, _ in vis:
                 mask |= bit[lab]
             self.vis_mask.append(mask)
+        self.encoded = any(lab not in bit and lab != TAU and lab != TIMEOUT
+                           for moves in self.out for lab in moves)
         self.vmask = 0
         for mask in self.vis_mask:
             self.vmask |= mask
@@ -194,12 +197,14 @@ class ThetaArena(Arena):
     that state, also for a wrapper with a tau step, where no clause reads
     it.
 
-    Before the wrappers are built, the states they can add are counted
-    against the pair budget.
+    Before the wrappers are built, an encoded input is refused and the
+    states they can add are counted against the pair budget.  A wrapper is
+    named from ``wrap_key`` when it is described.
     """
 
     def __init__(self, l1, l2=None, sigma=()):
         super().__init__(l1, l2, sigma)
+        _refuse_encoded(self, "tob")
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
         base = self.n
@@ -211,10 +216,8 @@ class ThetaArena(Arena):
         for s in range(base):
             for x in self.xmasks:
                 if not self.idle(s, x):
-                    w = self.wrapped[x, s] = len(self.tags)
+                    w = self.wrapped[x, s] = base + len(self.wrap_key)
                     self.wrap_key[w] = (x, s)
-                    names = ",".join(self.mask_names(x))
-                    self.tags.append(f"theta{{{names}}}({self.describe(s)})")
         for (x, s) in self.wrapped:
             moves: Dict[str, List[int]] = {}
             for d in self.out[s].get(TAU, ()):
@@ -235,6 +238,12 @@ class ThetaArena(Arena):
             inner, s = self.wrap_key[s]
             x &= inner
         return self.wrapped[(x, s)]
+
+    def describe(self, s: int) -> str:
+        if s in self.wrap_key:
+            x, s = self.wrap_key[s]
+            return f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})"
+        return super().describe(s)
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         """The base states ``root`` reaches (a base state steps only to base
@@ -637,12 +646,7 @@ class RowEngine:
         trows), those of its rooted layer.  A clause function takes a row's
         key and a memo and yields, clause by clause, (mask of the partners
         that pass, clause, action, env, derivative), with None for a field
-        the clause does not name.  Only ``tb`` reads an encoded arena, one
-        with a label that is neither visible nor tau nor t."""
-        if family != "tb" and any(lab not in self.a.bit for lab in self.pred
-                                  if lab != TAU and lab != TIMEOUT):
-            raise LabelUniverseMismatch(
-                "reactive checkers take base systems, not encoded ones")
+        the clause does not name."""
         if family == "tb":
             return (self._tb(rows) if plain is None else self._rooted_tb(plain[0])), None
         if family == "tob":
@@ -974,6 +978,13 @@ def _symmetric(rows: List[int]) -> bool:
 # Drivers
 
 
+def _refuse_encoded(arena: Arena, family: str):
+    """Only ``tb`` reads an encoded arena; every other family refuses it
+    before building anything over it."""
+    if arena.encoded and family != "tb":
+        raise LabelUniverseMismatch("reactive checkers take base systems, not encoded ones")
+
+
 def _budget_check(n_states: int, n_masks: int):
     """Refuse a store of n_states^2 pairs, each under n_masks effective masks."""
     if n_states * n_states * n_masks > TRIPLE_BUDGET:
@@ -985,6 +996,7 @@ def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
     """The plain fixpoint of a family on the row engine, seeded over the
     side states of p and q; with ``rooted``, the rooted layer over it (its
     ``plain`` is the plain store)."""
+    _refuse_encoded(arena, family)
     with_triples = family not in RowEngine.PAIR_FAMILIES
     lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
     _budget_check(len(lefts) + len(rights),
@@ -1174,6 +1186,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     and tb).  Stores held as rows, the same under every mask of a class, are
     judged under the effective masks; a store held as sets under every
     declared mask, counted against the budget first."""
+    _refuse_encoded(witness.arena, family)
     with_triples = family not in RowEngine.PAIR_FAMILIES
     if not with_triples and witness.has_triples:
         return False

@@ -3,7 +3,8 @@ and distinguishing-formula synthesis.
 
 Formulas share the node base of terms (``terms.Node``): each class is a
 frozen dataclass declared with ``terms._node``, and its recorded fields give
-its structural key, so equality and hashing need no per-class code.
+its structural key (``Node._make_key``), so equality and hashing need no
+per-class code.
 
 Satisfaction is evaluated either in a triggered environment (``env=None``)
 or under a set Y of currently allowed visible actions.  The two branching
@@ -30,26 +31,14 @@ from .terms import Node, _node
 
 
 class Formula(Node):
-    """Base class of the formulas.
-
-    The key is the class name followed by the fields in order, with
-    sub-formulas as their keys and action sets as sorted tuples.
+    """Base class of the formulas; the fields annotated ``Formula`` are the
+    sub-formulas.  Equality and hashing read the structural key of
+    ``terms.Node``: the class name, the own fields (actions, action sets as
+    sorted tuples, ``And.parts`` as the tuple of their keys), then the keys
+    of the sub-formulas.  A formula never equals a term.
     """
 
     __slots__ = ()
-
-    def _make_key(self):
-        out = [type(self).__name__]
-        for name in self._fields:
-            v = getattr(self, name)
-            if isinstance(v, Formula):
-                v = v.key()
-            elif isinstance(v, frozenset):
-                v = tuple(sorted(v))
-            elif isinstance(v, tuple):
-                v = tuple([p.key() for p in v])
-            out.append(v)
-        return tuple(out)
 
     def __repr__(self):
         return f"<Formula {self}>"
@@ -127,12 +116,7 @@ class Stable(Formula):
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
-    seen = {}
-    for p in parts:
-        if isinstance(p, Top):
-            continue
-        seen.setdefault(p.key(), p)
-    items = tuple(seen.values())
+    items = tuple(dict.fromkeys(p for p in parts if not isinstance(p, Top)))
     if not items:
         return Top()
     if len(items) == 1:
@@ -296,9 +280,8 @@ def enumerate_fragment(sigma: Iterable[str], max_size: int,
     seen = set()
 
     def add(n, f):
-        k = f.key()
-        if k not in seen:
-            seen.add(k)
+        if f not in seen:
+            seen.add(f)
             by_size[n].append(f)
 
     if max_size >= 1:
@@ -318,28 +301,19 @@ def enumerate_fragment(sigma: Iterable[str], max_size: int,
                         add(n, EpsStep(f, a, g))
                     for x in subsets:
                         add(n, EpsX(f, x, g))
-    if which == "Lb":
-        return [f for size in by_size.values() for f in size]
-    # Lbr: strong first step over Lb continuations
     lb = [f for size in by_size.values() for f in size]
-    out: List[Formula] = []
-    outseen = set()
-
-    def addr(f):
-        k = f.key()
-        if k not in outseen:
-            outseen.add(k)
-            out.append(f)
-
-    addr(Top())
+    if which == "Lb":
+        return lb
+    # Lbr: strong first step over Lb continuations, each formula kept once
+    out = dict.fromkeys([Top()])
     for f in lb:
         for a in actions:
-            addr(Diamond(a, f))
+            out.setdefault(Diamond(a, f))
         for x in subsets:
-            addr(TimeoutDiamond(x, f))
+            out.setdefault(TimeoutDiamond(x, f))
     for f in list(out):
-        addr(Not(f))
-    return out
+        out.setdefault(Not(f))
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

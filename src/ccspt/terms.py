@@ -7,16 +7,18 @@ operators ``theta`` / ``psi``, and calls into recursive specifications.
 
 Each operator is a frozen dataclass declared with ``_node``, which records
 its fields once; the fields annotated ``Term`` are its subterms.  Walks that
-only visit subterms go through ``children`` and ``rebuild`` and name no
-operator but the ones whose own rule they apply; a recursion call's
-equations lie under its binder, outside ``children``.  Functions that give
-each operator its own output, or run on every unfolded state (canonical
-keys, substitution, the SOS rules, rendering), stay written out per
-operator.
+only visit subterms (canonical keys, substitution, free variables, validity,
+guardedness) go through ``children`` and ``rebuild`` and name no operator
+but the ones whose own rule they apply: mostly a variable and a recursion
+call, whose equations lie under its binder, outside ``children``.  What
+gives each operator an output of its own stays written out per operator:
+the SOS rules (``semantics._step``), rendering (``parser``) and the action
+names an operator itself mentions (``_OWN_ACTIONS``).
 
-Terms are immutable.  Equality and hashing go through a canonical key that
-numbers specification-bound variables by their binding structure, so terms
-that differ only in the names of bound variables compare equal.  That is the
+Terms are immutable.  Equality and hashing go through a canonical key, the
+structural key of every node (``Node._make_key``) in which a variable bound
+by a recursion call is numbered by its binding structure, so terms that
+differ only in the names of bound variables compare equal.  That is the
 state identity used by the LTS builder.
 """
 
@@ -88,9 +90,9 @@ class Node:
     """Base of the syntax trees: terms here, formulas in ``modal``.
 
     Subclasses are frozen dataclasses declared with ``_node``.  Equality and
-    hashing go through ``key()``, which each family computes in its
-    ``_make_key`` and which is cached on the node.  A node only ever equals
-    a node of its own family.
+    hashing go through ``key()``, the structural key of ``_make_key`` (for
+    a term, through ``_canon_raw``), cached on the node.  A node only ever
+    equals a node of its own family.
 
     Caches live on the instance and are read as attributes, over these
     class-level defaults: reading ``__dict__`` would materialise it, and
@@ -108,9 +110,35 @@ class Node:
     def key(self):
         k = self._key
         if k is None:
-            k = self._make_key()
+            k = _canon_raw(self, (), frozenset())
             object.__setattr__(self, "_key", k)
         return k
+
+    def _make_key(self, env, names):
+        """The class name, then the class's own fields, then the keys of its
+        children, with the variables of ``names`` resolved through ``env``
+        (see ``_canon_raw``).  A frozenset becomes a sorted tuple and a tuple
+        of nodes the tuple of their keys.  A child's key that depends on no
+        enclosing binder is cached on the child."""
+        out = [type(self).__name__]
+        for v in self._get_own(self):
+            if isinstance(v, frozenset):
+                v = tuple(sorted(v))
+            elif isinstance(v, tuple):
+                v = tuple(map(Node.key, v))
+            out.append(v)
+        # a plain loop, and key() inlined: a comprehension or one more call
+        # would take another stack frame per level of a deep term
+        for kid in self._get_kids(self):
+            if names and free_vars(kid) & names:
+                key = _canon_raw(kid, env, names)
+            else:
+                key = kid._key
+                if key is None:
+                    key = _canon_raw(kid, (), frozenset())
+                    object.__setattr__(kid, "_key", key)
+            out.append(key)
+        return tuple(out)
 
     def __eq__(self, other):
         if self is other:
@@ -137,11 +165,13 @@ class Node:
 
 def _node(cls):
     """Freeze ``cls`` and record its structure: ``_fields`` in declaration
-    order, and ``_kids``, those annotated with its family's base class."""
+    order, ``_kids``, those annotated with its family's base class, and the
+    getters of its kids and of its own (other) fields."""
     cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls._fields = tuple(f.name for f in fields(cls))
     cls._kids = tuple(f.name for f in fields(cls) if f.type == cls._family.__name__)
     cls._get_kids = staticmethod(_getter(cls._kids))
+    cls._get_own = staticmethod(_getter(tuple(f for f in cls._fields if f not in cls._kids)))
     return cls
 
 
@@ -160,10 +190,6 @@ class Term(Node):
     """Base class of the process operators."""
 
     __slots__ = ()
-
-    def _make_key(self):
-        """Canonical structural key, invariant under renaming of bound variables."""
-        return _canon(self, (), frozenset())
 
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
@@ -273,10 +299,10 @@ class RecSpec:
         return self._cmp_key() == other._cmp_key()
 
     def _cmp_key(self):
+        """The key of a call of the first equation's variable."""
         k = self._ckey
         if k is None:
-            first = self.equations[0][0] if self.equations else None
-            k = _spec_key(self, first, (), frozenset()) if first else ("spec",)
+            k = _call_key(self, self.equations[0][0], (), frozenset()) if self.equations else ()
             object.__setattr__(self, "_ckey", k)
         return k
 
@@ -351,76 +377,41 @@ def _spec_refs(term: Term, names: frozenset, shadow: frozenset):
     if isinstance(term, Var):
         if term.name in names and term.name not in shadow:
             yield term.name
-    elif isinstance(term, Prefix):
-        yield from _spec_refs(term.body, names, shadow)
-    elif isinstance(term, (Choice, Par)):
-        yield from _spec_refs(term.left, names, shadow)
-        yield from _spec_refs(term.right, names, shadow)
-    elif isinstance(term, (Hide, Rename, Theta, Psi)):
-        yield from _spec_refs(term.body, names, shadow)
     elif isinstance(term, RecCall):
         inner = shadow | term.spec.vars
-        for _, body in term.spec.equations:
+        for body in term.spec.bodies:
             yield from _spec_refs(body, names, inner)
+    else:
+        for kid in children(term):
+            yield from _spec_refs(kid, names, shadow)
 
 
-def _spec_key(sp: RecSpec, entry: str, env, env_names):
+def _call_key(sp: RecSpec, entry: str, env, names):
+    """The key of a call of ``entry`` into ``sp``: its bodies in the order
+    of ``_spec_order``, under one more binder that numbers its variables."""
     order = _spec_order(sp, entry)
-    idx = {name: i for i, name in enumerate(order)}
-    env2 = env + (idx,)
-    names2 = env_names | sp.vars
-    return tuple((idx[name], _canon(sp.body(name), env2, names2))
-                 for name in order)
+    env = env + ({name: i for i, name in enumerate(order)},)
+    names = names | sp.vars
+    out = []
+    for name in order:
+        out.append(_canon_raw(sp.body(name), env, names))
+    return tuple(out)
 
 
-def _canon(term: Term, env, env_names):
-    """Canonical key of ``term`` with bound variables resolved through ``env``.
-
-    ``env`` is a tuple of per-binder maps (innermost last); a bound variable
-    becomes (distance-to-binder, index-within-binder).
-    """
-    if not (env_names and free_vars(term) & env_names):
-        cached = term._key
-        if cached is not None:
-            return cached
-        key = _canon_raw(term, (), frozenset())
-        object.__setattr__(term, "_key", key)
-        return key
-    return _canon_raw(term, env, env_names)
-
-
-def _canon_raw(term: Term, env, env_names):
-    if isinstance(term, Nil):
-        return ("0",)
+def _canon_raw(term: Node, env, names):
+    """Canonical key of a term (or formula) with the variables of ``names``
+    bound through ``env``, a tuple of per-binder maps (innermost last): a
+    bound variable becomes (distance-to-binder, index-within-binder).  Every
+    other node gets its structural key (``Node._make_key``)."""
     if isinstance(term, Var):
-        name = term.name
         for dist, scope in enumerate(reversed(env)):
-            if name in scope:
-                return ("b", dist, scope[name])
-        return ("v", name)
-    if isinstance(term, Prefix):
-        return ("pre", term.action, _canon(term.body, env, env_names))
-    if isinstance(term, Choice):
-        return ("+", _canon(term.left, env, env_names), _canon(term.right, env, env_names))
-    if isinstance(term, Par):
-        return ("par", tuple(sorted(term.sync)),
-                _canon(term.left, env, env_names), _canon(term.right, env, env_names))
-    if isinstance(term, Hide):
-        return ("hide", tuple(sorted(term.hidden)), _canon(term.body, env, env_names))
-    if isinstance(term, Rename):
-        return ("ren", tuple(sorted(term.pairs)), _canon(term.body, env, env_names))
-    if isinstance(term, Theta):
-        return ("theta", tuple(sorted(term.low)), tuple(sorted(term.high)),
-                _canon(term.body, env, env_names))
-    if isinstance(term, Psi):
-        return ("psi", tuple(sorted(term.allowed)), _canon(term.body, env, env_names))
-    if isinstance(term, RecCall):
-        order = _spec_order(term.spec, term.var)
-        idx = {name: i for i, name in enumerate(order)}
-        env2 = env + (idx,)
-        names2 = env_names | term.spec.vars
-        return ("rec", tuple(_canon(term.spec.body(name), env2, names2) for name in order))
-    raise TypeError(f"not a term: {term!r}")
+            if term.name in scope:
+                return ("b", dist, scope[term.name])
+    elif isinstance(term, RecCall):
+        return ("RecCall", _call_key(term.spec, term.var, env, names))
+    elif not isinstance(term, Node):
+        raise TypeError(f"not a term: {term!r}")
+    return term._make_key(env, names)
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +501,8 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
 def _subst(term: Term, mapping) -> Term:
     if not mapping:
         return term
-    if isinstance(term, Nil):
-        return term
     if isinstance(term, Var):
         return mapping.get(term.name, term)
-    if isinstance(term, Prefix):
-        return Prefix(term.action, _subst(term.body, mapping))
-    if isinstance(term, Choice):
-        return Choice(_subst(term.left, mapping), _subst(term.right, mapping))
-    if isinstance(term, Par):
-        return Par(term.sync, _subst(term.left, mapping), _subst(term.right, mapping))
-    if isinstance(term, Hide):
-        return Hide(term.hidden, _subst(term.body, mapping))
-    if isinstance(term, Rename):
-        return Rename(term.pairs, _subst(term.body, mapping))
-    if isinstance(term, Theta):
-        return Theta(term.low, term.high, _subst(term.body, mapping))
-    if isinstance(term, Psi):
-        return Psi(term.allowed, _subst(term.body, mapping))
     if isinstance(term, RecCall):
         live = {v: t for v, t in mapping.items()
                 if v not in term.spec.vars and v in free_vars(term)}
@@ -545,7 +520,16 @@ def _subst(term: Term, mapping) -> Term:
             var = ren.get(var, var)
         sp = RecSpec(tuple((n, _subst(b, live)) for n, b in sp.equations))
         return RecCall(var, sp)
-    raise TypeError(f"not a term: {term!r}")
+    if not isinstance(term, Term):
+        raise TypeError(f"not a term: {term!r}")
+    kids = children(term)
+    if not kids:
+        return term
+    # a plain loop: a comprehension would take a stack frame per level
+    new = []
+    for kid in kids:
+        new.append(_subst(kid, mapping))
+    return rebuild(term, new)
 
 
 def unfold(call: RecCall, calls: Mapping[str, RecCall] = None) -> Term:

@@ -3,7 +3,8 @@ import time
 import pytest
 
 from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded,
-                   bisim, brb_X_check, brb_check, cbrb_check, encode, gbrb_check, make_store,
+                   bisim, brb_X_check, brb_check, cbrb_check, distinguish, encode,
+                   gbrb_check, make_store,
                    parse_term, revalidate, strong_bisim, tb_check, tob_check)
 from ccspt.gallery import (divergent_timeout_trio, divergent_timeout_witness,
                            visible_choice_pair, visible_choice_terms)
@@ -92,6 +93,27 @@ def test_brb_rejects_encoded_inputs():
         brb_check(enc, 0, enc, 0)
 
 
+def test_encoded_input_refused_before_engine_or_wrappers(monkeypatch):
+    # only tb reads an encoding; every other family refuses one before it
+    # builds the engine tables or a tob wrapper
+    e = encode(ring(8, {1}, False), sigma={"a", "b"})
+    p = e.initial
+    v = tb_check(e, p, e, p)
+    assert v.equivalent and revalidate(make_store(e, None, "tb", v.witness.pairs), "tb")
+    brb_store = make_store(e, None, "brb", pairs=[(p, p)])
+    built = lambda *args: pytest.fail("built over an encoded input")
+    monkeypatch.setattr(bisim.RowEngine, "__init__", built)
+    monkeypatch.setattr(bisim.ThetaArena, "idle", built)   # the wrapper loop
+    calls = [(brb_X_check, (e, p, e, p, {"a"})), (tob_check, (e, p, e, p), {"env": {"a"}}),
+             (revalidate, (brb_store, "brb")), (revalidate, (brb_store, "brb-rooted"))]
+    calls += [(check, (e, p, e, p), {"rooted": rooted}) for rooted in (False, True)
+              for check in (brb_check, cbrb_check, gbrb_check, tob_check)]
+    calls += [(distinguish, (e, p, e, p, fragment)) for fragment in ("Lb", "Lbr")]
+    for fn, args, *kw in calls:
+        with pytest.raises(LabelUniverseMismatch, match="not encoded ones"):
+            fn(*args, **(kw[0] if kw else {}))
+
+
 def test_brb_triple_budget():
     # thirty offered actions: 2^30 environment masks per pair
     lts = lts_of(" + ".join(f"x{i}.0" for i in range(30)))
@@ -119,8 +141,8 @@ def test_unused_actions_turn_refusals_into_answers():
 
 def test_tob_budget_before_any_wrapper(monkeypatch):
     # 8191 wrappers of the root would make 8193^2 pairs: refused before
-    # the first wrapper is built (and tagged with the state it wraps)
-    monkeypatch.setattr(bisim.ThetaArena, "describe",
+    # the wrapper loop asks whether a state idles under a mask
+    monkeypatch.setattr(bisim.ThetaArena, "idle",
                         lambda *args: pytest.fail("a wrapper was built"))
     lts = lts_of(" + ".join(f"x{i}.0" for i in range(13)))
     with pytest.raises(StateBudgetExceeded):

@@ -159,3 +159,55 @@ def test_rebuild_from_children_is_identity(rng):
         assert rebuild(t, children(t)) == t
     swapped = rebuild(Choice(NIL, Var("x")), (Var("x"), NIL))
     assert swapped == Choice(Var("x"), NIL)
+
+
+# ---------------------------------------------------------------------------
+# the one structural key
+
+
+def test_same_shape_operators_keep_distinct_keys_and_states():
+    from ccspt import build_lts, hide
+    from ccspt.modal import Diamond, EnvBox, HatDiamond, TimeoutDiamond, Top
+    p = parse_term("b.0")
+    assert hide(["a"], p) != psi(["a"], p)
+    # root, hide{a}(b.0), psi{a}(b.0), hide{a}(0) and 0
+    lts = build_lts(Choice(Prefix("tau", hide(["a"], p)), Prefix("tau", psi(["a"], p))))
+    assert lts.num_states == 5
+    x = frozenset({"a"})
+    for f, g in ((EnvBox(x, Top()), TimeoutDiamond(x, Top())),
+                 (Diamond("a", Top()), HatDiamond("a", Top()))):
+        assert f != g and len({f, g}) == 2
+
+
+def test_a_term_never_equals_a_formula():
+    from ccspt.modal import EnvBox, Top
+    x = frozenset({"a"})
+    term, formula = psi(x, NIL), EnvBox(x, Top())
+    assert term != formula and formula != term
+    assert {term: 1}.get(formula) is None and {formula: 1}.get(term) is None
+
+
+def test_spec_equality_up_to_renaming():
+    one = parse_spec("x = a.y + tau.z; y = b.z; z = t.x")
+    two = parse_spec("p = a.q + tau.r; q = b.r; r = t.p")
+    assert one == two and hash(one) == hash(two)
+    assert one != parse_spec("p = a.q + tau.r; q = b.r; r = t.q")
+    assert one != parse_spec("p = a.q + tau.r; q = c.r; r = t.p")
+
+
+def test_substitute_keeps_each_operator_own_fields():
+    from ccspt import hide, par, rename
+    x, b = Var("x"), parse_term("b.0")
+    for build in (lambda s: par(["a"], s, Prefix("a", s)), lambda s: hide(["a"], s),
+                  lambda s: rename([("a", "c")], s), lambda s: theta(["a"], ["a", "b"], s),
+                  lambda s: psi(["a"], s)):
+        got = substitute(build(x), {"x": b})
+        assert got == build(b) and render(got) == render(build(b))
+
+
+def test_a_non_term_is_a_type_error():
+    from ccspt.terms import _canon_raw
+    with pytest.raises(TypeError, match="not a term: 42"):
+        _canon_raw(42, (), frozenset())
+    with pytest.raises(TypeError, match="not a term: 42"):
+        substitute(Prefix("a", 42), {"x": NIL})
