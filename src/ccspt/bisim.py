@@ -14,7 +14,11 @@ too), ``tob`` over the environment-augmented ``ThetaArena``, ``tb`` over
 encoded systems, and the rooted layer of each.  It keeps a relation as bit
 masks, one pair row per state and one triple row per state and environment
 mask, and decides a row's clauses for all of its partners at once, with the
-same rounds, ranks and refutation records as a per-entry check.
+same rounds, ranks and refutation records as a per-entry check.  Each
+family's clauses are written once, in ``RowEngine.clauses``: the rooted
+layer reads them strongly, matching a first step by the same step into the
+plain fixpoint.  ``revalidate`` judges a witness by the same rounds, run on
+copies of its rows: it holds iff the first round deletes nothing.
 
 Strong bisimilarity alone uses signature refinement over the move table
 (``strong_bisim``).
@@ -328,11 +332,13 @@ class RelationStore:
 
     def row_form(self, xmasks: Optional[Iterable[int]] = None
                  ) -> Tuple[List[int], Optional[Dict[int, List[int]]]]:
-        """The entries as pair rows and, with ``xmasks``, the triple rows
-        under each of those masks, read off the sets where those exist."""
+        """New lists of the entries as pair rows and, with ``xmasks``, as
+        the triple rows under each of those masks, read off the sets where
+        those exist."""
         n = self.arena.n
-        rows = self.rows
-        if rows is None:
+        if self.rows is not None:
+            rows = list(self.rows)
+        else:
             rows = [0] * n
             for p, q in self._pairs:
                 rows[p] |= 1 << q
@@ -340,7 +346,7 @@ class RelationStore:
             return rows, None
         if self.trows is not None:
             vmask = self.arena.vmask
-            return rows, {x: self.trows[x & vmask] for x in xmasks}
+            return rows, {x: list(self.trows[x & vmask]) for x in xmasks}
         trows = {x: [0] * n for x in xmasks}
         for p, x, q in self._triples:
             if x in trows:
@@ -460,14 +466,17 @@ class RowEngine:
     ``RelationStore``); ``tob`` and ``tb`` are pairs only.  Triple rows may
     also be keyed by declared masks (revalidating a store built from sets):
     a clause reads a mask only through its idle states and its permissions,
-    which X & V decides.  From the
-    predecessor masks of every label and the reverse weak closure (and, over
-    a ``ThetaArena``, one inverse of ``wrap`` per effective mask, which maps
-    each wrapper back to every state, bare or wrapped, that wraps onto it),
-    the clauses of a row's
-    entries are decided for every partner q at once: each clause gives the
-    mask of partners it lets pass, in the order a per-entry check would try
-    the clauses, so each failing partner gets the same first failing clause.
+    which X & V decides.
+
+    From the predecessor masks of every label and the reverse weak closure
+    (and, over a ``ThetaArena``, one inverse of ``wrap`` per effective mask,
+    which maps each wrapper back to every state, bare or wrapped, that wraps
+    onto it), the clauses of a row's entries are decided for every partner q
+    at once: each clause gives the mask of partners it lets pass, in the
+    order a per-entry check would try the clauses, so each failing partner
+    gets the same first failing clause.  ``clauses`` builds them, the plain
+    ones and their rooted reading alike; ``fixpoint`` runs the rounds, for
+    the checks and for ``revalidate``.
     """
 
     FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
@@ -598,11 +607,6 @@ class RowEngine:
             self._idle = {x: self.notau & ~b for x, b in busy.items()}
         return self._idle
 
-    def _idle_of(self, trows) -> Dict[int, int]:
-        """The idle states under each mask ``trows`` is keyed by."""
-        idle, vmask = self._idle_masks(), self.a.vmask
-        return {x: idle[x & vmask] for x in trows}
-
     def _unwrap(self, x, mask: int, memo) -> int:
         """The states whose wrapper under x lies in ``mask``."""
         key = ("u", x, mask)
@@ -627,17 +631,17 @@ class RowEngine:
     def _idle_timeouts(self, p, idle):
         """(y, p2) for every mask y of ``idle`` that p idles under and every
         time-out p -t-> p2, in the order the clauses try them."""
-        for y, idles in idle.items():
-            if idles >> p & 1:
-                for p2 in self.a.t_succ[p]:
-                    yield y, p2
+        t_succ = self.a.t_succ[p]
+        if t_succ:
+            for y, idles in idle.items():
+                if idles >> p & 1:
+                    for p2 in t_succ:
+                        yield y, p2
 
-    def _strong(self, moves, plain, clause, memo):
-        """Each move p -lab-> p2 matched by the same step of the partner
-        into the plain pair rows."""
-        for lab, ds in moves:
-            for p2 in ds:
-                yield self._pre(lab, plain[p2], memo), clause, lab, None, p2
+    def _strong_step(self, lab, target: int, alive: int, memo) -> int:
+        """Partners with a ``lab``-step into ``target``: the rooted reading
+        of ``_weak_step``, which ``alive`` does not constrain."""
+        return self._pre(lab, target, memo)
 
     # -- clauses -------------------------------------------------------------
     def clauses(self, family: str, rows, trows, plain=None):
@@ -646,195 +650,105 @@ class RowEngine:
         trows), those of its rooted layer.  A clause function takes a row's
         key and a memo and yields, clause by clause, (mask of the partners
         that pass, clause, action, env, derivative), with None for a field
-        the clause does not name."""
-        if family == "tb":
-            return (self._tb(rows) if plain is None else self._rooted_tb(plain[0])), None
-        if family == "tob":
-            return (self._tob(rows) if plain is None else self._rooted_tob(plain[0])), None
-        if plain is None:
-            if family == "gbrb":
-                return self._gbrb(rows, trows)
-            return self._brb(rows, trows, concrete=family == "cbrb")
-        return self._rooted(rows, trows, plain, generalised=family == "gbrb")
+        the clause does not name.
 
-    def _tb(self, rows):
-        a = self.a
-        branch = [lab for lab in self.pred
-                  if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
-        moves = [[(lab, a.out[s][lab]) for lab in branch if lab in a.out[s]]
-                 for s in range(a.n)]
+        Each clause is written once.  A pair row has a weak step for each
+        move (1a, t1, tb1); then the time-outs (gbrb's 1b and tob's t2, under
+        each mask p idles under, and tb2) or, for brb and cbrb, the triple
+        rows (1b); then stability (1c, t3, tb3).  A triple row has 2a-2e,
+        where gbrb's 2c matches the time-outs as its 1b does and cbrb's 2d
+        matches a time-out by exactly one time-out.
+
+        The rooted layer reads the same clauses strongly: a step of p is
+        matched by the same step into the plain rows, a time-out by one
+        time-out into them, brb's 2c reads the rooted row itself, there is
+        no stability clause, and each name takes an ``r`` prefix.  The one
+        exception is ``rtb1``: rooted tb matches every first step, t and t_X
+        included, in label order.
+        """
+        a, rooted = self.a, plain is not None
+        tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
+        # the rows a step of p is matched into, and how
+        mrows, mtrows = plain if rooted else (rows, trows)
+        step = self._strong_step if rooted else self._weak_step
+        stable = ~self.unstable
+        r = "r" if rooted else ""
+        c1a, c1b, c1c = (r + c for c in {"tb": ("tb1", "tb2", "tb3"), "tob": ("t1", "t2", "t3")}
+                         .get(family, ("1a", "1b", "1c")))
+        c2a, c2b, c2c, c2d, c2e = (r + c for c in (
+            "2a", "2b", "2c", "2d", "2d-stable" if generalised else "2e"))
+        if tb and rooted:   # rtb1
+            moves = [sorted(out.items()) for out in a.out]
+        elif tb:
+            # tb1 reads no t_X label, and tb2 the time-outs
+            branch = [lab for lab in self.pred
+                      if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+            moves = [[(lab, out[lab]) for lab in branch if lab in out] for out in a.out]
+        else:
+            moves = a.moves_vt
+            idle = self._idle_masks()
+            if not tob:   # the masks trows is keyed by, declared ones too
+                idle = {x: idle[x & a.vmask] for x in trows}
+        # brb and cbrb ask a pair for its triples in 1b and have no 1c
+        pair_stable = not rooted and family not in ("brb", "cbrb")
+
+        def timeouts(p, clause, memo):
+            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
+            mask y it idles under, matched as ``_gpath`` does (for tob over
+            the states whose wrappers under y are related)."""
+            for y, p2 in self._idle_timeouts(p, idle):
+                if tob:
+                    target = self._unwrap(y, mrows[a.wrap(y, p2)], memo)
+                    alive = None if rooted else self._unwrap(y, rows[p], memo)
+                else:
+                    target, alive = mtrows[y][p2], trows[y][p]
+                ok = (self._pre(TIMEOUT, target, memo) if rooted
+                      else self._gpath(y, alive, target, memo))
+                yield ok, clause, None, y, p2
 
         def pair(p, memo):
             alive = rows[p]
             for lab, ds in moves[p]:
                 for p2 in ds:
-                    yield (self._weak_step(lab, rows[p2], alive, memo),
-                           "tb1", lab, None, p2)
-            for p2 in a.t_succ[p]:
-                yield (self._tpath(alive, alive, rows[p2], memo),
-                       "tb2", None, None, p2)
-            if not a.has_tau[p]:
-                yield ~self.unstable, "tb3", None, None, None
-        return pair
-
-    def _rooted_tb(self, plain):
-        """Every first step of p matched by the same step of q into the
-        plain relation."""
-        a = self.a
-
-        def pair(p, memo):
-            return self._strong(sorted(a.out[p].items()), plain, "rtb1", memo)
-        return pair
-
-    def _tob(self, rows):
-        """Clauses t1-t3 of time-out bisimulation: t2 matches p's time-out
-        to p2 under y as gbrb does, over the states whose wrappers under y
-        are related to p and to p2's wrapper."""
-        a, idle = self.a, self._idle_masks()
-
-        def pair(p, memo):
-            alive = rows[p]
-            for lab, ds in a.moves_vt[p]:
-                for p2 in ds:
-                    yield (self._weak_step(lab, rows[p2], alive, memo),
-                           "t1", lab, None, p2)
-            if a.t_succ[p]:
-                for y, p2 in self._idle_timeouts(p, idle):
-                    yield (self._gpath(y, self._unwrap(y, alive, memo),
-                                       self._unwrap(y, rows[a.wrap(y, p2)], memo), memo),
-                           "t2", None, y, p2)
-            if not a.has_tau[p]:
-                yield ~self.unstable, "t3", None, None, None
-        return pair
-
-    def _rooted_tob(self, plain):
-        """Clauses rt1/rt2: every first step of p, a time-out with its
-        target wrapped, matched by the same step of q into the plain
-        relation."""
-        a, idle = self.a, self._idle_masks()
-
-        def pair(p, memo):
-            yield from self._strong(a.moves_vt[p], plain, "rt1", memo)
-            if a.t_succ[p]:
-                for y, p2 in self._idle_timeouts(p, idle):
-                    yield (self._pre(TIMEOUT, self._unwrap(y, plain[a.wrap(y, p2)], memo), memo),
-                           "rt2", None, y, p2)
-        return pair
-
-    def _brb(self, rows, trows, concrete: bool):
-        """Clauses 1a/1b and 2a-2e of brb; ``concrete`` (cbrb) matches a
-        time-out by exactly one time-out in 2d."""
-        a = self.a
-        idle = self._idle_of(trows)
-
-        def pair(p, memo):
-            alive = rows[p]
-            for lab, ds in a.moves_vt[p]:
-                for p2 in ds:
-                    yield (self._weak_step(lab, rows[p2], alive, memo),
-                           "1a", lab, None, p2)
-            for x, line in trows.items():
-                yield line[p], "1b", None, x, None
+                    yield step(lab, mrows[p2], alive, memo), c1a, lab, None, p2
+            if tb:
+                if not rooted:
+                    for p2 in a.t_succ[p]:
+                        yield self._tpath(alive, alive, rows[p2], memo), c1b, None, None, p2
+            elif tob or generalised:
+                yield from timeouts(p, c1b, memo)
+            else:
+                for x, line in trows.items():
+                    yield line[p], c1b, None, x, None
+            if pair_stable and not a.has_tau[p]:
+                yield stable, c1c, None, None, None
+        if trows is None:
+            return pair, None
 
         def triple(p, x, memo):
-            line = trows[x]
+            line, mline = trows[x], mtrows[x]
             alive = line[p]
             for p2 in a.tau_succ[p]:
-                yield (self._weak_step(TAU, line[p2], alive, memo),
-                       "2a", None, None, p2)
+                yield step(TAU, mline[p2], alive, memo), c2a, None, None, p2
+            idles = idle[x] >> p & 1
             for lab, ds in a.vis_moves[p]:
-                if a.bit.get(lab, 0) & x:
+                if (generalised and idles) or a.bit[lab] & x:
                     for p2 in ds:
-                        yield (self._weak_step(lab, rows[p2], alive, memo),
-                               "2b", lab, None, p2)
-            if idle[x] >> p & 1:
-                yield self._reaching(rows[p], memo), "2c", None, None, None
+                        yield step(lab, mrows[p2], alive, memo), c2b, lab, None, p2
+            if idles and generalised:
+                yield from timeouts(p, c2c, memo)
+            elif idles:
+                yield rows[p] if rooted else self._reaching(rows[p], memo), c2c, None, None, None
                 for p2 in a.t_succ[p]:
-                    if concrete:
+                    if rooted:
+                        ok = self._pre(TIMEOUT, mline[p2], memo)
+                    elif concrete:
                         ok = self._reaching(self._pre(TIMEOUT, line[p2], memo), memo)
                     else:
                         ok = self._tpath(alive, idle[x], line[p2], memo)
-                    yield ok, "2d", None, None, p2
-            if not a.has_tau[p]:
-                yield ~self.unstable, "2e", None, None, None
-        return pair, triple
-
-    def _gbrb(self, rows, trows):
-        """Clauses 1a-1c and 2a-2d-stable of gbrb: triples are consulted
-        only after time-outs."""
-        a = self.a
-        idle = self._idle_of(trows)
-
-        def timeouts(p, clause, memo):
-            for y, p2 in self._idle_timeouts(p, idle):
-                yield self._gpath(y, trows[y][p], trows[y][p2], memo), clause, None, y, p2
-
-        def pair(p, memo):
-            alive = rows[p]
-            for lab, ds in a.moves_vt[p]:
-                for p2 in ds:
-                    yield (self._weak_step(lab, rows[p2], alive, memo),
-                           "1a", lab, None, p2)
-            if a.t_succ[p]:
-                yield from timeouts(p, "1b", memo)
-            if not a.has_tau[p]:
-                yield ~self.unstable, "1c", None, None, None
-
-        def triple(p, x, memo):
-            line = trows[x]
-            alive = line[p]
-            for p2 in a.tau_succ[p]:
-                yield (self._weak_step(TAU, line[p2], alive, memo),
-                       "2a", None, None, p2)
-            idles = idle[x] >> p & 1
-            for lab, ds in a.vis_moves[p]:
-                if idles or a.bit.get(lab, 0) & x:
-                    for p2 in ds:
-                        yield (self._weak_step(lab, rows[p2], alive, memo),
-                               "2b", lab, None, p2)
-            if idles and a.t_succ[p]:
-                yield from timeouts(p, "2c", memo)
-            if not a.has_tau[p]:
-                yield ~self.unstable, "2d-stable", None, None, None
-        return pair, triple
-
-    def _rooted(self, rows, trows, plain, generalised: bool):
-        """Rooted clauses r1a/r1b and r2a-r2d: first steps matched strongly
-        into the plain fixpoint.  ``generalised`` (gbrb) reads only the
-        plain fixpoint; otherwise r1b and r2c read the rooted store."""
-        a = self.a
-        idle = self._idle_of(trows)
-        prows, ptrows = plain
-
-        def timeouts(p, clause, memo):
-            for y, p2 in self._idle_timeouts(p, idle):
-                yield self._pre(TIMEOUT, ptrows[y][p2], memo), clause, None, y, p2
-
-        def pair(p, memo):
-            yield from self._strong(a.moves_vt[p], prows, "r1a", memo)
-            if generalised:
-                if a.t_succ[p]:
-                    yield from timeouts(p, "r1b", memo)
-            else:
-                for x, line in trows.items():
-                    yield line[p], "r1b", None, x, None
-
-        def triple(p, x, memo):
-            for p2 in a.tau_succ[p]:
-                yield (self._pre(TAU, ptrows[x][p2], memo),
-                       "r2a", None, None, p2)
-            idles = idle[x] >> p & 1
-            yield from self._strong([(lab, ds) for lab, ds in a.vis_moves[p]
-                                     if (generalised and idles) or a.bit.get(lab, 0) & x],
-                                    prows, "r2b", memo)
-            if generalised:
-                if idles and a.t_succ[p]:
-                    yield from timeouts(p, "r2c", memo)
-            elif idles:
-                yield rows[p], "r2c", None, None, None
-                for p2 in a.t_succ[p]:
-                    yield (self._pre(TIMEOUT, ptrows[x][p2], memo),
-                           "r2d", None, None, p2)
+                    yield ok, c2d, None, None, p2
+            if not rooted and not a.has_tau[p]:
+                yield stable, c2e, None, None, None
         return pair, triple
 
     # -- drivers -------------------------------------------------------------
@@ -899,18 +813,6 @@ class RowEngine:
                     if gone:
                         line[q] ^= gone
                         alive -= w * gone.bit_count()
-
-    def holds(self, rows, trows, pair, triple=None) -> bool:
-        """True iff no entry of the rows fails (one pass, nothing killed)."""
-        memo = {}
-        for p, row in enumerate(rows):
-            if row and any(row & ~clause[0] for clause in pair(p, memo)):
-                return False
-        for x, line in (trows or {}).items():
-            for p, row in enumerate(line):
-                if row and any(row & ~clause[0] for clause in triple(p, x, memo)):
-                    return False
-        return True
 
 
 def _failures(live: int, clauses) -> List[Tuple[int, tuple]]:
@@ -1182,9 +1084,10 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
 
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
-    """A kill-free row pass over a symmetric witness (pairs only for tob
-    and tb).  Stores held as rows, the same under every mask of a class, are
-    judged under the effective masks; a store held as sets under every
+    """Whether a symmetric witness (pairs only for tob and tb) survives
+    the first round of ``fixpoint`` whole; the round deletes from copies of
+    its rows.  Stores held as rows, the same under every mask of a class,
+    are judged under the effective masks; a store held as sets under every
     declared mask, counted against the budget first."""
     _refuse_encoded(witness.arena, family)
     with_triples = family not in RowEngine.PAIR_FAMILIES
@@ -1197,12 +1100,14 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     if with_triples and any(st.trows is None for st in (witness, witness.plain)[:1 + rooted]):
         _budget_check(arena.n, arena.full_mask + 1)
         xmasks = range(arena.full_mask + 1)
-    rows, trows = witness.row_form(xmasks)
-    if not all(_symmetric(line) for line in [rows, *(trows or {}).values()]):
+    # the rounds delete from copies; the witness holds iff round one kills nothing
+    store = RelationStore(arena, family, *witness.row_form(xmasks))
+    if not all(_symmetric(line) for line in [store.rows, *(store.trows or {}).values()]):
         return False
     plain = witness.plain.row_form(xmasks) if rooted else None
     engine = RowEngine(arena)
-    return engine.holds(rows, trows, *engine.clauses(family, rows, trows, plain))
+    iterations, _ = engine.fixpoint(store, *engine.clauses(family, store.rows, store.trows, plain))
+    return iterations == 1
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,
@@ -1214,8 +1119,8 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
     A triple keeps its declared mask: queries map it through X & V, and
-    ``revalidate`` judges the store under every declared mask.  A ``tob`` store lives on the ``ThetaArena`` its relation
-    is defined over.
+    ``revalidate`` judges the store under every declared mask.  A ``tob``
+    store lives on the ``ThetaArena`` its relation is defined over.
     """
     kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena
     arena = kind(l1, None if l2 is l1 or l2 is None else l2, sigma)

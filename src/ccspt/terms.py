@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from inspect import get_annotations
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -166,12 +167,26 @@ class Node:
 def _node(cls):
     """Freeze ``cls`` and record its structure: ``_fields`` in declaration
     order, ``_kids``, those annotated with its family's base class, and the
-    getters of its kids and of its own (other) fields."""
+    getters of its kids and of its own (other) fields.  A node refuses a
+    kid outside its family when it is built, before the class's own
+    ``__post_init__`` runs."""
+    family, own = cls._family, cls.__dict__.get("__post_init__")
+    kids = tuple(name for name, kind in get_annotations(cls).items() if kind == family.__name__)
+    get_kids = _getter(kids)
+    if kids:   # a leaf adds no call to its construction: a build makes many
+        def __post_init__(self):
+            for kid in get_kids(self):
+                if not isinstance(kid, family):
+                    raise TypeError(f"not a {family.__name__.lower()}: {kid!r}")
+            if own is not None:
+                own(self)
+
+        cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls._fields = tuple(f.name for f in fields(cls))
-    cls._kids = tuple(f.name for f in fields(cls) if f.type == cls._family.__name__)
-    cls._get_kids = staticmethod(_getter(cls._kids))
-    cls._get_own = staticmethod(_getter(tuple(f for f in cls._fields if f not in cls._kids)))
+    cls._kids = kids
+    cls._get_kids = staticmethod(get_kids)
+    cls._get_own = staticmethod(_getter(tuple(f for f in cls._fields if f not in kids)))
     return cls
 
 

@@ -296,6 +296,53 @@ def test_every_witness_revalidates_under_its_own_relation(relation):
     assert revalidate(v.witness, v.relation)
 
 
+def _contents(store):
+    """Copies of what ``revalidate`` reads of a store and of its plain
+    store: rows, triple rows, the row log and, where rows are gone, the sets."""
+    return [(None if st.rows is None else list(st.rows),
+             None if st.trows is None else {x: list(line) for x, line in st.trows.items()},
+             list(st.row_kills),
+             None if st.rows is not None else set(st.pairs),
+             None if st.trows is not None else set(st.triples))
+            for st in (store, store.plain) if st is not None]
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+@pytest.mark.parametrize("family", ["gbrb", "tb"])
+def test_revalidate_leaves_the_witness_untouched(family, rooted):
+    # revalidate runs deleting rounds on copies of the witness's rows
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, True), frozenset({"a", "b"})
+    relation = family + "-rooted" * rooted
+    if family == "tb":
+        e1, e2 = encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
+        store = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted).witness
+    else:
+        store = gbrb_check(l1, 0, l2, 0, rooted=rooted, sigma=sig).witness
+
+    def judged(want):
+        before = _contents(store)
+        assert revalidate(store, relation) == want
+        assert _contents(store) == before
+
+    judged(True)
+    # the damage: every entry of the first related state, in the store whose
+    # clauses read it (the plain one when rooted)
+    damaged = store.plain or store
+    i = next(p for p, row in enumerate(damaged.rows) if row)
+    gone = {(i, j) for j in bisim._bits(damaged.rows[i])}
+    tgone = {(i, x, j) for x, line in (damaged.trows or {}).items() for j in bisim._bits(line[i])}
+    for line in [damaged.rows, *(damaged.trows or {}).values()]:
+        for j in bisim._bits(line[i]):
+            line[j] ^= 1 << i
+        line[i] = 0
+    judged(False)
+    assert store.pairs and damaged.pairs   # now held as sets
+    judged(False)
+    damaged.pairs |= gone | {(j, i) for i, j in gone}
+    damaged.triples |= tgone | {(j, x, i) for i, x, j in tgone}
+    judged(True)
+
+
 def test_hand_built_tb_store_over_encodings_revalidates():
     l1, l2, sig = pair_lts("a.0", "a.0")
     e1, e2 = encode(l1, sigma=sig), encode(l2, sigma=sig)

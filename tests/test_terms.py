@@ -206,8 +206,18 @@ def test_substitute_keeps_each_operator_own_fields():
 
 
 def test_a_non_term_is_a_type_error():
+    from ccspt.modal import Diamond, Not
     from ccspt.terms import _canon_raw
     with pytest.raises(TypeError, match="not a term: 42"):
         _canon_raw(42, (), frozenset())
     with pytest.raises(TypeError, match="not a term: 42"):
         substitute(Prefix("a", 42), {"x": NIL})
+    # a child outside the node's family is refused when the node is built
+    with pytest.raises(TypeError, match="not a term: 42"):
+        Prefix("a", 42)
+    with pytest.raises(TypeError, match="not a term: 42"):
+        Choice(NIL, 42)
+    with pytest.raises(TypeError, match="not a formula: <Nil 0>"):
+        Diamond("a", NIL)
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        Not(42)
