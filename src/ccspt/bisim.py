@@ -17,8 +17,8 @@ mask, and decides a row's clauses for all of its partners at once, with the
 same rounds, ranks and refutation records as a per-entry check.  Each
 family's clauses are written once, in ``RowEngine.clauses``: the rooted
 layer reads them strongly, matching a first step by the same step into the
-plain fixpoint.  ``revalidate`` judges a witness by the same rounds, run on
-copies of its rows: it holds iff the first round deletes nothing.
+plain fixpoint.  A relation has that one form, rows, which ``revalidate``
+judges once, in place: a witness holds iff no row of it fails a clause.
 
 Strong bisimilarity alone uses signature refinement over the move table
 (``strong_bisim``).
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import TAU, TIMEOUT, Lts, label_kind, visible_alphabet, weak_closure
@@ -266,14 +266,15 @@ class ThetaArena(Arena):
 class RelationStore:
     """Symmetric store of pairs and environment triples with refutation records.
 
-    The entries live either in bit-mask rows or in sets.  The row engine
-    leaves rows: bit q of ``rows[p]`` is set iff the pair (p, q) is alive,
-    bit q of ``trows[x][p]`` iff the triple (p, x, q) is, for every
-    effective mask x (``Arena.xmasks``).  ``pairs`` and ``triples`` are the
-    sets, whose triples name declared masks: reading one builds it from its
-    rows, once, with a triple row standing for every declared mask of its
-    class, and the set is the relation from then on.  A triple query maps its
-    mask through X & V where rows answer it.
+    The entries live in bit-mask rows alone: bit q of ``rows[p]`` is set iff
+    the pair (p, q) is alive, and bit q of ``trows[x][p]`` iff the triple
+    (p, x, q) is; ``trows`` is None for a store of pairs only.  The row
+    engine keys triple rows by effective mask (``Arena.xmasks``), each
+    standing for every declared mask of its class; ``make_store`` keys them
+    by every declared mask.  ``pairs`` and ``triples`` are read-only sets
+    built from the rows on each read, whose triples name declared masks, and
+    a triple query maps its mask through X & V where rows are keyed by
+    effective masks.
 
     The row engine logs its deletions in ``row_kills`` as (round, row key,
     [(mask of q, why), ...]), where the row key is (p,) or (p, x), one line
@@ -283,75 +284,46 @@ class RelationStore:
     entry checks.
     """
 
-    def __init__(self, arena: Arena, relation: str,
-                 rows: Optional[List[int]] = None,
+    def __init__(self, arena: Arena, relation: str, rows: List[int],
                  trows: Optional[Dict[int, List[int]]] = None):
         self.arena = arena
         self.relation = relation
         self.rows = rows
         self.trows = trows
-        self._pairs: Optional[Set[Tuple[int, int]]] = set() if rows is None else None
-        # (state, xmask, state)
-        self._triples: Optional[Set[Tuple[int, int, int]]] = set() if trows is None else None
         self._log: Optional[Dict[tuple, list]] = None
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
 
     @property
-    def pairs(self) -> Set[Tuple[int, int]]:
-        if self._pairs is None:
-            self._pairs = {(p, q) for p, row in enumerate(self.rows) for q in _bits(row)}
-            self.rows = None
-        return self._pairs
-
-    @pairs.setter
-    def pairs(self, entries):
-        self._pairs, self.rows = entries, None
+    def pairs(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset((p, q) for p, row in enumerate(self.rows) for q in _bits(row))
 
     @property
-    def triples(self) -> Set[Tuple[int, int, int]]:
-        if self._triples is None:
-            unused = self.arena.unused_masks
-            self._triples = {(p, x | u, q) for x, rows in self.trows.items()
-                             for p, row in enumerate(rows) for q in _bits(row)
-                             for u in unused}
-            self.trows = None
-        return self._triples
+    def triples(self) -> FrozenSet[Tuple[int, int, int]]:
+        """(p, declared mask, q) for every triple, a row keyed by an
+        effective mask standing for each declared mask of its class."""
+        if self.trows is None:
+            return frozenset()
+        unused = (0,) if self._by_declared else self.arena.unused_masks
+        return frozenset((p, x | u, q) for x, line in self.trows.items()
+                         for p, row in enumerate(line) for q in _bits(row) for u in unused)
 
-    @triples.setter
-    def triples(self, entries):
-        self._triples, self.trows = entries, None
+    @property
+    def _by_declared(self) -> bool:
+        """Whether the triple rows are keyed by every declared mask; where
+        every declared mask is effective, both keyings are the same."""
+        return len(self.trows) == self.arena.full_mask + 1
+
+    def _line(self, xmask: int) -> List[int]:
+        """The triple rows under a declared mask."""
+        got = self.trows.get(xmask)
+        return self.trows[xmask & self.arena.vmask] if got is None else got
 
     @property
     def has_triples(self) -> bool:
-        """Whether any triple is stored, without building the set."""
-        if self.trows is not None:
-            return any(any(rows) for rows in self.trows.values())
-        return bool(self._triples)
-
-    def row_form(self, xmasks: Optional[Iterable[int]] = None
-                 ) -> Tuple[List[int], Optional[Dict[int, List[int]]]]:
-        """New lists of the entries as pair rows and, with ``xmasks``, as
-        the triple rows under each of those masks, read off the sets where
-        those exist."""
-        n = self.arena.n
-        if self.rows is not None:
-            rows = list(self.rows)
-        else:
-            rows = [0] * n
-            for p, q in self._pairs:
-                rows[p] |= 1 << q
-        if xmasks is None:
-            return rows, None
-        if self.trows is not None:
-            vmask = self.arena.vmask
-            return rows, {x: list(self.trows[x & vmask]) for x in xmasks}
-        trows = {x: [0] * n for x in xmasks}
-        for p, x, q in self._triples:
-            if x in trows:
-                trows[x][p] |= 1 << q
-        return rows, trows
+        """Whether any triple is stored, without listing the masks."""
+        return self.trows is not None and any(any(line) for line in self.trows.values())
 
     def lookup(self, entry) -> Tuple[Optional[int], Optional[tuple]]:
         """(round, why) of a pair or of a triple under any declared mask:
@@ -373,22 +345,18 @@ class RelationStore:
         return None, None
 
     def has_pair(self, i, j) -> bool:
-        if self.rows is not None:
-            return bool(self.rows[i] >> j & 1)
-        return (i, j) in self._pairs
+        return bool(self.rows[i] >> j & 1)
 
     def has_triple(self, i, xmask, j) -> bool:
-        if self.trows is not None:
-            return bool(self.trows[xmask & self.arena.vmask][i] >> j & 1)
-        return (i, xmask, j) in self._triples
+        return self.trows is not None and bool(self._line(xmask)[i] >> j & 1)
 
     @property
     def size(self) -> int:
         """Entries as the sets count them: a triple row once per declared mask."""
-        pairs = len(self._pairs) if self.rows is None else _count(self.rows)
-        triples = (len(self._triples) if self.trows is None
-                   else self.arena.class_size * sum(_count(rows) for rows in self.trows.values()))
-        return pairs + triples
+        if self.trows is None:
+            return _count(self.rows)
+        weight = 1 if self._by_declared else self.arena.class_size
+        return _count(self.rows) + weight * sum(_count(line) for line in self.trows.values())
 
 
 @dataclass
@@ -464,9 +432,9 @@ class RowEngine:
     A relation is a list of pair rows and, for the reactive families, a
     list of triple rows per effective environment mask (the layout of
     ``RelationStore``); ``tob`` and ``tb`` are pairs only.  Triple rows may
-    also be keyed by declared masks (revalidating a store built from sets):
-    a clause reads a mask only through its idle states and its permissions,
-    which X & V decides.
+    also be keyed by declared masks (those of ``make_store``): a clause
+    reads a mask only through its idle states and its permissions, which
+    X & V decides.
 
     From the predecessor masks of every label and the reverse weak closure
     (and, over a ``ThetaArena``, one inverse of ``wrap`` per effective mask,
@@ -475,8 +443,8 @@ class RowEngine:
     at once: each clause gives the mask of partners it lets pass, in the
     order a per-entry check would try the clauses, so each failing partner
     gets the same first failing clause.  ``clauses`` builds them, the plain
-    ones and their rooted reading alike; ``fixpoint`` runs the rounds, for
-    the checks and for ``revalidate``.
+    ones and their rooted reading alike; ``failing`` judges rows against
+    them, once for ``revalidate`` and in each round of ``fixpoint``.
     """
 
     FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
@@ -752,20 +720,38 @@ class RowEngine:
         return pair, triple
 
     # -- drivers -------------------------------------------------------------
+    def failing(self, rows, trows, pair, triple, todo, memo):
+        """The rows of ``todo`` with a failing partner, as (row key, line,
+        [(mask of partners, why), ...]): pair rows first, then triple rows
+        in (p, x) order, each judged against the rows as they stand.
+        Nothing is written, so a caller may stop at the first."""
+        for p in todo:
+            if rows[p]:
+                fails = _failures(rows[p], pair(p, memo))
+                if fails:
+                    yield (p,), rows, fails
+        if trows is not None:
+            for p in todo:
+                for x, line in trows.items():
+                    if line[p]:
+                        fails = _failures(line[p], triple(p, x, memo))
+                        if fails:
+                            yield (p, x), line, fails
+
     def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
         """Delete failing entries from the store's rows in synchronous rounds.
 
         As in a per-entry deletion in sorted order, every row is judged
-        against the rows the round started with before any entry dies, pair
-        rows first and then triple rows in (p, x) order, so the rounds, and
-        the ranks and refutation records read off ``store.row_kills``, come
-        out the same.  A round then leaves S & ~D & ~D^T, whatever the order:
-        each bad row drops its own dead partners D[p], and the rows sharing
-        one line and one dead mask are cleared from each of those partners'
-        rows at once.  A state's rows are judged again only when a row it
-        reads has changed: its own, a successor's or, for ``tob``, that of
-        a t-successor's wrapper.  A triple row counts once per declared mask
-        of its class in the entries checked.
+        (``failing``) against the rows the round started with before any
+        entry dies, so the rounds, and the ranks and refutation records read
+        off ``store.row_kills``, come out the same.  A round then leaves
+        S & ~D & ~D^T, whatever the order: each bad row drops its own dead
+        partners D[p], and the rows sharing one line and one dead mask are
+        cleared from each of those partners' rows at once.  A state's rows
+        are judged again only when a row it reads has changed: its own, a
+        successor's or, for ``tob``, that of a t-successor's wrapper.  A
+        triple row counts once per declared mask of its class in the
+        entries checked.
         """
         rows, trows = store.rows, store.trows
         weight = self.a.class_size
@@ -778,19 +764,7 @@ class RowEngine:
             iterations += 1
             checked += alive
             todo = [p for p, deps in enumerate(self.deps) if deps & changed]
-            bad = []
-            for p in todo:
-                if rows[p]:
-                    fails = _failures(rows[p], pair(p, memo))
-                    if fails:
-                        bad.append(((p,), rows, fails))
-            if trows is not None:
-                for p in todo:
-                    for x, line in trows.items():
-                        if line[p]:
-                            fails = _failures(line[p], triple(p, x, memo))
-                            if fails:
-                                bad.append(((p, x), line, fails))
+            bad = list(self.failing(rows, trows, pair, triple, todo, memo))
             if not bad:
                 return iterations, checked
             changed = 0
@@ -873,7 +847,13 @@ def _submasks(mask: int):
 
 
 def _symmetric(rows: List[int]) -> bool:
-    return all(rows[q] >> p & 1 for p, row in enumerate(rows) for q in _bits(row))
+    """Whether q's row holds p wherever p's holds q: judged once per distinct
+    row, whose states ps every partner's row must hold."""
+    groups: Dict[int, int] = {}
+    for p, row in enumerate(rows):
+        if row:
+            groups[row] = groups.get(row, 0) | 1 << p
+    return all(rows[q] & ps == ps for row, ps in groups.items() for q in _bits(row))
 
 
 # ---------------------------------------------------------------------------
@@ -1040,12 +1020,12 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     members: Dict[int, List[int]] = {}
     for j in arena.reach(gq):
         members.setdefault(block[j], []).append(j)
-    store = RelationStore(arena, "strong")
-    pairs = store.pairs
+    rows = [0] * arena.n
     for i in arena.reach(p):
         for j in members.get(block[i], ()):
-            pairs.add((i, j))
-            pairs.add((j, i))
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    store = RelationStore(arena, "strong", rows)
     store.iterations = iterations
     store.checked = checked
     return Verdict("strong", True, arena.sigma, iterations, checked, [], store)
@@ -1067,47 +1047,56 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
         raise FragmentUnsupported(f"no revalidation for definition {definition_id!r}")
     if witness.has_triples:
         return False
-    # symmetric, and every move of p is matched by a move of q under the
-    # same label into a pair: over the moves ``strong_bisim`` reads
-    pairs = witness.pairs
-    out = witness.arena.out
-    for p, q in pairs:
-        if (q, p) not in pairs:
-            return False
-        qmoves = out[q]
-        for lab, ds in out[p].items():
-            targets = qmoves.get(lab, ())
-            for d in ds:
-                if not any((d, t) in pairs for t in targets):
-                    return False
+    # symmetric, and every move of p is matched by a move of each partner q
+    # under the same label into a pair: over the moves ``strong_bisim`` reads
+    rows, out = witness.rows, witness.arena.out
+    if not _symmetric(rows):
+        return False
+    for p, row in enumerate(rows):
+        for q in _bits(row):
+            qmoves = out[q]
+            for lab, ds in out[p].items():
+                targets = 0
+                for t in qmoves.get(lab, ()):
+                    targets |= 1 << t
+                for d in ds:
+                    if not rows[d] & targets:
+                        return False
     return True
 
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
-    """Whether a symmetric witness (pairs only for tob and tb) survives
-    the first round of ``fixpoint`` whole; the round deletes from copies of
-    its rows.  Stores held as rows, the same under every mask of a class,
-    are judged under the effective masks; a store held as sets under every
-    declared mask, counted against the budget first."""
+    """Whether a symmetric witness (pairs only for tob and tb) passes every
+    clause: one judging round of ``RowEngine.failing`` over its own rows,
+    which writes nothing and stops at the first failing row.  One engine
+    judges a rooted witness's plain store and then its rooted layer.  Triple
+    rows are judged under the keys of the more finely keyed layer, declared
+    masks if either layer has them, and a store of pairs only as having no
+    triples."""
     _refuse_encoded(witness.arena, family)
-    with_triples = family not in RowEngine.PAIR_FAMILIES
-    if not with_triples and witness.has_triples:
+    if rooted and witness.plain is None:
         return False
-    if rooted and (witness.plain is None or not _revalidate_rows(witness.plain, family, False)):
+    layers = (witness.plain, witness) if rooted else (witness,)
+    with_triples = family not in RowEngine.PAIR_FAMILIES
+    if not with_triples and any(st.has_triples for st in layers):
         return False
     arena = witness.arena
-    xmasks = arena.xmasks if with_triples else None
-    if with_triples and any(st.trows is None for st in (witness, witness.plain)[:1 + rooted]):
-        _budget_check(arena.n, arena.full_mask + 1)
-        xmasks = range(arena.full_mask + 1)
-    # the rounds delete from copies; the witness holds iff round one kills nothing
-    store = RelationStore(arena, family, *witness.row_form(xmasks))
-    if not all(_symmetric(line) for line in [store.rows, *(store.trows or {}).values()]):
-        return False
-    plain = witness.plain.row_form(xmasks) if rooted else None
+    lines = [None] * len(layers)
+    if with_triples:
+        keys = max([arena.xmasks, *(st.trows or () for st in layers)], key=len)
+        none = [0] * arena.n
+        lines = [{x: st._line(x) if st.trows else none for x in keys} for st in layers]
     engine = RowEngine(arena)
-    iterations, _ = engine.fixpoint(store, *engine.clauses(family, store.rows, store.trows, plain))
-    return iterations == 1
+    memo = {}
+    plain = None
+    for st, trows in zip(layers, lines):
+        if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
+            return False
+        clauses = engine.clauses(family, st.rows, trows, plain)
+        if next(engine.failing(st.rows, trows, *clauses, range(arena.n), memo), None):
+            return False
+        plain = st.rows, trows
+    return True
 
 
 def make_store(l1: Lts, l2: Optional[Lts], relation: str,
@@ -1118,20 +1107,26 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
 
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
-    A triple keeps its declared mask: queries map it through X & V, and
-    ``revalidate`` judges the store under every declared mask.  A ``tob``
-    store lives on the ``ThetaArena`` its relation is defined over.
+    Given triples, the store keys its triple rows by every declared mask,
+    counted against the budget before they are allocated: queries and
+    ``revalidate`` read each triple under its own mask.  Without triples it
+    holds pairs only.  A ``tob`` store lives on the ``ThetaArena`` its
+    relation is defined over.
     """
     kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena
     arena = kind(l1, None if l2 is l1 or l2 is None else l2, sigma)
-    store = RelationStore(arena, relation)
+    triples = list(triples)
+    n = arena.n
+    _budget_check(n, arena.full_mask + 1 if triples else 1)
+    rows = [0] * n
+    trows = {x: [0] * n for x in range(arena.full_mask + 1)} if triples else None
     for i, j in pairs:
         gj = arena.state2(j)
-        store.pairs.add((i, gj))
-        store.pairs.add((gj, i))
+        rows[i] |= 1 << gj
+        rows[gj] |= 1 << i
     for i, env, j in triples:
-        x = arena.mask_of(env)
+        line = trows[arena.mask_of(env)]
         gj = arena.state2(j)
-        store.triples.add((i, x, gj))
-        store.triples.add((gj, x, i))
-    return store
+        line[i] |= 1 << gj
+        line[gj] |= 1 << i
+    return RelationStore(arena, relation, rows, trows)

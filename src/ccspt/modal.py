@@ -330,9 +330,9 @@ class _Builder:
     by symmetry gets the negation of its mirror's formula.
 
     A rooted store's builder holds the builder of the plain store as
-    ``plain``: a rooted clause (r1a-r2c) makes one strong first step and
-    continues with plain formulas.  Plain and rooted clause names never
-    overlap, so one dispatch serves both.
+    ``plain``: a rooted clause (r1a-r2c) is one strong step by its action,
+    tau or t, continued by plain formulas.  Plain and rooted clause names
+    never overlap, so one dispatch serves both.
     """
 
     def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore",
@@ -405,15 +405,14 @@ class _Builder:
                         self._dead([(p2, x, u) for u in dom], k))
         if clause in ("1c", "2d-stable"):
             return Stable()
-        if clause in ("r1a", "r2b"):
-            lab = info["action"]
-            return Diamond(lab, self.plain._dead([(p2, q2) for q2 in a.out[q].get(lab, ())]))
-        if clause == "r2a":
-            return Diamond(TAU, self.plain._dead([(p2,) + env + (q2,) for q2 in a.tau_succ[q]]))
-        if clause in ("r1b", "r2c"):
-            x = info["env"]
-            return TimeoutDiamond(frozenset(a.mask_names(x)),
-                                  self.plain._dead([(p2, x, q2) for q2 in a.t_succ[q]]))
+        if clause in ("r1a", "r2a", "r2b", "r1b", "r2c"):
+            # r2a stays under the triple's mask, and a time-out carries its own
+            x = info.get("env")
+            lab = info.get("action", TAU) if x is None else TIMEOUT
+            cont = (x,) if x is not None else env if clause == "r2a" else ()
+            dead = self.plain._dead([(p2,) + cont + (q2,) for q2 in a.out[q].get(lab, ())])
+            return (Diamond(lab, dead) if x is None
+                    else TimeoutDiamond(frozenset(a.mask_names(x)), dead))
         raise FragmentUnsupported(f"no construction for clause {clause}")
 
 

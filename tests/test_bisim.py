@@ -9,7 +9,7 @@ from ccspt import (FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceed
 from ccspt.gallery import (divergent_timeout_trio, divergent_timeout_witness,
                            visible_choice_pair, visible_choice_terms)
 from conftest import lts_of, pair_lts
-from test_tb_engine import ring
+from test_tb_engine import ring, taken_out
 
 
 def verdict(checker, s1, s2, sigma=(), **kw):
@@ -261,9 +261,8 @@ def test_rooted_witness_revalidates():
 def test_damaged_witness_fails():
     v = verdict(brb_check, "a.t.b.0", "a.t.t.b.0")
     store = v.witness
-    entry = next(iter(sorted(store.pairs)))
-    store.pairs.discard(entry)
-    assert not revalidate(store, "brb")
+    with taken_out(store, min(store.pairs)):
+        assert not revalidate(store, "brb")
 
 
 # The first pair elides a tau after a visible action, which every relation
@@ -298,19 +297,17 @@ def test_every_witness_revalidates_under_its_own_relation(relation):
 
 def _contents(store):
     """Copies of what ``revalidate`` reads of a store and of its plain
-    store: rows, triple rows, the row log and, where rows are gone, the sets."""
-    return [(None if st.rows is None else list(st.rows),
+    store: rows, triple rows and the row log."""
+    return [(list(st.rows),
              None if st.trows is None else {x: list(line) for x, line in st.trows.items()},
-             list(st.row_kills),
-             None if st.rows is not None else set(st.pairs),
-             None if st.trows is not None else set(st.triples))
+             list(st.row_kills))
             for st in (store, store.plain) if st is not None]
 
 
 @pytest.mark.parametrize("rooted", [False, True])
 @pytest.mark.parametrize("family", ["gbrb", "tb"])
 def test_revalidate_leaves_the_witness_untouched(family, rooted):
-    # revalidate runs deleting rounds on copies of the witness's rows
+    # revalidate judges the witness's own rows and writes nothing
     l1, l2, sig = ring(4, {1}, False), ring(4, {1}, True), frozenset({"a", "b"})
     relation = family + "-rooted" * rooted
     if family == "tb":
@@ -329,18 +326,69 @@ def test_revalidate_leaves_the_witness_untouched(family, rooted):
     # clauses read it (the plain one when rooted)
     damaged = store.plain or store
     i = next(p for p, row in enumerate(damaged.rows) if row)
-    gone = {(i, j) for j in bisim._bits(damaged.rows[i])}
-    tgone = {(i, x, j) for x, line in (damaged.trows or {}).items() for j in bisim._bits(line[i])}
-    for line in [damaged.rows, *(damaged.trows or {}).values()]:
+    lines = [damaged.rows, *(damaged.trows or {}).values()]
+    kept = [list(line) for line in lines]
+    for line in lines:
         for j in bisim._bits(line[i]):
             line[j] ^= 1 << i
         line[i] = 0
     judged(False)
-    assert store.pairs and damaged.pairs   # now held as sets
+    assert store.pairs and damaged.pairs   # reading the sets writes nothing
     judged(False)
-    damaged.pairs |= gone | {(j, i) for i, j in gone}
-    damaged.triples |= tgone | {(j, x, i) for i, x, j in tgone}
+    for line, old in zip(lines, kept):
+        line[:] = old
     judged(True)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+@pytest.mark.parametrize("family", ["brb", "cbrb", "gbrb", "tob", "tb"])
+def test_damaged_witness_is_judged_without_a_fixpoint(family, rooted, monkeypatch):
+    # one judging round decides a witness: no fixpoint runs, nothing is
+    # logged, and a damaged witness fails
+    l1, l2, sig = ring(4, {1}, False), ring(4, {1}, family != "cbrb"), frozenset({"a", "b"})
+    if family == "tb":
+        l1, l2 = encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
+        store = tb_check(l1, l1.initial, l2, l2.initial, rooted=rooted).witness
+    else:
+        checks = {"brb": brb_check, "cbrb": cbrb_check, "gbrb": gbrb_check, "tob": tob_check}
+        store = checks[family](l1, 0, l2, 0, rooted=rooted, sigma=sig).witness
+    monkeypatch.setattr(bisim.RowEngine, "fixpoint",
+                        lambda *args: pytest.fail("revalidate ran a fixpoint"))
+    relation = family + "-rooted" * rooted
+    layers = [st for st in (store, store.plain) if st is not None]
+    kills = [list(st.row_kills) for st in layers]
+    assert revalidate(store, relation)
+    # the root pair and its triples, in the store whose clauses read them
+    # (the plain one when rooted): the ring's time-out leads back to them
+    damaged = store.plain or store
+    p, q = l1.initial, store.arena.state2(l2.initial)
+    masks = range(store.arena.full_mask + 1) if damaged.trows else ()
+    entries = [(p, q), (q, p)] + [e for x in masks for e in ((p, x, q), (q, x, p))]
+    with taken_out(damaged, *entries):
+        assert not revalidate(store, relation)
+    assert [st.row_kills for st in layers] == kills
+
+
+def test_witness_sets_are_read_only_views_of_the_rows():
+    # c is declared and offered by no state, so each triple row stands for
+    # two declared masks, and the triples name both
+    l1, l2, sig = pair_lts("a.t.0", "a.t.t.0", {"c"})
+    store = brb_check(l1, 0, l2, 0, sigma=sig).witness
+    pairs = {(0, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6)}
+    pairs |= {(q, p) for p, q in pairs}
+    assert store.pairs == pairs
+    assert store.triples == {(p, x, q) for p, q in pairs for x in range(4)}
+    for view in (store.pairs, store.triples):
+        with pytest.raises(AttributeError):
+            view.add(min(view))
+        with pytest.raises(AttributeError):
+            view.discard(min(view))
+    with pytest.raises(AttributeError):
+        store.pairs = set()
+    with pytest.raises(AttributeError):
+        store.triples = set()
+    # reading the sets keeps the rows
+    assert store.pairs == pairs and revalidate(store, "brb")
 
 
 def test_hand_built_tb_store_over_encodings_revalidates():
@@ -351,16 +399,16 @@ def test_hand_built_tb_store_over_encodings_revalidates():
     pairs = [(i, j - n1) for i, j in v.witness.pairs if i < n1 <= j]
     store = make_store(e1, e2, "tb", pairs=pairs)
     assert revalidate(store, "tb")
-    store.pairs.discard(min(store.pairs))
-    assert not revalidate(store, "tb")
+    with taken_out(store, min(store.pairs)):
+        assert not revalidate(store, "tb")
 
 
 def test_set_store_over_many_declared_masks_is_refused_before_judging():
-    # a store held as sets is judged under every declared mask: 2^30 here
+    # a store from explicit triples keys its rows by every declared mask,
+    # 2^30 here: it is refused before any row is allocated
     lts = lts_of("a.0", sigma=[f"x{i}" for i in range(30)])
-    store = make_store(lts, lts, "brb", pairs=[(0, 0)], triples=[(0, ["a"], 0)])
     with pytest.raises(StateBudgetExceeded):
-        revalidate(store, "brb")
+        make_store(lts, lts, "brb", pairs=[(0, 0)], triples=[(0, ["a"], 0)])
 
 
 def test_reserved_name_in_an_environment_set_is_a_named_error():
@@ -463,13 +511,13 @@ def test_stuttering_lemma_on_witnesses(rng):
         v = brb_check(l1, 0, l2, 0, sigma=sig)
         if not v.equivalent:
             continue
-        store, arena = v.witness, v.witness.arena
-        for (p, q) in list(store.pairs):
+        pairs, arena = v.witness.pairs, v.witness.arena
+        for (p, q) in pairs:
             for p1 in arena.weak[p]:
-                if (p1, q) in store.pairs:
+                if (p1, q) in pairs:
                     continue
                 # p => p1 => p2 with both ends related to q forces p1 related
-                assert not any((p2, q) in store.pairs for p2 in arena.weak[p1]), \
+                assert not any((p2, q) in pairs for p2 in arena.weak[p1]), \
                     (str(t1), str(t2))
                 checked += 1
     assert checked >= 0

@@ -15,11 +15,11 @@ import pytest
 from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, gbrb_check,
                    make_store, revalidate)
 from ccspt import bisim
-from ccspt.bisim import Arena, RelationStore
+from ccspt.bisim import Arena
 from ccspt.modal import _Builder
 from ccspt.semantics import TAU, TIMEOUT, Lts
-from test_tb_engine import (RefStore, kill_pair, ring, same_lookups, sampled_pairs,
-                            seed_pairs)
+from test_tb_engine import (SetStore, kill_pair, ring, same_lookups, sampled_pairs,
+                            seed_pairs, taken_out)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def declared(arena):
 class _ReactiveChecker:
     """Shared matching machinery for the triple-based definitions."""
 
-    def __init__(self, arena: Arena, store: RelationStore):
+    def __init__(self, arena: Arena, store: SetStore):
         self.a = arena
         self.st = store
 
@@ -342,7 +342,7 @@ def ref_fixpoint(store, checker):
 
 
 def ref_seeded(arena, relation, lefts, rights):
-    store = RefStore(arena, relation)
+    store = SetStore(arena, relation)
     seed_pairs(store, lefts, rights)
     for i in lefts:
         for j in rights:
@@ -369,6 +369,7 @@ def ref_check(family, l1, l2, sig, rooted):
 
 
 def ref_revalidate(store, family, rooted):
+    store = SetStore.of(store)
     if rooted:
         if store.plain is None or not ref_revalidate(store.plain, family, False):
             return False
@@ -646,20 +647,18 @@ def test_row_log_lookups_match_entered_records(rooted):
 
 
 def damaged(store):
-    """Each symmetric pair and triple taken out in turn (one orientation
-    of the first pair alone too); the store is restored afterwards."""
+    """Each symmetric pair and triple taken out of the rows in turn (one
+    orientation of the first pair alone too); the rows are put back
+    afterwards."""
     for i, j in sorted(e for e in store.pairs if e[0] < e[1]):
-        store.pairs -= {(i, j), (j, i)}
-        yield
-        store.pairs |= {(i, j), (j, i)}
+        with taken_out(store, (i, j), (j, i)):
+            yield
     for i, x, j in sorted(e for e in store.triples if e[0] < e[2]):
-        store.triples -= {(i, x, j), (j, x, i)}
-        yield
-        store.triples |= {(i, x, j), (j, x, i)}
+        with taken_out(store, (i, x, j), (j, x, i)):
+            yield
     i, j = min(store.pairs)
-    store.pairs.discard((j, i))
-    yield
-    store.pairs.add((j, i))
+    with taken_out(store, (j, i)):
+        yield
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -669,7 +668,7 @@ def test_witnesses_revalidate(family):
         relation = family + ("-rooted" if rooted else "")
         v = CHECKS[family](l1, l1.initial, l2, l2.initial, rooted=rooted, sigma=sig)
         assert v.equivalent
-        # once as rows, once as the sets read off them
+        # before and after reading the sets, which leaves the rows as they are
         assert revalidate(v.witness, relation)
         assert v.witness.size == len(v.witness.pairs) + len(v.witness.triples)
         assert revalidate(v.witness, relation)
@@ -712,9 +711,9 @@ def test_asymmetric_triple_witness_fails():
                        triples=[(0, (), 0)])
     assert store.triples == {(0, 0, 1), (1, 0, 0)}
     assert revalidate(store, "brb") and ref_revalidate(store, "brb", False)
-    store.triples.discard((1, 0, 0))
-    assert not revalidate(store, "brb")
-    assert not ref_revalidate(store, "brb", False)
+    with taken_out(store, (1, 0, 0)):
+        assert not revalidate(store, "brb")
+        assert not ref_revalidate(store, "brb", False)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -11,11 +11,11 @@ be identical.
 import pytest
 
 from ccspt import bisim, revalidate, strong_bisim
-from ccspt.bisim import Arena, RelationStore, Verdict
+from ccspt.bisim import Arena, Verdict
 from ccspt.errors import LabelUniverseMismatch
 from ccspt.semantics import from_aut
 from conftest import pair_lts
-from test_tb_engine import ring, sampled_pairs
+from test_tb_engine import SetStore, ring, sampled_pairs, taken_out
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def ref_strong(l1, p, l2, q):
         block = nxt
     equivalent = block[p] == block[gq]
     lefts, rights = arena.reach(p), arena.reach(gq)
-    store = RelationStore(arena, "strong")
+    store = SetStore(arena, "strong")
     for i in lefts:
         for j in rights:
             if block[i] == block[j]:
@@ -75,9 +75,10 @@ class RefStrong:
 
 
 def ref_revalidate(store):
+    store = SetStore.of(store)
     checker = RefStrong(store.arena, store)
     pairs = store.pairs
-    if store.has_triples:
+    if store.triples:
         return False
     return all((j, i) in pairs and checker.check_pair(i, j) is None
                for i, j in sorted(pairs))
@@ -98,7 +99,7 @@ def assert_same(l1, p, l2, q, sigma=()):
     if want.witness is None:
         assert got.witness is None
     else:
-        assert list(got.witness.pairs) == list(want.witness.pairs)
+        assert got.witness.pairs == want.witness.pairs
     return got
 
 
@@ -108,15 +109,13 @@ def assert_revalidation_matches(store):
     assert revalidate(store, "strong") and ref_revalidate(store)
     answers = []
     for entry in sorted(store.pairs):
-        store.pairs.discard(entry)
-        answers.append(revalidate(store, "strong"))
-        assert answers[-1] == ref_revalidate(store)
-        store.pairs.add(entry)
+        with taken_out(store, entry):
+            answers.append(revalidate(store, "strong"))
+            assert answers[-1] == ref_revalidate(store)
     for i, j in sorted(e for e in store.pairs if e[0] < e[1]):
-        store.pairs -= {(i, j), (j, i)}
-        answers.append(revalidate(store, "strong"))
-        assert answers[-1] == ref_revalidate(store)
-        store.pairs |= {(i, j), (j, i)}
+        with taken_out(store, (i, j), (j, i)):
+            answers.append(revalidate(store, "strong"))
+            assert answers[-1] == ref_revalidate(store)
     assert revalidate(store, "strong")
     return answers
 
@@ -214,9 +213,9 @@ def test_asymmetric_witness_fails():
     dead = from_aut("des (0, 0, 1)\n")
     store = strong_bisim(dead, 0, from_aut("des (0, 0, 1)\n"), 0).witness
     assert store.pairs == {(0, 1), (1, 0)}
-    store.pairs.discard((1, 0))
-    assert not revalidate(store, "strong")
-    assert not ref_revalidate(store)
+    with taken_out(store, (1, 0)):
+        assert not revalidate(store, "strong")
+        assert not ref_revalidate(store)
 
 
 def test_strong_builds_no_weak_closure(monkeypatch):

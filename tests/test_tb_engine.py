@@ -5,6 +5,7 @@ one clause check per stored pair, in sorted order, against the store the
 round started with.  Both must agree on every observable field.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from ccspt import (alphabet, build_lts, encode, from_aut, revalidate,
                    tb_check)
 from ccspt import bisim
-from ccspt.bisim import Arena, RelationStore
+from ccspt.bisim import Arena
 from ccspt.sampling import equivalent_variant, random_process
 from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 
@@ -94,18 +95,50 @@ class RefRootedTb:
         return None
 
 
-class RefStore(RelationStore):
-    """A store the references fill entry by entry: ``rank`` maps each
-    deleted entry (both orientations) to its round, ``fail`` an entry whose
-    own clause failed to the clause and its detail, and ``lookup`` reads
-    the two in place of a row log."""
+class SetStore:
+    """A relation held as sets, which the references fill and empty entry by
+    entry: ``rank`` maps each deleted entry (both orientations) to its
+    round, ``fail`` an entry whose own clause failed to the clause and its
+    detail, and ``lookup`` reads the two.  ``of`` copies the entries of
+    another store, and of its plain store, for a reference to judge."""
 
-    def __init__(self, arena, relation):
-        super().__init__(arena, relation)
+    def __init__(self, arena, relation, pairs=(), triples=(), plain=None):
+        self.arena, self.relation = arena, relation
+        self.pairs, self.triples = set(pairs), set(triples)
+        self.plain = plain
         self.rank, self.fail = {}, {}
+        self.iterations = self.checked = 0
+
+    @classmethod
+    def of(cls, store):
+        return None if store is None else cls(
+            store.arena, store.relation, store.pairs, store.triples, cls.of(store.plain))
+
+    @property
+    def size(self):
+        return len(self.pairs) + len(self.triples)
 
     def lookup(self, entry):
         return self.rank.get(entry), self.fail.get(entry)
+
+
+@contextlib.contextmanager
+def taken_out(store, *entries):
+    """``store`` with ``entries`` taken out of its rows, each in the one
+    orientation given: a pair (i, j), or a triple (i, x, j) under the
+    declared mask x, for which the triple rows are keyed by every declared
+    mask.  The rows are put back afterwards."""
+    rows, trows = store.rows, store.trows
+    store.rows = list(rows)
+    if any(len(e) == 3 for e in entries):
+        store.trows = {x: list(store._line(x)) for x in range(store.arena.full_mask + 1)}
+    for e in entries:
+        line = store.rows if len(e) == 2 else store.trows[e[1]]
+        line[e[0]] &= ~(1 << e[-1])
+    try:
+        yield store
+    finally:
+        store.rows, store.trows = rows, trows
 
 
 def seed_pairs(store, lefts, rights):
@@ -144,12 +177,12 @@ def ref_tb(e1, e2, rooted):
     """(store, entry, iterations, checked) of the per-pair reference."""
     arena = Arena(e1, None if e2 is e1 else e2)
     p, gq = e1.initial, arena.state2(e2.initial)
-    store = RefStore(arena, "tb")
+    store = SetStore(arena, "tb")
     seed_pairs(store, arena.reach(p), arena.reach(gq))
     it, ch = ref_fixpoint(store, RefTb(arena, store))
     if rooted:
         plain = store
-        store = RefStore(arena, "tb-rooted")
+        store = SetStore(arena, "tb-rooted")
         seed_pairs(store, arena.reach(p), arena.reach(gq))
         store.plain = plain
         it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
@@ -158,6 +191,7 @@ def ref_tb(e1, e2, rooted):
 
 
 def ref_revalidate(store, rooted):
+    store = SetStore.of(store)
     if rooted:
         if store.plain is None or not ref_revalidate(store.plain, False):
             return False
@@ -328,14 +362,12 @@ def test_damaged_tb_witness_fails():
     l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
     e1, e2 = encoded(l1, l2, sig, False)
     store = tb_check(e1, e1.initial, e2, e2.initial).witness
-    pairs = set(store.pairs)
     verdicts = []
-    for i, j in sorted(p for p in pairs if p[0] < p[1]):
-        store.pairs = pairs - {(i, j), (j, i)}
-        verdicts.append(revalidate(store, "tb"))
-        assert verdicts[-1] == ref_revalidate(store, False), (i, j)
+    for i, j in sorted(p for p in store.pairs if p[0] < p[1]):
+        with taken_out(store, (i, j), (j, i)):
+            verdicts.append(revalidate(store, "tb"))
+            assert verdicts[-1] == ref_revalidate(store, False), (i, j)
     assert not all(verdicts)
-    store.pairs = pairs
 
 
 def test_asymmetric_tb_witness_fails():
@@ -345,8 +377,8 @@ def test_asymmetric_tb_witness_fails():
     store = tb_check(dead, 0, from_aut("des (0, 0, 1)\n"), 0).witness
     assert store.pairs == {(0, 1), (1, 0)}
     assert revalidate(store, "tb")
-    store.pairs.discard((1, 0))
-    assert not revalidate(store, "tb")
+    with taken_out(store, (1, 0)):
+        assert not revalidate(store, "tb")
 
 
 def test_damaged_rooted_tb_witness_fails():
@@ -354,13 +386,11 @@ def test_damaged_rooted_tb_witness_fails():
     e1, e2 = encoded(l1, l2, sig, True)
     store = tb_check(e1, e1.initial, e2, e2.initial, rooted=True).witness
     assert revalidate(store, "tb-rooted")
-    plain = set(store.plain.pairs)
     verdicts = []
-    for i, j in sorted(p for p in plain if p[0] < p[1]):
-        store.plain.pairs = plain - {(i, j), (j, i)}
-        verdicts.append(revalidate(store, "tb-rooted"))
-        assert verdicts[-1] == ref_revalidate(store, True), (i, j)
+    for i, j in sorted(p for p in store.plain.pairs if p[0] < p[1]):
+        with taken_out(store.plain, (i, j), (j, i)):
+            verdicts.append(revalidate(store, "tb-rooted"))
+            assert verdicts[-1] == ref_revalidate(store, True), (i, j)
     assert not all(verdicts)
-    store.plain.pairs = plain
     store.plain = None
     assert not revalidate(store, "tb-rooted")
