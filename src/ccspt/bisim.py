@@ -8,9 +8,10 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-One engine runs these rounds.  The row engine ``RowEngine`` decides ``brb``,
-``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
-too), ``tob`` over the environment-augmented ``ThetaArena``, ``tb`` over
+One driver, ``_check``, takes every checker from a pair to its verdict,
+and one engine runs the rounds: ``RowEngine`` decides ``brb``, ``brbX``,
+``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish`` too),
+``tob`` over the environment-augmented ``ThetaArena``, ``tb`` over
 encoded systems, and the rooted layer of each.  It keeps a relation as bit
 masks, one pair row per state and one triple row per state and environment
 mask, and decides a row's clauses for all of its partners at once, with the
@@ -28,10 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
-from .semantics import TAU, TIMEOUT, Lts, label_kind, visible_alphabet, weak_closure
+from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, visible_alphabet,
+                        weak_closure)
 
 TRIPLE_BUDGET = 50_000_000
 
@@ -158,16 +161,8 @@ class Arena:
         return not self.has_tau[s] and not (self.vis_mask[s] & xmask)
 
     def reach(self, s: int) -> Tuple[int, ...]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for ds in self.out[u].values():
-                for v in ds:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return tuple(sorted(seen))
+        out = self.out
+        return reach(lambda u: chain.from_iterable(out[u].values()), s)
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         """The states a store is seeded with on the side of ``root``."""
@@ -884,65 +879,63 @@ def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
     _budget_check(len(lefts) + len(rights),
                   1 << arena.vmask.bit_count() if with_triples else 1)
     engine = RowEngine(arena)
-    store = engine.seeded(relation, lefts, rights, with_triples)
-    store.iterations, store.checked = engine.fixpoint(
-        store, *engine.clauses(family, store.rows, store.trows))
-    if rooted:
-        plain = store
-        store = engine.seeded(relation + "-rooted", lefts, rights, with_triples)
+    plain = layer = None
+    iterations = checked = 0
+    for name in (relation, relation + "-rooted")[:1 + rooted]:
+        store = engine.seeded(name, lefts, rights, with_triples)
         store.plain = plain
-        it, ch = engine.fixpoint(store, *engine.clauses(
-            family, store.rows, store.trows, (plain.rows, plain.trows)))
-        store.iterations = it + plain.iterations
-        store.checked = ch + plain.checked
+        it, ch = engine.fixpoint(store, *engine.clauses(family, store.rows, store.trows, layer))
+        iterations, checked = iterations + it, checked + ch
+        store.iterations, store.checked = iterations, checked
+        plain, layer = store, (store.rows, store.trows)
     return store
 
 
-def _verdict(store: RelationStore, entry, relation) -> Verdict:
-    arena = store.arena
-    alive = (store.has_pair(*entry) if len(entry) == 2
-             else store.has_triple(*entry))
-    return Verdict(
-        relation=relation,
-        equivalent=alive,
-        sigma=arena.sigma,
-        iterations=store.iterations,
-        entries_checked=store.checked,
-        refutation=[] if alive else _refutation_records(
-            store, [entry, entry[::-1]]),
-        witness=store if alive else None,
-    )
-
-
-def _reactive_check(family: str, relation: str, l1, p, l2, q, rooted, sigma,
-                    env=None) -> Verdict:
-    arena = Arena(l1, None if l2 is l1 else l2, sigma)
+def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
+           rooted: bool, sigma: Iterable[str] = (), env=None) -> Verdict:
+    """Build the family's arena, read the queried entry off it before any
+    store is seeded (the pair, the triple (p, X, q) under ``env``, or for
+    ``tob`` the wrapped pair), run the fixpoints and judge that entry."""
+    arena = (ThetaArena if family == "tob" else Arena)(l1, None if l2 is l1 else l2, sigma)
     gq = arena.state2(q)
-    entry = (p, gq) if env is None else (p, arena.mask_of(env), gq)
+    entry = (p, gq)
+    if env is not None:
+        x = arena.mask_of(env)
+        entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
     store = _row_fixpoints(arena, p, q, family, relation, rooted)
-    return _verdict(store, entry, store.relation)
+    alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
+    return Verdict(store.relation, alive, arena.sigma, store.iterations, store.checked,
+                   [] if alive else _refutation_records(store, [entry, entry[::-1]]),
+                   store if alive else None)
+
+
+def _same_labels(l1: Lts, l2: Lts, sigma: FrozenSet[str] = frozenset()):
+    """Refuse distinct systems whose label universes, widened by ``sigma``, differ."""
+    u1, u2 = l1.labels | sigma, l2.labels | sigma
+    if l2 is not l1 and u1 != u2:
+        raise LabelUniverseMismatch(f"label universes differ: {sorted(u1)} vs {sorted(u2)}")
 
 
 def brb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
               sigma: Iterable[str] = ()) -> Verdict:
     """Decide branching reactive bisimilarity of two states (Verdict)."""
-    return _reactive_check("brb", "brb", l1, p, l2, q, rooted, sigma)
+    return _check("brb", "brb", l1, p, l2, q, rooted, sigma)
 
 
 def brb_X_check(l1: Lts, p: int, l2: Lts, q: int, env: Iterable[str],
                 sigma: Iterable[str] = (), rooted: bool = False) -> Verdict:
     """Branching X-bisimilarity: the queried entry is the environment triple."""
-    return _reactive_check("brb", "brbX", l1, p, l2, q, rooted, sigma, env)
+    return _check("brb", "brbX", l1, p, l2, q, rooted, sigma, env)
 
 
 def gbrb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
                sigma: Iterable[str] = ()) -> Verdict:
-    return _reactive_check("gbrb", "gbrb", l1, p, l2, q, rooted, sigma)
+    return _check("gbrb", "gbrb", l1, p, l2, q, rooted, sigma)
 
 
 def cbrb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
                sigma: Iterable[str] = ()) -> Verdict:
-    return _reactive_check("cbrb", "cbrb", l1, p, l2, q, rooted, sigma)
+    return _check("cbrb", "cbrb", l1, p, l2, q, rooted, sigma)
 
 
 def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
@@ -954,26 +947,15 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
     reads off the wrapped pair, deciding X-bisimilarity through the
     environment operator (the wrapper of X is that of X & V).
     """
-    arena = ThetaArena(l1, None if l2 is l1 else l2, sigma)
-    gq = arena.state2(q)
-    entry = (p, gq)
-    if env is not None:
-        x = arena.mask_of(env)
-        entry = (arena.wrap(x, p), arena.wrap(x, gq))
-    store = _row_fixpoints(arena, p, q, "tob", "tob", rooted)
-    return _verdict(store, entry, store.relation)
+    return _check("tob", "tob", l1, p, l2, q, rooted, sigma, env)
 
 
 def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     """t-branching bisimilarity over encoded labels (pairs only), decided by
     the row engine; the rooted layer is one more row pass against the plain
     rows."""
-    if l1.labels != l2.labels and l2 is not l1:
-        raise LabelUniverseMismatch(
-            f"label universes differ: {sorted(l1.labels)} vs {sorted(l2.labels)}")
-    arena = Arena(l1, None if l2 is l1 else l2)
-    store = _row_fixpoints(arena, p, q, "tb", "tb", rooted)
-    return _verdict(store, (p, arena.state2(q)), store.relation)
+    _same_labels(l1, l2)
+    return _check("tb", "tb", l1, p, l2, q, rooted)
 
 
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
@@ -992,9 +974,7 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     label universes compared.
     """
     sig = frozenset(sigma)
-    if l2 is not l1 and l1.labels | sig != l2.labels | sig:
-        raise LabelUniverseMismatch(
-            f"label universes differ: {sorted(l1.labels | sig)} vs {sorted(l2.labels | sig)}")
+    _same_labels(l1, l2, sig)
     arena = Arena(l1, None if l2 is l1 else l2, sig)
     gq = arena.state2(q)
     block = [0] * arena.n

@@ -56,10 +56,6 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
         raise LabelUniverseMismatch(
             f"encoding alphabet {sorted(sig)} must cover the system's {sorted(lts.sigma)}")
     xs = subsets(sig)
-
-    def idle(s: int, x: frozenset) -> bool:
-        return not lts.has_tau(s) and not (lts.initials_visible(s) & x)
-
     index = {}
     tags: List[EncodedState] = []
     transitions: List[Tuple[int, str, int]] = []
@@ -95,7 +91,7 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
                 outgoing.append((eps_label(x), EncodedState(env_mode, x, s)))
             if st.mode == TRIGGERED_ROOTED:
                 for x in xs:
-                    if idle(s, x):
+                    if lts.idle(s, x):
                         for d in moves.get(TIMEOUT, ()):
                             outgoing.append((t_label(x), EncodedState(ENV, x, d)))
         else:
@@ -106,7 +102,7 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
                 if lab in x:
                     for d in targets:
                         outgoing.append((lab, EncodedState(TRIGGERED, None, d)))
-            if idle(s, x):
+            if lts.idle(s, x):
                 trig_mode = TRIGGERED_ROOTED if st.mode == ENV_ROOTED else TRIGGERED
                 outgoing.append((T_EPS, EncodedState(trig_mode, None, s)))
                 for d in moves.get(TIMEOUT, ()):

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import bisim as _bisim
 from .errors import FragmentUnsupported
-from .semantics import TAU, TIMEOUT, Lts, visible_alphabet, weak_reach
+from .semantics import TAU, TIMEOUT, Lts, reach, stable_reachable, visible_alphabet, weak_reach
 from .terms import Node, _node
 
 
@@ -171,10 +171,6 @@ class Evaluator:
         self._memo: Dict[tuple, bool] = {}
         self._pin: Dict[int, Formula] = {}  # memo keys use id(); keep them alive
 
-    def idle(self, s: int, allowed: frozenset) -> bool:
-        return (not self.lts.has_tau(s)
-                and not (self.lts.initials_visible(s) & allowed))
-
     def sat(self, s: int, f: Formula, env: Optional[frozenset] = None) -> bool:
         self._pin.setdefault(id(f), f)
         key = (s, env, id(f))
@@ -199,7 +195,7 @@ class Evaluator:
                 return any(self.sat(d, f.sub, env) for d in lts.succ(s, a))
             # a visible action under an environment needs permission or idling
             # and triggers the environment; triggered stays triggered
-            if env is not None and a not in env and not self.idle(s, env):
+            if env is not None and a not in env and not lts.idle(s, env):
                 return False
             return any(self.sat(d, f.sub, None) for d in lts.succ(s, a))
         if isinstance(f, HatDiamond):
@@ -209,11 +205,11 @@ class Evaluator:
         if isinstance(f, EnvBox):
             x = f.allowed
             gate = x if env is None else (x | env)
-            return self.idle(s, gate) and self.sat(s, f.sub, x)
+            return lts.idle(s, gate) and self.sat(s, f.sub, x)
         if isinstance(f, TimeoutDiamond):
             x = f.allowed
             gate = x if env is None else (x | env)
-            return self.idle(s, gate) and any(
+            return lts.idle(s, gate) and any(
                 self.sat(d, f.sub, x) for d in lts.succ(s, TIMEOUT))
         if isinstance(f, Eps):
             return any(self.sat(u, f.sub, env) for u in self.weak[s])
@@ -221,7 +217,7 @@ class Evaluator:
             inner = And((f.left, HatDiamond(f.action, f.right)))
             return any(self.sat(u, inner, env) for u in self.weak[s])
         if isinstance(f, Stable):
-            return any(not lts.has_tau(u) for u in self.weak[s])
+            return stable_reachable(lts, s)
         if isinstance(f, EpsX):
             return self._eps_x(s, f, env)
         raise TypeError(f"not a formula: {f!r}")
@@ -239,7 +235,7 @@ class Evaluator:
         stack, seen = [s], set()
         while stack:
             for s1 in self.weak[stack.pop()]:
-                if not self.idle(s1, gate) or not self.sat(s1, f.left, x):
+                if not lts.idle(s1, gate) or not self.sat(s1, f.left, x):
                     continue
                 if self.sat(s1, f.right, x):
                     return True
@@ -346,16 +342,8 @@ class _Builder:
     def ttreach(self, q) -> Tuple[int, ...]:
         got = self._ttreach.get(q)
         if got is None:
-            seen = {q}
-            stack = [q]
-            while stack:
-                u = stack.pop()
-                for v in self.a.tau_succ[u] + self.a.t_succ[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            got = tuple(sorted(seen))
-            self._ttreach[q] = got
+            a = self.a
+            got = self._ttreach[q] = reach(lambda u: a.tau_succ[u] + a.t_succ[u], q)
         return got
 
     def pair(self, p, q) -> Formula:

@@ -119,8 +119,12 @@ class _Parser:
         """``tau``, ``t`` or a visible action name."""
         return self.next().text if self.peek().text in (TAU, TIMEOUT) else self.visible()
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+    def finish(self, out):
+        """``out``, once no input is left after it."""
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        return out
 
     # -- terms ---------------------------------------------------------
     def term(self) -> Term:
@@ -134,10 +138,7 @@ class _Parser:
         out = self.prefix()
         while self.peek().kind == "parpar":
             self.next()
-            self.expect("{")
-            acts = self.acts()
-            self.expect("}")
-            out = Par(acts, out, self.prefix())
+            out = Par(self.braced(), out, self.prefix())
         return out
 
     def prefix(self) -> Term:
@@ -163,10 +164,7 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "hide":
                 self.next()
-                self.expect("{")
-                acts = self.acts()
-                self.expect("}")
-                return Hide(acts, self.parenthesised())
+                return Hide(self.braced(), self.parenthesised())
             if tok.text == "rename":
                 self.next()
                 self.expect("{")
@@ -175,22 +173,14 @@ class _Parser:
                 return Rename(pairs, self.parenthesised())
             if tok.text == "theta":
                 self.next()
-                self.expect("{")
-                low = self.acts()
-                self.expect("}")
-                self.expect("{")
-                high = self.acts()
-                self.expect("}")
+                low, high = self.braced(), self.braced()
                 try:
                     return Theta(low, high, self.parenthesised())
                 except ValueError as exc:
                     raise ParseError(str(exc), tok.line, tok.col)
             if tok.text == "psi":
                 self.next()
-                self.expect("{")
-                acts = self.acts()
-                self.expect("}")
-                return Psi(acts, self.parenthesised())
+                return Psi(self.braced(), self.parenthesised())
             self.next()
             return Var(tok.text)
         raise ParseError(f"found {tok.text or 'end of input'!r}",
@@ -240,6 +230,13 @@ class _Parser:
             raise ParseError("empty specification", tok.line, tok.col)
         return spec(eqs)
 
+    def braced(self) -> frozenset:
+        """``{`` acts ``}``."""
+        self.expect("{")
+        acts = self.acts()
+        self.expect("}")
+        return acts
+
     def acts(self) -> frozenset:
         names = []
         if self.peek().kind == "ident":
@@ -267,9 +264,7 @@ class _Parser:
         while self.peek().text == "<" and self.peek(1).text == "eps_":
             self.next()
             self.next()
-            self.expect("{")
-            acts = self.acts()
-            self.expect("}")
+            acts = self.braced()
             self.expect(">")
             out = _modal.EpsX(out, acts, self.formula_unary())
         return out
@@ -301,9 +296,7 @@ class _Parser:
             return out
         if tok.text == "[":
             self.next()
-            self.expect("{")
-            acts = self.acts()
-            self.expect("}")
+            acts = self.braced()
             self.expect("]")
             body = self.formula_unary()
             if isinstance(body, _modal.Diamond) and body.action == "t":
@@ -344,10 +337,7 @@ class _Parser:
 def parse_term(text: str, specs: Optional[Dict[str, RecSpec]] = None,
                require_valid: bool = True) -> Term:
     p = _Parser(text, specs)
-    out = p.term()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    out = p.finish(p.term())
     if require_valid and not is_valid(out):
         raise ValidityError(f"invalid expression: {text.strip()!r}")
     return out
@@ -359,23 +349,15 @@ def _strip_comments(text: str) -> str:
 
 @depth_guarded
 def parse_spec(text: str, specs: Optional[Dict[str, RecSpec]] = None) -> RecSpec:
-    """One ``name = term`` equation per line; mutual references allowed."""
-    p = _Parser(_strip_comments(text), specs)
-    sp = p.equations(stop="")
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return sp
+    """One ``name = term`` equation per line, up to the end of input; mutual
+    references allowed."""
+    return _Parser(_strip_comments(text), specs).equations(stop="")
 
 
 @depth_guarded
 def parse_formula(text: str) -> "_modal.Formula":
     p = _Parser(text)
-    out = p.formula()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return out
+    return p.finish(p.formula())
 
 
 @dataclass

@@ -131,8 +131,6 @@ def _variant_once(rng: random.Random, term: Term) -> Term:
     elif kind == 3 and isinstance(sub, Prefix):
         # its time-out twin: a.(t.F + F) = a.F
         new = Prefix(sub.action, Choice(Prefix(TIMEOUT, sub.body), sub.body))
-    elif isinstance(sub, Prefix) and sub.action == TAU:
-        new = Choice(sub, Prefix(TIMEOUT, NIL))        # tau.x + t.y = tau.x
     else:
         new = Choice(sub, NIL)
     return _replace(term, path, new)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged, ValidityError,
                      depth_guarded)
@@ -285,26 +285,33 @@ class Lts:
     def initials_visible(self, s: int) -> frozenset:
         return frozenset(l for l in self._out[s] if l in self.sigma)
 
+    def idle(self, s: int, allowed) -> bool:
+        """Whether ``s`` idles under an environment allowing ``allowed``: no
+        tau step and no visible action of the set."""
+        return not self.has_tau(s) and not (self.initials_visible(s) & allowed)
+
     def with_sigma(self, sigma: Iterable[str]) -> "Lts":
         return Lts(self.tags, self.transitions, self.initial,
                    sigma=self.sigma | frozenset(sigma), labels=self.labels)
 
 
+def reach(succ: Callable[[int], Iterable[int]], s: int) -> Tuple[int, ...]:
+    """The states reachable from ``s`` over ``succ`` (a state's successors),
+    ``s`` included, as a sorted tuple."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for v in succ(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return tuple(sorted(seen))
+
+
 def weak_closure(tau_succ: Sequence[Iterable[int]]) -> List[Tuple[int, ...]]:
     """Reflexive-transitive closure of a tau-successor table, one sorted
     tuple per state."""
-    closure = []
-    for s in range(len(tau_succ)):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in tau_succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        closure.append(tuple(sorted(seen)))
-    return closure
+    return [reach(tau_succ.__getitem__, s) for s in range(len(tau_succ))]
 
 
 def weak_reach(lts: Lts) -> List[Tuple[int, ...]]:

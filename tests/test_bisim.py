@@ -411,10 +411,16 @@ def test_set_store_over_many_declared_masks_is_refused_before_judging():
         make_store(lts, lts, "brb", pairs=[(0, 0)], triples=[(0, ["a"], 0)])
 
 
-def test_reserved_name_in_an_environment_set_is_a_named_error():
+def test_reserved_name_in_an_environment_set_is_a_named_error(monkeypatch):
     l1, l2, sig = pair_lts("a.0 + b.0", "a.0")
     for check in (tob_check, brb_X_check):
         with pytest.raises(LabelUniverseMismatch, match="an environment set: \\['t'\\]"):
+            check(l1, 0, l2, 0, sigma=sig, env=["t"])
+    # the queried entry is read before any engine or store is built
+    monkeypatch.setattr(bisim.RowEngine, "__init__",
+                        lambda self, arena: pytest.fail("engine built"))
+    for check in (tob_check, brb_X_check):
+        with pytest.raises(LabelUniverseMismatch, match="an environment set"):
             check(l1, 0, l2, 0, sigma=sig, env=["t"])
 
 

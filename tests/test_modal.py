@@ -58,11 +58,20 @@ def test_sat_visible_under_environment():
     assert sat_env(lts, 0, frozenset(), f)
     lts2 = lts_of("a.0 + b.0")
     assert not sat_env(lts2, 0, {"b"}, f)
+    # [{X}] needs the state to idle under X and under the current set
+    box = parse_formula("[{b}]<a>T")
+    assert sat(lts_of("a.0"), 0, box)
+    assert not sat(lts_of("a.0"), 0, parse_formula("[{a}]<a>T"))
+    assert not sat_env(lts_of("a.0"), 0, {"a"}, box)
 
 
 def test_sat_stability():
     assert sat(lts_of("tau.0"), 0, Stable())
     assert not sat(lts_of("<x|{x = tau.x}>"), 0, Stable())
+    lts = lts_of("tau.a.0")
+    assert sat(lts, 0, parse_formula("eps(stable)"))
+    assert sat(lts, 0, parse_formula("eps(<a>T)"))
+    assert not sat(lts, 0, parse_formula("<a>T"))
 
 
 def test_sat_eps_x_elision():
@@ -95,7 +104,7 @@ def test_environment_idling_collapse(rng):
         ev = Evaluator(lts)
         for s in range(lts.num_states):
             for y in (frozenset(), frozenset({"a"}), frozenset({"a", "b"})):
-                if not ev.idle(s, y):
+                if not ev.lts.idle(s, y):
                     continue
                 for f in froms[:220]:
                     assert ev.sat(s, f, y) == ev.sat(s, f, None), (s, sorted(y), render(f))

@@ -166,6 +166,15 @@ def test_parse_error_positions():
         parse_term("a..0")
     assert err.value.line == 1
     assert err.value.col is not None
+    # input after a whole term or formula; a specification's equations run
+    # to the end of input, so a stray token there is a missing identifier
+    for parse, text, message in [
+            (parse_term, "a.0 )", "trailing input ')' at 1:5"),
+            (parse_formula, "T )", "trailing input ')' at 1:3"),
+            (parse_spec, "x = a.0\n)", "found ')' at 2:1 (expected an identifier)")]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_spec_round_trip(rng):

@@ -390,13 +390,13 @@ def ref_revalidate(store, family, rooted):
 def engine_store(monkeypatch):
     """Run a check and also return the store behind its verdict."""
     seen = []
-    real = bisim._verdict
+    real = bisim._row_fixpoints
 
-    def spy(store, entry, relation):
-        seen.append(store)
-        return real(store, entry, relation)
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(bisim, "_verdict", spy)
+    monkeypatch.setattr(bisim, "_row_fixpoints", spy)
 
     def run(check, l1, l2, sig, **kw):
         v = check(l1, l1.initial, l2, l2.initial, sigma=sig, **kw)

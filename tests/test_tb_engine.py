@@ -210,13 +210,13 @@ def ref_revalidate(store, rooted):
 def engine_store(monkeypatch):
     """Run tb_check and also return the store behind its verdict."""
     seen = []
-    real = bisim._verdict
+    real = bisim._row_fixpoints
 
-    def spy(store, entry, relation):
-        seen.append(store)
-        return real(store, entry, relation)
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(bisim, "_verdict", spy)
+    monkeypatch.setattr(bisim, "_row_fixpoints", spy)
 
     def run(e1, e2, rooted):
         v = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
