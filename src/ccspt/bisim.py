@@ -21,6 +21,11 @@ layer reads them strongly, matching a first step by the same step into the
 plain fixpoint.  A relation has that one form, rows, which ``revalidate``
 judges once, in place: a witness holds iff no row of it fails a clause.
 
+The checks of one pair of systems share a pair context (``_PairContext``):
+the arena, its engine and each plain fixpoint are built once and read by
+the verdict of that family, by its rooted layer and by
+``modal.distinguish``.  The context dies with the two systems.
+
 Strong bisimilarity alone uses signature refinement over the move table
 (``strong_bisim``).
 """
@@ -28,6 +33,7 @@ Strong bisimilarity alone uses signature refinement over the move table
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -46,15 +52,17 @@ TRIPLE_BUDGET = 50_000_000
 class Arena:
     """Disjoint union of one or two LTSs with per-state move tables.
 
-    States are integers; those of the second system are shifted by the size
-    of the first.  ``out`` maps each state's labels to its targets, and the
-    move tables are read off it when the arena is built.  The weak closure
-    and stability are computed on their first read, so strong bisimilarity,
-    which reads ``out`` alone, never builds them.  ``sigma`` is the shared
-    visible alphabet, realised as bit masks so environment sets enumerate
-    cheaply; a label is visible iff it has a bit (``Lts.sigma`` holds every
-    visible label), and any other label but tau and t is one of an encoding
-    (``encoded`` says whether a move carries one).
+    States are integers; those of the second system are shifted by
+    ``offset``, the size of the first, or 0 where the second system is the
+    first.  The arena keeps no reference to the systems.  ``out`` maps each
+    state's labels to its targets, and the move tables are read off it when
+    the arena is built.  The weak closure and stability are computed on
+    their first read, so strong bisimilarity, which reads ``out`` alone,
+    never builds them.  ``sigma`` is the shared visible alphabet, realised
+    as bit masks so environment sets enumerate cheaply; a label is visible
+    iff it has a bit (``Lts.sigma`` holds every visible label), and any
+    other label but tau and t is one of an encoding (``encoded`` says
+    whether a move carries one).
 
     An environment X reaches a clause only through idle and permission tests
     on the visible actions some state offers, ``vmask`` (V).  So X and X & V
@@ -64,9 +72,8 @@ class Arena:
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
-        self.l1, self.l2 = l1, l2
         systems = [l1] if l2 is None else [l1, l2]
-        self.offset = len(l1)
+        self.offset = 0 if l2 is None else len(l1)
         self.sigma = tuple(sorted(visible_alphabet(sigma).union(*(l.sigma for l in systems))))
         self.bit = {a: 1 << i for i, a in enumerate(self.sigma)}
         self.full_mask = (1 << len(self.sigma)) - 1
@@ -145,7 +152,7 @@ class Arena:
 
     def state2(self, q: int) -> int:
         """Global index of state ``q`` of the second system."""
-        return q if self.l2 is None else q + self.offset
+        return q + self.offset
 
     def mask_of(self, actions: Iterable[str]) -> int:
         """The mask of an environment set, whose reserved names are refused."""
@@ -276,7 +283,13 @@ class RelationStore:
     per killed row; a why is the failing clause and its detail.  That log is
     the one record of a fixpoint's deletions, and ``lookup`` reads an entry
     off it.  ``iterations`` and ``checked`` count the fixpoint's rounds and
-    entry checks.
+    entry checks.  ``engine`` is the row engine that seeded the store, which
+    ``revalidate`` judges it with; None for a store built otherwise.
+
+    A plain store of the row engine is kept in its pair context and shared
+    by every later check of the same pair of systems: the verdict of that
+    family, the rooted layer over it, ``modal.distinguish``.  Treat the rows
+    of a store as read-only; only ``RowEngine.fixpoint`` writes them.
     """
 
     def __init__(self, arena: Arena, relation: str, rows: List[int],
@@ -289,6 +302,7 @@ class RelationStore:
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
+        self.engine: Optional["RowEngine"] = None
 
     @property
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
@@ -356,7 +370,12 @@ class RelationStore:
 
 @dataclass
 class Verdict:
-    """Outcome of an equivalence check with either a witness or refutations."""
+    """Outcome of an equivalence check with either a witness or refutations.
+
+    The witness of a row-engine family is shared with later checks of the
+    same pair of systems (its plain store, or the plain store under a rooted
+    one), so callers must treat its rows as read-only.
+    """
 
     relation: str
     equivalent: bool
@@ -499,7 +518,9 @@ class RowEngine:
         for s in rights:
             rows[s] |= lmask
         trows = {x: list(rows) for x in self.a.xmasks} if with_triples else None
-        return RelationStore(self.a, relation, rows, trows)
+        store = RelationStore(self.a, relation, rows, trows)
+        store.engine = self
+        return store
 
     # -- mask primitives -----------------------------------------------------
     def _pre(self, lab, mask: int, memo) -> int:
@@ -868,41 +889,92 @@ def _budget_check(n_states: int, n_masks: int):
         raise StateBudgetExceeded(n_states * n_states * n_masks, TRIPLE_BUDGET)
 
 
-def _row_fixpoints(arena: Arena, p: int, q: int, family: str, relation: str,
+class _PairContext:
+    """What the checks of one pair of systems share: their arena of one kind
+    over one alphabet, its row engine, built for the first fixpoint, and the
+    plain store of each (family, relation, p, q), kept once its fixpoint is
+    done.
+
+    Nothing in it refers to the systems, and the arena refers neither to its
+    engine nor to the stores, so reference counting frees the context with
+    the systems, without the cycle collector.
+    """
+
+    __slots__ = ("arena", "engine", "stores")
+
+    def __init__(self, arena: Arena):
+        self.arena = arena
+        self.engine: Optional[RowEngine] = None
+        self.stores: Dict[Tuple[str, str, int, int], RelationStore] = {}
+
+
+# l1 -> l2 -> {(arena kind, alphabet): context}, the systems held weakly
+_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _context(kind: type, l1: Lts, l2: Lts, sigma: Iterable[str]) -> _PairContext:
+    """The pair context of ``l1`` and ``l2`` for an arena of ``kind`` over
+    ``sigma``, widened by the systems' alphabets as the arena widens it; the
+    arena is built on the first call, and a refused one is not kept."""
+    sig = visible_alphabet(sigma).union(l1.sigma, l2.sigma)
+    contexts = _CONTEXTS.get(l1)
+    if contexts is None:
+        contexts = _CONTEXTS[l1] = weakref.WeakKeyDictionary()
+    kinds = contexts.setdefault(l2, {})
+    ctx = kinds.get((kind, sig))
+    if ctx is None:
+        ctx = kinds[kind, sig] = _PairContext(kind(l1, None if l2 is l1 else l2, sig))
+    return ctx
+
+
+def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str,
                    rooted: bool) -> RelationStore:
     """The plain fixpoint of a family on the row engine, seeded over the
-    side states of p and q; with ``rooted``, the rooted layer over it (its
-    ``plain`` is the plain store)."""
+    side states of p and q, run only where the context holds none yet; with
+    ``rooted``, the rooted layer over it (its ``plain`` is the plain store),
+    whose ``iterations`` and ``checked`` add its own to the plain ones.  The
+    input is refused and the budget checked on every call, before seeding."""
+    arena = ctx.arena
     _refuse_encoded(arena, family)
     with_triples = family not in RowEngine.PAIR_FAMILIES
     lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
     _budget_check(len(lefts) + len(rights),
                   1 << arena.vmask.bit_count() if with_triples else 1)
-    engine = RowEngine(arena)
-    plain = layer = None
-    iterations = checked = 0
-    for name in (relation, relation + "-rooted")[:1 + rooted]:
+
+    def layer(name, plain=None):
+        engine = ctx.engine = ctx.engine or RowEngine(arena)
         store = engine.seeded(name, lefts, rights, with_triples)
         store.plain = plain
-        it, ch = engine.fixpoint(store, *engine.clauses(family, store.rows, store.trows, layer))
-        iterations, checked = iterations + it, checked + ch
-        store.iterations, store.checked = iterations, checked
-        plain, layer = store, (store.rows, store.trows)
+        store.iterations, store.checked = engine.fixpoint(store, *engine.clauses(
+            family, store.rows, store.trows, plain and (plain.rows, plain.trows)))
+        return store
+
+    key = (family, relation, p, q)
+    plain = ctx.stores.get(key)
+    if plain is None:
+        plain = ctx.stores[key] = layer(relation)
+    if not rooted:
+        return plain
+    store = layer(relation + "-rooted", plain)
+    store.iterations += plain.iterations
+    store.checked += plain.checked
     return store
 
 
 def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
            rooted: bool, sigma: Iterable[str] = (), env=None) -> Verdict:
-    """Build the family's arena, read the queried entry off it before any
-    store is seeded (the pair, the triple (p, X, q) under ``env``, or for
-    ``tob`` the wrapped pair), run the fixpoints and judge that entry."""
-    arena = (ThetaArena if family == "tob" else Arena)(l1, None if l2 is l1 else l2, sigma)
+    """Take the family's arena from the pair context, read the queried entry
+    off it before any store is seeded (the pair, the triple (p, X, q) under
+    ``env``, or for ``tob`` the wrapped pair), run the fixpoints and judge
+    that entry."""
+    ctx = _context(ThetaArena if family == "tob" else Arena, l1, l2, sigma)
+    arena = ctx.arena
     gq = arena.state2(q)
     entry = (p, gq)
     if env is not None:
         x = arena.mask_of(env)
         entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
-    store = _row_fixpoints(arena, p, q, family, relation, rooted)
+    store = _row_fixpoints(ctx, p, q, family, relation, rooted)
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
     return Verdict(store.relation, alive, arena.sigma, store.iterations, store.checked,
                    [] if alive else _refutation_records(store, [entry, entry[::-1]]),
@@ -1049,7 +1121,8 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     """Whether a symmetric witness (pairs only for tob and tb) passes every
     clause: one judging round of ``RowEngine.failing`` over its own rows,
     which writes nothing and stops at the first failing row.  One engine
-    judges a rooted witness's plain store and then its rooted layer.  Triple
+    judges a rooted witness's plain store and then its rooted layer: the one
+    that seeded the witness, or else a new one over its arena.  Triple
     rows are judged under the keys of the more finely keyed layer, declared
     masks if either layer has them, and a store of pairs only as having no
     triples."""
@@ -1066,7 +1139,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
         keys = max([arena.xmasks, *(st.trows or () for st in layers)], key=len)
         none = [0] * arena.n
         lines = [{x: st._line(x) if st.trows else none for x in keys} for st in layers]
-    engine = RowEngine(arena)
+    engine = witness.engine or RowEngine(arena)
     memo = {}
     plain = None
     for st, trows in zip(layers, lines):

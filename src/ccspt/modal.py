@@ -412,13 +412,16 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     With ``fragment="Lb"`` the verdict follows branching reactive
     bisimilarity (triggered, or under the ``env`` set); with ``"Lbr"`` the
     rooted version.  The produced formula is built from the refutation tree
-    of the generalised fixpoint and holds on exactly one of the two states.
+    of the generalised fixpoint and holds on exactly one of the two states;
+    that fixpoint is the one ``gbrb_check`` of the same pair reads, computed
+    once for the pair (``bisim._PairContext``).
     """
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
-    arena = _bisim.Arena(l1, None if l2 is l1 else l2, sigma)
+    ctx = _bisim._context(_bisim.Arena, l1, l2, sigma)
+    arena = ctx.arena
     xmask = None if env is None else arena.mask_of(env) & arena.vmask
-    store = _bisim._row_fixpoints(arena, p, q, "gbrb", "gbrb", fragment == "Lbr")
+    store = _bisim._row_fixpoints(ctx, p, q, "gbrb", "gbrb", fragment == "Lbr")
     gq = arena.state2(q)
     builder = (_Builder(arena, store) if fragment == "Lb"
                else _Builder(arena, store, _Builder(arena, store.plain)))

@@ -1,0 +1,177 @@
+"""The pair context: the checks of one pair of systems share its arena, its
+row engine and each plain fixpoint.
+
+Sharing must change no output: checks run each on fresh systems and all on
+one pair, in either order, agree field by field.  Each plain fixpoint runs
+once for a pair, and the context is freed with the systems by reference
+counting alone.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, encode,
+                   gbrb_check, revalidate, tb_check, tob_check)
+from ccspt import bisim
+from ccspt.semantics import Lts
+
+from test_tb_engine import all_entries, ring, sampled_pairs
+
+CHECKS = {"brb": brb_check, "gbrb": gbrb_check, "cbrb": cbrb_check, "tob": tob_check}
+
+
+def fresh(lts):
+    """A new system equal to ``lts``, sharing no pair context with it."""
+    return Lts(lts.tags, lts.transitions, lts.initial, lts.sigma, lts.labels)
+
+
+def steps(sig):
+    """(name, run) of every check of a pair, plain first, then rooted, then
+    ``distinguish`` in Lb and Lbr; ``run`` takes the two systems and their
+    encodings, plain and rooted, and returns a verdict or a formula."""
+    env = sorted(sig)[:1]
+    plain = [(name, lambda l1, l2, e, check=check: check(
+                 l1, l1.initial, l2, l2.initial, sigma=sig)) for name, check in CHECKS.items()]
+    plain += [
+        ("brbX", lambda l1, l2, e: brb_X_check(l1, l1.initial, l2, l2.initial, env, sigma=sig)),
+        ("tobX", lambda l1, l2, e: tob_check(l1, l1.initial, l2, l2.initial, sigma=sig, env=env)),
+        ("tb", lambda l1, l2, e: tb_check(e[0][0], e[0][0].initial, e[0][1], e[0][1].initial)),
+        # other roots, and a wider alphabet, have stores and an arena of their own
+        ("brb-last", lambda l1, l2, e: brb_check(l1, len(l1) - 1, l2, len(l2) - 1, sigma=sig)),
+        ("brb-wide", lambda l1, l2, e: brb_check(l1, l1.initial, l2, l2.initial,
+                                                 sigma=sig | {"z"})),
+    ]
+    rooted = [(name + "-rooted", lambda l1, l2, e, check=check: check(
+                  l1, l1.initial, l2, l2.initial, rooted=True, sigma=sig))
+              for name, check in CHECKS.items()]
+    rooted.append(("tb-rooted", lambda l1, l2, e: tb_check(
+        e[1][0], e[1][0].initial, e[1][1], e[1][1].initial, rooted=True)))
+    formulas = [(fragment, lambda l1, l2, e, fragment=fragment: distinguish(
+                    l1, l1.initial, l2, l2.initial, fragment, sigma=sig))
+                for fragment in ("Lb", "Lbr")]
+    formulas.append(("Lb-env", lambda l1, l2, e: distinguish(
+        l1, l1.initial, l2, l2.initial, "Lb", env=env, sigma=sig)))
+    return plain + rooted + formulas
+
+
+def record(got, store):
+    """Every output of one step: a formula's ``repr``, or a verdict's JSON,
+    counts, witness entries and ``revalidate`` result, and the ``lookup`` of
+    every entry of the store behind it and of its plain store."""
+    if store is None:
+        return repr(got)
+    lookups = [[st.lookup(e) for e in all_entries(st.arena, st.trows is not None)]
+               for st in (store, store.plain) if st is not None]
+    out = [got.to_json(), got.iterations, got.entries_checked, lookups]
+    if got.witness is not None:
+        w = got.witness
+        out += [sorted(w.pairs), sorted(w.triples), revalidate(w, w.relation)]
+    return out
+
+
+@pytest.fixture
+def run_steps(monkeypatch):
+    """Run steps over a pair and record each, with the store behind it."""
+    seen = []
+    real = bisim._row_fixpoints
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bisim, "_row_fixpoints", spy)
+
+    def run(todo, l1, l2, encoded):
+        out = {}
+        for name, step in todo:
+            seen.clear()
+            got = step(l1, l2, encoded)
+            out[name] = record(got, None if name.startswith("L") else seen[-1])
+        return out
+    return run
+
+
+def encodings(l1, l2, sig):
+    """The two systems' plain encodings, then their rooted ones."""
+    return [(encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig))
+            for rooted in (False, True)]
+
+
+def pairs():
+    yield from sampled_pairs(12, 7)
+    base, same, differ = ring(8, {1}, False), ring(8, {1}, True), ring(8, {1, 4}, True)
+    yield base, same, frozenset({"a", "b"})
+    yield base, differ, frozenset({"a", "b"})
+
+
+def test_cold_and_warm_checks_agree(run_steps):
+    # each check on fresh systems, against all checks on one pair in both
+    # orders: the later checks read the arena, engine and plain stores the
+    # earlier ones left in the pair context
+    for l1, l2, sig in pairs():
+        todo = steps(sig)
+        cold = {}
+        for name, step in todo:
+            f1, f2 = fresh(l1), fresh(l2)
+            cold.update(run_steps([(name, step)], f1, f2, encodings(f1, f2, sig)))
+        for order in (todo, todo[::-1]):
+            f1, f2 = fresh(l1), fresh(l2)
+            assert run_steps(order, f1, f2, encodings(f1, f2, sig)) == cold
+
+
+def test_pair_context_is_freed_without_the_cycle_collector():
+    # nothing in a context refers to the systems, and no store or engine is
+    # referred to by its arena, so dropping the systems and the verdicts
+    # frees the arena by reference counting
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    contexts = len(bisim._CONTEXTS)
+    gc.disable()
+    try:
+        v = brb_check(l1, 0, l2, 0, rooted=True, sigma=sig)
+        assert v.equivalent and distinguish(l1, 0, l2, 0, "Lbr", sigma=sig) is None
+        arena = weakref.ref(v.witness.arena)
+        assert len(bisim._CONTEXTS) == contexts + 1
+        del l1, l2, v
+        assert arena() is None
+        assert len(bisim._CONTEXTS) == contexts
+    finally:
+        gc.enable()
+
+
+def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
+    # one inequivalent ring query: every relation, plain and rooted, then
+    # distinguish in Lb and Lbr.  Each plain (family, relation) fixpoint
+    # runs once, and each arena kind is built once for the pair
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1, 4}, True), frozenset({"a", "b"})
+    (e1, e2), (r1, r2) = encodings(l1, l2, sig)
+    runs, arenas = [], []
+    fixpoint, arena_init = bisim.RowEngine.fixpoint, bisim.Arena.__init__
+
+    def spy_fixpoint(engine, store, *clauses):
+        runs.append((store.relation, engine.a))
+        return fixpoint(engine, store, *clauses)
+
+    def spy_arena(arena, one, two=None, sigma=()):
+        arenas.append((type(arena).__name__, one, two))
+        arena_init(arena, one, two, sigma)
+
+    monkeypatch.setattr(bisim.RowEngine, "fixpoint", spy_fixpoint)
+    monkeypatch.setattr(bisim.Arena, "__init__", spy_arena)
+    for rooted in (False, True):
+        for check in CHECKS.values():
+            assert not check(l1, 0, l2, 0, rooted=rooted, sigma=sig)
+        assert not brb_X_check(l1, 0, l2, 0, ["a"], sigma=sig, rooted=rooted)
+    assert not tb_check(e1, e1.initial, e2, e2.initial)
+    assert not tb_check(r1, r1.initial, r2, r2.initial, rooted=True)
+    for fragment in ("Lb", "Lbr"):
+        assert distinguish(l1, 0, l2, 0, fragment, sigma=sig) is not None
+    # tb's plain fixpoint runs once over each pair of encodings
+    assert sorted(relation for relation, _ in runs) == [
+        "brb", "brb-rooted", "brbX", "brbX-rooted", "cbrb", "cbrb-rooted",
+        "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb", "tb-rooted", "tob", "tob-rooted"]
+    assert len({(relation, id(arena)) for relation, arena in runs
+                if not relation.endswith("-rooted")}) == 7
+    assert sorted(arenas, key=repr) == sorted([("Arena", l1, l2), ("ThetaArena", l1, l2),
+                                               ("Arena", e1, e2), ("Arena", r1, r2)], key=repr)

@@ -632,8 +632,8 @@ def test_row_log_lookups_match_entered_records(rooted):
     for l1, l2, sig in cases:
         for family in FAMILIES:
             arena = Arena(l1, l2, sig)
-            store = bisim._row_fixpoints(arena, l1.initial, l2.initial, family,
-                                         family, rooted)
+            store = bisim._row_fixpoints(bisim._PairContext(arena), l1.initial,
+                                         l2.initial, family, family, rooted)
             found += bool(store.row_kills)
             wide += arena.class_size > 1
             ref, _ = ref_check(family, l1, l2, sig, rooted)
