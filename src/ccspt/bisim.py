@@ -8,26 +8,27 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-One driver, ``_check``, takes every checker from a pair to its verdict,
-and one engine runs the rounds: ``RowEngine`` decides ``brb``, ``brbX``,
-``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish`` too),
-``tob`` over the environment-augmented ``ThetaArena``, ``tb`` over
-encoded systems, and the rooted layer of each.  It keeps a relation as bit
-masks, one pair row per state and one triple row per state and environment
-mask, and decides a row's clauses for all of its partners at once, with the
-same rounds, ranks and refutation records as a per-entry check.  Each
-family's clauses are written once, in ``RowEngine.clauses``: the rooted
-layer reads them strongly, matching a first step by the same step into the
-plain fixpoint.  A relation has that one form, rows, which ``revalidate``
-judges once, in place: a witness holds iff no row of it fails a clause.
+One driver, ``_check``, takes every checker from a pair to its verdict, and
+one engine, the arena itself, runs the rounds: ``Arena`` decides ``brb``,
+``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
+too), ``tb`` over encoded systems and the rooted layer of each, and the
+environment-augmented ``ThetaArena`` decides ``tob`` and its rooted layer.
+It keeps a relation as bit masks, one pair row per state and one triple row
+per state and environment mask, and decides a row's clauses for all of its
+partners at once, with the same rounds, ranks and refutation records as a
+per-entry check.  Each family's clauses are written once, in
+``Arena.clauses``: the rooted layer reads them strongly, matching a first
+step by the same step into the plain fixpoint.  A relation has that one
+form, rows, which ``revalidate`` judges once, in place: a witness holds iff
+no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
-the arena, its engine and each plain fixpoint are built once and read by
-the verdict of that family, by its rooted layer and by
-``modal.distinguish``.  The context dies with the two systems.
+the arena of each kind, with its engine tables, and each plain fixpoint are
+built once and read by the verdict of that family, by its rooted layer and
+by ``modal.distinguish``.  The context dies with the two systems.
 
-Strong bisimilarity alone uses signature refinement over the move table
-(``strong_bisim``).
+Strong bisimilarity alone uses signature refinement over the move table of
+the pair's ``Arena`` (``strong_bisim``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, visible_alphabet,
                         weak_closure)
 
 TRIPLE_BUDGET = 50_000_000
+# the families the row engine decides, and those of them without triples
+FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
+PAIR_FAMILIES = ("tob", "tb")
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +54,8 @@ TRIPLE_BUDGET = 50_000_000
 
 
 class Arena:
-    """Disjoint union of one or two LTSs with per-state move tables.
+    """Disjoint union of one or two LTSs with per-state move tables, and the
+    row engine of the relations over it.
 
     States are integers; those of the second system are shifted by
     ``offset``, the size of the first, or 0 where the second system is the
@@ -69,6 +74,17 @@ class Arena:
     decide every entry alike, and the relations carry one triple row per
     effective mask, a submask of V (``xmasks``).  Each stands for
     ``class_size`` = 2^|Sigma - V| declared masks, of which it is the least.
+
+    The engine keeps a relation as pair rows and, but for ``tob`` and
+    ``tb``, triple rows per effective mask (the layout of ``RelationStore``;
+    ``make_store`` keys them by declared masks, which a clause reads only
+    through X & V).  From the predecessor masks of every label and the
+    reverse weak closure, built by the first ``clauses`` call, a row's
+    clauses are decided for every partner at once: each gives the mask of
+    partners it lets pass, in the order a per-entry check tries them, so
+    each failing partner gets the same first failing clause.  ``clauses``
+    writes them, plain and rooted; ``failing`` judges rows against them,
+    once for ``revalidate`` and in each round of ``fixpoint``.
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
@@ -90,8 +106,8 @@ class Arena:
         self._build_tables()
 
     def _build_tables(self):
-        """Move tables of every state in ``out``; the weak closure and
-        stability are dropped, to be computed again on their next read."""
+        """Move tables of every state in ``out``; the weak closure, stability
+        and the engine's tables are dropped until their next read."""
         self.n = len(self.out)
         self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
         self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
@@ -120,6 +136,9 @@ class Arena:
         # CPython 3.11 reads every attribute of the arena at about twice the cost
         self._weak: Optional[List[Tuple[int, ...]]] = None
         self._stable: Optional[List[bool]] = None
+        # the engine's tables, built by the first ``clauses`` call
+        self.pred: Optional[Dict[str, List[int]]] = None
+        self._idle: Optional[Dict[int, int]] = None
 
     @property
     def weak(self) -> List[Tuple[int, ...]]:
@@ -178,9 +197,332 @@ class Arena:
     def describe(self, s: int) -> str:
         return str(self.tags[s])
 
+    # -- the engine's tables ------------------------------------------------
+    def _engine_tables(self):
+        """The tables the clauses and the rounds read: the predecessor masks
+        of every label, the reverse weak closure, each state's dependencies
+        and the masks of unstable states and of states with no tau step."""
+        n = self.n
+        labels = {TAU, TIMEOUT} | {lab for out in self.out for lab in out}
+        # pred[lab][y]: states with a lab-step to y
+        pred = {lab: [0] * n for lab in sorted(labels)}
+        # rweak[y]: states q with y in weak[q]
+        rweak = [0] * n
+        # deps[s]: s and its successors, the states whose rows s's clauses read
+        deps = [0] * n
+        unstable = notau = 0
+        weak, stable, has_tau = self.weak, self.stable, self.has_tau
+        for s in range(n):
+            bit = 1 << s
+            mine = bit
+            for lab, ds in self.out[s].items():
+                col = pred[lab]
+                for d in ds:
+                    col[d] |= bit
+                    mine |= 1 << d
+            deps[s] = mine
+            for y in weak[s]:
+                rweak[y] |= bit
+            if not stable[s]:
+                unstable |= bit
+            if not has_tau[s]:
+                notau |= bit
+        self.rweak, self.deps, self.unstable, self.notau = rweak, deps, unstable, notau
+        self.pred = pred   # last: set, it marks the tables built
+
+    # -- seeding ------------------------------------------------------------
+    def seeded(self, relation, lefts, rights, with_triples: bool) -> RelationStore:
+        """The symmetric store seeded with lefts x rights, as rows (and the
+        same rows under every effective environment mask)."""
+        n = self.n
+        lmask = sum(1 << s for s in set(lefts))
+        rmask = sum(1 << s for s in set(rights))
+        rows = [0] * n
+        for s in lefts:
+            rows[s] |= rmask
+        for s in rights:
+            rows[s] |= lmask
+        trows = {x: list(rows) for x in self.xmasks} if with_triples else None
+        return RelationStore(self, relation, rows, trows)
+
+    # -- mask primitives -----------------------------------------------------
+    def _pre(self, lab, mask: int, memo) -> int:
+        """States with a ``lab``-step into ``mask``.
+
+        Memoised by value: states with equal rows, common once the relation
+        settles into classes (and all of one side in round one), share it.
+        """
+        key = (lab, mask)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _gather(self.pred[lab], mask)
+        return got
+
+    def _reaching(self, good: int, memo) -> int:
+        """The states whose weak closure meets ``good``."""
+        key = (None, good)   # None: the weak closure, beside the labels of _pre
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _gather(self.rweak, good)
+        return got
+
+    def _weak_step(self, lab, target: int, alive: int, memo) -> int:
+        """Partners that weakly reach, within ``alive``, a state with a
+        ``lab``-step into ``target`` (for tau, also a state of ``target``)."""
+        good = self._pre(lab, target, memo)
+        if lab == TAU:
+            good |= target
+        return self._reaching(good & alive, memo)
+
+    def _tpath(self, alive: int, mid: int, target: int, memo) -> int:
+        """States of ``alive`` that match a time-out into ``target``.
+
+        A match is an alternating weak/t path whose stations (its start and
+        every t-target) lie in ``alive`` and whose weak steps end in ``mid``
+        (the partners themselves for tb, the states idle under the
+        environment for the reactive relations); it ends at, or one t-step
+        before, a state of ``target``.  ``hit`` gathers the states of ``mid``
+        that end a match; the stations weakly reaching one of them win, and
+        the t-predecessors in ``mid`` of winners end a match too, until
+        nothing is added or every station won.
+        """
+        hit = mid & (target | self._pre(TIMEOUT, target, memo))
+        won = self._reaching(hit, memo) & alive
+        new = won
+        tpred = self.pred[TIMEOUT]
+        while new and alive & ~won:
+            more = _gather(tpred, new) & mid & ~hit
+            if not more:
+                break
+            hit |= more
+            new = self._reaching(more, memo) & alive & ~won
+            won |= new
+        return won
+
+    def _idle_masks(self) -> Dict[int, int]:
+        """``idle[x]``: the states idle under effective environment mask x."""
+        if self._idle is None:
+            offers = [0] * len(self.sigma)
+            for s, vis in enumerate(self.vis_mask):
+                for k in _bits(vis):
+                    offers[k] |= 1 << s
+            busy = {0: 0}
+            for x in self.xmasks[1:]:
+                low = x & -x
+                busy[x] = busy[x ^ low] | offers[low.bit_length() - 1]
+            self._idle = {x: self.notau & ~b for x, b in busy.items()}
+        return self._idle
+
+    def _gpath(self, y, alive: int, target: int, memo) -> int:
+        """Partners matching a time-out under y into ``target`` over the
+        stations ``alive``: a stable state of their weak closure is in the
+        target, or times out into it or into a station that matches (the
+        first station need not be alive)."""
+        key = ("g", y, alive, target)
+        got = memo.get(key)
+        if got is None:
+            won = self._tpath(alive, self._idle_masks()[y & self.vmask], target, memo)
+            hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
+            got = memo[key] = self._reaching(hit, memo)
+        return got
+
+    def _idle_timeouts(self, p, idle):
+        """(y, p2) for every mask y of ``idle`` that p idles under and every
+        time-out p -t-> p2, in the order the clauses try them."""
+        t_succ = self.t_succ[p]
+        if t_succ:
+            for y, idles in idle.items():
+                if idles >> p & 1:
+                    for p2 in t_succ:
+                        yield y, p2
+
+    def _strong_step(self, lab, target: int, alive: int, memo) -> int:
+        """Partners with a ``lab``-step into ``target``: the rooted reading
+        of ``_weak_step``, which ``alive`` does not constrain."""
+        return self._pre(lab, target, memo)
+
+    # -- clauses -------------------------------------------------------------
+    def clauses(self, family: str, rows, trows, plain=None):
+        """(pair clauses, triple clauses or None) of a relation family over
+        ``rows``/``trows``; with ``plain``, the plain fixpoint's (rows,
+        trows), those of its rooted layer.  A clause function takes a row's
+        key and a memo and yields, clause by clause, (mask of the partners
+        that pass, clause, action, env, derivative), with None for a field
+        the clause does not name.
+
+        Each clause is written once.  A pair row has a weak step for each
+        move (1a, t1, tb1); then the time-outs (gbrb's 1b and tob's t2, under
+        each mask p idles under, and tb2) or, for brb and cbrb, the triple
+        rows (1b); then stability (1c, t3, tb3).  A triple row has 2a-2e,
+        where gbrb's 2c matches the time-outs as its 1b does and cbrb's 2d
+        matches a time-out by exactly one time-out.
+
+        The rooted layer reads the same clauses strongly: a step of p is
+        matched by the same step into the plain rows, a time-out by one
+        time-out into them, brb's 2c reads the rooted row itself, there is
+        no stability clause, and each name takes an ``r`` prefix.  The one
+        exception is ``rtb1``: rooted tb matches every first step, t and t_X
+        included, in label order.
+        """
+        if self.pred is None:
+            self._engine_tables()
+        rooted = plain is not None
+        tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
+        # the rows a step of p is matched into, and how
+        mrows, mtrows = plain if rooted else (rows, trows)
+        step = self._strong_step if rooted else self._weak_step
+        stable = ~self.unstable
+        r = "r" if rooted else ""
+        c1a, c1b, c1c = (r + c for c in {"tb": ("tb1", "tb2", "tb3"), "tob": ("t1", "t2", "t3")}
+                         .get(family, ("1a", "1b", "1c")))
+        c2a, c2b, c2c, c2d, c2e = (r + c for c in (
+            "2a", "2b", "2c", "2d", "2d-stable" if generalised else "2e"))
+        if tb and rooted:   # rtb1
+            moves = [sorted(out.items()) for out in self.out]
+        elif tb:
+            # tb1 reads no t_X label, and tb2 the time-outs
+            branch = [lab for lab in self.pred
+                      if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
+            moves = [[(lab, out[lab]) for lab in branch if lab in out] for out in self.out]
+        else:
+            moves = self.moves_vt
+            idle = self._idle_masks()
+            if not tob:   # the masks trows is keyed by, declared ones too
+                idle = {x: idle[x & self.vmask] for x in trows}
+        # brb and cbrb ask a pair for its triples in 1b and have no 1c
+        pair_stable = not rooted and family not in ("brb", "cbrb")
+
+        def timeouts(p, clause, memo):
+            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
+            mask y it idles under, matched as ``_gpath`` does (for tob over
+            the states whose wrappers under y are related)."""
+            for y, p2 in self._idle_timeouts(p, idle):
+                if tob:
+                    target = self._unwrap(y, mrows[self.wrap(y, p2)], memo)
+                    alive = None if rooted else self._unwrap(y, rows[p], memo)
+                else:
+                    target, alive = mtrows[y][p2], trows[y][p]
+                ok = (self._pre(TIMEOUT, target, memo) if rooted
+                      else self._gpath(y, alive, target, memo))
+                yield ok, clause, None, y, p2
+
+        def pair(p, memo):
+            alive = rows[p]
+            for lab, ds in moves[p]:
+                for p2 in ds:
+                    yield step(lab, mrows[p2], alive, memo), c1a, lab, None, p2
+            if tb:
+                if not rooted:
+                    for p2 in self.t_succ[p]:
+                        yield self._tpath(alive, alive, rows[p2], memo), c1b, None, None, p2
+            elif tob or generalised:
+                yield from timeouts(p, c1b, memo)
+            else:
+                for x, line in trows.items():
+                    yield line[p], c1b, None, x, None
+            if pair_stable and not self.has_tau[p]:
+                yield stable, c1c, None, None, None
+        if trows is None:
+            return pair, None
+
+        def triple(p, x, memo):
+            line, mline = trows[x], mtrows[x]
+            alive = line[p]
+            for p2 in self.tau_succ[p]:
+                yield step(TAU, mline[p2], alive, memo), c2a, None, None, p2
+            idles = idle[x] >> p & 1
+            for lab, ds in self.vis_moves[p]:
+                if (generalised and idles) or self.bit[lab] & x:
+                    for p2 in ds:
+                        yield step(lab, mrows[p2], alive, memo), c2b, lab, None, p2
+            if idles and generalised:
+                yield from timeouts(p, c2c, memo)
+            elif idles:
+                yield rows[p] if rooted else self._reaching(rows[p], memo), c2c, None, None, None
+                for p2 in self.t_succ[p]:
+                    if rooted:
+                        ok = self._pre(TIMEOUT, mline[p2], memo)
+                    elif concrete:
+                        ok = self._reaching(self._pre(TIMEOUT, line[p2], memo), memo)
+                    else:
+                        ok = self._tpath(alive, idle[x], line[p2], memo)
+                    yield ok, c2d, None, None, p2
+            if not rooted and not self.has_tau[p]:
+                yield stable, c2e, None, None, None
+        return pair, triple
+
+    # -- drivers -------------------------------------------------------------
+    def failing(self, rows, trows, pair, triple, todo, memo):
+        """The rows of ``todo`` with a failing partner, as (row key, line,
+        [(mask of partners, why), ...]): pair rows first, then triple rows
+        in (p, x) order, each judged against the rows as they stand.
+        Nothing is written, so a caller may stop at the first."""
+        for p in todo:
+            if rows[p]:
+                fails = _failures(rows[p], pair(p, memo))
+                if fails:
+                    yield (p,), rows, fails
+        if trows is not None:
+            for p in todo:
+                for x, line in trows.items():
+                    if line[p]:
+                        fails = _failures(line[p], triple(p, x, memo))
+                        if fails:
+                            yield (p, x), line, fails
+
+    def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
+        """Delete failing entries from the store's rows in synchronous rounds.
+
+        As in a per-entry deletion in sorted order, every row is judged
+        (``failing``) against the rows the round started with before any
+        entry dies, so the rounds, and the ranks and refutation records read
+        off ``store.row_kills``, come out the same.  A round then leaves
+        S & ~D & ~D^T, whatever the order: each bad row drops its own dead
+        partners D[p], and the rows sharing one line and one dead mask are
+        cleared from each of those partners' rows at once.  A state's rows
+        are judged again only when a row it reads has changed: its own, a
+        successor's or, for ``tob``, that of a t-successor's wrapper.  A
+        triple row counts once per declared mask of its class in the
+        entries checked.
+        """
+        rows, trows = store.rows, store.trows
+        weight = self.class_size
+        alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
+                                if trows else 0)
+        iterations = checked = 0
+        changed = -1
+        memo = {}
+        while True:
+            iterations += 1
+            checked += alive
+            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
+            bad = list(self.failing(rows, trows, pair, triple, todo, memo))
+            if not bad:
+                return iterations, checked
+            changed = 0
+            groups = {}   # (env, dead mask) -> [line, rows killing it]
+            for key, line, fails in bad:
+                store.row_kills.append((iterations, key, fails))
+                p, env = key[0], key[1:]
+                dead = 0
+                for mask, _ in fails:
+                    dead |= mask
+                gone = line[p] & dead
+                line[p] ^= gone
+                alive -= (weight if env else 1) * gone.bit_count()
+                changed |= dead | 1 << p
+                groups.setdefault((env, dead), [line, 0])[1] |= 1 << p
+            for (env, dead), (line, ps) in groups.items():
+                w = weight if env else 1
+                for q in _bits(dead):
+                    gone = line[q] & ps
+                    if gone:
+                        line[q] ^= gone
+                        alive -= w * gone.bit_count()
+
 
 class ThetaArena(Arena):
-    """Arena augmented with environment-wrapped copies of its states.
+    """Arena augmented with environment-wrapped copies of its states, for ``tob``.
 
     ``wrap(X, s)`` is the state ``s`` plunged into an environment allowing
     exactly X.  A wrapper moves only by tau and by the actions of ``s`` in X,
@@ -260,6 +602,29 @@ class ThetaArena(Arena):
                 members.add(w)
         return tuple(sorted(members))
 
+    def _engine_tables(self):
+        """The tables of ``Arena``, one inverse of ``wrap`` per effective
+        mask, mapping each wrapper to the states that wrap onto it, and the
+        wrappers of a state's t-successors among its dependencies."""
+        super()._engine_tables()
+        # unwrapped[x][w]: the states whose wrapper under x is w
+        self.unwrapped = {x: [0] * self.n for x in self.xmasks}
+        for x, inverse in self.unwrapped.items():
+            for s in range(self.n):
+                inverse[self.wrap(x, s)] |= 1 << s
+        idle, tpred = self._idle_masks(), self.pred[TIMEOUT]
+        for (x, s), w in self.wrapped.items():
+            for p in _bits(tpred[s] & idle[x]):
+                self.deps[p] |= 1 << w
+
+    def _unwrap(self, x, mask: int, memo) -> int:
+        """The states whose wrapper under x lies in ``mask``."""
+        key = ("u", x, mask)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _gather(self.unwrapped[x], mask)
+        return got
+
 
 # ---------------------------------------------------------------------------
 # Relation stores and verdicts
@@ -283,13 +648,12 @@ class RelationStore:
     per killed row; a why is the failing clause and its detail.  That log is
     the one record of a fixpoint's deletions, and ``lookup`` reads an entry
     off it.  ``iterations`` and ``checked`` count the fixpoint's rounds and
-    entry checks.  ``engine`` is the row engine that seeded the store, which
-    ``revalidate`` judges it with; None for a store built otherwise.
+    entry checks.
 
     A plain store of the row engine is kept in its pair context and shared
     by every later check of the same pair of systems: the verdict of that
     family, the rooted layer over it, ``modal.distinguish``.  Treat the rows
-    of a store as read-only; only ``RowEngine.fixpoint`` writes them.
+    of a store as read-only; only ``Arena.fixpoint`` writes them.
     """
 
     def __init__(self, arena: Arena, relation: str, rows: List[int],
@@ -302,7 +666,6 @@ class RelationStore:
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
-        self.engine: Optional["RowEngine"] = None
 
     @property
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
@@ -435,376 +798,6 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# The row engine
-
-
-class RowEngine:
-    """Row engine for ``brb``, ``cbrb``, ``gbrb``, ``tob`` and ``tb`` and
-    their rooted layers.
-
-    A relation is a list of pair rows and, for the reactive families, a
-    list of triple rows per effective environment mask (the layout of
-    ``RelationStore``); ``tob`` and ``tb`` are pairs only.  Triple rows may
-    also be keyed by declared masks (those of ``make_store``): a clause
-    reads a mask only through its idle states and its permissions, which
-    X & V decides.
-
-    From the predecessor masks of every label and the reverse weak closure
-    (and, over a ``ThetaArena``, one inverse of ``wrap`` per effective mask,
-    which maps each wrapper back to every state, bare or wrapped, that wraps
-    onto it), the clauses of a row's entries are decided for every partner q
-    at once: each clause gives the mask of partners it lets pass, in the
-    order a per-entry check would try the clauses, so each failing partner
-    gets the same first failing clause.  ``clauses`` builds them, the plain
-    ones and their rooted reading alike; ``failing`` judges rows against
-    them, once for ``revalidate`` and in each round of ``fixpoint``.
-    """
-
-    FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
-    PAIR_FAMILIES = ("tob", "tb")
-
-    def __init__(self, arena: Arena):
-        self.a = arena
-        n = arena.n
-        labels = {TAU, TIMEOUT} | {lab for out in arena.out for lab in out}
-        # pred[lab][y]: states with a lab-step to y
-        self.pred = {lab: [0] * n for lab in sorted(labels)}
-        # rweak[y]: states q with y in weak[q]
-        self.rweak = [0] * n
-        # deps[s]: s and its successors, the states whose rows s's clauses read
-        self.deps = [0] * n
-        self.unstable = 0
-        self.notau = 0
-        weak, stable = arena.weak, arena.stable
-        for s in range(n):
-            bit = 1 << s
-            deps = bit
-            for lab, ds in arena.out[s].items():
-                col = self.pred[lab]
-                for d in ds:
-                    col[d] |= bit
-                    deps |= 1 << d
-            self.deps[s] = deps
-            for y in weak[s]:
-                self.rweak[y] |= bit
-            if not stable[s]:
-                self.unstable |= bit
-            if not arena.has_tau[s]:
-                self.notau |= bit
-        self._idle: Optional[Dict[int, int]] = None
-        if isinstance(arena, ThetaArena):
-            # unwrapped[x][w]: the states whose wrapper under x is w
-            self.unwrapped = {x: [0] * n for x in arena.xmasks}
-            for x, inverse in self.unwrapped.items():
-                for s in range(n):
-                    inverse[arena.wrap(x, s)] |= 1 << s
-            idle, tpred = self._idle_masks(), self.pred[TIMEOUT]
-            for (x, s), w in arena.wrapped.items():
-                # a tob row reads the rows of its t-successors' wrappers
-                for p in _bits(tpred[s] & idle[x]):
-                    self.deps[p] |= 1 << w
-
-    # -- seeding ------------------------------------------------------------
-    def seeded(self, relation, lefts, rights, with_triples: bool) -> RelationStore:
-        """The symmetric store seeded with lefts x rights, as rows (and the
-        same rows under every effective environment mask)."""
-        n = self.a.n
-        lmask = sum(1 << s for s in set(lefts))
-        rmask = sum(1 << s for s in set(rights))
-        rows = [0] * n
-        for s in lefts:
-            rows[s] |= rmask
-        for s in rights:
-            rows[s] |= lmask
-        trows = {x: list(rows) for x in self.a.xmasks} if with_triples else None
-        store = RelationStore(self.a, relation, rows, trows)
-        store.engine = self
-        return store
-
-    # -- mask primitives -----------------------------------------------------
-    def _pre(self, lab, mask: int, memo) -> int:
-        """States with a ``lab``-step into ``mask``.
-
-        Memoised by value: states with equal rows, common once the relation
-        settles into classes (and all of one side in round one), share it.
-        """
-        key = (lab, mask)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _gather(self.pred[lab], mask)
-        return got
-
-    def _reaching(self, good: int, memo) -> int:
-        """The states whose weak closure meets ``good``."""
-        key = (None, good)   # None: the weak closure, beside the labels of _pre
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _gather(self.rweak, good)
-        return got
-
-    def _weak_step(self, lab, target: int, alive: int, memo) -> int:
-        """Partners that weakly reach, within ``alive``, a state with a
-        ``lab``-step into ``target`` (for tau, also a state of ``target``)."""
-        good = self._pre(lab, target, memo)
-        if lab == TAU:
-            good |= target
-        return self._reaching(good & alive, memo)
-
-    def _tpath(self, alive: int, mid: int, target: int, memo) -> int:
-        """States of ``alive`` that match a time-out into ``target``.
-
-        A match is an alternating weak/t path whose stations (its start and
-        every t-target) lie in ``alive`` and whose weak steps end in ``mid``
-        (the partners themselves for tb, the states idle under the
-        environment for the reactive relations); it ends at, or one t-step
-        before, a state of ``target``.  ``hit`` gathers the states of ``mid``
-        that end a match; the stations weakly reaching one of them win, and
-        the t-predecessors in ``mid`` of winners end a match too, until
-        nothing is added or every station won.
-        """
-        hit = mid & (target | self._pre(TIMEOUT, target, memo))
-        won = self._reaching(hit, memo) & alive
-        new = won
-        tpred = self.pred[TIMEOUT]
-        while new and alive & ~won:
-            more = _gather(tpred, new) & mid & ~hit
-            if not more:
-                break
-            hit |= more
-            new = self._reaching(more, memo) & alive & ~won
-            won |= new
-        return won
-
-    def _idle_masks(self) -> Dict[int, int]:
-        """``idle[x]``: the states idle under effective environment mask x."""
-        if self._idle is None:
-            a = self.a
-            offers = [0] * len(a.sigma)
-            for s, vis in enumerate(a.vis_mask):
-                for k in _bits(vis):
-                    offers[k] |= 1 << s
-            busy = {0: 0}
-            for x in a.xmasks[1:]:
-                low = x & -x
-                busy[x] = busy[x ^ low] | offers[low.bit_length() - 1]
-            self._idle = {x: self.notau & ~b for x, b in busy.items()}
-        return self._idle
-
-    def _unwrap(self, x, mask: int, memo) -> int:
-        """The states whose wrapper under x lies in ``mask``."""
-        key = ("u", x, mask)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _gather(self.unwrapped[x], mask)
-        return got
-
-    def _gpath(self, y, alive: int, target: int, memo) -> int:
-        """Partners matching a time-out under y into ``target`` over the
-        stations ``alive``: a stable state of their weak closure is in the
-        target, or times out into it or into a station that matches (the
-        first station need not be alive)."""
-        key = ("g", y, alive, target)
-        got = memo.get(key)
-        if got is None:
-            won = self._tpath(alive, self._idle_masks()[y & self.a.vmask], target, memo)
-            hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
-            got = memo[key] = self._reaching(hit, memo)
-        return got
-
-    def _idle_timeouts(self, p, idle):
-        """(y, p2) for every mask y of ``idle`` that p idles under and every
-        time-out p -t-> p2, in the order the clauses try them."""
-        t_succ = self.a.t_succ[p]
-        if t_succ:
-            for y, idles in idle.items():
-                if idles >> p & 1:
-                    for p2 in t_succ:
-                        yield y, p2
-
-    def _strong_step(self, lab, target: int, alive: int, memo) -> int:
-        """Partners with a ``lab``-step into ``target``: the rooted reading
-        of ``_weak_step``, which ``alive`` does not constrain."""
-        return self._pre(lab, target, memo)
-
-    # -- clauses -------------------------------------------------------------
-    def clauses(self, family: str, rows, trows, plain=None):
-        """(pair clauses, triple clauses or None) of a relation family over
-        ``rows``/``trows``; with ``plain``, the plain fixpoint's (rows,
-        trows), those of its rooted layer.  A clause function takes a row's
-        key and a memo and yields, clause by clause, (mask of the partners
-        that pass, clause, action, env, derivative), with None for a field
-        the clause does not name.
-
-        Each clause is written once.  A pair row has a weak step for each
-        move (1a, t1, tb1); then the time-outs (gbrb's 1b and tob's t2, under
-        each mask p idles under, and tb2) or, for brb and cbrb, the triple
-        rows (1b); then stability (1c, t3, tb3).  A triple row has 2a-2e,
-        where gbrb's 2c matches the time-outs as its 1b does and cbrb's 2d
-        matches a time-out by exactly one time-out.
-
-        The rooted layer reads the same clauses strongly: a step of p is
-        matched by the same step into the plain rows, a time-out by one
-        time-out into them, brb's 2c reads the rooted row itself, there is
-        no stability clause, and each name takes an ``r`` prefix.  The one
-        exception is ``rtb1``: rooted tb matches every first step, t and t_X
-        included, in label order.
-        """
-        a, rooted = self.a, plain is not None
-        tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
-        # the rows a step of p is matched into, and how
-        mrows, mtrows = plain if rooted else (rows, trows)
-        step = self._strong_step if rooted else self._weak_step
-        stable = ~self.unstable
-        r = "r" if rooted else ""
-        c1a, c1b, c1c = (r + c for c in {"tb": ("tb1", "tb2", "tb3"), "tob": ("t1", "t2", "t3")}
-                         .get(family, ("1a", "1b", "1c")))
-        c2a, c2b, c2c, c2d, c2e = (r + c for c in (
-            "2a", "2b", "2c", "2d", "2d-stable" if generalised else "2e"))
-        if tb and rooted:   # rtb1
-            moves = [sorted(out.items()) for out in a.out]
-        elif tb:
-            # tb1 reads no t_X label, and tb2 the time-outs
-            branch = [lab for lab in self.pred
-                      if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
-            moves = [[(lab, out[lab]) for lab in branch if lab in out] for out in a.out]
-        else:
-            moves = a.moves_vt
-            idle = self._idle_masks()
-            if not tob:   # the masks trows is keyed by, declared ones too
-                idle = {x: idle[x & a.vmask] for x in trows}
-        # brb and cbrb ask a pair for its triples in 1b and have no 1c
-        pair_stable = not rooted and family not in ("brb", "cbrb")
-
-        def timeouts(p, clause, memo):
-            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
-            mask y it idles under, matched as ``_gpath`` does (for tob over
-            the states whose wrappers under y are related)."""
-            for y, p2 in self._idle_timeouts(p, idle):
-                if tob:
-                    target = self._unwrap(y, mrows[a.wrap(y, p2)], memo)
-                    alive = None if rooted else self._unwrap(y, rows[p], memo)
-                else:
-                    target, alive = mtrows[y][p2], trows[y][p]
-                ok = (self._pre(TIMEOUT, target, memo) if rooted
-                      else self._gpath(y, alive, target, memo))
-                yield ok, clause, None, y, p2
-
-        def pair(p, memo):
-            alive = rows[p]
-            for lab, ds in moves[p]:
-                for p2 in ds:
-                    yield step(lab, mrows[p2], alive, memo), c1a, lab, None, p2
-            if tb:
-                if not rooted:
-                    for p2 in a.t_succ[p]:
-                        yield self._tpath(alive, alive, rows[p2], memo), c1b, None, None, p2
-            elif tob or generalised:
-                yield from timeouts(p, c1b, memo)
-            else:
-                for x, line in trows.items():
-                    yield line[p], c1b, None, x, None
-            if pair_stable and not a.has_tau[p]:
-                yield stable, c1c, None, None, None
-        if trows is None:
-            return pair, None
-
-        def triple(p, x, memo):
-            line, mline = trows[x], mtrows[x]
-            alive = line[p]
-            for p2 in a.tau_succ[p]:
-                yield step(TAU, mline[p2], alive, memo), c2a, None, None, p2
-            idles = idle[x] >> p & 1
-            for lab, ds in a.vis_moves[p]:
-                if (generalised and idles) or a.bit[lab] & x:
-                    for p2 in ds:
-                        yield step(lab, mrows[p2], alive, memo), c2b, lab, None, p2
-            if idles and generalised:
-                yield from timeouts(p, c2c, memo)
-            elif idles:
-                yield rows[p] if rooted else self._reaching(rows[p], memo), c2c, None, None, None
-                for p2 in a.t_succ[p]:
-                    if rooted:
-                        ok = self._pre(TIMEOUT, mline[p2], memo)
-                    elif concrete:
-                        ok = self._reaching(self._pre(TIMEOUT, line[p2], memo), memo)
-                    else:
-                        ok = self._tpath(alive, idle[x], line[p2], memo)
-                    yield ok, c2d, None, None, p2
-            if not rooted and not a.has_tau[p]:
-                yield stable, c2e, None, None, None
-        return pair, triple
-
-    # -- drivers -------------------------------------------------------------
-    def failing(self, rows, trows, pair, triple, todo, memo):
-        """The rows of ``todo`` with a failing partner, as (row key, line,
-        [(mask of partners, why), ...]): pair rows first, then triple rows
-        in (p, x) order, each judged against the rows as they stand.
-        Nothing is written, so a caller may stop at the first."""
-        for p in todo:
-            if rows[p]:
-                fails = _failures(rows[p], pair(p, memo))
-                if fails:
-                    yield (p,), rows, fails
-        if trows is not None:
-            for p in todo:
-                for x, line in trows.items():
-                    if line[p]:
-                        fails = _failures(line[p], triple(p, x, memo))
-                        if fails:
-                            yield (p, x), line, fails
-
-    def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
-        """Delete failing entries from the store's rows in synchronous rounds.
-
-        As in a per-entry deletion in sorted order, every row is judged
-        (``failing``) against the rows the round started with before any
-        entry dies, so the rounds, and the ranks and refutation records read
-        off ``store.row_kills``, come out the same.  A round then leaves
-        S & ~D & ~D^T, whatever the order: each bad row drops its own dead
-        partners D[p], and the rows sharing one line and one dead mask are
-        cleared from each of those partners' rows at once.  A state's rows
-        are judged again only when a row it reads has changed: its own, a
-        successor's or, for ``tob``, that of a t-successor's wrapper.  A
-        triple row counts once per declared mask of its class in the
-        entries checked.
-        """
-        rows, trows = store.rows, store.trows
-        weight = self.a.class_size
-        alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
-                                if trows else 0)
-        iterations = checked = 0
-        changed = -1
-        memo = {}
-        while True:
-            iterations += 1
-            checked += alive
-            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
-            bad = list(self.failing(rows, trows, pair, triple, todo, memo))
-            if not bad:
-                return iterations, checked
-            changed = 0
-            groups = {}   # (env, dead mask) -> [line, rows killing it]
-            for key, line, fails in bad:
-                store.row_kills.append((iterations, key, fails))
-                p, env = key[0], key[1:]
-                dead = 0
-                for mask, _ in fails:
-                    dead |= mask
-                gone = line[p] & dead
-                line[p] ^= gone
-                alive -= (weight if env else 1) * gone.bit_count()
-                changed |= dead | 1 << p
-                groups.setdefault((env, dead), [line, 0])[1] |= 1 << p
-            for (env, dead), (line, ps) in groups.items():
-                w = weight if env else 1
-                for q in _bits(dead):
-                    gone = line[q] & ps
-                    if gone:
-                        line[q] ^= gone
-                        alive -= w * gone.bit_count()
-
-
 def _failures(live: int, clauses) -> List[Tuple[int, tuple]]:
     """Failing partners of ``live`` as (mask, why) in clause order; every
     failing partner sits in the mask of its first failing clause.  A why is
@@ -891,20 +884,19 @@ def _budget_check(n_states: int, n_masks: int):
 
 class _PairContext:
     """What the checks of one pair of systems share: their arena of one kind
-    over one alphabet, its row engine, built for the first fixpoint, and the
-    plain store of each (family, relation, p, q), kept once its fixpoint is
-    done.
+    over one alphabet, whose engine tables the first fixpoint builds, and
+    the plain store of each (family, relation, p, q), kept once its fixpoint
+    is done.
 
-    Nothing in it refers to the systems, and the arena refers neither to its
-    engine nor to the stores, so reference counting frees the context with
-    the systems, without the cycle collector.
+    Nothing in it refers to the systems, and the arena refers to no store,
+    so reference counting frees the context with the systems, without the
+    cycle collector.
     """
 
-    __slots__ = ("arena", "engine", "stores")
+    __slots__ = ("arena", "stores")
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.engine: Optional[RowEngine] = None
         self.stores: Dict[Tuple[str, str, int, int], RelationStore] = {}
 
 
@@ -929,23 +921,22 @@ def _context(kind: type, l1: Lts, l2: Lts, sigma: Iterable[str]) -> _PairContext
 
 def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str,
                    rooted: bool) -> RelationStore:
-    """The plain fixpoint of a family on the row engine, seeded over the
+    """The plain fixpoint of a family on the context's arena, seeded over the
     side states of p and q, run only where the context holds none yet; with
     ``rooted``, the rooted layer over it (its ``plain`` is the plain store),
     whose ``iterations`` and ``checked`` add its own to the plain ones.  The
     input is refused and the budget checked on every call, before seeding."""
     arena = ctx.arena
     _refuse_encoded(arena, family)
-    with_triples = family not in RowEngine.PAIR_FAMILIES
+    with_triples = family not in PAIR_FAMILIES
     lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
     _budget_check(len(lefts) + len(rights),
                   1 << arena.vmask.bit_count() if with_triples else 1)
 
     def layer(name, plain=None):
-        engine = ctx.engine = ctx.engine or RowEngine(arena)
-        store = engine.seeded(name, lefts, rights, with_triples)
+        store = arena.seeded(name, lefts, rights, with_triples)
         store.plain = plain
-        store.iterations, store.checked = engine.fixpoint(store, *engine.clauses(
+        store.iterations, store.checked = arena.fixpoint(store, *arena.clauses(
             family, store.rows, store.trows, plain and (plain.rows, plain.trows)))
         return store
 
@@ -1037,8 +1028,9 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     block, the set of (label, block of target) over its moves in
     ``Arena.out``, as a sorted tuple) and numbers the blocks of the next
     round by first occurrence of a signature, until a round moves nothing.
-    Only the move table is read, so the arena's weak closure and stability
-    are never built.  An equivalence's witness pairs each state reachable
+    Only the move table is read, so the arena, taken from the pair context
+    the other checkers share, builds neither its weak closure nor its
+    stability for it.  An equivalence's witness pairs each state reachable
     on the left with the states reachable on the right in its block, both
     orientations.
     ``sigma`` widens the visible alphabet of both systems, as it does for
@@ -1047,7 +1039,7 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     """
     sig = frozenset(sigma)
     _same_labels(l1, l2, sig)
-    arena = Arena(l1, None if l2 is l1 else l2, sig)
+    arena = _context(Arena, l1, l2, sig).arena
     gq = arena.state2(q)
     block = [0] * arena.n
     iterations = 0
@@ -1093,7 +1085,7 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
     rooted = definition_id.endswith("-rooted")
     base = definition_id[:-len("-rooted")] if rooted else definition_id
     base = "brb" if base == "brbX" else base
-    if base in RowEngine.FAMILIES:
+    if base in FAMILIES:
         return _revalidate_rows(witness, base, rooted)
     if definition_id != "strong":
         raise FragmentUnsupported(f"no revalidation for definition {definition_id!r}")
@@ -1119,34 +1111,34 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
 
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     """Whether a symmetric witness (pairs only for tob and tb) passes every
-    clause: one judging round of ``RowEngine.failing`` over its own rows,
-    which writes nothing and stops at the first failing row.  One engine
-    judges a rooted witness's plain store and then its rooted layer: the one
-    that seeded the witness, or else a new one over its arena.  Triple
-    rows are judged under the keys of the more finely keyed layer, declared
-    masks if either layer has them, and a store of pairs only as having no
-    triples."""
-    _refuse_encoded(witness.arena, family)
+    clause: one judging round of ``Arena.failing`` over its own rows, which
+    writes nothing and stops at the first failing row.  The witness's arena
+    judges a rooted witness's plain store and then its rooted layer, and
+    only a ``ThetaArena`` holds a ``tob`` witness.  Triple rows are judged
+    under the keys of the more finely keyed layer, declared masks if either
+    layer has them, and a store of pairs only as having no triples."""
+    arena = witness.arena
+    _refuse_encoded(arena, family)
     if rooted and witness.plain is None:
         return False
+    if family == "tob" and not isinstance(arena, ThetaArena):
+        return False   # tob's clauses read the wrappers of a ThetaArena
     layers = (witness.plain, witness) if rooted else (witness,)
-    with_triples = family not in RowEngine.PAIR_FAMILIES
+    with_triples = family not in PAIR_FAMILIES
     if not with_triples and any(st.has_triples for st in layers):
         return False
-    arena = witness.arena
     lines = [None] * len(layers)
     if with_triples:
         keys = max([arena.xmasks, *(st.trows or () for st in layers)], key=len)
         none = [0] * arena.n
         lines = [{x: st._line(x) if st.trows else none for x in keys} for st in layers]
-    engine = witness.engine or RowEngine(arena)
     memo = {}
     plain = None
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
-        clauses = engine.clauses(family, st.rows, trows, plain)
-        if next(engine.failing(st.rows, trows, *clauses, range(arena.n), memo), None):
+        clauses = arena.clauses(family, st.rows, trows, plain)
+        if next(arena.failing(st.rows, trows, *clauses, range(arena.n), memo), None):
             return False
         plain = st.rows, trows
     return True
@@ -1160,15 +1152,21 @@ def make_store(l1: Lts, l2: Optional[Lts], relation: str,
 
     Pair and triple entries name states of the first and second system by
     their own indices; the second system's indices are shifted internally.
+    An entry naming a state outside its system is refused with a
+    ``ValueError`` before any row is written.
     Given triples, the store keys its triple rows by every declared mask,
     counted against the budget before they are allocated: queries and
     ``revalidate`` read each triple under its own mask.  Without triples it
     holds pairs only.  A ``tob`` store lives on the ``ThetaArena`` its
     relation is defined over.
     """
+    pairs, triples = list(pairs), list(triples)
+    n1, n2 = len(l1), len(l1 if l2 is None else l2)
+    for entry in pairs + triples:
+        if not (0 <= entry[0] < n1 and 0 <= entry[-1] < n2):
+            raise ValueError(f"store entry {entry!r} out of range")
     kind = ThetaArena if relation in ("tob", "tob-rooted") else Arena
     arena = kind(l1, None if l2 is l1 or l2 is None else l2, sigma)
-    triples = list(triples)
     n = arena.n
     _budget_check(n, arena.full_mask + 1 if triples else 1)
     rows = [0] * n

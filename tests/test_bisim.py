@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -102,7 +103,7 @@ def test_encoded_input_refused_before_engine_or_wrappers(monkeypatch):
     assert v.equivalent and revalidate(make_store(e, None, "tb", v.witness.pairs), "tb")
     brb_store = make_store(e, None, "brb", pairs=[(p, p)])
     built = lambda *args: pytest.fail("built over an encoded input")
-    monkeypatch.setattr(bisim.RowEngine, "__init__", built)
+    monkeypatch.setattr(bisim.Arena, "_engine_tables", built)
     monkeypatch.setattr(bisim.ThetaArena, "idle", built)   # the wrapper loop
     calls = [(brb_X_check, (e, p, e, p, {"a"})), (tob_check, (e, p, e, p), {"env": {"a"}}),
              (revalidate, (brb_store, "brb")), (revalidate, (brb_store, "brb-rooted"))]
@@ -352,7 +353,7 @@ def test_damaged_witness_is_judged_without_a_fixpoint(family, rooted, monkeypatc
     else:
         checks = {"brb": brb_check, "cbrb": cbrb_check, "gbrb": gbrb_check, "tob": tob_check}
         store = checks[family](l1, 0, l2, 0, rooted=rooted, sigma=sig).witness
-    monkeypatch.setattr(bisim.RowEngine, "fixpoint",
+    monkeypatch.setattr(bisim.Arena, "fixpoint",
                         lambda *args: pytest.fail("revalidate ran a fixpoint"))
     relation = family + "-rooted" * rooted
     layers = [st for st in (store, store.plain) if st is not None]
@@ -417,8 +418,8 @@ def test_reserved_name_in_an_environment_set_is_a_named_error(monkeypatch):
         with pytest.raises(LabelUniverseMismatch, match="an environment set: \\['t'\\]"):
             check(l1, 0, l2, 0, sigma=sig, env=["t"])
     # the queried entry is read before any engine or store is built
-    monkeypatch.setattr(bisim.RowEngine, "__init__",
-                        lambda self, arena: pytest.fail("engine built"))
+    monkeypatch.setattr(bisim.Arena, "_engine_tables",
+                        lambda self: pytest.fail("engine tables built"))
     for check in (tob_check, brb_X_check):
         with pytest.raises(LabelUniverseMismatch, match="an environment set"):
             check(l1, 0, l2, 0, sigma=sig, env=["t"])
@@ -441,6 +442,37 @@ def test_triple_witness_under_pair_definitions_lists_no_masks(monkeypatch):
     for definition in ("strong", "tob", "tb"):
         assert not revalidate(v.witness, definition)
     assert revalidate(v.witness, "brb")
+
+
+def test_tob_revalidation_of_a_store_off_the_theta_arena_fails():
+    # tob's clauses read the wrappers of a ThetaArena; a store on a plain
+    # Arena, a strong witness or an explicit brb store, has none
+    l1, l2, sig = pair_lts("a.0 + t.b.0", "a.0 + t.b.0")
+    witness = strong_bisim(l1, 0, l2, 0, sigma=sig).witness
+    explicit = make_store(l1, l2, "brb", pairs=[(s, s) for s in range(len(l1))])
+    for store in (witness, explicit):
+        assert revalidate(store, "strong")
+        for definition in ("tob", "tob-rooted"):
+            assert not revalidate(store, definition)
+    # an encoded input is still refused by name first
+    enc = encode(l1, sigma=sig)
+    with pytest.raises(LabelUniverseMismatch, match="not encoded ones"):
+        revalidate(make_store(enc, None, "tb", pairs=[(enc.initial, enc.initial)]), "tob")
+
+
+def test_explicit_store_refuses_states_outside_their_system():
+    # every entry names states of its own system, checked before any row
+    l1, l2, _ = pair_lts("a.0", "a.0 + b.0")
+    bad = [dict(pairs=[(0, -1)]), dict(pairs=[(0, len(l2))]), dict(pairs=[(-1, 0)]),
+           dict(pairs=[(len(l1), 0)]), dict(triples=[(0, ["a"], len(l2))]),
+           dict(pairs=[(0, 0)], triples=[(-1, (), 0)])]
+    for entries in bad:
+        entry = next(iter(entries.get("triples") or entries["pairs"]))
+        with pytest.raises(ValueError, match=f"{re.escape(repr(entry))} out of range"):
+            make_store(l1, l2, "brb", **entries)
+    with pytest.raises(ValueError, match="out of range"):
+        make_store(l1, None, "brb", pairs=[(0, len(l1))])
+    assert make_store(l1, l2, "brb", pairs=[(len(l1) - 1, len(l2) - 1)]).pairs
 
 
 def test_manual_witness_from_the_gallery():

@@ -1,5 +1,5 @@
-"""The pair context: the checks of one pair of systems share its arena, its
-row engine and each plain fixpoint.
+"""The pair context: the checks of one pair of systems share its arena, with
+the engine's tables, and each plain fixpoint.
 
 Sharing must change no output: checks run each on fresh systems and all on
 one pair, in either order, agree field by field.  Each plain fixpoint runs
@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, encode,
-                   gbrb_check, revalidate, tb_check, tob_check)
+                   gbrb_check, revalidate, strong_bisim, tb_check, tob_check)
 from ccspt import bisim
 from ccspt.semantics import Lts
 
@@ -108,8 +108,8 @@ def pairs():
 
 def test_cold_and_warm_checks_agree(run_steps):
     # each check on fresh systems, against all checks on one pair in both
-    # orders: the later checks read the arena, engine and plain stores the
-    # earlier ones left in the pair context
+    # orders: the later checks read the arena, its engine tables and the
+    # plain stores the earlier ones left in the pair context
     for l1, l2, sig in pairs():
         todo = steps(sig)
         cold = {}
@@ -122,15 +122,16 @@ def test_cold_and_warm_checks_agree(run_steps):
 
 
 def test_pair_context_is_freed_without_the_cycle_collector():
-    # nothing in a context refers to the systems, and no store or engine is
-    # referred to by its arena, so dropping the systems and the verdicts
-    # frees the arena by reference counting
+    # nothing in a context refers to the systems, and no store is referred
+    # to by its arena, so dropping the systems and the verdicts frees the
+    # arena by reference counting
     l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
     contexts = len(bisim._CONTEXTS)
     gc.disable()
     try:
         v = brb_check(l1, 0, l2, 0, rooted=True, sigma=sig)
         assert v.equivalent and distinguish(l1, 0, l2, 0, "Lbr", sigma=sig) is None
+        assert not strong_bisim(l1, 0, l2, 0, sigma=sig)
         arena = weakref.ref(v.witness.arena)
         assert len(bisim._CONTEXTS) == contexts + 1
         del l1, l2, v
@@ -142,23 +143,32 @@ def test_pair_context_is_freed_without_the_cycle_collector():
 
 def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     # one inequivalent ring query: every relation, plain and rooted, then
-    # distinguish in Lb and Lbr.  Each plain (family, relation) fixpoint
-    # runs once, and each arena kind is built once for the pair
+    # distinguish in Lb and Lbr, revalidate of every store a fixpoint left
+    # and strong bisimilarity.  Each plain (family, relation) fixpoint runs
+    # once, each arena kind is built once for the pair, and each arena
+    # builds its engine tables once
     l1, l2, sig = ring(8, {1}, False), ring(8, {1, 4}, True), frozenset({"a", "b"})
     (e1, e2), (r1, r2) = encodings(l1, l2, sig)
-    runs, arenas = [], []
-    fixpoint, arena_init = bisim.RowEngine.fixpoint, bisim.Arena.__init__
+    runs, arenas, tables = [], [], []
+    fixpoint, arena_init = bisim.Arena.fixpoint, bisim.Arena.__init__
+    engine_tables = bisim.Arena._engine_tables
 
-    def spy_fixpoint(engine, store, *clauses):
-        runs.append((store.relation, engine.a))
-        return fixpoint(engine, store, *clauses)
+    def spy_fixpoint(arena, store, *clauses):
+        runs.append((store.relation, arena, store))
+        return fixpoint(arena, store, *clauses)
 
     def spy_arena(arena, one, two=None, sigma=()):
         arenas.append((type(arena).__name__, one, two))
         arena_init(arena, one, two, sigma)
 
-    monkeypatch.setattr(bisim.RowEngine, "fixpoint", spy_fixpoint)
+    def spy_tables(arena):
+        # ThetaArena's tables extend these, so every arena passes here
+        tables.append(arena)
+        engine_tables(arena)
+
+    monkeypatch.setattr(bisim.Arena, "fixpoint", spy_fixpoint)
     monkeypatch.setattr(bisim.Arena, "__init__", spy_arena)
+    monkeypatch.setattr(bisim.Arena, "_engine_tables", spy_tables)
     for rooted in (False, True):
         for check in CHECKS.values():
             assert not check(l1, 0, l2, 0, rooted=rooted, sigma=sig)
@@ -167,11 +177,17 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     assert not tb_check(r1, r1.initial, r2, r2.initial, rooted=True)
     for fragment in ("Lb", "Lbr"):
         assert distinguish(l1, 0, l2, 0, fragment, sigma=sig) is not None
+    # every store a fixpoint left is a greatest fixpoint, and passes
+    assert all(revalidate(store, relation) for relation, _, store in runs)
+    assert not strong_bisim(l1, 0, l2, 0, sigma=sig)
     # tb's plain fixpoint runs once over each pair of encodings
-    assert sorted(relation for relation, _ in runs) == [
+    assert sorted(relation for relation, _, _ in runs) == [
         "brb", "brb-rooted", "brbX", "brbX-rooted", "cbrb", "cbrb-rooted",
         "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb", "tb-rooted", "tob", "tob-rooted"]
-    assert len({(relation, id(arena)) for relation, arena in runs
+    assert len({(relation, id(arena)) for relation, arena, _ in runs
                 if not relation.endswith("-rooted")}) == 7
+    # strong bisimilarity reads the pair's Arena, and builds no tables on it
     assert sorted(arenas, key=repr) == sorted([("Arena", l1, l2), ("ThetaArena", l1, l2),
                                                ("Arena", e1, e2), ("Arena", r1, r2)], key=repr)
+    assert len(tables) == len({id(arena) for arena in tables}) == 4
+    assert {id(arena) for _, arena, _ in runs} == {id(arena) for arena in tables}

@@ -548,12 +548,12 @@ def test_distinguishing_formulas_match_reference():
 # fixpoint bookkeeping: grouped deletion and lookups off the row log
 
 
-def sequential_fixpoint(engine, store, pair, triple=None):
-    """``RowEngine.fixpoint`` with the symmetric deletion done per bad row
+def sequential_fixpoint(arena, store, pair, triple=None):
+    """``Arena.fixpoint`` with the symmetric deletion done per bad row
     and per dead partner bit, in log order: the loop the grouped deletion
     replaced."""
     rows, trows = store.rows, store.trows
-    weight = engine.a.class_size
+    weight = arena.class_size
     alive = bisim._count(rows) + (weight * sum(bisim._count(line) for line in trows.values())
                                   if trows else 0)
     iterations = checked = 0
@@ -562,7 +562,7 @@ def sequential_fixpoint(engine, store, pair, triple=None):
     while True:
         iterations += 1
         checked += alive
-        todo = [p for p, deps in enumerate(engine.deps) if deps & changed]
+        todo = [p for p, deps in enumerate(arena.deps) if deps & changed]
         bad = [((p,), rows, bisim._failures(rows[p], pair(p, memo)))
                for p in todo if rows[p]]
         if trows is not None:
@@ -590,13 +590,12 @@ def sequential_fixpoint(engine, store, pair, triple=None):
 
 def run_fixpoints(fixpoint, arena, family, rooted):
     """The stores of ``_row_fixpoints`` with ``fixpoint`` driving the rounds."""
-    engine = bisim.RowEngine(arena)
     lefts, rights = arena.reach(0), arena.reach(arena.state2(0))
-    store = engine.seeded(family, lefts, rights, True)
-    counts = [fixpoint(engine, store, *engine.clauses(family, store.rows, store.trows))]
+    store = arena.seeded(family, lefts, rights, True)
+    counts = [fixpoint(arena, store, *arena.clauses(family, store.rows, store.trows))]
     if rooted:
-        plain, store = store, engine.seeded(family, lefts, rights, True)
-        counts.append(fixpoint(engine, store, *engine.clauses(
+        plain, store = store, arena.seeded(family, lefts, rights, True)
+        counts.append(fixpoint(arena, store, *arena.clauses(
             family, store.rows, store.trows, (plain.rows, plain.trows))))
         store.plain = plain
     return store, counts
@@ -611,7 +610,7 @@ def test_grouped_deletion_matches_sequential_deletion(family):
     arena = Arena(l1, l2, frozenset({"a", "b", "c", "d"}))
     assert arena.class_size == 4
     for rooted in (False, True):
-        got, got_counts = run_fixpoints(bisim.RowEngine.fixpoint, arena, family, rooted)
+        got, got_counts = run_fixpoints(bisim.Arena.fixpoint, arena, family, rooted)
         want, want_counts = run_fixpoints(sequential_fixpoint, arena, family, rooted)
         assert got_counts == want_counts
         for g, w in [(got, want)] + [(got.plain, want.plain)] * rooted:
