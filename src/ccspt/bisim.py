@@ -17,10 +17,12 @@ It keeps a relation as bit masks, one pair row per state and one triple row
 per state and environment mask, and decides a row's clauses for all of its
 partners at once, with the same rounds, ranks and refutation records as a
 per-entry check.  Each family's clauses are written once, in
-``Arena.clauses``: the rooted layer reads them strongly, matching a first
-step by the same step into the plain fixpoint.  A relation has that one
-form, rows, which ``revalidate`` judges once, in place: a witness holds iff
-no row of it fails a clause.
+``Arena._compile``: the rooted layer reads them strongly, matching a first
+step by the same step into the plain fixpoint.  They are compiled once per
+arena, family and layer into a clause program per row, a tuple of ops that
+one loop, ``Arena.failing``, runs for every row a round judges.  A relation
+has that one form, rows, which ``revalidate`` judges once, in place, with
+the same programs: a witness holds iff no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
 the arena of each kind, with its engine tables, and each plain fixpoint are
@@ -47,6 +49,9 @@ TRIPLE_BUDGET = 50_000_000
 # the families the row engine decides, and those of them without triples
 FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
 PAIR_FAMILIES = ("tob", "tb")
+# the kinds of a clause program's ops (``Arena._compile``); steps come first
+(_WEAK, _WEAK_TAU, _STRONG, _STRONG_LINE, _TRIPLE, _CONST, _TPATH, _ROW, _CONCRETE,
+ _GPATH, _TOB) = range(11)
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +84,14 @@ class Arena:
     ``tb``, triple rows per effective mask (the layout of ``RelationStore``;
     ``make_store`` keys them by declared masks, which a clause reads only
     through X & V).  From the predecessor masks of every label and the
-    reverse weak closure, built by the first ``clauses`` call, a row's
+    reverse weak closure, built by the first ``program`` call, a row's
     clauses are decided for every partner at once: each gives the mask of
     partners it lets pass, in the order a per-entry check tries them, so
-    each failing partner gets the same first failing clause.  ``clauses``
-    writes them, plain and rooted; ``failing`` judges rows against them,
-    once for ``revalidate`` and in each round of ``fixpoint``.
+    each failing partner gets the same first failing clause.  ``program``
+    compiles them, plain and rooted, into one clause program per row, once
+    per family, layer and keying of the triple rows; ``failing`` runs the
+    programs of the rows it judges, once for ``revalidate`` and in each
+    round of ``fixpoint``.
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
@@ -136,9 +143,11 @@ class Arena:
         # CPython 3.11 reads every attribute of the arena at about twice the cost
         self._weak: Optional[List[Tuple[int, ...]]] = None
         self._stable: Optional[List[bool]] = None
-        # the engine's tables, built by the first ``clauses`` call
+        # the engine's tables, built by the first ``program`` call, and the
+        # clause programs compiled over them
         self.pred: Optional[Dict[str, List[int]]] = None
         self._idle: Optional[Dict[int, int]] = None
+        self._programs: Dict[tuple, tuple] = {}
 
     @property
     def weak(self) -> List[Tuple[int, ...]]:
@@ -260,19 +269,10 @@ class Arena:
 
     def _reaching(self, good: int, memo) -> int:
         """The states whose weak closure meets ``good``."""
-        key = (None, good)   # None: the weak closure, beside the labels of _pre
-        got = memo.get(key)
+        got = memo.get(good)   # a bare mask: the weak closure, beside the keys of _pre
         if got is None:
-            got = memo[key] = _gather(self.rweak, good)
+            got = memo[good] = _gather(self.rweak, good)
         return got
-
-    def _weak_step(self, lab, target: int, alive: int, memo) -> int:
-        """Partners that weakly reach, within ``alive``, a state with a
-        ``lab``-step into ``target`` (for tau, also a state of ``target``)."""
-        good = self._pre(lab, target, memo)
-        if lab == TAU:
-            good |= target
-        return self._reaching(good & alive, memo)
 
     def _tpath(self, alive: int, mid: int, target: int, memo) -> int:
         """States of ``alive`` that match a time-out into ``target``.
@@ -284,8 +284,12 @@ class Arena:
         before, a state of ``target``.  ``hit`` gathers the states of ``mid``
         that end a match; the stations weakly reaching one of them win, and
         the t-predecessors in ``mid`` of winners end a match too, until
-        nothing is added or every station won.
+        nothing is added or every station won.  Memoised by value.
         """
+        key = ("t", alive, mid, target)
+        got = memo.get(key)
+        if got is not None:
+            return got
         hit = mid & (target | self._pre(TIMEOUT, target, memo))
         won = self._reaching(hit, memo) & alive
         new = won
@@ -297,6 +301,7 @@ class Arena:
             hit |= more
             new = self._reaching(more, memo) & alive & ~won
             won |= new
+        memo[key] = won
         return won
 
     def _idle_masks(self) -> Dict[int, int]:
@@ -326,29 +331,45 @@ class Arena:
             got = memo[key] = self._reaching(hit, memo)
         return got
 
-    def _idle_timeouts(self, p, idle):
-        """(y, p2) for every mask y of ``idle`` that p idles under and every
-        time-out p -t-> p2, in the order the clauses try them."""
-        t_succ = self.t_succ[p]
-        if t_succ:
-            for y, idles in idle.items():
-                if idles >> p & 1:
-                    for p2 in t_succ:
-                        yield y, p2
+    # -- clause programs -----------------------------------------------------
+    def program(self, family: str, keys: Optional[Tuple[int, ...]], rooted: bool):
+        """The clause programs of a family's plain or rooted layer over
+        triple rows keyed by ``keys`` (None for a relation of pairs), as
+        (rooted, one program per pair row, {x: one program per triple row}
+        or None).  The first call for a (family, layer, keys) builds the
+        engine tables if need be and compiles them; they are kept beside
+        the tables."""
+        if self.pred is None:
+            self._engine_tables()
+        key = family, rooted, keys
+        got = self._programs.get(key)
+        if got is None:
+            got = self._programs[key] = self._compile(family, keys, rooted)
+        return got
 
-    def _strong_step(self, lab, target: int, alive: int, memo) -> int:
-        """Partners with a ``lab``-step into ``target``: the rooted reading
-        of ``_weak_step``, which ``alive`` does not constrain."""
-        return self._pre(lab, target, memo)
+    def _compile(self, family: str, keys, rooted: bool):
+        """The programs of ``program``.  A program is a tuple of ops
+        (kind, a, b, why), one per clause instance in the order a per-entry
+        check tries them, why being (clause, info) with whichever of action,
+        env and derivative the clause names.  An op gives the mask of the
+        partners that pass it, read off the judged row p, its line (the pair
+        rows, or the triple rows under its mask) and the matched rows and
+        line (the plain fixpoint's in the rooted layer, else the same):
 
-    # -- clauses -------------------------------------------------------------
-    def clauses(self, family: str, rows, trows, plain=None):
-        """(pair clauses, triple clauses or None) of a relation family over
-        ``rows``/``trows``; with ``plain``, the plain fixpoint's (rows,
-        trows), those of its rooted layer.  A clause function takes a row's
-        key and a memo and yields, clause by clause, (mask of the partners
-        that pass, clause, action, env, derivative), with None for a field
-        the clause does not name.
+        - ``_WEAK``: those weakly reaching, within p's row, a state with an
+          a-step into the matched row of b; ``_WEAK_TAU`` for a tau step
+          into the matched line's row of b, which also passes its states;
+        - ``_STRONG`` and ``_STRONG_LINE``: those with an a-step into the
+          matched row, or the matched line's row, of b;
+        - ``_TRIPLE``: p's triple row under a; ``_CONST``: the mask a;
+        - ``_TPATH``: ``_tpath`` over p's row, ending in the states a (p's
+          row for None), into the line's row of b;
+        - ``_CONCRETE``: those weakly reaching a time-out into the line's
+          row of b; ``_ROW``: p's pair row, weakly reached unless rooted;
+        - ``_GPATH`` and ``_TOB``: a time-out under a, into gbrb's matched
+          triple row of b under a or into the states whose wrappers under a
+          lie in tob's matched row b (b wraps the time-out's target), by
+          ``_gpath`` over p's row under a, or one time-out when rooted.
 
         Each clause is written once.  A pair row has a weak step for each
         move (1a, t1, tb1); then the time-outs (gbrb's 1b and tob's t2, under
@@ -364,13 +385,7 @@ class Arena:
         exception is ``rtb1``: rooted tb matches every first step, t and t_X
         included, in label order.
         """
-        if self.pred is None:
-            self._engine_tables()
-        rooted = plain is not None
         tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
-        # the rows a step of p is matched into, and how
-        mrows, mtrows = plain if rooted else (rows, trows)
-        step = self._strong_step if rooted else self._weak_step
         stable = ~self.unstable
         r = "r" if rooted else ""
         c1a, c1b, c1c = (r + c for c in {"tb": ("tb1", "tb2", "tb3"), "tob": ("t1", "t2", "t3")}
@@ -387,90 +402,119 @@ class Arena:
         else:
             moves = self.moves_vt
             idle = self._idle_masks()
-            if not tob:   # the masks trows is keyed by, declared ones too
-                idle = {x: idle[x & self.vmask] for x in trows}
+            if keys is not None:   # the masks triple rows are keyed by, declared ones too
+                idle = {x: idle[x & self.vmask] for x in keys}
         # brb and cbrb ask a pair for its triples in 1b and have no 1c
         pair_stable = not rooted and family not in ("brb", "cbrb")
 
-        def timeouts(p, clause, memo):
-            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
-            mask y it idles under, matched as ``_gpath`` does (for tob over
-            the states whose wrappers under y are related)."""
-            for y, p2 in self._idle_timeouts(p, idle):
-                if tob:
-                    target = self._unwrap(y, mrows[self.wrap(y, p2)], memo)
-                    alive = None if rooted else self._unwrap(y, rows[p], memo)
-                else:
-                    target, alive = mtrows[y][p2], trows[y][p]
-                ok = (self._pre(TIMEOUT, target, memo) if rooted
-                      else self._gpath(y, alive, target, memo))
-                yield ok, clause, None, y, p2
+        # a step's kind: strong when rooted, and a weak tau step may stay put
+        vis, tau, tau_line = (_STRONG, _STRONG, _STRONG_LINE) if rooted else (
+            _WEAK, _WEAK_TAU, _WEAK_TAU)
 
-        def pair(p, memo):
-            alive = rows[p]
-            for lab, ds in moves[p]:
-                for p2 in ds:
-                    yield step(lab, mrows[p2], alive, memo), c1a, lab, None, p2
+        def timeouts(p, clause):
+            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
+            mask y it idles under."""
+            return [(_TOB, y, self.wrap(y, p2), (clause, {"env": y, "derivative": p2})) if tob
+                    else (_GPATH, y, p2, (clause, {"env": y, "derivative": p2}))
+                    for y, idles in idle.items() if idles >> p & 1 for p2 in self.t_succ[p]]
+
+        def pair(p):
+            ops = [(tau if lab == TAU else vis, lab, p2, (c1a, {"action": lab, "derivative": p2}))
+                   for lab, ds in moves[p] for p2 in ds]
             if tb:
                 if not rooted:
-                    for p2 in self.t_succ[p]:
-                        yield self._tpath(alive, alive, rows[p2], memo), c1b, None, None, p2
+                    ops += [(_TPATH, None, p2, (c1b, {"derivative": p2})) for p2 in self.t_succ[p]]
             elif tob or generalised:
-                yield from timeouts(p, c1b, memo)
+                ops += timeouts(p, c1b)
             else:
-                for x, line in trows.items():
-                    yield line[p], c1b, None, x, None
+                ops += [(_TRIPLE, x, None, (c1b, {"env": x})) for x in keys]
             if pair_stable and not self.has_tau[p]:
-                yield stable, c1c, None, None, None
-        if trows is None:
-            return pair, None
+                ops.append((_CONST, stable, None, (c1c, {})))
+            return tuple(ops)
 
-        def triple(p, x, memo):
-            line, mline = trows[x], mtrows[x]
-            alive = line[p]
-            for p2 in self.tau_succ[p]:
-                yield step(TAU, mline[p2], alive, memo), c2a, None, None, p2
+        def triple(p, x):
+            ops = [(tau_line, TAU, p2, (c2a, {"derivative": p2})) for p2 in self.tau_succ[p]]
             idles = idle[x] >> p & 1
-            for lab, ds in self.vis_moves[p]:
-                if (generalised and idles) or self.bit[lab] & x:
-                    for p2 in ds:
-                        yield step(lab, mrows[p2], alive, memo), c2b, lab, None, p2
+            ops += [(vis, lab, p2, (c2b, {"action": lab, "derivative": p2}))
+                    for lab, ds in self.vis_moves[p]
+                    if (generalised and idles) or self.bit[lab] & x for p2 in ds]
             if idles and generalised:
-                yield from timeouts(p, c2c, memo)
+                ops += timeouts(p, c2c)
             elif idles:
-                yield rows[p] if rooted else self._reaching(rows[p], memo), c2c, None, None, None
-                for p2 in self.t_succ[p]:
-                    if rooted:
-                        ok = self._pre(TIMEOUT, mline[p2], memo)
-                    elif concrete:
-                        ok = self._reaching(self._pre(TIMEOUT, line[p2], memo), memo)
-                    else:
-                        ok = self._tpath(alive, idle[x], line[p2], memo)
-                    yield ok, c2d, None, None, p2
+                ops.append((_ROW, None, None, (c2c, {})))
+                ops += [(_STRONG_LINE, TIMEOUT, p2, (c2d, {"derivative": p2})) if rooted
+                        else (_CONCRETE, None, p2, (c2d, {"derivative": p2})) if concrete
+                        else (_TPATH, idle[x], p2, (c2d, {"derivative": p2}))
+                        for p2 in self.t_succ[p]]
             if not rooted and not self.has_tau[p]:
-                yield stable, c2e, None, None, None
-        return pair, triple
+                ops.append((_CONST, stable, None, (c2e, {})))
+            return tuple(ops)
+        states = range(self.n)
+        return (rooted, [pair(p) for p in states],
+                None if keys is None else {x: [triple(p, x) for p in states] for x in keys})
 
     # -- drivers -------------------------------------------------------------
-    def failing(self, rows, trows, pair, triple, todo, memo):
-        """The rows of ``todo`` with a failing partner, as (row key, line,
-        [(mask of partners, why), ...]): pair rows first, then triple rows
-        in (p, x) order, each judged against the rows as they stand.
-        Nothing is written, so a caller may stop at the first."""
-        for p in todo:
-            if rows[p]:
-                fails = _failures(rows[p], pair(p, memo))
-                if fails:
-                    yield (p,), rows, fails
-        if trows is not None:
-            for p in todo:
-                for x, line in trows.items():
-                    if line[p]:
-                        fails = _failures(line[p], triple(p, x, memo))
-                        if fails:
-                            yield (p, x), line, fails
+    def failing(self, program, rows, trows, plain, todo, memo):
+        """The rows of ``todo`` with a failing partner, as (p, x, line,
+        [(mask of partners, why), ...], mask of all failing partners), x
+        None for a pair row: pair rows first, then triple rows in (p, x)
+        order, each judged by its clause program against the rows as they
+        stand (``plain``, the plain fixpoint's (rows, trows), matches the
+        rooted layer's steps).  A partner fails by the first op
+        it does not pass, and a row stops once no partner is left.  Nothing
+        is written, so a caller may stop at the first."""
+        rooted, pairs, triples = program
+        mrows, mtrows = plain if rooted else (rows, trows)
+        pred, rweak = self.pred, self.rweak
+        jobs = [(p, None, rows, mrows, pairs[p]) for p in todo if rows[p]]
+        if triples is not None:
+            lines = [(x, trows[x], mtrows[x], progs) for x, progs in triples.items()]
+            jobs += [(p, x, line, mline, progs[p])
+                     for p in todo for x, line, mline, progs in lines if line[p]]
+        for p, x, line, mline, prog in jobs:
+            live = alive = line[p]
+            fails = []
+            for kind, a, b, why in prog:
+                if kind <= _STRONG_LINE:   # a step, through the memo as _pre and _reaching
+                    t = mline[b] if kind & 1 else mrows[b]
+                    ok = memo.get((a, t))
+                    if ok is None:
+                        ok = memo[a, t] = _gather(pred[a], t)
+                    if kind <= _WEAK_TAU:
+                        if kind == _WEAK_TAU:
+                            ok |= t
+                        ok &= alive
+                        got = memo.get(ok)
+                        if got is None:
+                            got = memo[ok] = _gather(rweak, ok)
+                        ok = got
+                elif kind == _CONST:
+                    ok = a
+                elif kind == _TRIPLE:
+                    ok = trows[a][p]
+                elif kind == _TPATH:
+                    ok = self._tpath(alive, alive if a is None else a, line[b], memo)
+                elif kind == _ROW:
+                    ok = rows[p] if rooted else self._reaching(rows[p], memo)
+                elif kind == _CONCRETE:
+                    ok = self._reaching(self._pre(TIMEOUT, line[b], memo), memo)
+                else:   # a time-out under a
+                    target = mtrows[a][b] if kind == _GPATH else self._unwrap(a, mrows[b], memo)
+                    if rooted:
+                        ok = self._pre(TIMEOUT, target, memo)
+                    else:
+                        ok = self._gpath(a, trows[a][p] if kind == _GPATH
+                                         else self._unwrap(a, rows[p], memo), target, memo)
+                bad = live & ~ok
+                if bad:
+                    fails.append((bad, why))
+                    live ^= bad
+                    if not live:
+                        break
+            if fails:
+                yield p, x, line, fails, alive ^ live
 
-    def fixpoint(self, store: RelationStore, pair, triple=None) -> Tuple[int, int]:
+    def fixpoint(self, store: RelationStore, family: str, plain=None) -> Tuple[int, int]:
         """Delete failing entries from the store's rows in synchronous rounds.
 
         As in a per-entry deletion in sorted order, every row is judged
@@ -483,9 +527,11 @@ class Arena:
         are judged again only when a row it reads has changed: its own, a
         successor's or, for ``tob``, that of a t-successor's wrapper.  A
         triple row counts once per declared mask of its class in the
-        entries checked.
+        entries checked.  ``family`` names the clause program, and ``plain``
+        is the plain fixpoint's (rows, trows) when the store is a rooted layer.
         """
         rows, trows = store.rows, store.trows
+        program = self.program(family, None if trows is None else tuple(trows), plain is not None)
         weight = self.class_size
         alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
                                 if trows else 0)
@@ -496,24 +542,20 @@ class Arena:
             iterations += 1
             checked += alive
             todo = [p for p, deps in enumerate(self.deps) if deps & changed]
-            bad = list(self.failing(rows, trows, pair, triple, todo, memo))
+            bad = list(self.failing(program, rows, trows, plain, todo, memo))
             if not bad:
                 return iterations, checked
             changed = 0
-            groups = {}   # (env, dead mask) -> [line, rows killing it]
-            for key, line, fails in bad:
-                store.row_kills.append((iterations, key, fails))
-                p, env = key[0], key[1:]
-                dead = 0
-                for mask, _ in fails:
-                    dead |= mask
-                gone = line[p] & dead
-                line[p] ^= gone
-                alive -= (weight if env else 1) * gone.bit_count()
-                changed |= dead | 1 << p
-                groups.setdefault((env, dead), [line, 0])[1] |= 1 << p
-            for (env, dead), (line, ps) in groups.items():
-                w = weight if env else 1
+            groups = {}   # (x, dead mask) -> [line, rows killing it]
+            kills = store.row_kills
+            for p, x, line, fails, dead in bad:
+                kills.append((iterations, (p,) if x is None else (p, x), fails))
+                line[p] ^= dead   # the row holds every partner it failed
+                groups.setdefault((x, dead), [line, 0])[1] |= 1 << p
+            for (x, dead), (line, ps) in groups.items():
+                w = 1 if x is None else weight
+                changed |= dead | ps
+                alive -= w * dead.bit_count() * ps.bit_count()
                 for q in _bits(dead):
                     gone = line[q] & ps
                     if gone:
@@ -798,29 +840,6 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
     return out
 
 
-def _failures(live: int, clauses) -> List[Tuple[int, tuple]]:
-    """Failing partners of ``live`` as (mask, why) in clause order; every
-    failing partner sits in the mask of its first failing clause.  A why is
-    (clause, info), info holding whichever of action, env and derivative
-    the clause names."""
-    fails = []
-    for ok, clause, action, env, derivative in clauses:
-        bad = live & ~ok
-        if bad:
-            info = {}
-            if action is not None:
-                info["action"] = action
-            if env is not None:
-                info["env"] = env
-            if derivative is not None:
-                info["derivative"] = derivative
-            fails.append((bad, (clause, info)))
-            live ^= bad
-            if not live:
-                break
-    return fails
-
-
 def _count(rows: List[int]) -> int:
     return sum(row.bit_count() for row in rows)
 
@@ -884,20 +903,29 @@ def _budget_check(n_states: int, n_masks: int):
 
 class _PairContext:
     """What the checks of one pair of systems share: their arena of one kind
-    over one alphabet, whose engine tables the first fixpoint builds, and
-    the plain store of each (family, relation, p, q), kept once its fixpoint
-    is done.
+    over one alphabet, whose engine tables and clause programs the first
+    fixpoint of each layer builds, the side states of each root, and the
+    plain store of each (family, relation, p, q), kept once its fixpoint is
+    done.
 
     Nothing in it refers to the systems, and the arena refers to no store,
     so reference counting frees the context with the systems, without the
     cycle collector.
     """
 
-    __slots__ = ("arena", "stores")
+    __slots__ = ("arena", "sides", "stores")
 
     def __init__(self, arena: Arena):
         self.arena = arena
+        self.sides: Dict[int, Tuple[int, ...]] = {}
         self.stores: Dict[Tuple[str, str, int, int], RelationStore] = {}
+
+    def side_states(self, root: int) -> Tuple[int, ...]:
+        """The arena's ``side_states`` of ``root``, walked once."""
+        got = self.sides.get(root)
+        if got is None:
+            got = self.sides[root] = self.arena.side_states(root)
+        return got
 
 
 # l1 -> l2 -> {(arena kind, alphabet): context}, the systems held weakly
@@ -929,15 +957,15 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
     arena = ctx.arena
     _refuse_encoded(arena, family)
     with_triples = family not in PAIR_FAMILIES
-    lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
+    lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
     _budget_check(len(lefts) + len(rights),
                   1 << arena.vmask.bit_count() if with_triples else 1)
 
     def layer(name, plain=None):
         store = arena.seeded(name, lefts, rights, with_triples)
         store.plain = plain
-        store.iterations, store.checked = arena.fixpoint(store, *arena.clauses(
-            family, store.rows, store.trows, plain and (plain.rows, plain.trows)))
+        store.iterations, store.checked = arena.fixpoint(
+            store, family, plain and (plain.rows, plain.trows))
         return store
 
     key = (family, relation, p, q)
@@ -1137,8 +1165,8 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
-        clauses = arena.clauses(family, st.rows, trows, plain)
-        if next(arena.failing(st.rows, trows, *clauses, range(arena.n), memo), None):
+        program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
+        if next(arena.failing(program, st.rows, trows, plain, range(arena.n), memo), None):
             return False
         plain = st.rows, trows
     return True

@@ -191,3 +191,30 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
                                                ("Arena", e1, e2), ("Arena", r1, r2)], key=repr)
     assert len(tables) == len({id(arena) for arena in tables}) == 4
     assert {id(arena) for _, arena, _ in runs} == {id(arena) for arena in tables}
+
+
+def test_each_clause_program_is_compiled_once_per_arena(monkeypatch):
+    # an equivalent ring pair: brb plain and rooted, revalidate of both
+    # witnesses, then distinguish in Lb and Lbr, which run the gbrb
+    # fixpoints.  Each (family, layer) program is compiled once, on the
+    # context's arena, and revalidate judges with the programs the checks
+    # compiled
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    compiled = []
+    compile_ = bisim.Arena._compile
+
+    def spy(arena, family, keys, rooted):
+        compiled.append((family, rooted, keys, arena))
+        return compile_(arena, family, keys, rooted)
+
+    monkeypatch.setattr(bisim.Arena, "_compile", spy)
+    plain = brb_check(l1, 0, l2, 0, sigma=sig)
+    rooted = brb_check(l1, 0, l2, 0, rooted=True, sigma=sig)
+    assert plain and rooted
+    assert revalidate(plain.witness, "brb") and revalidate(rooted.witness, "brb-rooted")
+    for fragment in ("Lb", "Lbr"):
+        assert distinguish(l1, 0, l2, 0, fragment, sigma=sig) is None
+    arena = bisim._context(bisim.Arena, l1, l2, sig).arena
+    assert sorted((family, rooted) for family, rooted, _, _ in compiled) == [
+        ("brb", False), ("brb", True), ("gbrb", False), ("gbrb", True)]
+    assert all(a is arena and keys == arena.xmasks for _, _, keys, a in compiled)

@@ -548,11 +548,13 @@ def test_distinguishing_formulas_match_reference():
 # fixpoint bookkeeping: grouped deletion and lookups off the row log
 
 
-def sequential_fixpoint(arena, store, pair, triple=None):
+def sequential_fixpoint(arena, store, family, plain=None):
     """``Arena.fixpoint`` with the symmetric deletion done per bad row
     and per dead partner bit, in log order: the loop the grouped deletion
-    replaced."""
+    replaced.  The rows are judged by the same clause programs, and each
+    row's dead partners are read off its failing clauses."""
     rows, trows = store.rows, store.trows
+    program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
     weight = arena.class_size
     alive = bisim._count(rows) + (weight * sum(bisim._count(line) for line in trows.values())
                                   if trows else 0)
@@ -563,18 +565,13 @@ def sequential_fixpoint(arena, store, pair, triple=None):
         iterations += 1
         checked += alive
         todo = [p for p, deps in enumerate(arena.deps) if deps & changed]
-        bad = [((p,), rows, bisim._failures(rows[p], pair(p, memo)))
-               for p in todo if rows[p]]
-        if trows is not None:
-            bad += [((p, x), line, bisim._failures(line[p], triple(p, x, memo)))
-                    for p in todo for x, line in trows.items() if line[p]]
-        bad = [b for b in bad if b[2]]
+        bad = list(arena.failing(program, rows, trows, plain, todo, memo))
         if not bad:
             return iterations, checked
         changed = 0
-        for key, line, fails in bad:
-            store.row_kills.append((iterations, key, fails))
-            p, w = key[0], 1 if len(key) == 1 else weight
+        for p, x, line, fails, _ in bad:
+            store.row_kills.append((iterations, (p,) if x is None else (p, x), fails))
+            w = 1 if x is None else weight
             dead = 0
             for mask, _ in fails:
                 dead |= mask
@@ -592,11 +589,10 @@ def run_fixpoints(fixpoint, arena, family, rooted):
     """The stores of ``_row_fixpoints`` with ``fixpoint`` driving the rounds."""
     lefts, rights = arena.reach(0), arena.reach(arena.state2(0))
     store = arena.seeded(family, lefts, rights, True)
-    counts = [fixpoint(arena, store, *arena.clauses(family, store.rows, store.trows))]
+    counts = [fixpoint(arena, store, family)]
     if rooted:
         plain, store = store, arena.seeded(family, lefts, rights, True)
-        counts.append(fixpoint(arena, store, *arena.clauses(
-            family, store.rows, store.trows, (plain.rows, plain.trows))))
+        counts.append(fixpoint(arena, store, family, (plain.rows, plain.trows)))
         store.plain = plain
     return store, counts
 
