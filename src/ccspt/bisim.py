@@ -26,8 +26,8 @@ the same programs: a witness holds iff no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
 the arena of each kind, with its engine tables, and each plain fixpoint are
-built once and read by the verdict of that family, by its rooted layer and
-by ``modal.distinguish``.  The context dies with the two systems.
+built once and read by the verdict of that family, by its rooted layer (the
+queried entry's row alone) and ``modal.distinguish``.  It dies with them.
 
 Strong bisimilarity alone uses signature refinement over the move table of
 the pair's ``Arena`` (``strong_bisim``).
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from .encode import Encoding
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, visible_alphabet,
                         weak_closure)
@@ -143,9 +144,10 @@ class Arena:
         # CPython 3.11 reads every attribute of the arena at about twice the cost
         self._weak: Optional[List[Tuple[int, ...]]] = None
         self._stable: Optional[List[bool]] = None
-        # the engine's tables, built by the first ``program`` call, and the
-        # clause programs compiled over them
+        # the engine's tables, built by the first ``program`` call (rweak by
+        # a plain layer's), and the clause programs compiled over them
         self.pred: Optional[Dict[str, List[int]]] = None
+        self.rweak: Optional[List[int]] = None
         self._idle: Optional[Dict[int, int]] = None
         self._programs: Dict[tuple, tuple] = {}
 
@@ -208,19 +210,17 @@ class Arena:
 
     # -- the engine's tables ------------------------------------------------
     def _engine_tables(self):
-        """The tables the clauses and the rounds read: the predecessor masks
-        of every label, the reverse weak closure, each state's dependencies
-        and the masks of unstable states and of states with no tau step."""
+        """The tables every layer reads, and all a rooted layer reads: the
+        predecessor masks of every label, each state's dependencies and the
+        mask of states with no tau step (``program`` adds the rest)."""
         n = self.n
         labels = {TAU, TIMEOUT} | {lab for out in self.out for lab in out}
         # pred[lab][y]: states with a lab-step to y
         pred = {lab: [0] * n for lab in sorted(labels)}
-        # rweak[y]: states q with y in weak[q]
-        rweak = [0] * n
         # deps[s]: s and its successors, the states whose rows s's clauses read
         deps = [0] * n
-        unstable = notau = 0
-        weak, stable, has_tau = self.weak, self.stable, self.has_tau
+        notau = 0
+        has_tau = self.has_tau
         for s in range(n):
             bit = 1 << s
             mine = bit
@@ -230,13 +230,9 @@ class Arena:
                     col[d] |= bit
                     mine |= 1 << d
             deps[s] = mine
-            for y in weak[s]:
-                rweak[y] |= bit
-            if not stable[s]:
-                unstable |= bit
             if not has_tau[s]:
                 notau |= bit
-        self.rweak, self.deps, self.unstable, self.notau = rweak, deps, unstable, notau
+        self.deps, self.notau = deps, notau
         self.pred = pred   # last: set, it marks the tables built
 
     # -- seeding ------------------------------------------------------------
@@ -334,13 +330,20 @@ class Arena:
     # -- clause programs -----------------------------------------------------
     def program(self, family: str, keys: Optional[Tuple[int, ...]], rooted: bool):
         """The clause programs of a family's plain or rooted layer over
-        triple rows keyed by ``keys`` (None for a relation of pairs), as
-        (rooted, one program per pair row, {x: one program per triple row}
-        or None).  The first call for a (family, layer, keys) builds the
-        engine tables if need be and compiles them; they are kept beside
-        the tables."""
+        triple rows keyed by ``keys`` (None for a relation of pairs), as (the
+        program of each pair row, {x: the program of each triple row} or
+        None, and None or, for a rooted layer, its row compilers).  The
+        first call for a (family, layer, keys) builds the engine tables if
+        need be and compiles them; they are kept beside the tables."""
         if self.pred is None:
             self._engine_tables()
+        if self.rweak is None and not rooted:   # the tables only a plain layer reads
+            self.unstable = sum(1 << s for s, stable in enumerate(self.stable) if not stable)
+            rweak = [0] * self.n   # rweak[y]: the states q with y in weak[q]
+            for s, ys in enumerate(self.weak):
+                for y in ys:
+                    rweak[y] |= 1 << s
+            self.rweak = rweak
         key = family, rooted, keys
         got = self._programs.get(key)
         if got is None:
@@ -348,13 +351,16 @@ class Arena:
         return got
 
     def _compile(self, family: str, keys, rooted: bool):
-        """The programs of ``program``.  A program is a tuple of ops
-        (kind, a, b, why), one per clause instance in the order a per-entry
-        check tries them, why being (clause, info) with whichever of action,
-        env and derivative the clause names.  An op gives the mask of the
-        partners that pass it, read off the judged row p, its line (the pair
-        rows, or the triple rows under its mask) and the matched rows and
-        line (the plain fixpoint's in the rooted layer, else the same):
+        """The programs of ``program``: a plain layer's here, a rooted one's
+        on each row's first read in ``failing``, by compilers taking the
+        arena as an argument, so no closure over it is kept on it.  A
+        program is a tuple of ops (kind, a, b, why), one per clause instance
+        in the order a per-entry check tries them, why being (clause, info)
+        with whichever of action, env and derivative the clause names.  An
+        op gives the mask of the partners that pass it, read off the judged
+        row p, its line (the pair rows, or the triple rows under its mask)
+        and the matched rows and line (the plain fixpoint's in the rooted
+        layer, else the same):
 
         - ``_WEAK``: those weakly reaching, within p's row, a state with an
           a-step into the matched row of b; ``_WEAK_TAU`` for a tau step
@@ -386,20 +392,19 @@ class Arena:
         included, in label order.
         """
         tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
-        stable = ~self.unstable
+        stable = None if rooted else ~self.unstable
         r = "r" if rooted else ""
         c1a, c1b, c1c = (r + c for c in {"tb": ("tb1", "tb2", "tb3"), "tob": ("t1", "t2", "t3")}
                          .get(family, ("1a", "1b", "1c")))
         c2a, c2b, c2c, c2d, c2e = (r + c for c in (
             "2a", "2b", "2c", "2d", "2d-stable" if generalised else "2e"))
-        if tb and rooted:   # rtb1
-            moves = [sorted(out.items()) for out in self.out]
-        elif tb:
+        moves = None   # rtb1: the row's moves in label order, sorted as it is compiled
+        if tb and not rooted:
             # tb1 reads no t_X label, and tb2 the time-outs
             branch = [lab for lab in self.pred
                       if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
             moves = [[(lab, out[lab]) for lab in branch if lab in out] for out in self.out]
-        else:
+        elif not tb:
             moves = self.moves_vt
             idle = self._idle_masks()
             if keys is not None:   # the masks triple rows are keyed by, declared ones too
@@ -411,47 +416,52 @@ class Arena:
         vis, tau, tau_line = (_STRONG, _STRONG, _STRONG_LINE) if rooted else (
             _WEAK, _WEAK_TAU, _WEAK_TAU)
 
-        def timeouts(p, clause):
+        def timeouts(arena, p, clause):
             """gbrb's 1b and 2c, tob's t2: each time-out of p under each
             mask y it idles under."""
-            return [(_TOB, y, self.wrap(y, p2), (clause, {"env": y, "derivative": p2})) if tob
+            return [(_TOB, y, arena.wrap(y, p2), (clause, {"env": y, "derivative": p2})) if tob
                     else (_GPATH, y, p2, (clause, {"env": y, "derivative": p2}))
-                    for y, idles in idle.items() if idles >> p & 1 for p2 in self.t_succ[p]]
+                    for y, idles in idle.items() if idles >> p & 1 for p2 in arena.t_succ[p]]
 
-        def pair(p):
+        def pair(arena, p):
             ops = [(tau if lab == TAU else vis, lab, p2, (c1a, {"action": lab, "derivative": p2}))
-                   for lab, ds in moves[p] for p2 in ds]
+                   for lab, ds in (sorted(arena.out[p].items()) if moves is None else moves[p])
+                   for p2 in ds]
             if tb:
                 if not rooted:
-                    ops += [(_TPATH, None, p2, (c1b, {"derivative": p2})) for p2 in self.t_succ[p]]
+                    ops += [(_TPATH, None, p2, (c1b, {"derivative": p2}))
+                            for p2 in arena.t_succ[p]]
             elif tob or generalised:
-                ops += timeouts(p, c1b)
+                ops += timeouts(arena, p, c1b)
             else:
                 ops += [(_TRIPLE, x, None, (c1b, {"env": x})) for x in keys]
-            if pair_stable and not self.has_tau[p]:
+            if pair_stable and not arena.has_tau[p]:
                 ops.append((_CONST, stable, None, (c1c, {})))
             return tuple(ops)
 
-        def triple(p, x):
-            ops = [(tau_line, TAU, p2, (c2a, {"derivative": p2})) for p2 in self.tau_succ[p]]
+        def triple(arena, p, x):
+            ops = [(tau_line, TAU, p2, (c2a, {"derivative": p2})) for p2 in arena.tau_succ[p]]
             idles = idle[x] >> p & 1
             ops += [(vis, lab, p2, (c2b, {"action": lab, "derivative": p2}))
-                    for lab, ds in self.vis_moves[p]
-                    if (generalised and idles) or self.bit[lab] & x for p2 in ds]
+                    for lab, ds in arena.vis_moves[p]
+                    if (generalised and idles) or arena.bit[lab] & x for p2 in ds]
             if idles and generalised:
-                ops += timeouts(p, c2c)
+                ops += timeouts(arena, p, c2c)
             elif idles:
                 ops.append((_ROW, None, None, (c2c, {})))
                 ops += [(_STRONG_LINE, TIMEOUT, p2, (c2d, {"derivative": p2})) if rooted
                         else (_CONCRETE, None, p2, (c2d, {"derivative": p2})) if concrete
                         else (_TPATH, idle[x], p2, (c2d, {"derivative": p2}))
-                        for p2 in self.t_succ[p]]
-            if not rooted and not self.has_tau[p]:
+                        for p2 in arena.t_succ[p]]
+            if not rooted and not arena.has_tau[p]:
                 ops.append((_CONST, stable, None, (c2e, {})))
             return tuple(ops)
+        if rooted:
+            return {}, None if keys is None else {x: {} for x in keys}, (pair, triple)
         states = range(self.n)
-        return (rooted, [pair(p) for p in states],
-                None if keys is None else {x: [triple(p, x) for p in states] for x in keys})
+        return ([pair(self, p) for p in states],
+                None if keys is None else {x: [triple(self, p, x) for p in states] for x in keys},
+                None)
 
     # -- drivers -------------------------------------------------------------
     def failing(self, program, rows, trows, plain, todo, memo):
@@ -462,9 +472,17 @@ class Arena:
         stand (``plain``, the plain fixpoint's (rows, trows), matches the
         rooted layer's steps).  A partner fails by the first op
         it does not pass, and a row stops once no partner is left.  Nothing
-        is written, so a caller may stop at the first."""
-        rooted, pairs, triples = program
+        but a rooted row's program is written, so a caller may stop early."""
+        pairs, triples, compilers = program
+        rooted = compilers is not None
         mrows, mtrows = plain if rooted else (rows, trows)
+        if rooted:   # a rooted layer compiles a row's program on its first read
+            for p in todo:
+                if rows[p] and p not in pairs:
+                    pairs[p] = compilers[0](self, p)
+                for x, progs in (triples or {}).items():
+                    if trows[x][p] and p not in progs:
+                        progs[p] = compilers[1](self, p, x)
         pred, rweak = self.pred, self.rweak
         jobs = [(p, None, rows, mrows, pairs[p]) for p in todo if rows[p]]
         if triples is not None:
@@ -696,6 +714,9 @@ class RelationStore:
     by every later check of the same pair of systems: the verdict of that
     family, the rooted layer over it, ``modal.distinguish``.  Treat the rows
     of a store as read-only; only ``Arena.fixpoint`` writes them.
+
+    A rooted layer holds the queried entry alone over its ``plain`` store,
+    with a ``twin`` map where that lives on the plain twins (``tb_check``).
     """
 
     def __init__(self, arena: Arena, relation: str, rows: List[int],
@@ -708,6 +729,7 @@ class RelationStore:
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
+        self.twin: Optional[Tuple[List[int], List[int]]] = None
 
     @property
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
@@ -864,6 +886,20 @@ def _gather(table: List[int], mask: int) -> int:
     return acc
 
 
+class _TwinRows(dict):
+    """A plain store's rows read through a rooted store's ``twin`` map: b's
+    row, gathered on first read, is the states whose twin is in tw(b)'s."""
+
+    __slots__ = ("rows", "twin", "untwin")
+
+    def __init__(self, rows: List[int], twin: List[int], untwin: List[int]):
+        self.rows, self.twin, self.untwin = rows, twin, untwin
+
+    def __missing__(self, b: int) -> int:
+        got = self[b] = _gather(self.untwin, self.rows[self.twin[b]])
+        return got
+
+
 def _submasks(mask: int):
     """The submasks of ``mask`` in increasing order, from 0 to ``mask``."""
     x = 0
@@ -948,36 +984,70 @@ def _context(kind: type, l1: Lts, l2: Lts, sigma: Iterable[str]) -> _PairContext
 
 
 def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str,
-                   rooted: bool) -> RelationStore:
+                   rooted: bool, root: Optional[Tuple[int, int]] = None,
+                   twinned: Optional[tuple] = None) -> RelationStore:
     """The plain fixpoint of a family on the context's arena, seeded over the
     side states of p and q, run only where the context holds none yet; with
     ``rooted``, the rooted layer over it (its ``plain`` is the plain store),
     whose ``iterations`` and ``checked`` add its own to the plain ones.  The
-    input is refused and the budget checked on every call, before seeding."""
+    input is refused and the budget checked on every call, before seeding.
+    ``twinned``, from ``_twin_plain``, gives rooted tb its plain store.
+
+    The rooted layer is seeded with the queried entry alone, ``root`` (p and
+    q's global index unless given) and, for the triple families, it under
+    every effective mask, with the same survival, round and first failing
+    clause as under a seed of every pair of side states: a rooted op reads
+    the plain rows or the judged row's own rooted rows (``_ROW``,
+    ``_TRIPLE``), never its other partners (``alive``), while ``_TPATH``
+    and ``_CONCRETE`` occur in plain layers alone.  So (a, X, b) passes a
+    round by the plain store and the entries (a, Y, b) alone, and dies with
+    (b, X, a): the seeded entries decide one another."""
     arena = ctx.arena
     _refuse_encoded(arena, family)
     with_triples = family not in PAIR_FAMILIES
-    lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
-    _budget_check(len(lefts) + len(rights),
-                  1 << arena.vmask.bit_count() if with_triples else 1)
-
-    def layer(name, plain=None):
-        store = arena.seeded(name, lefts, rights, with_triples)
-        store.plain = plain
-        store.iterations, store.checked = arena.fixpoint(
-            store, family, plain and (plain.rows, plain.trows))
-        return store
-
-    key = (family, relation, p, q)
-    plain = ctx.stores.get(key)
+    plain, twin = twinned or (None, None)
     if plain is None:
-        plain = ctx.stores[key] = layer(relation)
-    if not rooted:
-        return plain
-    store = layer(relation + "-rooted", plain)
-    store.iterations += plain.iterations
-    store.checked += plain.checked
+        lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
+        _budget_check(len(lefts) + len(rights),
+                      1 << arena.vmask.bit_count() if with_triples else 1)
+        key = (family, relation, p, q)
+        plain = ctx.stores.get(key)
+        if plain is None:
+            plain = ctx.stores[key] = arena.seeded(relation, lefts, rights, with_triples)
+            plain.iterations, plain.checked = arena.fixpoint(plain, family)
+        if not rooted:
+            return plain
+    a, b = root or (p, arena.state2(q))
+    store = arena.seeded(relation + "-rooted", (a,), (b,), with_triples)
+    store.plain, store.twin = plain, twin
+    rounds, checked = arena.fixpoint(store, family, (plain.rows, plain.trows) if twin is None
+                                     else (_TwinRows(plain.rows, *twin), None))
+    store.iterations, store.checked = rounds + plain.iterations, checked + plain.checked
     return store
+
+
+def _twin_plain(ctx: _PairContext, l1: Lts, p: int, l2: Lts, q: int) -> Optional[tuple]:
+    """For rooted tb over two rooted encodings carrying twins (else None):
+    tb's plain store over their plain twin encodings at the twins of p and
+    q, and (twin, untwin): each state's twin, and each plain state's mask of
+    states it twins.  That store's side states are the twin image of p's and
+    q's, so the budget is checked on it before a twin encoding is built."""
+    if not all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
+        return None
+    arena, systems = ctx.arena, (l1,) if l2 is l1 else (l1, l2)
+    codes = [c for lts in systems for c in lts.codes]   # a twin's code: c & ~1
+    _budget_check(sum(len({codes[s] & ~1 for s in ctx.side_states(root)})
+                      for root in (p, arena.state2(q))), 1)
+    plains = [lts.twin_encoding() for lts in systems]
+    pctx = _context(Arena, plains[0], plains[-1], ())
+    off = pctx.arena.offset
+    twin = [plain.index[c & ~1] + k * off
+            for k, (lts, plain) in enumerate(zip(systems, plains)) for c in lts.codes]
+    untwin = [0] * pctx.arena.n
+    for s, t in enumerate(twin):
+        untwin[t] |= 1 << s
+    plain = _row_fixpoints(pctx, twin[p], twin[arena.state2(q)] - off, "tb", "tb", False)
+    return plain, (twin, untwin)
 
 
 def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
@@ -993,7 +1063,8 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     if env is not None:
         x = arena.mask_of(env)
         entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
-    store = _row_fixpoints(ctx, p, q, family, relation, rooted)
+    twinned = _twin_plain(ctx, l1, p, l2, q) if rooted and family == "tb" else None
+    store = _row_fixpoints(ctx, p, q, family, relation, rooted, (entry[0], entry[-1]), twinned)
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
     return Verdict(store.relation, alive, arena.sigma, store.iterations, store.checked,
                    [] if alive else _refutation_records(store, [entry, entry[::-1]]),
@@ -1043,8 +1114,24 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
 
 def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     """t-branching bisimilarity over encoded labels (pairs only), decided by
-    the row engine; the rooted layer is one more row pass against the plain
-    rows."""
+    the row engine; the rooted layer is one more row pass, over the queried
+    pair, against plain rows: over rooted encodings carrying twins
+    (``encode.Encoding``), those ``tb`` builds over their plain twins.
+
+    The twin map tw sends a rooted-mode state to the plain-mode state with
+    the same base and mask, any other to itself.  trig_r(s) moves by a or
+    tau to trig_r(d) and by eps_X to env_r(X, s), as trig(s) to trig(d) and
+    env(X, s); env_r(X, s) by tau to env_r(X, d), by a in X to trig(d) and,
+    idle, by t_eps to trig_r(s) and t to env_r(X, d), as env(X, s) to
+    env(X, d), trig(d), trig(s) and env(X, d).  Only t_X moves lack a twin,
+    and no plain clause reads them (tb1 drops t_X, tb2 reads t alone).  So
+    tw maps the moves of a onto those of tw(a) label by label, and the
+    rooted encoding, seeds included, onto the plain one; as a clause reads
+    moves and the last round's entries alone, (a, b) survives each round
+    iff (tw(a), tw(b)) does.  The twin map is thus a t-branching
+    bisimulation, the fixpoints agree entry by entry and round by round,
+    and rtb1 reads the plain row of b as the states twinned into tw(b)'s.
+    """
     _same_labels(l1, l2)
     return _check("tb", "tb", l1, p, l2, q, rooted)
 
@@ -1140,9 +1227,11 @@ def revalidate(witness: RelationStore, definition_id: str) -> bool:
 def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     """Whether a symmetric witness (pairs only for tob and tb) passes every
     clause: one judging round of ``Arena.failing`` over its own rows, which
-    writes nothing and stops at the first failing row.  The witness's arena
-    judges a rooted witness's plain store and then its rooted layer, and
-    only a ``ThetaArena`` holds a ``tob`` witness.  Triple rows are judged
+    writes nothing and stops at the first failing row.  A rooted witness's
+    plain store is judged and then its rooted layer, each on its own
+    store's arena (tb-rooted's plain store may live on the arena of the
+    plain twin encodings), and only a ``ThetaArena`` holds a ``tob``
+    witness.  Triple rows are judged
     under the keys of the more finely keyed layer, declared masks if either
     layer has them, and a store of pairs only as having no triples."""
     arena = witness.arena
@@ -1160,15 +1249,16 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
         keys = max([arena.xmasks, *(st.trows or () for st in layers)], key=len)
         none = [0] * arena.n
         lines = [{x: st._line(x) if st.trows else none for x in keys} for st in layers]
-    memo = {}
     plain = None
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
+        arena = st.arena
         program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
-        if next(arena.failing(program, st.rows, trows, plain, range(arena.n), memo), None):
+        if next(arena.failing(program, st.rows, trows, plain, range(arena.n), {}), None):
             return False
-        plain = st.rows, trows
+        plain = (st.rows, trows) if witness.twin is None else (
+            _TwinRows(st.rows, *witness.twin), None)
     return True
 
 

@@ -9,9 +9,10 @@ for a system time-out fused with the preceding settling step.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import (DEFAULT_MAX_STATES, T_EPS, TAU, TIMEOUT, Lts,
@@ -37,88 +38,129 @@ class EncodedState:
         return f"{self.mode}{{{','.join(sorted(self.allowed))}}}({self.base})"
 
 
+class Encoding(Lts):
+    """An encoded system whose states carry int codes.
+
+    A state's code is ``((base * (|subsets| + 1) + slot) << 1) | rooted``,
+    where slot 0 is a triggered mode and slot k + 1 the settled mode under
+    the k-th subset of Sigma; ``codes`` lists them by state.  A plain
+    encoding keeps ``index``, the state of each code.  In a rooted one
+    (``rooted``), a state's twin is the plain-mode state with the same base
+    and mask, whose code is its own with the rooted bit cleared, in the
+    plain encoding ``twin_encoding`` gives.
+    """
+
+    def __init__(self, tags, transitions, sigma, labels, codes: List[int],
+                 index: Dict[int, int], twin_of: Optional[tuple] = None):
+        super().__init__(tags, transitions, 0, sigma=sigma, labels=labels)
+        self.codes = codes
+        self.rooted = twin_of is not None
+        self.index: Optional[Dict[int, int]] = None if self.rooted else index
+        self._twin_of = twin_of
+
+    def twin_encoding(self) -> "Encoding":
+        """The plain encoding of the same system, alphabet and bound (built
+        once per system, see ``encode``)."""
+        lts, sig, max_states = self._twin_of
+        return encode(lts, sigma=sig, max_states=max_states)
+
+
 def subsets(sigma: Iterable[str]) -> List[frozenset]:
     items = sorted(sigma)
     return [frozenset(c) for r in range(len(items) + 1)
             for c in combinations(items, r)]
 
 
+# source system -> {(alphabet, max_states): its plain encoding}, the system held weakly
+_PLAIN: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None,
-           max_states: int = DEFAULT_MAX_STATES) -> Lts:
+           max_states: int = DEFAULT_MAX_STATES) -> Encoding:
     """Encode a system; states are ``EncodedState`` tags over the source indices.
 
     ``sigma`` fixes the visible-label universe the environment ranges over;
     it must cover the system's own alphabet, name no reserved label and,
     when two systems are to be compared, be the same on both sides.
+
+    States are explored depth first by their int codes (``Encoding``), and
+    each tag is built once, when its state is first reached.  The plain
+    encoding of one (system, alphabet, ``max_states``) is built once and
+    kept while the system lives, so every call returns that same object; a
+    rooted encoding is built on each call, and refers to its system for its
+    plain twin encoding, which it does not build.
     """
     sig = visible_alphabet(sigma) if sigma is not None else lts.sigma
     if not lts.sigma <= sig:
         raise LabelUniverseMismatch(
             f"encoding alphabet {sorted(sig)} must cover the system's {sorted(lts.sigma)}")
+    if not rooted:
+        got = _PLAIN.get(lts, {}).get((sig, max_states))
+        if got is None:
+            got = _encode(lts, False, sig, max_states)
+            _PLAIN.setdefault(lts, {})[sig, max_states] = got
+        return got
+    return _encode(lts, True, sig, max_states)
+
+
+def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding:
     xs = subsets(sig)
-    index = {}
-    tags: List[EncodedState] = []
+    bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
+    xmask = [sum(bit[a] for a in x) for x in xs]
+    eps = [eps_label(x) for x in xs]
+    tlab = [t_label(x) for x in xs] if rooted else []
+    stride = len(xs) + 1
+    out = [lts.out(s) for s in range(len(lts))]
+    tau = [o.get(TAU, ()) for o in out]
+    tout = [o.get(TIMEOUT, ()) for o in out]
+    # s idles under X iff it has no tau step and offers no action of X
+    offers = [sum(bit[a] for a in o if a in lts.sigma) for o in out]
+    if max_states < 1:
+        raise StateBudgetExceeded(1, max_states)
+    codes = [(lts.initial * stride) << 1 | rooted]
+    index: Dict[int, int] = {codes[0]: 0}
     transitions: List[Tuple[int, str, int]] = []
-
-    def intern(state: EncodedState) -> int:
-        i = index.get(state)
-        if i is None:
-            i = len(tags)
-            if i >= max_states:
-                raise StateBudgetExceeded(i + 1, max_states)
-            index[state] = i
-            tags.append(state)
-        return i
-
-    root_mode = TRIGGERED_ROOTED if rooted else TRIGGERED
-    init = intern(EncodedState(root_mode, None, lts.initial))
-    frontier = [init]
-    seen = {init}
+    frontier = [0]
     while frontier:
         i = frontier.pop()
-        st = tags[i]
-        outgoing: List[Tuple[str, EncodedState]] = []
-        s = st.base
-        moves = lts.out(s)
-        if st.mode in (TRIGGERED, TRIGGERED_ROOTED):
-            for lab, targets in moves.items():
-                if lab == TIMEOUT:
-                    continue
-                for d in targets:
-                    outgoing.append((lab, EncodedState(st.mode, None, d)))
-            env_mode = ENV_ROOTED if st.mode == TRIGGERED_ROOTED else ENV
-            for x in xs:
-                outgoing.append((eps_label(x), EncodedState(env_mode, x, s)))
-            if st.mode == TRIGGERED_ROOTED:
-                for x in xs:
-                    if lts.idle(s, x):
-                        for d in moves.get(TIMEOUT, ()):
-                            outgoing.append((t_label(x), EncodedState(ENV, x, d)))
+        code = codes[i]
+        s, slot = divmod(code >> 1, stride)
+        rb = code & 1
+        if slot == 0:
+            outgoing = [(lab, (d * stride) << 1 | rb)
+                        for lab, targets in out[s].items() if lab != TIMEOUT for d in targets]
+            settle = (s * stride) << 1 | rb
+            outgoing += [(eps[k], settle + ((k + 1) << 1)) for k in range(len(xs))]
+            if rb and not tau[s]:   # rooted time-outs, fused with settling on X
+                outgoing += [(tlab[k], (d * stride + k + 1) << 1)
+                             for k, m in enumerate(xmask) if not offers[s] & m for d in tout[s]]
         else:
-            x = st.allowed
-            for d in moves.get(TAU, ()):
-                outgoing.append((TAU, EncodedState(st.mode, x, d)))
-            for lab, targets in moves.items():
-                if lab in x:
-                    for d in targets:
-                        outgoing.append((lab, EncodedState(TRIGGERED, None, d)))
-            if lts.idle(s, x):
-                trig_mode = TRIGGERED_ROOTED if st.mode == ENV_ROOTED else TRIGGERED
-                outgoing.append((T_EPS, EncodedState(trig_mode, None, s)))
-                for d in moves.get(TIMEOUT, ()):
-                    outgoing.append((TIMEOUT, EncodedState(st.mode, x, d)))
+            m = xmask[slot - 1]
+            outgoing = [(TAU, (d * stride + slot) << 1 | rb) for d in tau[s]]
+            outgoing += [(lab, (d * stride) << 1) for lab, targets in out[s].items()
+                         if bit.get(lab, 0) & m for d in targets]
+            if not tau[s] and not offers[s] & m:
+                outgoing.append((T_EPS, (s * stride) << 1 | rb))
+                outgoing += [(TIMEOUT, (d * stride + slot) << 1 | rb) for d in tout[s]]
         for lab, target in outgoing:
-            j = intern(target)
-            transitions.append((i, lab, j))
-            if j not in seen:
-                seen.add(j)
+            j = index.get(target)
+            if j is None:
+                j = len(codes)
+                if j >= max_states:
+                    raise StateBudgetExceeded(j + 1, max_states)
+                index[target] = j
+                codes.append(target)
                 frontier.append(j)
+            transitions.append((i, lab, j))
 
-    labels = set(chain([TAU, TIMEOUT, T_EPS], sig))
-    labels.update(eps_label(x) for x in xs)
-    if rooted:
-        labels.update(t_label(x) for x in xs)
-    return Lts(tags, transitions, init, sigma=sig, labels=labels)
+    modes = ((TRIGGERED, ENV), (TRIGGERED_ROOTED, ENV_ROOTED))
+    tags = []
+    for code in codes:
+        s, slot = divmod(code >> 1, stride)
+        tags.append(EncodedState(modes[code & 1][slot > 0], xs[slot - 1] if slot else None, s))
+    labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab))
+    return Encoding(tags, transitions, sig, labels, codes, index,
+                    (lts, sig, max_states) if rooted else None)
 
 
 def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None,

@@ -328,7 +328,9 @@ class _Builder:
     A rooted store's builder holds the builder of the plain store as
     ``plain``: a rooted clause (r1a-r2c) is one strong step by its action,
     tau or t, continued by plain formulas.  Plain and rooted clause names
-    never overlap, so one dispatch serves both.
+    never overlap, so one dispatch serves both.  A rooted clause reads plain
+    entries alone, so the rooted store is read only at the queried entry and
+    its mirror, the entries a rooted layer is seeded with.
     """
 
     def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from inspect import get_annotations
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -51,8 +51,9 @@ def t_label(members: Iterable[str]) -> str:
     return "t_{%s}" % ",".join(sorted(members))
 
 
+@cache
 def label_kind(label: str) -> Tuple[str, Optional[frozenset]]:
-    """Classify a transition label.
+    """Classify a transition label; memoised, as it is pure on the string.
 
     Returns one of ``("tau", None)``, ``("timeout", None)``,
     ``("visible", None)``, ``("t_eps", None)``, ``("eps_set", X)``,

@@ -360,9 +360,11 @@ def test_damaged_witness_is_judged_without_a_fixpoint(family, rooted, monkeypatc
     kills = [list(st.row_kills) for st in layers]
     assert revalidate(store, relation)
     # the root pair and its triples, in the store whose clauses read them
-    # (the plain one when rooted): the ring's time-out leads back to them
+    # (the plain one when rooted, on the arena of the plain twin encodings
+    # for tb, where the roots' twins are the initial states): the ring's
+    # time-out leads back to them
     damaged = store.plain or store
-    p, q = l1.initial, store.arena.state2(l2.initial)
+    p, q = l1.initial, damaged.arena.state2(l2.initial)
     masks = range(store.arena.full_mask + 1) if damaged.trows else ()
     entries = [(p, q), (q, p)] + [e for x in masks for e in ((p, x, q), (q, x, p))]
     with taken_out(damaged, *entries):

@@ -108,3 +108,30 @@ def test_correspondence_on_pairs(rng):
         directx = brb_X_check(l1, 0, l2, 0, x, sigma=sig).equivalent
         viax = tb_check(e1, encoded_entry(e1, x), e2, encoded_entry(e2, x)).equivalent
         assert directx == viax, (str(t1), str(t2), sorted(x))
+
+
+def test_plain_encoding_is_built_once_per_system_and_alphabet():
+    # one (system, alphabet, bound) has one plain encoding, which a rooted
+    # encoding of the same numbers its twins on; a rooted encoding is new
+    lts = lts_of("a.t.0 + tau.b.0")
+    sig = {"a", "b"}
+    plain = encode(lts, sigma=sig)
+    assert encode(lts, sigma=sig) is plain
+    assert encode(lts, sigma=sig | {"c"}) is not plain
+    assert encode(lts, sigma=sig, max_states=100) is not plain
+    rooted = encode(lts, rooted=True, sigma=sig)
+    assert encode(lts, rooted=True, sigma=sig) is not rooted
+    assert rooted.twin_encoding() is plain
+    assert rooted.rooted and not plain.rooted
+
+
+def test_twins_are_the_plain_mode_states_with_the_same_base_and_mask():
+    lts = lts_of("a.t.0 + tau.b.0")
+    rooted = encode(lts, rooted=True, sigma={"a", "b"})
+    plain = rooted.twin_encoding()
+    for code, tag in zip(rooted.codes, rooted.tags):
+        twin = plain.tags[plain.index[code & ~1]]
+        assert (twin.mode, twin.allowed, twin.base) == (
+            tag.mode.removesuffix("_r"), tag.allowed, tag.base)
+    # and every plain state is the twin of one
+    assert {plain.index[code & ~1] for code in rooted.codes} == set(range(len(plain)))

@@ -15,6 +15,7 @@ import pytest
 from ccspt import (brb_X_check, brb_check, cbrb_check, distinguish, encode,
                    gbrb_check, revalidate, strong_bisim, tb_check, tob_check)
 from ccspt import bisim
+from ccspt.encode import _PLAIN
 from ccspt.semantics import Lts
 
 from test_tb_engine import all_entries, ring, sampled_pairs
@@ -122,21 +123,30 @@ def test_cold_and_warm_checks_agree(run_steps):
 
 
 def test_pair_context_is_freed_without_the_cycle_collector():
-    # nothing in a context refers to the systems, and no store is referred
-    # to by its arena, so dropping the systems and the verdicts frees the
-    # arena by reference counting
+    # nothing in a context refers to the systems, no store is referred to by
+    # its arena, and a plain encoding refers to nothing of its system, so
+    # dropping the systems, their encodings and the verdicts frees every
+    # arena by reference counting: the systems', the plain encodings' that
+    # tb and tb-rooted share, and the rooted encodings'
     l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
-    contexts = len(bisim._CONTEXTS)
+    contexts, plain = len(bisim._CONTEXTS), len(_PLAIN)
     gc.disable()
     try:
         v = brb_check(l1, 0, l2, 0, rooted=True, sigma=sig)
         assert v.equivalent and distinguish(l1, 0, l2, 0, "Lbr", sigma=sig) is None
         assert not strong_bisim(l1, 0, l2, 0, sigma=sig)
-        arena = weakref.ref(v.witness.arena)
-        assert len(bisim._CONTEXTS) == contexts + 1
-        del l1, l2, v
-        assert arena() is None
+        (e1, e2), (r1, r2) = encodings(l1, l2, sig)
+        assert tb_check(e1, 0, e2, 0)
+        w = tb_check(r1, 0, r2, 0, rooted=True)
+        assert w.equivalent and w.witness.plain.arena is not w.witness.arena
+        arenas = [weakref.ref(a) for a in (v.witness.arena, w.witness.arena,
+                                           w.witness.plain.arena)]
+        assert len(bisim._CONTEXTS) == contexts + 3
+        assert len(_PLAIN) == plain + 2
+        del l1, l2, v, e1, e2, r1, r2, w
+        assert [a() for a in arenas] == [None] * 3
         assert len(bisim._CONTEXTS) == contexts
+        assert len(_PLAIN) == plain
     finally:
         gc.enable()
 
@@ -180,12 +190,19 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     # every store a fixpoint left is a greatest fixpoint, and passes
     assert all(revalidate(store, relation) for relation, _, store in runs)
     assert not strong_bisim(l1, 0, l2, 0, sigma=sig)
-    # tb's plain fixpoint runs once over each pair of encodings
+    # tb's plain fixpoint runs once, over the plain encodings: tb-rooted
+    # reads that store, and runs only its rooted layer over its own
     assert sorted(relation for relation, _, _ in runs) == [
         "brb", "brb-rooted", "brbX", "brbX-rooted", "cbrb", "cbrb-rooted",
-        "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb", "tb-rooted", "tob", "tob-rooted"]
+        "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb-rooted", "tob", "tob-rooted"]
     assert len({(relation, id(arena)) for relation, arena, _ in runs
-                if not relation.endswith("-rooted")}) == 7
+                if not relation.endswith("-rooted")}) == 6
+    (tb,) = [store for relation, _, store in runs if relation == "tb"]
+    ((rooted_arena, rooted),) = [(arena, store) for relation, arena, store in runs
+                                 if relation == "tb-rooted"]
+    assert rooted.plain is tb and tb.arena is not rooted_arena
+    # an arena that runs only a rooted layer builds no weak closure
+    assert rooted_arena._weak is None and rooted_arena.rweak is None
     # strong bisimilarity reads the pair's Arena, and builds no tables on it
     assert sorted(arenas, key=repr) == sorted([("Arena", l1, l2), ("ThetaArena", l1, l2),
                                                ("Arena", e1, e2), ("Arena", r1, r2)], key=repr)

@@ -353,7 +353,8 @@ def ref_seeded(arena, relation, lefts, rights):
 
 
 def ref_check(family, l1, l2, sig, rooted):
-    """The reference store behind a verdict, and the global index of q."""
+    """The reference store behind a verdict, and the global index of q; the
+    rooted layer is seeded with the queried pair, and its triples, alone."""
     arena = Arena(l1, None if l2 is l1 else l2, sig)
     p, gq = l1.initial, arena.state2(l2.initial)
     lefts, rights = arena.reach(p), arena.reach(gq)
@@ -361,7 +362,7 @@ def ref_check(family, l1, l2, sig, rooted):
     store.iterations, store.checked = ref_fixpoint(store, PLAIN[family](arena, store))
     if rooted:
         plain = store
-        store = ref_seeded(arena, family + "-rooted", lefts, rights)
+        store = ref_seeded(arena, family + "-rooted", [p], [gq])
         store.plain = plain
         it, ch = ref_fixpoint(store, ROOTED[family](arena, store, plain))
         store.iterations, store.checked = it + plain.iterations, ch + plain.checked

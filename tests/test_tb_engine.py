@@ -3,9 +3,14 @@
 The reference below is the per-pair formulation the row engine replaced:
 one clause check per stored pair, in sorted order, against the store the
 round started with.  Both must agree on every observable field.
+
+Rooted tb over two rooted encodings reads the plain fixpoint over their
+plain twin encodings, mapped by the twins the reference reads off the tags;
+over other systems it reads the plain fixpoint over the same arena.
 """
 
 import contextlib
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +19,8 @@ from ccspt import (alphabet, build_lts, encode, from_aut, revalidate,
                    tb_check)
 from ccspt import bisim
 from ccspt.bisim import Arena
+from ccspt.errors import StateBudgetExceeded
+from ccspt.encode import Encoding
 from ccspt.sampling import equivalent_variant, random_process
 from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 
@@ -81,18 +88,39 @@ class RefTb:
 
 
 class RefRootedTb:
+    """rtb1 against a plain store, on the arena of the plain twin
+    encodings where it lives there (``tag_twins``)."""
+
     def __init__(self, arena, plain):
         self.a = arena
         self.plain = plain
+        self.twin = tag_twins(arena, plain.arena)
 
     def check_pair(self, p, q):
-        a = self.a
+        a, twin = self.a, self.twin
         for lab, targets in sorted(a.out[p].items()):
             qsucc = a.out[q].get(lab, ())
             for p2 in targets:
-                if not any((p2, q2) in self.plain.pairs for q2 in qsucc):
+                if not any((twin[p2], twin[q2]) in self.plain.pairs for q2 in qsucc):
                     return ("rtb1", {"action": lab, "derivative": p2})
         return None
+
+
+def tag_twins(arena, plain_arena):
+    """Each state of ``arena`` mapped to its twin on ``plain_arena``: itself
+    where the two are one arena, and otherwise, for an arena of rooted
+    encodings and one of their plain encodings, the plain-mode state with
+    the same base and mask on the same side, read off the tags."""
+    if plain_arena is arena:
+        return list(range(arena.n))
+
+    def side(a, s):
+        return 1 if a.offset and s >= a.offset else 0
+
+    index = {(side(plain_arena, s), tag): s for s, tag in enumerate(plain_arena.tags)}
+    return [index[side(arena, s) if plain_arena.offset else 0,
+                  dataclasses.replace(tag, mode=tag.mode.removesuffix("_r"))]
+            for s, tag in enumerate(arena.tags)]
 
 
 class SetStore:
@@ -173,17 +201,24 @@ def ref_fixpoint(store, checker):
             kill_pair(store, i, j, iterations, why)
 
 
-def ref_tb(e1, e2, rooted):
-    """(store, entry, iterations, checked) of the per-pair reference."""
+def ref_tb(e1, e2, rooted, twins=None):
+    """(store, entry, iterations, checked) of the per-pair reference.  The
+    rooted layer is seeded with the queried entry alone; with ``twins``, the
+    plain encodings of the rooted ``e1`` and ``e2``, it reads the plain
+    fixpoint over them, at the twins of the queried states."""
     arena = Arena(e1, None if e2 is e1 else e2)
     p, gq = e1.initial, arena.state2(e2.initial)
-    store = SetStore(arena, "tb")
-    seed_pairs(store, arena.reach(p), arena.reach(gq))
-    it, ch = ref_fixpoint(store, RefTb(arena, store))
+    plain_arena = arena
+    if rooted and twins is not None:
+        plain_arena = Arena(twins[0], None if twins[1] is twins[0] else twins[1])
+    twin = tag_twins(arena, plain_arena)
+    store = SetStore(plain_arena, "tb")
+    seed_pairs(store, plain_arena.reach(twin[p]), plain_arena.reach(twin[gq]))
+    it, ch = ref_fixpoint(store, RefTb(plain_arena, store))
     if rooted:
         plain = store
         store = SetStore(arena, "tb-rooted")
-        seed_pairs(store, arena.reach(p), arena.reach(gq))
+        seed_pairs(store, [p], [gq])
         store.plain = plain
         it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
         it, ch = it + it2, ch + ch2
@@ -224,9 +259,11 @@ def engine_store(monkeypatch):
     return run
 
 
-def assert_same(engine_store, e1, e2, rooted):
+def assert_same(engine_store, e1, e2, rooted, twins=None):
     v, store = engine_store(e1, e2, rooted)
-    ref, entry, it, ch = ref_tb(e1, e2, rooted)
+    ref, entry, it, ch = ref_tb(e1, e2, rooted, twins)
+    if rooted:   # the plain store lives on the twins' arena exactly when they are given
+        assert (store.plain.arena is store.arena) == (twins is None)
     assert v.equivalent == (entry in ref.pairs)
     assert (v.iterations, v.entries_checked) == (it, ch)
     assert v.refutation == ([] if v.equivalent else
@@ -297,13 +334,19 @@ def encoded(l1, l2, sig, rooted):
     return encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
 
 
+def twins_of(l1, l2, sig, rooted):
+    """The plain encodings a rooted check's encodings read their twins on."""
+    return encoded(l1, l2, sig, False) if rooted else None
+
+
 # ---------------------------------------------------------------------------
 # field-identical results
 
 
 @pytest.mark.parametrize("rooted", [False, True])
 def test_sampled_pairs_match_reference(engine_store, rooted):
-    verdicts = [assert_same(engine_store, *encoded(l1, l2, sig, rooted), rooted)
+    verdicts = [assert_same(engine_store, *encoded(l1, l2, sig, rooted), rooted,
+                            twins_of(l1, l2, sig, rooted))
                 for l1, l2, sig in sampled_pairs(40, 7)]
     # the sample must exercise both outcomes and more than one round
     assert {v.equivalent for v in verdicts} == {True, False}
@@ -314,12 +357,33 @@ def test_sampled_pairs_match_reference(engine_store, rooted):
 def test_ring_matches_reference(engine_store, rooted):
     base = ring(12, {1}, False)
     sig = frozenset({"a", "b"})
-    same = assert_same(engine_store, *encoded(base, ring(12, {1}, True), sig, rooted),
-                       rooted)
-    differ = assert_same(engine_store, *encoded(base, ring(12, {1, 6}, True), sig, rooted),
-                         rooted)
+    verdicts = []
+    for other in (ring(12, {1}, True), ring(12, {1, 6}, True)):
+        verdicts.append(assert_same(engine_store, *encoded(base, other, sig, rooted), rooted,
+                                    twins_of(base, other, sig, rooted)))
+    same, differ = verdicts
     assert same.equivalent and not differ.equivalent
     assert differ.iterations > 3
+
+
+def test_plain_tb_over_rooted_encodings_is_plain_tb_over_their_twins(engine_store):
+    # the twin claim tb-rooted builds on: the plain fixpoint over two rooted
+    # encodings is the one over their plain encodings under the twin map,
+    # entry by entry, in each entry's round and in the rounds
+    cases = list(sampled_pairs(40, 7))
+    base, sig = ring(12, {1}, False), frozenset({"a", "b"})
+    cases += [(base, ring(12, {1}, True), sig), (base, ring(12, {1, 6}, True), sig)]
+    for l1, l2, sig in cases:
+        v, over_rooted = engine_store(*encoded(l1, l2, sig, True), False)
+        w, over_plain = engine_store(*encoded(l1, l2, sig, False), False)
+        twin = tag_twins(over_rooted.arena, over_plain.arena)
+        assert (v.equivalent, v.iterations) == (w.equivalent, w.iterations)
+        entries = [(i, j) for i in range(len(twin)) for j in range(len(twin))]
+
+        def fates(store, image):
+            return [(store.has_pair(image[i], image[j]), store.lookup((image[i], image[j]))[0])
+                    for i, j in entries]
+        assert fates(over_rooted, range(len(twin))) == fates(over_plain, twin)
 
 
 def test_random_raw_systems_match_reference(engine_store):
@@ -394,3 +458,16 @@ def test_damaged_rooted_tb_witness_fails():
     assert not all(verdicts)
     store.plain = None
     assert not revalidate(store, "tb-rooted")
+
+
+def test_rooted_budget_is_checked_before_the_twins_are_encoded(monkeypatch):
+    # six declared but unused actions: 2^8 masks a base state.  The plain
+    # fixpoint over the twins would seed 770 M pairs, refused on the twin
+    # image of the rooted side states before a plain twin encoding is built
+    l1, l2 = ring(48, {1}, False), ring(48, {1}, True)
+    sig = frozenset("abcdefgh")
+    r1, r2 = encoded(l1, l2, sig, True)
+    monkeypatch.setattr(Encoding, "twin_encoding",
+                        lambda self: pytest.fail("a twin encoding was built"))
+    with pytest.raises(StateBudgetExceeded, match="770"):
+        tb_check(r1, r1.initial, r2, r2.initial, rooted=True)

@@ -190,14 +190,18 @@ def ref_tob(l1, l2, sig, rooted, kind=ThetaArena):
     store = SetStore(arena, "tob")
     seed_pairs(store, lefts, rights)
     store.iterations, store.checked = ref_fixpoint(store, RefTob(arena, store))
-    if rooted:
-        plain = store
-        store = SetStore(arena, "tob-rooted")
-        seed_pairs(store, lefts, rights)
-        store.plain = plain
-        it, ch = ref_fixpoint(store, RefRootedTob(arena, plain))
-        store.iterations, store.checked = it + plain.iterations, ch + plain.checked
-    return store, gq
+    return (ref_rooted(store, (p, gq)) if rooted else store), gq
+
+
+def ref_rooted(plain, entry):
+    """The reference's rooted layer over ``plain``, seeded with the queried
+    entry alone: the pair, or the wrapped pair under an environment."""
+    store = SetStore(plain.arena, "tob-rooted")
+    seed_pairs(store, entry[:1], entry[1:])
+    store.plain = plain
+    it, ch = ref_fixpoint(store, RefRootedTob(plain.arena, plain))
+    store.iterations, store.checked = it + plain.iterations, ch + plain.checked
+    return store
 
 
 def ref_revalidate(store, rooted):
@@ -219,24 +223,25 @@ def ref_revalidate(store, rooted):
 def assert_same(engine_store, l1, l2, sig, rooted, envs=False):
     """Field-identical verdicts, stores and records; with ``envs``, the
     verdicts of the wrapped pair under every environment mask too (the same
-    stores, another entry)."""
+    plain store, another entry, and when rooted the layer seeded with it)."""
     ref, gq = ref_tob(l1, l2, sig, rooted)
     arena = ref.arena
 
-    def same_verdict(v, entry):
+    def same_verdict(v, store, entry, ref):
         assert v.equivalent == (entry in ref.pairs)
         assert (v.iterations, v.entries_checked) == (ref.iterations, ref.checked)
         assert v.refutation == ([] if v.equivalent else
                                 bisim._refutation_records(ref, [entry, entry[::-1]]))
+        same_store(store, ref, triples=False)
+        if rooted:
+            same_store(store.plain, ref.plain, triples=False)
 
     v, store = engine_store(tob_check, l1, l2, sig, rooted=rooted)
-    same_verdict(v, (l1.initial, gq))
-    same_store(store, ref, triples=False)
-    if rooted:
-        same_store(store.plain, ref.plain, triples=False)
+    same_verdict(v, store, (l1.initial, gq), ref)
     for x in (declared(arena) if envs else ()):
-        ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted, env=arena.mask_names(x))
-        same_verdict(ve, (arena.wrap(x, l1.initial), arena.wrap(x, gq)))
+        entry = (arena.wrap(x, l1.initial), arena.wrap(x, gq))
+        ve, st = engine_store(tob_check, l1, l2, sig, rooted=rooted, env=arena.mask_names(x))
+        same_verdict(ve, st, entry, ref_rooted(ref.plain, entry) if rooted else ref)
     return v
 
 
@@ -277,15 +282,18 @@ def test_nested_wrappers_match_reference(engine_store, depth):
                 assert ([got.lookup(e)[0] for e in shared]
                         == [want.lookup(e)[0] for e in shared])
             for x in (None, *declared(nested)):
+                want = ref
                 if x is not None:
                     v, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
                                         env=nested.mask_names(x))
                 entry = ((l1.initial, gq) if x is None else
                          (nested.wrap(x, l1.initial), nested.wrap(x, gq)))
-                assert v.equivalent == (entry in ref.pairs)
-                assert v.iterations == ref.iterations
+                if rooted and x is not None:
+                    want = ref_rooted(ref.plain, entry)
+                assert v.equivalent == (entry in want.pairs)
+                assert v.iterations == want.iterations
                 assert v.refutation == ([] if v.equivalent else
-                                        bisim._refutation_records(ref, [entry, entry[::-1]]))
+                                        bisim._refutation_records(want, [entry, entry[::-1]]))
                 verdicts.append(v)
     assert {v.equivalent for v in verdicts} == {True, False}
 
@@ -343,7 +351,8 @@ def test_merged_wrappers_match_declared_reference(engine_store, rooted):
             entry = (declared_arena.wrap(x, l1.initial), declared_arena.wrap(x, gq))
             ve, _ = engine_store(tob_check, l1, l2, sig, rooted=rooted,
                                  env=arena.mask_names(x))
-            assert ve.equivalent == (entry in ref.pairs)
+            want = ref_rooted(ref.plain, entry) if rooted else ref
+            assert ve.equivalent == (entry in want.pairs)
 
 
 def test_random_raw_systems_match_reference(engine_store):
