@@ -18,11 +18,12 @@ per state and environment mask, and decides a row's clauses for all of its
 partners at once, with the same rounds, ranks and refutation records as a
 per-entry check.  Each family's clauses are written once, in
 ``Arena._compile``: the rooted layer reads them strongly, matching a first
-step by the same step into the plain fixpoint.  They are compiled once per
-arena, family and layer into a clause program per row, a tuple of ops that
-one loop, ``Arena.failing``, runs for every row a round judges.  A relation
-has that one form, rows, which ``revalidate`` judges once, in place, with
-the same programs: a witness holds iff no row of it fails a clause.
+step by the same step into the plain fixpoint.  They are compiled into a
+clause program per row, a tuple of ops, once per arena, family and layer,
+on the row's first read by the one loop, ``Arena.failing``, that runs them
+for every row a round judges.  A relation has that one form, rows, which
+``revalidate`` judges once, in place, with the same programs: a witness
+holds iff no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
 the arena of each kind, with its engine tables, and each plain fixpoint are
@@ -89,10 +90,10 @@ class Arena:
     clauses are decided for every partner at once: each gives the mask of
     partners it lets pass, in the order a per-entry check tries them, so
     each failing partner gets the same first failing clause.  ``program``
-    compiles them, plain and rooted, into one clause program per row, once
-    per family, layer and keying of the triple rows; ``failing`` runs the
-    programs of the rows it judges, once for ``revalidate`` and in each
-    round of ``fixpoint``.
+    keeps them, plain and rooted, as one clause program per row, once per
+    family, layer and keying of the triple rows; ``failing`` compiles a
+    row's program on its first read and runs the programs of the rows it
+    judges, once for ``revalidate`` and in each round of ``fixpoint``.
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
@@ -332,9 +333,10 @@ class Arena:
         """The clause programs of a family's plain or rooted layer over
         triple rows keyed by ``keys`` (None for a relation of pairs), as (the
         program of each pair row, {x: the program of each triple row} or
-        None, and None or, for a rooted layer, its row compilers).  The
-        first call for a (family, layer, keys) builds the engine tables if
-        need be and compiles them; they are kept beside the tables."""
+        None, the pair row compiler, the triple row compiler).  A row's
+        program is None until ``failing`` first reads it and compiles it.
+        The first call for a (family, layer, keys) builds the engine tables
+        if need be and the compilers, kept beside the tables."""
         if self.pred is None:
             self._engine_tables()
         if self.rweak is None and not rooted:   # the tables only a plain layer reads
@@ -347,20 +349,21 @@ class Arena:
         key = family, rooted, keys
         got = self._programs.get(key)
         if got is None:
-            got = self._programs[key] = self._compile(family, keys, rooted)
+            got = self._programs[key] = (
+                [None] * self.n, None if keys is None else {x: [None] * self.n for x in keys},
+                *self._compile(family, keys, rooted))
         return got
 
     def _compile(self, family: str, keys, rooted: bool):
-        """The programs of ``program``: a plain layer's here, a rooted one's
-        on each row's first read in ``failing``, by compilers taking the
-        arena as an argument, so no closure over it is kept on it.  A
-        program is a tuple of ops (kind, a, b, why), one per clause instance
-        in the order a per-entry check tries them, why being (clause, info)
-        with whichever of action, env and derivative the clause names.  An
-        op gives the mask of the partners that pass it, read off the judged
-        row p, its line (the pair rows, or the triple rows under its mask)
-        and the matched rows and line (the plain fixpoint's in the rooted
-        layer, else the same):
+        """The row compilers of ``program``, ``pair(arena, p)`` and
+        ``triple(arena, p, x)``; they take the arena as an argument, so no
+        closure over it is kept on it.  A program is a tuple of ops (kind,
+        a, b, why), one per clause instance in the order a per-entry check
+        tries them, why being (clause, info) with whichever of action, env
+        and derivative the clause names.  An op gives the mask of the
+        partners that pass it, read off the judged row p, its line (the pair
+        rows, or the triple rows under its mask) and the matched rows and
+        line (the plain fixpoint's in the rooted layer, else the same):
 
         - ``_WEAK``: those weakly reaching, within p's row, a state with an
           a-step into the matched row of b; ``_WEAK_TAU`` for a tau step
@@ -398,44 +401,36 @@ class Arena:
                          .get(family, ("1a", "1b", "1c")))
         c2a, c2b, c2c, c2d, c2e = (r + c for c in (
             "2a", "2b", "2c", "2d", "2d-stable" if generalised else "2e"))
-        moves = None   # rtb1: the row's moves in label order, sorted as it is compiled
-        if tb and not rooted:
-            # tb1 reads no t_X label, and tb2 the time-outs
-            branch = [lab for lab in self.pred
-                      if lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
-            moves = [[(lab, out[lab]) for lab in branch if lab in out] for out in self.out]
-        elif not tb:
-            moves = self.moves_vt
+        if not tb:
             idle = self._idle_masks()
             if keys is not None:   # the masks triple rows are keyed by, declared ones too
                 idle = {x: idle[x & self.vmask] for x in keys}
-        # brb and cbrb ask a pair for its triples in 1b and have no 1c
-        pair_stable = not rooted and family not in ("brb", "cbrb")
 
         # a step's kind: strong when rooted, and a weak tau step may stay put
         vis, tau, tau_line = (_STRONG, _STRONG, _STRONG_LINE) if rooted else (
             _WEAK, _WEAK_TAU, _WEAK_TAU)
 
         def timeouts(arena, p, clause):
-            """gbrb's 1b and 2c, tob's t2: each time-out of p under each
-            mask y it idles under."""
+            """gbrb's 1b and 2c, tob's t2: each time-out of p under each y it idles under."""
             return [(_TOB, y, arena.wrap(y, p2), (clause, {"env": y, "derivative": p2})) if tob
                     else (_GPATH, y, p2, (clause, {"env": y, "derivative": p2}))
                     for y, idles in idle.items() if idles >> p & 1 for p2 in arena.t_succ[p]]
 
         def pair(arena, p):
+            moves = arena.moves_vt[p] if not tb else [   # tb1 reads no t or t_X, rtb1 all
+                (lab, ds) for lab, ds in sorted(arena.out[p].items())
+                if rooted or lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
             ops = [(tau if lab == TAU else vis, lab, p2, (c1a, {"action": lab, "derivative": p2}))
-                   for lab, ds in (sorted(arena.out[p].items()) if moves is None else moves[p])
-                   for p2 in ds]
+                   for lab, ds in moves for p2 in ds]
             if tb:
-                if not rooted:
-                    ops += [(_TPATH, None, p2, (c1b, {"derivative": p2}))
-                            for p2 in arena.t_succ[p]]
+                ops += [(_TPATH, None, p2, (c1b, {"derivative": p2}))
+                        for p2 in arena.t_succ[p] if not rooted]
             elif tob or generalised:
                 ops += timeouts(arena, p, c1b)
             else:
                 ops += [(_TRIPLE, x, None, (c1b, {"env": x})) for x in keys]
-            if pair_stable and not arena.has_tau[p]:
+            # brb and cbrb ask a pair for its triples in 1b and have no 1c
+            if not rooted and family not in ("brb", "cbrb") and not arena.has_tau[p]:
                 ops.append((_CONST, stable, None, (c1c, {})))
             return tuple(ops)
 
@@ -456,40 +451,31 @@ class Arena:
             if not rooted and not arena.has_tau[p]:
                 ops.append((_CONST, stable, None, (c2e, {})))
             return tuple(ops)
-        if rooted:
-            return {}, None if keys is None else {x: {} for x in keys}, (pair, triple)
-        states = range(self.n)
-        return ([pair(self, p) for p in states],
-                None if keys is None else {x: [triple(self, p, x) for p in states] for x in keys},
-                None)
+        return pair, triple
 
     # -- drivers -------------------------------------------------------------
     def failing(self, program, rows, trows, plain, todo, memo):
         """The rows of ``todo`` with a failing partner, as (p, x, line,
         [(mask of partners, why), ...], mask of all failing partners), x
         None for a pair row: pair rows first, then triple rows in (p, x)
-        order, each judged by its clause program against the rows as they
-        stand (``plain``, the plain fixpoint's (rows, trows), matches the
-        rooted layer's steps).  A partner fails by the first op
-        it does not pass, and a row stops once no partner is left.  Nothing
-        but a rooted row's program is written, so a caller may stop early."""
-        pairs, triples, compilers = program
-        rooted = compilers is not None
+        order, each judged by its clause program, compiled on its first
+        read, against the rows as they stand (``plain``, the plain
+        fixpoint's (rows, trows), matches the rooted layer's steps).  A
+        partner fails by the first op it does not pass, and a row stops once
+        no partner is left.  Nothing but a row's program is written, so a
+        caller may stop early."""
+        pairs, triples, compile_pair, compile_triple = program
+        rooted = plain is not None
         mrows, mtrows = plain if rooted else (rows, trows)
-        if rooted:   # a rooted layer compiles a row's program on its first read
-            for p in todo:
-                if rows[p] and p not in pairs:
-                    pairs[p] = compilers[0](self, p)
-                for x, progs in (triples or {}).items():
-                    if trows[x][p] and p not in progs:
-                        progs[p] = compilers[1](self, p, x)
         pred, rweak = self.pred, self.rweak
-        jobs = [(p, None, rows, mrows, pairs[p]) for p in todo if rows[p]]
-        if triples is not None:
-            lines = [(x, trows[x], mtrows[x], progs) for x, progs in triples.items()]
-            jobs += [(p, x, line, mline, progs[p])
-                     for p in todo for x, line, mline, progs in lines if line[p]]
-        for p, x, line, mline, prog in jobs:
+        lines = [(x, trows[x], mtrows[x], progs) for x, progs in (triples or {}).items()]
+        jobs = [(p, None, rows, mrows, pairs) for p in todo if rows[p]] + [
+            (p, x, line, mline, progs) for p in todo for x, line, mline, progs in lines if line[p]]
+        for p, x, line, mline, progs in jobs:
+            prog = progs[p]
+            if prog is None:   # not a truthiness test: a row may compile to ()
+                prog = progs[p] = (compile_pair(self, p) if x is None
+                                   else compile_triple(self, p, x))
             live = alive = line[p]
             fails = []
             for kind, a, b, why in prog:
@@ -900,6 +886,11 @@ class _TwinRows(dict):
         return got
 
 
+def _matched(rows: List[int], trows, twin) -> tuple:
+    """The plain (rows, trows) a rooted layer matches into, through ``twin`` if any."""
+    return (rows, trows) if twin is None else (_TwinRows(rows, *twin), None)
+
+
 def _submasks(mask: int):
     """The submasks of ``mask`` in increasing order, from 0 to ``mask``."""
     x = 0
@@ -941,8 +932,8 @@ class _PairContext:
     """What the checks of one pair of systems share: their arena of one kind
     over one alphabet, whose engine tables and clause programs the first
     fixpoint of each layer builds, the side states of each root, and the
-    plain store of each (family, relation, p, q), kept once its fixpoint is
-    done.
+    plain store of each (family, p, q), kept once its fixpoint is done:
+    ``brb`` and ``brbX`` read one.
 
     Nothing in it refers to the systems, and the arena refers to no store,
     so reference counting frees the context with the systems, without the
@@ -954,7 +945,7 @@ class _PairContext:
     def __init__(self, arena: Arena):
         self.arena = arena
         self.sides: Dict[int, Tuple[int, ...]] = {}
-        self.stores: Dict[Tuple[str, str, int, int], RelationStore] = {}
+        self.stores: Dict[Tuple[str, int, int], RelationStore] = {}
 
     def side_states(self, root: int) -> Tuple[int, ...]:
         """The arena's ``side_states`` of ``root``, walked once."""
@@ -1010,18 +1001,17 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
         lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
         _budget_check(len(lefts) + len(rights),
                       1 << arena.vmask.bit_count() if with_triples else 1)
-        key = (family, relation, p, q)
+        key = (family, p, q)
         plain = ctx.stores.get(key)
         if plain is None:
-            plain = ctx.stores[key] = arena.seeded(relation, lefts, rights, with_triples)
+            plain = ctx.stores[key] = arena.seeded(family, lefts, rights, with_triples)
             plain.iterations, plain.checked = arena.fixpoint(plain, family)
         if not rooted:
             return plain
     a, b = root or (p, arena.state2(q))
     store = arena.seeded(relation + "-rooted", (a,), (b,), with_triples)
     store.plain, store.twin = plain, twin
-    rounds, checked = arena.fixpoint(store, family, (plain.rows, plain.trows) if twin is None
-                                     else (_TwinRows(plain.rows, *twin), None))
+    rounds, checked = arena.fixpoint(store, family, _matched(plain.rows, plain.trows, twin))
     store.iterations, store.checked = rounds + plain.iterations, checked + plain.checked
     return store
 
@@ -1055,7 +1045,8 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     """Take the family's arena from the pair context, read the queried entry
     off it before any store is seeded (the pair, the triple (p, X, q) under
     ``env``, or for ``tob`` the wrapped pair), run the fixpoints and judge
-    that entry."""
+    that entry, under the queried relation's name."""
+    _refuse_states(l1, p, l2, q)
     ctx = _context(ThetaArena if family == "tob" else Arena, l1, l2, sigma)
     arena = ctx.arena
     gq = arena.state2(q)
@@ -1066,9 +1057,17 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     twinned = _twin_plain(ctx, l1, p, l2, q) if rooted and family == "tb" else None
     store = _row_fixpoints(ctx, p, q, family, relation, rooted, (entry[0], entry[-1]), twinned)
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
-    return Verdict(store.relation, alive, arena.sigma, store.iterations, store.checked,
+    return Verdict(relation + "-rooted" if rooted else relation, alive, arena.sigma,
+                   store.iterations, store.checked,
                    [] if alive else _refutation_records(store, [entry, entry[::-1]]),
                    store if alive else None)
+
+
+def _refuse_states(l1: Lts, p: int, l2: Lts, q: int):
+    """Refuse a queried state outside its system, before any context is built."""
+    for lts, s in ((l1, p), (l2, q)):
+        if not 0 <= s < len(lts):
+            raise ValueError(f"state {s!r} out of range for a system of {len(lts)} states")
 
 
 def _same_labels(l1: Lts, l2: Lts, sigma: FrozenSet[str] = frozenset()):
@@ -1152,6 +1151,7 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     every other checker: it shows in the reported ``sigma`` and in the
     label universes compared.
     """
+    _refuse_states(l1, p, l2, q)
     sig = frozenset(sigma)
     _same_labels(l1, l2, sig)
     arena = _context(Arena, l1, l2, sig).arena
@@ -1185,8 +1185,7 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     store = RelationStore(arena, "strong", rows)
-    store.iterations = iterations
-    store.checked = checked
+    store.iterations, store.checked = iterations, checked
     return Verdict("strong", True, arena.sigma, iterations, checked, [], store)
 
 
@@ -1231,9 +1230,9 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     plain store is judged and then its rooted layer, each on its own
     store's arena (tb-rooted's plain store may live on the arena of the
     plain twin encodings), and only a ``ThetaArena`` holds a ``tob``
-    witness.  Triple rows are judged
-    under the keys of the more finely keyed layer, declared masks if either
-    layer has them, and a store of pairs only as having no triples."""
+    witness.  Triple rows are judged under the keys of the more finely
+    keyed layer, declared masks if either layer has them, and a store of
+    pairs only as having no triples."""
     arena = witness.arena
     _refuse_encoded(arena, family)
     if rooted and witness.plain is None:
@@ -1257,8 +1256,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
         program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
         if next(arena.failing(program, st.rows, trows, plain, range(arena.n), {}), None):
             return False
-        plain = (st.rows, trows) if witness.twin is None else (
-            _TwinRows(st.rows, *witness.twin), None)
+        plain = _matched(st.rows, trows, witness.twin)
     return True
 
 

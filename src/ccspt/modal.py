@@ -420,6 +420,7 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     """
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
+    _bisim._refuse_states(l1, p, l2, q)
     ctx = _bisim._context(_bisim.Arena, l1, l2, sigma)
     arena = ctx.arena
     xmask = None if env is None else arena.mask_of(env) & arena.vmask

@@ -477,6 +477,31 @@ def test_explicit_store_refuses_states_outside_their_system():
     assert make_store(l1, l2, "brb", pairs=[(len(l1) - 1, len(l2) - 1)]).pairs
 
 
+def test_checks_refuse_states_outside_their_system():
+    # a negative state must not wrap round onto the other system's states,
+    # where brb_check(l1, 0, l2, -2) would judge l1's state 0 against
+    # itself: every checker refuses it by name before building any context
+    l1, l2, sig = pair_lts("a.0", "a.0 + b.0")
+    e1, e2 = encode(l1, sigma=sig), encode(l2, sigma=sig)
+    checks = [(l1, l2, lambda p, q, check=check: check(l1, p, l2, q, sigma=sig))
+              for check in (brb_check, gbrb_check, cbrb_check, tob_check, strong_bisim)]
+    checks += [
+        (l1, l2, lambda p, q: brb_check(l1, p, l2, q, rooted=True, sigma=sig)),
+        (l1, l2, lambda p, q: brb_X_check(l1, p, l2, q, ["a"], sigma=sig)),
+        (l1, l2, lambda p, q: tob_check(l1, p, l2, q, sigma=sig, env=["a"])),
+        (l1, l2, lambda p, q: distinguish(l1, p, l2, q, "Lbr", sigma=sig)),
+        (e1, e2, lambda p, q: tb_check(e1, p, e2, q)),
+        (l1, l1, lambda p, q: brb_check(l1, p, l1, q, sigma=sig)),
+    ]
+    for one, two, check in checks:
+        for p, q, bad in [(0, -2, -2), (0, -1, -1), (-1, 0, -1), (0, len(two), len(two)),
+                          (len(one), 0, len(one)), (0, -100, -100)]:
+            with pytest.raises(ValueError, match=f"state {bad} out of range"):
+                check(p, q)
+        assert one not in bisim._CONTEXTS
+    assert not brb_check(l1, 0, l2, len(l2) - 2, sigma=sig)
+
+
 def test_manual_witness_from_the_gallery():
     assert revalidate(divergent_timeout_witness(), "brb")
 

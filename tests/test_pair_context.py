@@ -18,6 +18,7 @@ from ccspt import bisim
 from ccspt.encode import _PLAIN
 from ccspt.semantics import Lts
 
+from conftest import pair_lts
 from test_tb_engine import all_entries, ring, sampled_pairs
 
 CHECKS = {"brb": brb_check, "gbrb": gbrb_check, "cbrb": cbrb_check, "tob": tob_check}
@@ -154,9 +155,9 @@ def test_pair_context_is_freed_without_the_cycle_collector():
 def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     # one inequivalent ring query: every relation, plain and rooted, then
     # distinguish in Lb and Lbr, revalidate of every store a fixpoint left
-    # and strong bisimilarity.  Each plain (family, relation) fixpoint runs
-    # once, each arena kind is built once for the pair, and each arena
-    # builds its engine tables once
+    # and strong bisimilarity.  Each plain family's fixpoint runs once (brbX
+    # reads brb's), each arena kind is built once for the pair, and each
+    # arena builds its engine tables once
     l1, l2, sig = ring(8, {1}, False), ring(8, {1, 4}, True), frozenset({"a", "b"})
     (e1, e2), (r1, r2) = encodings(l1, l2, sig)
     runs, arenas, tables = [], [], []
@@ -193,10 +194,10 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     # tb's plain fixpoint runs once, over the plain encodings: tb-rooted
     # reads that store, and runs only its rooted layer over its own
     assert sorted(relation for relation, _, _ in runs) == [
-        "brb", "brb-rooted", "brbX", "brbX-rooted", "cbrb", "cbrb-rooted",
+        "brb", "brb-rooted", "brbX-rooted", "cbrb", "cbrb-rooted",
         "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb-rooted", "tob", "tob-rooted"]
     assert len({(relation, id(arena)) for relation, arena, _ in runs
-                if not relation.endswith("-rooted")}) == 6
+                if not relation.endswith("-rooted")}) == 5
     (tb,) = [store for relation, _, store in runs if relation == "tb"]
     ((rooted_arena, rooted),) = [(arena, store) for relation, arena, store in runs
                                  if relation == "tb-rooted"]
@@ -235,3 +236,65 @@ def test_each_clause_program_is_compiled_once_per_arena(monkeypatch):
     assert sorted((family, rooted) for family, rooted, _, _ in compiled) == [
         ("brb", False), ("brb", True), ("gbrb", False), ("gbrb", True)]
     assert all(a is arena and keys == arena.xmasks for _, _, keys, a in compiled)
+
+
+@pytest.fixture
+def compiled_rows(monkeypatch):
+    """Record ((arena, family, rooted, keys, row), program) for every row
+    program compiled, the row being p or (p, x)."""
+    compiled = []
+    compile_ = bisim.Arena._compile
+
+    def spy(arena, family, keys, rooted):
+        pair, triple = compile_(arena, family, keys, rooted)
+        layer = (family, rooted, keys)
+
+        def spy_pair(a, p):
+            compiled.append(((a, *layer, p), pair(a, p)))
+            return compiled[-1][1]
+
+        def spy_triple(a, p, x):
+            compiled.append(((a, *layer, (p, x)), triple(a, p, x)))
+            return compiled[-1][1]
+        return spy_pair, spy_triple
+
+    monkeypatch.setattr(bisim.Arena, "_compile", spy)
+    return compiled
+
+
+def test_each_row_program_is_compiled_at_most_once_per_query(run_steps, compiled_rows):
+    # every check of a pair, plain and rooted, distinguish and revalidate of
+    # every witness; then rooted tb at deadlocked states, whose rooted rows
+    # compile to empty programs, and revalidate of its witness, which reads
+    # them again
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1, 4}, True), frozenset({"a", "b"})
+    run_steps(steps(sig), l1, l2, encodings(l1, l2, sig))
+    d1, d2, _ = pair_lts("a.0", "a.0 + a.0")
+    v = tb_check(d1, 1, d2, 1, rooted=True)
+    assert v.equivalent and revalidate(v.witness, v.relation)
+    keys = [key for key, _ in compiled_rows]
+    assert len(keys) == len(set(keys))
+    assert () in [prog for (_, family, rooted, _, _), prog in compiled_rows
+                  if family == "tb" and rooted]
+
+
+def test_a_plain_fixpoint_compiles_only_its_side_states_rows(compiled_rows):
+    # queried after c: neither initial state (nor, for tob, its wrappers)
+    # is a side state, so its rows are never compiled
+    l1, l2, sig = pair_lts("c.a.(b.0 + t.b.0)", "c.(a.(b.0 + t.b.0) + a.tau.(b.0 + t.b.0))")
+    for name, check in [*CHECKS.items(), ("tb", tb_check)]:
+        compiled_rows.clear()
+        if name == "tb":
+            check(l1, 1, l2, 1)
+        else:
+            check(l1, 1, l2, 1, sigma=sig)
+        ctx = bisim._context(bisim.ThetaArena if name == "tob" else bisim.Arena, l1, l2,
+                             () if name == "tb" else sig)
+        arena = ctx.arena
+        side = set(ctx.side_states(1) + ctx.side_states(arena.state2(1)))
+        assert len(side) < arena.n
+        want = side | ({(p, x) for p in side for x in arena.xmasks}
+                       if name not in bisim.PAIR_FAMILIES else set())
+        assert {row for (a, family, rooted, _, row), _ in compiled_rows} == want
+        assert all(a is arena and family == name and not rooted
+                   for (a, family, rooted, _, _), _ in compiled_rows)
