@@ -19,11 +19,12 @@ partners at once, with the same rounds, ranks and refutation records as a
 per-entry check.  Each family's clauses are written once, in
 ``Arena._compile``: the rooted layer reads them strongly, matching a first
 step by the same step into the plain fixpoint.  They are compiled into a
-clause program per row, a tuple of ops, once per arena, family and layer,
-on the row's first read by the one loop, ``Arena.failing``, that runs them
-for every row a round judges.  A relation has that one form, rows, which
-``revalidate`` judges once, in place, with the same programs: a witness
-holds iff no row of it fails a clause.
+clause program per row, a tuple of ops naming their clauses, once per
+arena, family and layer, on the row's first read by the one loop,
+``Arena.failing``, that runs them for every row a round judges; ``lookup``
+renders the op an entry failed by when it reads it.  A relation has that
+one form, rows, which ``revalidate`` judges once, in place, with the same
+programs: a witness holds iff no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
 the arena of each kind, with its engine tables, and each plain fixpoint are
@@ -89,11 +90,10 @@ class Arena:
     reverse weak closure, built by the first ``program`` call, a row's
     clauses are decided for every partner at once: each gives the mask of
     partners it lets pass, in the order a per-entry check tries them, so
-    each failing partner gets the same first failing clause.  ``program``
-    keeps them, plain and rooted, as one clause program per row, once per
-    family, layer and keying of the triple rows; ``failing`` compiles a
-    row's program on its first read and runs the programs of the rows it
-    judges, once for ``revalidate`` and in each round of ``fixpoint``.
+    each failing partner gets the same first failing clause.  ``failing``
+    runs them as each judged row's clause program (``program``), compiled
+    on its first read, once for ``revalidate`` and in each round of
+    ``fixpoint``; ``why`` renders an op a partner failed by.
     """
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
@@ -121,19 +121,13 @@ class Arena:
         self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
         self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
         self.has_tau = [bool(self.tau_succ[s]) for s in range(self.n)]
-        self.vis_moves: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
         self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
         self.vis_mask = []
         bit = self.bit
         for s in range(self.n):
             vis = tuple((lab, ds) for lab, ds in sorted(self.out[s].items()) if lab in bit)
-            self.vis_moves.append(vis)
-            vt = vis + ((TAU, self.tau_succ[s]),) if self.has_tau[s] else vis
-            self.moves_vt.append(vt)
-            mask = 0
-            for lab, _ in vis:
-                mask |= bit[lab]
-            self.vis_mask.append(mask)
+            self.moves_vt.append(vis + ((TAU, self.tau_succ[s]),) if self.has_tau[s] else vis)
+            self.vis_mask.append(sum(bit[lab] for lab, _ in vis))
         self.encoded = any(lab not in bit and lab != TAU and lab != TIMEOUT
                            for moves in self.out for lab in moves)
         self.vmask = 0
@@ -358,12 +352,12 @@ class Arena:
         """The row compilers of ``program``, ``pair(arena, p)`` and
         ``triple(arena, p, x)``; they take the arena as an argument, so no
         closure over it is kept on it.  A program is a tuple of ops (kind,
-        a, b, why), one per clause instance in the order a per-entry check
-        tries them, why being (clause, info) with whichever of action, env
-        and derivative the clause names.  An op gives the mask of the
-        partners that pass it, read off the judged row p, its line (the pair
-        rows, or the triple rows under its mask) and the matched rows and
-        line (the plain fixpoint's in the rooted layer, else the same):
+        a, b, clause), one per clause instance in the order a per-entry
+        check tries them, clause naming it; ``why`` reads its details off
+        the op.  An op gives the mask of the partners that pass it, read off
+        the judged row p, its line (the pair rows, or the triple rows under
+        its mask) and the matched rows and line (the plain fixpoint's in the
+        rooted layer, else the same):
 
         - ``_WEAK``: those weakly reaching, within p's row, a state with an
           a-step into the matched row of b; ``_WEAK_TAU`` for a tau step
@@ -412,60 +406,67 @@ class Arena:
 
         def timeouts(arena, p, clause):
             """gbrb's 1b and 2c, tob's t2: each time-out of p under each y it idles under."""
-            return [(_TOB, y, arena.wrap(y, p2), (clause, {"env": y, "derivative": p2})) if tob
-                    else (_GPATH, y, p2, (clause, {"env": y, "derivative": p2}))
+            return [(_TOB, y, arena.wrap(y, p2), clause) if tob else (_GPATH, y, p2, clause)
                     for y, idles in idle.items() if idles >> p & 1 for p2 in arena.t_succ[p]]
 
         def pair(arena, p):
             moves = arena.moves_vt[p] if not tb else [   # tb1 reads no t or t_X, rtb1 all
                 (lab, ds) for lab, ds in sorted(arena.out[p].items())
                 if rooted or lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
-            ops = [(tau if lab == TAU else vis, lab, p2, (c1a, {"action": lab, "derivative": p2}))
-                   for lab, ds in moves for p2 in ds]
+            ops = [(tau if lab == TAU else vis, lab, p2, c1a) for lab, ds in moves for p2 in ds]
             if tb:
-                ops += [(_TPATH, None, p2, (c1b, {"derivative": p2}))
-                        for p2 in arena.t_succ[p] if not rooted]
+                ops += [(_TPATH, None, p2, c1b) for p2 in arena.t_succ[p] if not rooted]
             elif tob or generalised:
                 ops += timeouts(arena, p, c1b)
             else:
-                ops += [(_TRIPLE, x, None, (c1b, {"env": x})) for x in keys]
+                ops += [(_TRIPLE, x, None, c1b) for x in keys]
             # brb and cbrb ask a pair for its triples in 1b and have no 1c
             if not rooted and family not in ("brb", "cbrb") and not arena.has_tau[p]:
-                ops.append((_CONST, stable, None, (c1c, {})))
+                ops.append((_CONST, stable, None, c1c))
             return tuple(ops)
 
         def triple(arena, p, x):
-            ops = [(tau_line, TAU, p2, (c2a, {"derivative": p2})) for p2 in arena.tau_succ[p]]
+            ops = [(tau_line, TAU, p2, c2a) for p2 in arena.tau_succ[p]]
             idles = idle[x] >> p & 1
-            ops += [(vis, lab, p2, (c2b, {"action": lab, "derivative": p2}))
-                    for lab, ds in arena.vis_moves[p]
-                    if (generalised and idles) or arena.bit[lab] & x for p2 in ds]
+            # a state idle under x has no tau step, and tau has no bit
+            ops += [(vis, lab, p2, c2b) for lab, ds in arena.moves_vt[p]
+                    if (generalised and idles) or arena.bit.get(lab, 0) & x for p2 in ds]
             if idles and generalised:
                 ops += timeouts(arena, p, c2c)
             elif idles:
-                ops.append((_ROW, None, None, (c2c, {})))
-                ops += [(_STRONG_LINE, TIMEOUT, p2, (c2d, {"derivative": p2})) if rooted
-                        else (_CONCRETE, None, p2, (c2d, {"derivative": p2})) if concrete
-                        else (_TPATH, idle[x], p2, (c2d, {"derivative": p2}))
-                        for p2 in arena.t_succ[p]]
+                kind, a = ((_STRONG_LINE, TIMEOUT) if rooted else (_CONCRETE, None) if concrete
+                           else (_TPATH, idle[x]))
+                ops += [(_ROW, None, None, c2c)] + [(kind, a, p2, c2d) for p2 in arena.t_succ[p]]
             if not rooted and not arena.has_tau[p]:
-                ops.append((_CONST, stable, None, (c2e, {})))
+                ops.append((_CONST, stable, None, c2e))
             return tuple(ops)
         return pair, triple
 
+    def why(self, op) -> Tuple[str, dict]:
+        """(clause, info) of an op, info a new dict of the action, env and
+        derivative it names (for ``_TOB``, the state b wraps)."""
+        kind, a, b, clause = op
+        info = {"action": a} if clause.lstrip("r") in ("1a", "t1", "tb1", "2b") else {}
+        if kind in (_TRIPLE, _GPATH, _TOB):
+            info["env"] = a
+        if b is not None:
+            info["derivative"] = self.wrap_key[b][1] if kind == _TOB and b in self.wrap_key else b
+        return clause, info
+
     # -- drivers -------------------------------------------------------------
-    def failing(self, program, rows, trows, plain, todo, memo):
+    def failing(self, family, rows, trows, plain, todo, memo):
         """The rows of ``todo`` with a failing partner, as (p, x, line,
-        [(mask of partners, why), ...], mask of all failing partners), x
+        [(mask of partners, op), ...], mask of all failing partners), x
         None for a pair row: pair rows first, then triple rows in (p, x)
-        order, each judged by its clause program, compiled on its first
-        read, against the rows as they stand (``plain``, the plain
-        fixpoint's (rows, trows), matches the rooted layer's steps).  A
-        partner fails by the first op it does not pass, and a row stops once
-        no partner is left.  Nothing but a row's program is written, so a
-        caller may stop early."""
-        pairs, triples, compile_pair, compile_triple = program
+        order, each judged by its row's ``program`` of the family's layer,
+        compiled on its first read, against the rows as they stand
+        (``plain``, the plain fixpoint's (rows, trows), matches the rooted
+        layer's steps).  A partner fails by the first op it does not pass,
+        and a row stops once no partner is left.  Nothing but a row's
+        program is written, so a caller may stop early."""
         rooted = plain is not None
+        pairs, triples, compile_pair, compile_triple = self.program(
+            family, None if trows is None else tuple(trows), rooted)
         mrows, mtrows = plain if rooted else (rows, trows)
         pred, rweak = self.pred, self.rweak
         lines = [(x, trows[x], mtrows[x], progs) for x, progs in (triples or {}).items()]
@@ -478,7 +479,8 @@ class Arena:
                                    else compile_triple(self, p, x))
             live = alive = line[p]
             fails = []
-            for kind, a, b, why in prog:
+            for op in prog:
+                kind, a, b, _ = op
                 if kind <= _STRONG_LINE:   # a step, through the memo as _pre and _reaching
                     t = mline[b] if kind & 1 else mrows[b]
                     ok = memo.get((a, t))
@@ -511,7 +513,7 @@ class Arena:
                                          else self._unwrap(a, rows[p], memo), target, memo)
                 bad = live & ~ok
                 if bad:
-                    fails.append((bad, why))
+                    fails.append((bad, op))
                     live ^= bad
                     if not live:
                         break
@@ -535,18 +537,16 @@ class Arena:
         is the plain fixpoint's (rows, trows) when the store is a rooted layer.
         """
         rows, trows = store.rows, store.trows
-        program = self.program(family, None if trows is None else tuple(trows), plain is not None)
         weight = self.class_size
         alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
                                 if trows else 0)
         iterations = checked = 0
-        changed = -1
+        todo = range(self.n)
         memo = {}
         while True:
             iterations += 1
             checked += alive
-            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
-            bad = list(self.failing(program, rows, trows, plain, todo, memo))
+            bad = list(self.failing(family, rows, trows, plain, todo, memo))
             if not bad:
                 return iterations, checked
             changed = 0
@@ -565,6 +565,7 @@ class Arena:
                     if gone:
                         line[q] ^= gone
                         alive -= w * gone.bit_count()
+            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
 
 
 class ThetaArena(Arena):
@@ -690,10 +691,10 @@ class RelationStore:
     effective masks.
 
     The row engine logs its deletions in ``row_kills`` as (round, row key,
-    [(mask of q, why), ...]), where the row key is (p,) or (p, x), one line
-    per killed row; a why is the failing clause and its detail.  That log is
-    the one record of a fixpoint's deletions, and ``lookup`` reads an entry
-    off it.  ``iterations`` and ``checked`` count the fixpoint's rounds and
+    [(mask of q, op), ...]), where the row key is (p,) or (p, x), one line
+    per killed row, and op is the clause program's op q failed by.  That
+    log is the one record of a fixpoint's deletions, and ``lookup`` reads
+    an entry off it.  ``iterations`` and ``checked`` count the fixpoint's rounds and
     entry checks.
 
     A plain store of the row engine is kept in its pair context and shared
@@ -749,10 +750,10 @@ class RelationStore:
 
     def lookup(self, entry) -> Tuple[Optional[int], Optional[tuple]]:
         """(round, why) of a pair or of a triple under any declared mask:
-        the round that deleted it, in either orientation, and the clause it
-        failed by its own check, or None where it died only as its mirror
-        did.  Read off the row log, indexed by row key on first use: the
-        row of p, or else of q, whose logged masks hold the partner."""
+        the round that deleted it, in either orientation, and ``Arena.why``
+        of the op it failed by its own check, new on each call, or None where
+        it died only as its mirror did.  Read off the row log, indexed by row
+        key on first use: p's row, or else q's, whose masks hold the partner."""
         if self._log is None:
             self._log = {}
             for rnd, key, fails in self.row_kills:
@@ -761,9 +762,9 @@ class RelationStore:
         env = (entry[1] & self.arena.vmask,) if len(entry) == 3 else ()
         for row, partner in ((p, q), (q, p)):
             for rnd, fails in self._log.get((row,) + env, ()):
-                for mask, why in fails:
+                for mask, op in fails:
                     if mask >> partner & 1:
-                        return rnd, why if row == p else None
+                        return rnd, self.arena.why(op) if row == p else None
         return None, None
 
     def has_pair(self, i, j) -> bool:
@@ -1252,9 +1253,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
-        arena = st.arena
-        program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
-        if next(arena.failing(program, st.rows, trows, plain, range(arena.n), {}), None):
+        if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n), {}), None):
             return False
         plain = _matched(st.rows, trows, witness.twin)
     return True

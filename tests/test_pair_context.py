@@ -298,3 +298,34 @@ def test_a_plain_fixpoint_compiles_only_its_side_states_rows(compiled_rows):
         assert {row for (a, family, rooted, _, row), _ in compiled_rows} == want
         assert all(a is arena and family == name and not rooted
                    for (a, family, rooted, _, _), _ in compiled_rows)
+
+
+def test_each_lookup_builds_the_details_it_returns(run_steps, compiled_rows):
+    # the row log keeps the op an entry failed by, and each lookup renders
+    # its (clause, info) anew: writing one lookup's info changes no later
+    # lookup of the entry, no later check's refutation records on the pair
+    # and no distinguishing formula
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1, 4}, True), frozenset({"a", "b"})
+
+    def formulas():
+        return [repr(distinguish(l1, 0, l2, 0, fragment, sigma=sig))
+                for fragment in ("Lb", "Lbr")]
+
+    before = formulas()
+    for name, check in CHECKS.items():
+        first = check(l1, 0, l2, 0, sigma=sig)
+        kind = bisim.ThetaArena if name == "tob" else bisim.Arena
+        store = bisim._context(kind, l1, l2, sig).stores[name, 0, 0]
+        gq = store.arena.state2(0)
+        entry = next(e for e in [(0, gq), (gq, 0)] if store.lookup(e)[1] is not None)
+        rnd, (clause, info) = store.lookup(entry)
+        kept = dict(info)
+        assert kept and first.refutation
+        info.clear()
+        assert store.lookup(entry) == (rnd, (clause, kept))
+        assert check(l1, 0, l2, 0, sigma=sig).refutation == first.refutation
+    assert formulas() == before
+    # every op compiled over the pair, plain and rooted, names its clause alone
+    run_steps(steps(sig), l1, l2, encodings(l1, l2, sig))
+    ops = [op for _, prog in compiled_rows for op in prog]
+    assert ops and all(type(op[-1]) is str for op in ops)

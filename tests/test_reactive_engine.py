@@ -32,6 +32,11 @@ def declared(arena):
     return range(1 << len(arena.sigma))
 
 
+def vis_moves(arena, p):
+    """p's moves by visible actions, in label order, read off ``out``."""
+    return [(lab, ds) for lab, ds in sorted(arena.out[p].items()) if lab in arena.bit]
+
+
 class _ReactiveChecker:
     """Shared matching machinery for the triple-based definitions."""
 
@@ -153,7 +158,7 @@ class BrbChecker(_ReactiveChecker):
         for p2 in a.tau_succ[p]:
             if not self._match_tau_triple(p, x, p2, q):
                 return ("2a", {"derivative": p2})
-        for lab, targets in a.vis_moves[p]:
+        for lab, targets in vis_moves(a, p):
             if a.bit.get(lab, 0) & x:
                 for p2 in targets:
                     if not self._match_vis_triple(p, x, lab, p2, q):
@@ -206,7 +211,7 @@ class GbrbChecker(_ReactiveChecker):
             if not self._match_tau_triple(p, x, p2, q):
                 return ("2a", {"derivative": p2})
         idle = a.idle(p, x)
-        for lab, targets in a.vis_moves[p]:
+        for lab, targets in vis_moves(a, p):
             if idle or a.bit.get(lab, 0) & x:
                 for p2 in targets:
                     if not self._match_vis_triple(p, x, lab, p2, q):
@@ -247,7 +252,7 @@ class RootedBrbChecker:
         for p2 in a.tau_succ[p]:
             if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
                 return ("r2a", {"derivative": p2})
-        for lab, targets in a.vis_moves[p]:
+        for lab, targets in vis_moves(a, p):
             if a.bit.get(lab, 0) & x:
                 qsucc = a.out[q].get(lab, ())
                 for p2 in targets:
@@ -292,7 +297,7 @@ class RootedGbrbChecker:
             if not any((p2, x, q2) in plain.triples for q2 in a.tau_succ[q]):
                 return ("r2a", {"derivative": p2})
         idle = a.idle(p, x)
-        for lab, targets in a.vis_moves[p]:
+        for lab, targets in vis_moves(a, p):
             if idle or a.bit.get(lab, 0) & x:
                 qsucc = a.out[q].get(lab, ())
                 for p2 in targets:
@@ -555,18 +560,16 @@ def sequential_fixpoint(arena, store, family, plain=None):
     replaced.  The rows are judged by the same clause programs, and each
     row's dead partners are read off its failing clauses."""
     rows, trows = store.rows, store.trows
-    program = arena.program(family, None if trows is None else tuple(trows), plain is not None)
     weight = arena.class_size
     alive = bisim._count(rows) + (weight * sum(bisim._count(line) for line in trows.values())
                                   if trows else 0)
     iterations = checked = 0
-    changed = -1
+    todo = range(arena.n)
     memo = {}
     while True:
         iterations += 1
         checked += alive
-        todo = [p for p, deps in enumerate(arena.deps) if deps & changed]
-        bad = list(arena.failing(program, rows, trows, plain, todo, memo))
+        bad = list(arena.failing(family, rows, trows, plain, todo, memo))
         if not bad:
             return iterations, checked
         changed = 0
@@ -584,6 +587,7 @@ def sequential_fixpoint(arena, store, family, plain=None):
                 if line[q] >> p & 1:
                     line[q] ^= 1 << p
                     alive -= w
+        todo = [p for p, deps in enumerate(arena.deps) if deps & changed]
 
 
 def run_fixpoints(fixpoint, arena, family, rooted):
