@@ -110,29 +110,39 @@ class Arena:
         if l2 is not None:
             off = self.offset
             self.tags.extend(l2.tags)
-            self.out.extend({lab: tuple(d + off for d in ds) for lab, ds in l2.out(s).items()}
+            self.out.extend({lab: tuple([d + off for d in ds]) for lab, ds in l2.out(s).items()}
                             for s in range(len(l2)))
+        self._names: Dict[int, str] = {}
         self._build_tables()
 
-    def _build_tables(self):
-        """Move tables of every state in ``out``; the weak closure, stability
+    def _build_tables(self, start: int = 0):
+        """Move tables of the states of ``out`` from ``start`` on, one loop
+        per state, appended to those of the states before it (a
+        ``ThetaArena`` appends its wrappers'); the weak closure, stability
         and the engine's tables are dropped until their next read."""
-        self.n = len(self.out)
-        self.tau_succ = [self.out[s].get(TAU, ()) for s in range(self.n)]
-        self.t_succ = [self.out[s].get(TIMEOUT, ()) for s in range(self.n)]
-        self.has_tau = [bool(self.tau_succ[s]) for s in range(self.n)]
-        self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
-        self.vis_mask = []
+        if not start:
+            self.tau_succ, self.t_succ, self.has_tau = [], [], []
+            self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
+            self.vis_mask, self.vmask, self.encoded = [], 0, False
         bit = self.bit
-        for s in range(self.n):
-            vis = tuple((lab, ds) for lab, ds in sorted(self.out[s].items()) if lab in bit)
-            self.moves_vt.append(vis + ((TAU, self.tau_succ[s]),) if self.has_tau[s] else vis)
-            self.vis_mask.append(sum(bit[lab] for lab, _ in vis))
-        self.encoded = any(lab not in bit and lab != TAU and lab != TIMEOUT
-                           for moves in self.out for lab in moves)
-        self.vmask = 0
-        for mask in self.vis_mask:
+        for moves in self.out[start:]:
+            tau = moves.get(TAU, ())
+            vis, mask = [], 0
+            for lab, ds in sorted(moves.items()):
+                if lab in bit:
+                    vis.append((lab, ds))
+                    mask |= bit[lab]
+                elif lab != TAU and lab != TIMEOUT:
+                    self.encoded = True
+            if tau:
+                vis.append((TAU, tau))
+            self.tau_succ.append(tau)
+            self.t_succ.append(moves.get(TIMEOUT, ()))
+            self.has_tau.append(bool(tau))
+            self.moves_vt.append(tuple(vis))
+            self.vis_mask.append(mask)
             self.vmask |= mask
+        self.n = len(self.out)
         self.class_size = 1 << (len(self.sigma) - self.vmask.bit_count())
         # filled on first read; not through functools.cached_property, which
         # writes the instance dict and so materialises it, after which
@@ -201,7 +211,11 @@ class Arena:
         return self.reach(root)
 
     def describe(self, s: int) -> str:
-        return str(self.tags[s])
+        """The name of state ``s`` in refutation records, rendered once."""
+        got = self._names.get(s)
+        if got is None:
+            got = self._names[s] = str(self.tags[s])
+        return got
 
     # -- the engine's tables ------------------------------------------------
     def _engine_tables(self):
@@ -334,11 +348,12 @@ class Arena:
         if self.pred is None:
             self._engine_tables()
         if self.rweak is None and not rooted:   # the tables only a plain layer reads
-            self.unstable = sum(1 << s for s, stable in enumerate(self.stable) if not stable)
             rweak = [0] * self.n   # rweak[y]: the states q with y in weak[q]
             for s, ys in enumerate(self.weak):
                 for y in ys:
                     rweak[y] |= 1 << s
+            # the states that weakly reach no state without a tau step
+            self.unstable = ~_gather(rweak, self.notau)
             self.rweak = rweak
         key = family, rooted, keys
         got = self._programs.get(key)
@@ -529,19 +544,20 @@ class Arena:
         off ``store.row_kills``, come out the same.  A round then leaves
         S & ~D & ~D^T, whatever the order: each bad row drops its own dead
         partners D[p], and the rows sharing one line and one dead mask are
-        cleared from each of those partners' rows at once.  A state's rows
-        are judged again only when a row it reads has changed: its own, a
-        successor's or, for ``tob``, that of a t-successor's wrapper.  A
+        cleared from each of those partners' rows at once.  Only the states
+        seeded with an entry are judged (two in a rooted layer), and again
+        only when a row they read has changed: their own, a successor's or,
+        for ``tob``, that of a t-successor's wrapper.  A
         triple row counts once per declared mask of its class in the
         entries checked.  ``family`` names the clause program, and ``plain``
         is the plain fixpoint's (rows, trows) when the store is a rooted layer.
         """
         rows, trows = store.rows, store.trows
+        lines = list(trows.values()) if trows else []
         weight = self.class_size
-        alive = _count(rows) + (weight * sum(_count(line) for line in trows.values())
-                                if trows else 0)
+        alive = _count(rows) + weight * sum(_count(line) for line in lines)
         iterations = checked = 0
-        todo = range(self.n)
+        seeded = todo = [p for p, held in enumerate(zip(rows, *lines)) if any(held)]
         memo = {}
         while True:
             iterations += 1
@@ -565,7 +581,8 @@ class Arena:
                     if gone:
                         line[q] ^= gone
                         alive -= w * gone.bit_count()
-            todo = [p for p, deps in enumerate(self.deps) if deps & changed]
+            deps = self.deps
+            todo = [p for p in seeded if deps[p] & changed]
 
 
 class ThetaArena(Arena):
@@ -593,8 +610,9 @@ class ThetaArena(Arena):
     it.
 
     Before the wrappers are built, an encoded input is refused and the
-    states they can add are counted against the pair budget.  A wrapper is
-    named from ``wrap_key`` when it is described.
+    states they can add are counted against the pair budget; their move
+    tables are then appended to the base states'.  A wrapper is named from
+    ``wrap_key`` when it is described.
     """
 
     def __init__(self, l1, l2=None, sigma=()):
@@ -621,7 +639,7 @@ class ThetaArena(Arena):
                 if self.bit.get(lab, 0) & x:
                     moves.setdefault(lab, []).extend(ds)
             self.out.append({lab: tuple(dict.fromkeys(ds)) for lab, ds in moves.items()})
-        self._build_tables()
+        self._build_tables(base)
 
     def wrap(self, x: int, s: int) -> int:
         """Index of the state ``s`` wrapped under x: ``s`` itself if
@@ -818,19 +836,19 @@ class Verdict:
         }, indent=2, sort_keys=True)
 
 
-def _refutation_records(store: RelationStore, entries) -> List[dict]:
+def _refutation_records(store: RelationStore, entries,
+                        xmask: Optional[int] = None) -> List[dict]:
+    """The records of the entries that failed by their own check; a record's
+    ``env`` names a triple's mask, or ``xmask``, the queried set of a
+    wrapped pair, as given."""
     arena = store.arena
     out = []
     for entry in entries:
         why = store.lookup(entry)[1]
         if why is None:
             continue
-        if len(entry) == 2:
-            i, j = entry
-            env = None
-        else:
-            i, x, j = entry
-            env = sorted(arena.mask_names(x))
+        i, x, j = entry if len(entry) == 3 else (entry[0], xmask, entry[1])
+        env = None if x is None else sorted(arena.mask_names(x))
         clause, info = why
         detail = []
         if "action" in info:
@@ -850,7 +868,7 @@ def _refutation_records(store: RelationStore, entries) -> List[dict]:
 
 
 def _count(rows: List[int]) -> int:
-    return sum(row.bit_count() for row in rows)
+    return sum(map(int.bit_count, rows))
 
 
 def _bits(mask: int) -> List[int]:
@@ -1051,7 +1069,7 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     ctx = _context(ThetaArena if family == "tob" else Arena, l1, l2, sigma)
     arena = ctx.arena
     gq = arena.state2(q)
-    entry = (p, gq)
+    entry, x = (p, gq), None
     if env is not None:
         x = arena.mask_of(env)
         entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
@@ -1060,7 +1078,7 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
     return Verdict(relation + "-rooted" if rooted else relation, alive, arena.sigma,
                    store.iterations, store.checked,
-                   [] if alive else _refutation_records(store, [entry, entry[::-1]]),
+                   [] if alive else _refutation_records(store, [entry, entry[::-1]], x),
                    store if alive else None)
 
 

@@ -50,9 +50,9 @@ class Encoding(Lts):
     plain encoding ``twin_encoding`` gives.
     """
 
-    def __init__(self, tags, transitions, sigma, labels, codes: List[int],
+    def __init__(self, tags, transitions, out, sigma, labels, codes: List[int],
                  index: Dict[int, int], twin_of: Optional[tuple] = None):
-        super().__init__(tags, transitions, 0, sigma=sigma, labels=labels)
+        self._init(tags, tuple(transitions), out, 0, sigma, labels)
         self.codes = codes
         self.rooted = twin_of is not None
         self.index: Optional[Dict[int, int]] = None if self.rooted else index
@@ -104,54 +104,66 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
 
 
 def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding:
+    """Explore the encoding, writing each state's moves as ``Lts`` would
+    group them; no transition repeats, as each label's targets are distinct."""
     xs = subsets(sig)
     bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
     xmask = [sum(bit[a] for a in x) for x in xs]
     eps = [eps_label(x) for x in xs]
     tlab = [t_label(x) for x in xs] if rooted else []
     stride = len(xs) + 1
-    out = [lts.out(s) for s in range(len(lts))]
-    tau = [o.get(TAU, ()) for o in out]
-    tout = [o.get(TIMEOUT, ()) for o in out]
+    moves = [lts.out(s) for s in range(len(lts))]
+    tau = [o.get(TAU, ()) for o in moves]
+    tout = [o.get(TIMEOUT, ()) for o in moves]
     # s idles under X iff it has no tau step and offers no action of X
-    offers = [sum(bit[a] for a in o if a in lts.sigma) for o in out]
+    offers = [sum(bit[a] for a in o if a in lts.sigma) for o in moves]
     if max_states < 1:
         raise StateBudgetExceeded(1, max_states)
     codes = [(lts.initial * stride) << 1 | rooted]
     index: Dict[int, int] = {codes[0]: 0}
     transitions: List[Tuple[int, str, int]] = []
+    out: List[Optional[Dict[str, Tuple[int, ...]]]] = [None]   # by state, once explored
     frontier = [0]
     while frontier:
         i = frontier.pop()
         code = codes[i]
         s, slot = divmod(code >> 1, stride)
         rb = code & 1
+        # (label, target codes), each label's targets together
         if slot == 0:
-            outgoing = [(lab, (d * stride) << 1 | rb)
-                        for lab, targets in out[s].items() if lab != TIMEOUT for d in targets]
+            groups = [(lab, [(d * stride) << 1 | rb for d in targets])
+                      for lab, targets in moves[s].items() if lab != TIMEOUT]
             settle = (s * stride) << 1 | rb
-            outgoing += [(eps[k], settle + ((k + 1) << 1)) for k in range(len(xs))]
-            if rb and not tau[s]:   # rooted time-outs, fused with settling on X
-                outgoing += [(tlab[k], (d * stride + k + 1) << 1)
-                             for k, m in enumerate(xmask) if not offers[s] & m for d in tout[s]]
+            groups += [(eps[k], (settle + ((k + 1) << 1),)) for k in range(len(xs))]
+            if rb and tout[s] and not tau[s]:   # rooted time-outs, fused with settling on X
+                groups += [(tlab[k], [(d * stride + k + 1) << 1 for d in tout[s]])
+                           for k, m in enumerate(xmask) if not offers[s] & m]
         else:
             m = xmask[slot - 1]
-            outgoing = [(TAU, (d * stride + slot) << 1 | rb) for d in tau[s]]
-            outgoing += [(lab, (d * stride) << 1) for lab, targets in out[s].items()
-                         if bit.get(lab, 0) & m for d in targets]
+            groups = [(TAU, [(d * stride + slot) << 1 | rb for d in tau[s]])] if tau[s] else []
+            groups += [(lab, [(d * stride) << 1 for d in targets])
+                       for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
             if not tau[s] and not offers[s] & m:
-                outgoing.append((T_EPS, (s * stride) << 1 | rb))
-                outgoing += [(TIMEOUT, (d * stride + slot) << 1 | rb) for d in tout[s]]
-        for lab, target in outgoing:
-            j = index.get(target)
-            if j is None:
-                j = len(codes)
-                if j >= max_states:
-                    raise StateBudgetExceeded(j + 1, max_states)
-                index[target] = j
-                codes.append(target)
-                frontier.append(j)
-            transitions.append((i, lab, j))
+                groups.append((T_EPS, ((s * stride) << 1 | rb,)))
+                if tout[s]:
+                    groups.append((TIMEOUT, [(d * stride + slot) << 1 | rb for d in tout[s]]))
+        mine = out[i] = {}
+        for lab, targets in groups:
+            js = []
+            for target in targets:
+                j = index.get(target)
+                if j is None:
+                    j = len(codes)
+                    if j >= max_states:
+                        raise StateBudgetExceeded(j + 1, max_states)
+                    index[target] = j
+                    codes.append(target)
+                    out.append(None)
+                    frontier.append(j)
+                js.append(j)
+                transitions.append((i, lab, j))
+            # a source label may be an encoding's own (an encoded system encoded again)
+            mine[lab] = mine[lab] + tuple(js) if lab in mine else tuple(js)
 
     modes = ((TRIGGERED, ENV), (TRIGGERED_ROOTED, ENV_ROOTED))
     tags = []
@@ -159,7 +171,7 @@ def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding
         s, slot = divmod(code >> 1, stride)
         tags.append(EncodedState(modes[code & 1][slot > 0], xs[slot - 1] if slot else None, s))
     labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab))
-    return Encoding(tags, transitions, sig, labels, codes, index,
+    return Encoding(tags, transitions, out, sig, labels, codes, index,
                     (lts, sig, max_states) if rooted else None)
 
 

@@ -232,33 +232,48 @@ class Lts:
     """A finite LTS with indexed states and a fixed label universe.
 
     ``tags`` carries one descriptive object per state (a term, an encoding
-    tag, or a plain name).  ``sigma`` is the visible alphabet: the declared
-    names and every visible transition label, classified once here.  Derived
-    tables (successors, weak reachability, stability) are computed once and
-    cached.
+    tag, or a plain name).  The transitions are kept once each, in the order
+    they first occur, and grouped in the same pass into each state's moves
+    (``out``): its labels in the order they first occur, each with its
+    targets in order.  An initial state or a transition outside the states
+    is refused with a ``ValueError``.  ``sigma`` is the visible alphabet:
+    the declared names and every visible transition label, classified once
+    here.  Derived tables (weak reachability) are computed once and cached.
     """
 
     def __init__(self, tags: Sequence, transitions: Iterable[Tuple[int, str, int]],
                  initial: int = 0, sigma: Iterable[str] = (),
                  labels: Optional[Iterable[str]] = None):
-        self.tags = list(tags)
-        self.transitions = tuple(dict.fromkeys(transitions))
-        self.initial = initial
-        n = len(self.tags)
-        for s, lab, d in self.transitions:
+        tags = list(tags)
+        n = len(tags)
+        transitions = tuple(dict.fromkeys(transitions))
+        out: List[Dict[str, list]] = [{} for _ in range(n)]
+        for s, lab, d in transitions:
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"transition ({s},{lab!r},{d}) out of range")
-        seen = {lab for _, lab, _ in self.transitions}
+            moves = out[s]
+            if lab in moves:
+                moves[lab].append(d)
+            else:
+                moves[lab] = [d]
+        for moves in out:
+            for lab, ds in moves.items():
+                moves[lab] = tuple(ds)
+        self._init(tags, transitions, out, initial, sigma, labels)
+
+    def _init(self, tags: list, transitions: tuple, out: List[Dict[str, Tuple[int, ...]]],
+              initial: int, sigma: Iterable[str], labels: Optional[Iterable[str]]):
+        """Set the fields from transitions kept once each and grouped into
+        ``out`` as ``Lts`` groups them (an ``Encoding`` writes its own)."""
+        if not 0 <= initial < len(tags):
+            raise ValueError(f"initial state {initial!r} out of range "
+                             f"for a system of {len(tags)} states")
+        self.tags, self.transitions, self._out, self.initial = tags, transitions, out, initial
+        seen = set().union(*out)
         self.sigma = visible_alphabet(sigma) | {l for l in seen if is_visible(l)}
         universe = set(labels) if labels is not None else set()
         universe |= seen | self.sigma | {TAU, TIMEOUT}
         self.labels = frozenset(universe)
-        self._out: List[Dict[str, Tuple[int, ...]]] = [dict() for _ in range(n)]
-        grouped: Dict[Tuple[int, str], List[int]] = {}
-        for s, lab, d in self.transitions:
-            grouped.setdefault((s, lab), []).append(d)
-        for (s, lab), ds in grouped.items():
-            self._out[s][lab] = tuple(dict.fromkeys(ds))
         self._weak: Optional[List[Tuple[int, ...]]] = None
 
     # -- basic queries ------------------------------------------------------

@@ -214,7 +214,7 @@ def test_tob_environment_reads_nested_wrappers():
     for env in (["a"], ["a", "b"]):
         v = tob_check(l1, 0, l2, 0, sigma=sig, env=env)
         assert v.refutation == [{
-            "lhs": f"theta{{{','.join(env)}}}(a.0)", "rhs": "t.b.0", "env": None,
+            "lhs": f"theta{{{','.join(env)}}}(a.0)", "rhs": "t.b.0", "env": env,
             "clause": "t1", "detail": "action a; derivative 0"}]
 
 
@@ -656,3 +656,47 @@ def test_timeout_free_coincidence(rng):
         reactive = brb_check(l1, 0, l2, 0, sigma=sig).equivalent
         raw = tb_check(l1, 0, l2, 0).equivalent
         assert reactive == raw, (str(t1), str(t2))
+
+
+def test_a_rooted_layer_judges_only_its_seeded_states(monkeypatch):
+    # a rooted layer is seeded with the queried entry alone, so each of its
+    # rounds judges the rows of those two states and no other state's
+    todos = []
+    failing = bisim.Arena.failing
+
+    def spy(self, family, rows, trows, plain, todo, memo):
+        if plain is not None:
+            todos.append(list(todo))
+        return failing(self, family, rows, trows, plain, todo, memo)
+
+    monkeypatch.setattr(bisim.Arena, "failing", spy)
+    # in the rings, a killed root has predecessors, whose rows read its row
+    pairs = [pair_lts("a.(b.0 + t.a.0) + tau.a.b.0", "a.(b.0 + t.a.0) + tau.a.0"),
+             (ring(8, {1}, False), ring(8, {2}, True), frozenset({"a", "b"}))]
+    for l1, l2, sig in pairs:
+        e1, e2 = encode(l1, rooted=True), encode(l2, rooted=True)
+        runs = [(check, l1, l2, {"sigma": sig})
+                for check in (brb_check, gbrb_check, cbrb_check, tob_check)]
+        runs += [(tob_check, l1, l2, {"sigma": sig, "env": ["a"]}), (tb_check, e1, e2, {})]
+        for check, left, right, kw in runs:
+            todos.clear()
+            check(left, 0, right, 0, rooted=True, **kw)
+            # the queried pair, or under an environment its two wrappers
+            assert todos and all(0 < len(set(todo)) <= 2 for todo in todos), check
+            if "env" not in kw:
+                assert all(set(todo) <= {0, len(left)} for todo in todos), check
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_tob_records_name_the_queried_environment(rooted):
+    # a tob query under an environment judges the wrapped pair, and its
+    # records name the environment as given, as brbX's name their triple's
+    l1, l2, sig = pair_lts("a.0 + t.b.0", "a.0")
+    for env in (["b"], []):   # under {a} the pair is equivalent
+        tob = tob_check(l1, 0, l2, 0, rooted=rooted, sigma=sig, env=env)
+        brbx = brb_X_check(l1, 0, l2, 0, env, sigma=sig, rooted=rooted)
+        assert not tob.equivalent and not brbx.equivalent
+        assert tob.refutation and {r["env"] == env for r in tob.refutation} == {True}
+        assert {r["env"] == env for r in brbx.refutation} == {True}
+    assert all(r["env"] is None for r in tob_check(l1, 0, l2, 0, rooted=rooted,
+                                                  sigma=sig).refutation)

@@ -46,6 +46,17 @@ def test_check_tob_reads_env(proc, capsys):
     assert main(["check", "--rel", "tob", "--env", "b", one, two]) == 1
 
 
+def test_records_under_an_environment_name_it_as_given(proc, capsys):
+    # tob judges the wrapped pair, brbX the triple; both name the set queried
+    one = proc("one.proc", "a.0 + t.b.0")
+    two = proc("two.proc", "a.0")
+    for rel in ("tob", "tob-rooted", "brbX"):
+        capsys.readouterr()
+        assert main(["check", "--fmt", "json", "--rel", rel, "--env", "b", one, two]) == 1
+        records = json.loads(capsys.readouterr().out)["refutation"]
+        assert records and all(r["env"] == ["b"] for r in records), rel
+
+
 def test_env_without_an_environment_relation_is_a_usage_error(proc, capsys):
     path = proc("p.proc", "a.0")
     for rel in set(cli.RELATIONS) - set(cli.ENV_RELATIONS):

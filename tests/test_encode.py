@@ -3,7 +3,7 @@ import pytest
 
 from ccspt import LabelUniverseMismatch, brb_check, brb_X_check, encode, tb_check
 from ccspt.encode import ENV, EncodedState, encoded_entry
-from ccspt.semantics import T_EPS, Lts, eps_label, t_label
+from ccspt.semantics import T_EPS, Lts, eps_label, from_aut, t_label, to_aut
 from conftest import lts_of
 
 
@@ -135,3 +135,22 @@ def test_twins_are_the_plain_mode_states_with_the_same_base_and_mask():
             tag.mode.removesuffix("_r"), tag.allowed, tag.base)
     # and every plain state is the twin of one
     assert {plain.index[code & ~1] for code in rooted.codes} == set(range(len(plain)))
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_an_encoding_groups_its_moves_as_lts_does(rng, rooted):
+    # an encoding writes each state's moves while it explores; they must be
+    # what Lts groups from the same transitions, labels and targets in the
+    # same order, with no transition repeated; the last system is an
+    # encoding read back and encoded again, whose own eps labels a state
+    # offers beside the settling ones
+    from ccspt.sampling import random_process
+    systems = [random_process(rng, ("a", "b"), depth=3, max_states=10)[1] for _ in range(25)]
+    systems.append(from_aut(to_aut(encode(lts_of("a.0 + t.b.0")))))
+    for lts in systems:
+        enc = encode(lts, rooted=rooted, sigma={"a", "b"})
+        grouped = Lts(enc.tags, enc.transitions, enc.initial, enc.sigma, enc.labels)
+        assert enc.transitions == grouped.transitions
+        assert ([list(enc.out(s).items()) for s in range(len(enc))]
+                == [list(grouped.out(s).items()) for s in range(len(grouped))])
+        assert (enc.sigma, enc.labels) == (grouped.sigma, grouped.labels)

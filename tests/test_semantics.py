@@ -368,3 +368,14 @@ def test_deep_choice_chain_still_builds():
     for _ in range(9_950):
         term = Choice(term, Prefix("b", NIL))
     assert build_lts(term).num_states == 2
+
+
+@pytest.mark.parametrize("initial", [-1, 1, 3])
+def test_an_initial_state_outside_the_states_is_refused(initial):
+    # as a transition out of range is, before anything reads the system
+    # (encode used to fail on such an initial state with a bare IndexError)
+    with pytest.raises(ValueError, match=f"initial state {initial} out of range"):
+        Lts(["s0"], [], initial=initial)
+    with pytest.raises(ValueError, match=r"transition \(0,'a',1\) out of range"):
+        Lts(["s0"], [(0, "a", 1)])
+    assert Lts(["s0", "s1"], [(0, "a", 1)], initial=1).initial == 1

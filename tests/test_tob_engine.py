@@ -12,6 +12,7 @@ nested wrappers as states of their own instead, and the engine must agree
 with the reference over it on the base states and their wrappers.
 """
 
+import copy
 import random
 from functools import partial
 
@@ -136,8 +137,8 @@ class RefRootedTob:
 class DeclaredThetaArena(ThetaArena):
     """One wrapper per declared mask, as if no mask were quotiented by V."""
 
-    def _build_tables(self):
-        super()._build_tables()
+    def _build_tables(self, start=0):
+        super()._build_tables(start)
         self.vmask, self.class_size = self.full_mask, 1
 
 
@@ -227,11 +228,11 @@ def assert_same(engine_store, l1, l2, sig, rooted, envs=False):
     ref, gq = ref_tob(l1, l2, sig, rooted)
     arena = ref.arena
 
-    def same_verdict(v, store, entry, ref):
+    def same_verdict(v, store, entry, ref, x=None):
         assert v.equivalent == (entry in ref.pairs)
         assert (v.iterations, v.entries_checked) == (ref.iterations, ref.checked)
         assert v.refutation == ([] if v.equivalent else
-                                bisim._refutation_records(ref, [entry, entry[::-1]]))
+                                bisim._refutation_records(ref, [entry, entry[::-1]], x))
         same_store(store, ref, triples=False)
         if rooted:
             same_store(store.plain, ref.plain, triples=False)
@@ -241,7 +242,7 @@ def assert_same(engine_store, l1, l2, sig, rooted, envs=False):
     for x in (declared(arena) if envs else ()):
         entry = (arena.wrap(x, l1.initial), arena.wrap(x, gq))
         ve, st = engine_store(tob_check, l1, l2, sig, rooted=rooted, env=arena.mask_names(x))
-        same_verdict(ve, st, entry, ref_rooted(ref.plain, entry) if rooted else ref)
+        same_verdict(ve, st, entry, ref_rooted(ref.plain, entry) if rooted else ref, x)
     return v
 
 
@@ -293,7 +294,7 @@ def test_nested_wrappers_match_reference(engine_store, depth):
                 assert v.equivalent == (entry in want.pairs)
                 assert v.iterations == want.iterations
                 assert v.refutation == ([] if v.equivalent else
-                                        bisim._refutation_records(want, [entry, entry[::-1]]))
+                                        bisim._refutation_records(want, [entry, entry[::-1]], x))
                 verdicts.append(v)
     assert {v.equivalent for v in verdicts} == {True, False}
 
@@ -465,3 +466,20 @@ def test_store_from_entries_lives_on_the_theta_arena():
     assert ref_revalidate(store, False) is False
     witness = tob_check(lts, 0, lts, 0).witness
     assert revalidate(witness, "tob") is True
+
+
+def test_wrapper_tables_equal_one_walk_over_the_final_moves():
+    # a ThetaArena appends its wrappers' move tables to the base states';
+    # they must equal what one fresh walk over its final ``out`` builds
+    pairs = list(sampled_pairs(15, 3))
+    pairs.append((ring(12, {1}, False), ring(12, {1}, True), frozenset({"a", "b", "c"})))
+    tables = ("n", "tau_succ", "t_succ", "has_tau", "moves_vt", "vis_mask", "vmask",
+              "class_size", "encoded")
+    wrapped = 0
+    for l1, l2, sig in pairs:
+        arena = ThetaArena(l1, l2, sig)
+        fresh = copy.copy(arena)
+        fresh._build_tables()
+        assert all(getattr(arena, name) == getattr(fresh, name) for name in tables)
+        wrapped += len(arena.wrap_key)
+    assert wrapped
