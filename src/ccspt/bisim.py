@@ -112,14 +112,13 @@ class Arena:
             self.tags.extend(l2.tags)
             self.out.extend({lab: tuple([d + off for d in ds]) for lab, ds in l2.out(s).items()}
                             for s in range(len(l2)))
-        self._names: Dict[int, str] = {}
         self._build_tables()
 
     def _build_tables(self, start: int = 0):
         """Move tables of the states of ``out`` from ``start`` on, one loop
         per state, appended to those of the states before it (a
-        ``ThetaArena`` appends its wrappers'); the weak closure, stability
-        and the engine's tables are dropped until their next read."""
+        ``ThetaArena`` appends its wrappers'); the weak closure and the
+        engine's tables are dropped until their next read."""
         if not start:
             self.tau_succ, self.t_succ, self.has_tau = [], [], []
             self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
@@ -148,7 +147,6 @@ class Arena:
         # writes the instance dict and so materialises it, after which
         # CPython 3.11 reads every attribute of the arena at about twice the cost
         self._weak: Optional[List[Tuple[int, ...]]] = None
-        self._stable: Optional[List[bool]] = None
         # the engine's tables, built by the first ``program`` call (rweak by
         # a plain layer's), and the clause programs compiled over them
         self.pred: Optional[Dict[str, List[int]]] = None
@@ -162,14 +160,6 @@ class Arena:
         if self._weak is None:
             self._weak = weak_closure(self.tau_succ)
         return self._weak
-
-    @property
-    def stable(self) -> List[bool]:
-        """Whether each state reaches, over tau steps, a state with no tau step."""
-        if self._stable is None:
-            weak, has_tau = self.weak, self.has_tau
-            self._stable = [any(not has_tau[u] for u in weak[s]) for s in range(self.n)]
-        return self._stable
 
     @property
     def xmasks(self) -> Tuple[int, ...]:
@@ -211,11 +201,7 @@ class Arena:
         return self.reach(root)
 
     def describe(self, s: int) -> str:
-        """The name of state ``s`` in refutation records, rendered once."""
-        got = self._names.get(s)
-        if got is None:
-            got = self._names[s] = str(self.tags[s])
-        return got
+        return str(self.tags[s])
 
     # -- the engine's tables ------------------------------------------------
     def _engine_tables(self):

@@ -18,8 +18,8 @@ from ccspt import bisim
 from ccspt.bisim import Arena
 from ccspt.modal import _Builder
 from ccspt.semantics import TAU, TIMEOUT, Lts
-from test_tb_engine import (SetStore, kill_pair, ring, same_lookups, sampled_pairs,
-                            seed_pairs, taken_out)
+from test_tb_engine import (SetStore, kill_pair, reaches_stable, ring, same_lookups,
+                            sampled_pairs, seed_pairs, taken_out)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ class BrbChecker(_ReactiveChecker):
             for p2 in a.t_succ[p]:
                 if not self._tpath(p, x, p2, q):
                     return ("2d", {"derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
+        if not a.has_tau[p] and not reaches_stable(a, q):
             return ("2e", {})
         return None
 
@@ -201,7 +201,7 @@ class GbrbChecker(_ReactiveChecker):
                     for p2 in a.t_succ[p]:
                         if not self._gpath(p, x, p2, q):
                             return ("1b", {"env": x, "derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
+        if not a.has_tau[p] and not reaches_stable(a, q):
             return ("1c", {})
         return None
 
@@ -222,7 +222,7 @@ class GbrbChecker(_ReactiveChecker):
                     for p2 in a.t_succ[p]:
                         if not self._gpath(p, y, p2, q):
                             return ("2c", {"env": y, "derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
+        if not a.has_tau[p] and not reaches_stable(a, q):
             return ("2d-stable", {})
         return None
 

@@ -29,6 +29,11 @@ from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 # per-pair reference
 
 
+def reaches_stable(arena, q):
+    """Whether q reaches, over tau steps, a state with no tau step."""
+    return any(not arena.has_tau[u] for u in arena.weak[q])
+
+
 class RefTb:
     def __init__(self, arena, store):
         self.a = arena
@@ -47,7 +52,7 @@ class RefTb:
         for p2 in a.t_succ[p]:
             if not self._tbpath(p, p2, q):
                 return ("tb2", {"derivative": p2})
-        if not a.has_tau[p] and not a.stable[q]:
+        if not a.has_tau[p] and not reaches_stable(a, q):
             return ("tb3", {})
         return None
 

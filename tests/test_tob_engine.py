@@ -25,8 +25,8 @@ from ccspt.errors import LabelUniverseMismatch
 from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 from conftest import lts_of
 from test_reactive_engine import damaged, declared, engine_store, same_store  # noqa: F401
-from test_tb_engine import (SetStore, ref_fixpoint, ring, sampled_pairs, seed_pairs,
-                            taken_out)
+from test_tb_engine import (SetStore, reaches_stable, ref_fixpoint, ring, sampled_pairs,
+                            seed_pairs, taken_out)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ class RefTob:
                     for u2 in a.t_succ[u]:
                         if not self._tobpath(u, x, u2, v):
                             return ("t2", {"env": x, "derivative": u2})
-        if not a.has_tau[u] and not a.stable[v]:
+        if not a.has_tau[u] and not reaches_stable(a, v):
             return ("t3", {})
         return None
 
