@@ -69,9 +69,9 @@ class Arena:
     ``offset``, the size of the first, or 0 where the second system is the
     first.  The arena keeps no reference to the systems.  ``out`` maps each
     state's labels to its targets, and the move tables are read off it when
-    the arena is built.  The weak closure and stability are computed on
-    their first read, so strong bisimilarity, which reads ``out`` alone,
-    never builds them.  ``sigma`` is the shared visible alphabet, realised
+    the arena is built.  The weak closure is computed on its first read and
+    the stability mask with the engine's tables, so strong bisimilarity,
+    which reads ``out`` alone, never builds them.  ``sigma`` is the shared visible alphabet, realised
     as bit masks so environment sets enumerate cheaply; a label is visible
     iff it has a bit (``Lts.sigma`` holds every visible label), and any
     other label but tau and t is one of an encoding (``encoded`` says
