@@ -30,6 +30,9 @@ The checks of one pair of systems share a pair context (``_PairContext``):
 the arena of each kind, with its engine tables, and each plain fixpoint are
 built once and read by the verdict of that family, by its rooted layer (the
 queried entry's row alone) and ``modal.distinguish``.  It dies with them.
+Rooted ``tb`` over two rooted encodings judges the plain twins of the
+queried states, in the pair context of their plain twin encodings, which
+plain ``tb`` shares: every check runs on one arena (``tb_check``).
 
 Strong bisimilarity alone uses signature refinement over the move table of
 the pair's ``Arena`` (``strong_bisim``).
@@ -45,8 +48,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .encode import Encoding
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
-from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, visible_alphabet,
-                        weak_closure)
+from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, t_label,
+                        visible_alphabet, weak_closure)
 
 TRIPLE_BUDGET = 50_000_000
 # the families the row engine decides, and those of them without triples
@@ -54,7 +57,7 @@ FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
 PAIR_FAMILIES = ("tob", "tb")
 # the kinds of a clause program's ops (``Arena._compile``); steps come first
 (_WEAK, _WEAK_TAU, _STRONG, _STRONG_LINE, _TRIPLE, _CONST, _TPATH, _ROW, _CONCRETE,
- _GPATH, _TOB) = range(11)
+ _GPATH, _TOB, _FUSED) = range(12)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,8 @@ class Arena:
         # writes the instance dict and so materialises it, after which
         # CPython 3.11 reads every attribute of the arena at about twice the cost
         self._weak: Optional[List[Tuple[int, ...]]] = None
-        # the engine's tables, built by the first ``program`` call (rweak by
-        # a plain layer's), and the clause programs compiled over them
+        # the engine's tables, built by the first ``program`` call, and the
+        # clause programs compiled over them
         self.pred: Optional[Dict[str, List[int]]] = None
         self.rweak: Optional[List[int]] = None
         self._idle: Optional[Dict[int, int]] = None
@@ -205,9 +208,9 @@ class Arena:
 
     # -- the engine's tables ------------------------------------------------
     def _engine_tables(self):
-        """The tables every layer reads, and all a rooted layer reads: the
-        predecessor masks of every label, each state's dependencies and the
-        mask of states with no tau step (``program`` adds the rest)."""
+        """The tables the layers read: the predecessor masks of every label,
+        each state's dependencies, the mask of states with no tau step, the
+        reverse weak closure and the mask of states that weakly reach none."""
         n = self.n
         labels = {TAU, TIMEOUT} | {lab for out in self.out for lab in out}
         # pred[lab][y]: states with a lab-step to y
@@ -227,7 +230,12 @@ class Arena:
             deps[s] = mine
             if not has_tau[s]:
                 notau |= bit
-        self.deps, self.notau = deps, notau
+        rweak = [0] * n   # rweak[y]: the states q with y in weak[q]
+        for s, ys in enumerate(self.weak):
+            for y in ys:
+                rweak[y] |= 1 << s
+        self.deps, self.notau, self.rweak = deps, notau, rweak
+        self.unstable = ~_gather(rweak, notau)
         self.pred = pred   # last: set, it marks the tables built
 
     # -- seeding ------------------------------------------------------------
@@ -333,14 +341,6 @@ class Arena:
         if need be and the compilers, kept beside the tables."""
         if self.pred is None:
             self._engine_tables()
-        if self.rweak is None and not rooted:   # the tables only a plain layer reads
-            rweak = [0] * self.n   # rweak[y]: the states q with y in weak[q]
-            for s, ys in enumerate(self.weak):
-                for y in ys:
-                    rweak[y] |= 1 << s
-            # the states that weakly reach no state without a tau step
-            self.unstable = ~_gather(rweak, self.notau)
-            self.rweak = rweak
         key = family, rooted, keys
         got = self._programs.get(key)
         if got is None:
@@ -373,7 +373,9 @@ class Arena:
         - ``_GPATH`` and ``_TOB``: a time-out under a, into gbrb's matched
           triple row of b under a or into the states whose wrappers under a
           lie in tob's matched row b (b wraps the time-out's target), by
-          ``_gpath`` over p's row under a, or one time-out when rooted.
+          ``_gpath`` over p's row under a, or one time-out when rooted;
+        - ``_FUSED``: those with an a-step (a settling step eps_X) to a state
+          with a time-out into the matched row of b.
 
         Each clause is written once.  A pair row has a weak step for each
         move (1a, t1, tb1); then the time-outs (gbrb's 1b and tob's t2, under
@@ -387,7 +389,10 @@ class Arena:
         time-out into them, brb's 2c reads the rooted row itself, there is
         no stability clause, and each name takes an ``r`` prefix.  The one
         exception is ``rtb1``: rooted tb matches every first step, t and t_X
-        included, in label order.
+        included, in label order.  At a row with eps_X steps and no t_X step,
+        it reads each eps_X step followed by a t step as a t_X step
+        (``_FUSED``, ordered by the t_X label), so the plain twin of a rooted
+        encoding's state has that state's first steps (``tb_check``).
         """
         tb, tob, generalised, concrete = (family == f for f in ("tb", "tob", "gbrb", "cbrb"))
         stable = None if rooted else ~self.unstable
@@ -411,10 +416,17 @@ class Arena:
                     for y, idles in idle.items() if idles >> p & 1 for p2 in arena.t_succ[p]]
 
         def pair(arena, p):
-            moves = arena.moves_vt[p] if not tb else [   # tb1 reads no t or t_X, rtb1 all
-                (lab, ds) for lab, ds in sorted(arena.out[p].items())
-                if rooted or lab != TIMEOUT and label_kind(lab)[0] != "t_set"]
-            ops = [(tau if lab == TAU else vis, lab, p2, c1a) for lab, ds in moves for p2 in ds]
+            moves = [(lab, tau if lab == TAU else vis, lab, ds) for lab, ds in (
+                arena.moves_vt[p] if not tb else arena.out[p].items())]
+            if tb:   # tb1 reads no t or t_X, rtb1 every step, in label order
+                kinds = [label_kind(lab) for lab, *_ in moves]
+                if not rooted:
+                    moves = [m for m, (k, _) in zip(moves, kinds) if k not in ("timeout", "t_set")]
+                elif "t_set" not in (k for k, _ in kinds):   # read eps_X then t as t_X
+                    moves += [(t_label(x), _FUSED, lab, [d for m in ds for d in arena.t_succ[m]])
+                              for (lab, _, _, ds), (k, x) in zip(moves, kinds) if k == "eps_set"]
+                moves.sort()
+            ops = [(kind, a, p2, c1a) for _, kind, a, ds in moves for p2 in ds]
             if tb:
                 ops += [(_TPATH, None, p2, c1b) for p2 in arena.t_succ[p] if not rooted]
             elif tob or generalised:
@@ -445,8 +457,11 @@ class Arena:
 
     def why(self, op) -> Tuple[str, dict]:
         """(clause, info) of an op, info a new dict of the action, env and
-        derivative it names (for ``_TOB``, the state b wraps)."""
+        derivative it names (for ``_TOB``, the state b wraps; for ``_FUSED``,
+        the action is the t_X step it reads)."""
         kind, a, b, clause = op
+        if kind == _FUSED:
+            a = t_label(label_kind(a)[1])
         info = {"action": a} if clause.lstrip("r") in ("1a", "t1", "tb1", "2b") else {}
         if kind in (_TRIPLE, _GPATH, _TOB):
             info["env"] = a
@@ -505,6 +520,8 @@ class Arena:
                     ok = rows[p] if rooted else self._reaching(rows[p], memo)
                 elif kind == _CONCRETE:
                     ok = self._reaching(self._pre(TIMEOUT, line[b], memo), memo)
+                elif kind == _FUSED:
+                    ok = self._pre(a, self._pre(TIMEOUT, mrows[b], memo), memo)
                 else:   # a time-out under a
                     target = mtrows[a][b] if kind == _GPATH else self._unwrap(a, mrows[b], memo)
                     if rooted:
@@ -707,7 +724,7 @@ class RelationStore:
     of a store as read-only; only ``Arena.fixpoint`` writes them.
 
     A rooted layer holds the queried entry alone over its ``plain`` store,
-    with a ``twin`` map where that lives on the plain twins (``tb_check``).
+    on the same arena.
     """
 
     def __init__(self, arena: Arena, relation: str, rows: List[int],
@@ -720,7 +737,6 @@ class RelationStore:
         self.row_kills: List[Tuple[int, tuple, list]] = []
         self.iterations = self.checked = 0
         self.plain: Optional["RelationStore"] = None
-        self.twin: Optional[Tuple[List[int], List[int]]] = None
 
     @property
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
@@ -877,25 +893,6 @@ def _gather(table: List[int], mask: int) -> int:
     return acc
 
 
-class _TwinRows(dict):
-    """A plain store's rows read through a rooted store's ``twin`` map: b's
-    row, gathered on first read, is the states whose twin is in tw(b)'s."""
-
-    __slots__ = ("rows", "twin", "untwin")
-
-    def __init__(self, rows: List[int], twin: List[int], untwin: List[int]):
-        self.rows, self.twin, self.untwin = rows, twin, untwin
-
-    def __missing__(self, b: int) -> int:
-        got = self[b] = _gather(self.untwin, self.rows[self.twin[b]])
-        return got
-
-
-def _matched(rows: List[int], trows, twin) -> tuple:
-    """The plain (rows, trows) a rooted layer matches into, through ``twin`` if any."""
-    return (rows, trows) if twin is None else (_TwinRows(rows, *twin), None)
-
-
 def _submasks(mask: int):
     """The submasks of ``mask`` in increasing order, from 0 to ``mask``."""
     x = 0
@@ -980,14 +977,12 @@ def _context(kind: type, l1: Lts, l2: Lts, sigma: Iterable[str]) -> _PairContext
 
 
 def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str,
-                   rooted: bool, root: Optional[Tuple[int, int]] = None,
-                   twinned: Optional[tuple] = None) -> RelationStore:
+                   rooted: bool, root: Optional[Tuple[int, int]] = None) -> RelationStore:
     """The plain fixpoint of a family on the context's arena, seeded over the
     side states of p and q, run only where the context holds none yet; with
     ``rooted``, the rooted layer over it (its ``plain`` is the plain store),
     whose ``iterations`` and ``checked`` add its own to the plain ones.  The
     input is refused and the budget checked on every call, before seeding.
-    ``twinned``, from ``_twin_plain``, gives rooted tb its plain store.
 
     The rooted layer is seeded with the queried entry alone, ``root`` (p and
     q's global index unless given) and, for the triple families, it under
@@ -1001,48 +996,22 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
     arena = ctx.arena
     _refuse_encoded(arena, family)
     with_triples = family not in PAIR_FAMILIES
-    plain, twin = twinned or (None, None)
+    lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
+    _budget_check(len(lefts) + len(rights),
+                  1 << arena.vmask.bit_count() if with_triples else 1)
+    key = (family, p, q)
+    plain = ctx.stores.get(key)
     if plain is None:
-        lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
-        _budget_check(len(lefts) + len(rights),
-                      1 << arena.vmask.bit_count() if with_triples else 1)
-        key = (family, p, q)
-        plain = ctx.stores.get(key)
-        if plain is None:
-            plain = ctx.stores[key] = arena.seeded(family, lefts, rights, with_triples)
-            plain.iterations, plain.checked = arena.fixpoint(plain, family)
-        if not rooted:
-            return plain
+        plain = ctx.stores[key] = arena.seeded(family, lefts, rights, with_triples)
+        plain.iterations, plain.checked = arena.fixpoint(plain, family)
+    if not rooted:
+        return plain
     a, b = root or (p, arena.state2(q))
     store = arena.seeded(relation + "-rooted", (a,), (b,), with_triples)
-    store.plain, store.twin = plain, twin
-    rounds, checked = arena.fixpoint(store, family, _matched(plain.rows, plain.trows, twin))
+    store.plain = plain
+    rounds, checked = arena.fixpoint(store, family, (plain.rows, plain.trows))
     store.iterations, store.checked = rounds + plain.iterations, checked + plain.checked
     return store
-
-
-def _twin_plain(ctx: _PairContext, l1: Lts, p: int, l2: Lts, q: int) -> Optional[tuple]:
-    """For rooted tb over two rooted encodings carrying twins (else None):
-    tb's plain store over their plain twin encodings at the twins of p and
-    q, and (twin, untwin): each state's twin, and each plain state's mask of
-    states it twins.  That store's side states are the twin image of p's and
-    q's, so the budget is checked on it before a twin encoding is built."""
-    if not all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
-        return None
-    arena, systems = ctx.arena, (l1,) if l2 is l1 else (l1, l2)
-    codes = [c for lts in systems for c in lts.codes]   # a twin's code: c & ~1
-    _budget_check(sum(len({codes[s] & ~1 for s in ctx.side_states(root)})
-                      for root in (p, arena.state2(q))), 1)
-    plains = [lts.twin_encoding() for lts in systems]
-    pctx = _context(Arena, plains[0], plains[-1], ())
-    off = pctx.arena.offset
-    twin = [plain.index[c & ~1] + k * off
-            for k, (lts, plain) in enumerate(zip(systems, plains)) for c in lts.codes]
-    untwin = [0] * pctx.arena.n
-    for s, t in enumerate(twin):
-        untwin[t] |= 1 << s
-    plain = _row_fixpoints(pctx, twin[p], twin[arena.state2(q)] - off, "tb", "tb", False)
-    return plain, (twin, untwin)
 
 
 def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
@@ -1059,8 +1028,7 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
     if env is not None:
         x = arena.mask_of(env)
         entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
-    twinned = _twin_plain(ctx, l1, p, l2, q) if rooted and family == "tb" else None
-    store = _row_fixpoints(ctx, p, q, family, relation, rooted, (entry[0], entry[-1]), twinned)
+    store = _row_fixpoints(ctx, p, q, family, relation, rooted, (entry[0], entry[-1]))
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
     return Verdict(relation + "-rooted" if rooted else relation, alive, arena.sigma,
                    store.iterations, store.checked,
@@ -1119,25 +1087,44 @@ def tob_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False,
 def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     """t-branching bisimilarity over encoded labels (pairs only), decided by
     the row engine; the rooted layer is one more row pass, over the queried
-    pair, against plain rows: over rooted encodings carrying twins
-    (``encode.Encoding``), those ``tb`` builds over their plain twins.
+    pair, against the plain rows.  Over two rooted encodings
+    (``encode.Encoding``), both layers judge the plain twins of p and q, on
+    the arena ``tb`` builds over the plain twin encodings, after the budget
+    is checked on the twins of the side states.
 
     The twin map tw sends a rooted-mode state to the plain-mode state with
     the same base and mask, any other to itself.  trig_r(s) moves by a or
     tau to trig_r(d) and by eps_X to env_r(X, s), as trig(s) to trig(d) and
     env(X, s); env_r(X, s) by tau to env_r(X, d), by a in X to trig(d) and,
     idle, by t_eps to trig_r(s) and t to env_r(X, d), as env(X, s) to
-    env(X, d), trig(d), trig(s) and env(X, d).  Only t_X moves lack a twin,
-    and no plain clause reads them (tb1 drops t_X, tb2 reads t alone).  So
-    tw maps the moves of a onto those of tw(a) label by label, and the
-    rooted encoding, seeds included, onto the plain one; as a clause reads
-    moves and the last round's entries alone, (a, b) survives each round
-    iff (tw(a), tw(b)) does.  The twin map is thus a t-branching
-    bisimulation, the fixpoints agree entry by entry and round by round,
-    and rtb1 reads the plain row of b as the states twinned into tw(b)'s.
+    env(X, d), trig(d), trig(s) and env(X, d).  Only t_X moves lack a twin:
+    trig_r(s) moves by t_X to env(X, d) for each time-out d of s exactly
+    when env(X, s) times out to env(X, d) (s has no tau step and idles
+    under X), so a t_X step of trig_r(s) is an eps_X step then a t step of
+    trig(s).  No plain clause reads t_X (tb1 drops it, tb2 reads t alone),
+    so tw maps the moves a plain clause reads label by label, and the side
+    states onto the twins'; as a clause reads moves and the last round's
+    entries alone, (a, b) survives each plain round iff (tw(a), tw(b))
+    does.  rtb1 matches each first step by the same step into the plain
+    rows, in label order, and at tw(a), with eps_X steps and no t_X step,
+    reads each eps_X step then t step as a t_X step (``Arena._compile``).
+    So each rooted row fails each partner by the same op in the same round:
+    the verdicts, rounds, entries checked and records agree, the records
+    naming the twins.
     """
     _same_labels(l1, l2)
+    if rooted and all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
+        _refuse_states(l1, p, l2, q)
+        _budget_check(_twins_reached(l1, p) + _twins_reached(l2, q), 1)
+        twins = [(lts.twin_encoding(), lts.codes[s] & ~1) for lts, s in ((l1, p), (l2, q))]
+        (l1, p), (l2, q) = [(plain, plain.index[code]) for plain, code in twins]
     return _check("tb", "tb", l1, p, l2, q, rooted)
+
+
+def _twins_reached(lts: Encoding, s: int) -> int:
+    """The number of plain twins of the states ``s`` reaches in an encoding."""
+    return len({lts.codes[u] & ~1 for u in reach(
+        lambda u: chain.from_iterable(lts.out(u).values()), s)})
 
 
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
@@ -1233,11 +1220,10 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     clause: one judging round of ``Arena.failing`` over its own rows, which
     writes nothing and stops at the first failing row.  A rooted witness's
     plain store is judged and then its rooted layer, each on its own
-    store's arena (tb-rooted's plain store may live on the arena of the
-    plain twin encodings), and only a ``ThetaArena`` holds a ``tob``
-    witness.  Triple rows are judged under the keys of the more finely
-    keyed layer, declared masks if either layer has them, and a store of
-    pairs only as having no triples."""
+    store's arena, and only a ``ThetaArena`` holds a ``tob`` witness.
+    Triple rows are judged under the keys of the more finely keyed layer,
+    declared masks if either layer has them, and a store of pairs only as
+    having no triples."""
     arena = witness.arena
     _refuse_encoded(arena, family)
     if rooted and witness.plain is None:
@@ -1259,7 +1245,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
             return False
         if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n), {}), None):
             return False
-        plain = _matched(st.rows, trows, witness.twin)
+        plain = st.rows, trows
     return True
 
 

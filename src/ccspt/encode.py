@@ -81,7 +81,11 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
 
     ``sigma`` fixes the visible-label universe the environment ranges over;
     it must cover the system's own alphabet, name no reserved label and,
-    when two systems are to be compared, be the same on both sides.
+    when two systems are to be compared, be the same on both sides.  A
+    system with a move by any label but a visible one, tau and t, such as an
+    encoding read back from ``.aut``, is refused with
+    ``LabelUniverseMismatch``: its environment moves would share labels
+    with the ones the encoding adds.
 
     States are explored depth first by their int codes (``Encoding``), and
     each tag is built once, when its state is first reached.  The plain
@@ -105,7 +109,8 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
 
 def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding:
     """Explore the encoding, writing each state's moves as ``Lts`` would
-    group them; no transition repeats, as each label's targets are distinct."""
+    group them, after refusing a source with a label of an encoding; no
+    transition repeats, as each label's targets are distinct."""
     xs = subsets(sig)
     bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
     xmask = [sum(bit[a] for a in x) for x in xs]
@@ -113,6 +118,8 @@ def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding
     tlab = [t_label(x) for x in xs] if rooted else []
     stride = len(xs) + 1
     moves = [lts.out(s) for s in range(len(lts))]
+    if set().union(*moves) - lts.sigma - {TAU, TIMEOUT}:
+        raise LabelUniverseMismatch("encode takes a base system, not an encoded one")
     tau = [o.get(TAU, ()) for o in moves]
     tout = [o.get(TIMEOUT, ()) for o in moves]
     # s idles under X iff it has no tau step and offers no action of X
@@ -162,8 +169,7 @@ def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding
                     frontier.append(j)
                 js.append(j)
                 transitions.append((i, lab, j))
-            # a source label may be an encoding's own (an encoded system encoded again)
-            mine[lab] = mine[lab] + tuple(js) if lab in mine else tuple(js)
+            mine[lab] = tuple(js)
 
     modes = ((TRIGGERED, ENV), (TRIGGERED_ROOTED, ENV_ROOTED))
     tags = []

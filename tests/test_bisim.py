@@ -67,6 +67,35 @@ def test_brb_tau_prefix_plain_vs_rooted():
     assert not verdict(brb_check, "a.0", "tau.a.0", rooted=True).equivalent
 
 
+def family_verdicts(s1, s2, rooted, sigma=()):
+    """The verdict of each row-engine family on a pair, tb's over its encodings."""
+    l1, l2, sig = pair_lts(s1, s2, sigma)
+    checks = {"brb": brb_check, "gbrb": gbrb_check, "cbrb": cbrb_check, "tob": tob_check}
+    out = {name: check(l1, 0, l2, 0, rooted=rooted, sigma=sig) for name, check in checks.items()}
+    e1, e2 = encode(l1, rooted=rooted, sigma=sig), encode(l2, rooted=rooted, sigma=sig)
+    out["tb"] = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
+    return out
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_two_tau_steps_in_a_row_are_inert(rooted):
+    # b's match lies two tau steps after a: a weak closure that takes one
+    # tau step separates the pair in every family
+    verdicts = family_verdicts("a.tau.tau.b.0", "a.b.0", rooted)
+    assert {name: v.equivalent for name, v in verdicts.items()} == dict.fromkeys(verdicts, True)
+
+
+def test_a_root_time_out_decides_the_rooted_pair():
+    # the pair differs only in the time-outs of the root: rooted tb matches
+    # the rooted encoding's t_X step, on the plain twins an eps_X step then
+    # a t step, by the same step, which t.t.a.0 has into no equivalent state
+    plain, rooted = (family_verdicts("t.a.0", "t.t.a.0", r, {"b"}) for r in (False, True))
+    for name in ("brb", "gbrb", "tob", "tb"):
+        assert plain[name].equivalent and not rooted[name].equivalent, name
+    assert [(r["clause"], r["detail"]) for r in rooted["tb"].refutation] == [
+        ("rtb1", "action t_{a,b}; derivative env{a,b}(1)")] * 2
+
+
 def test_brb_visible_first_clause_fixture():
     g = visible_choice_pair()
     assert not brb_check(g["with_root_a"], 0, g["without_root_a"], 0).equivalent
@@ -660,7 +689,9 @@ def test_timeout_free_coincidence(rng):
 
 def test_a_rooted_layer_judges_only_its_seeded_states(monkeypatch):
     # a rooted layer is seeded with the queried entry alone, so each of its
-    # rounds judges the rows of those two states and no other state's
+    # rounds judges the rows of those two states and no other state's;
+    # rooted tb judges the twins of the roots, the initial states of the
+    # plain twin encodings
     todos = []
     failing = bisim.Arena.failing
 
@@ -684,7 +715,8 @@ def test_a_rooted_layer_judges_only_its_seeded_states(monkeypatch):
             # the queried pair, or under an environment its two wrappers
             assert todos and all(0 < len(set(todo)) <= 2 for todo in todos), check
             if "env" not in kw:
-                assert all(set(todo) <= {0, len(left)} for todo in todos), check
+                first = left.twin_encoding() if check is tb_check else left
+                assert all(set(todo) <= {0, len(first)} for todo in todos), check
 
 
 @pytest.mark.parametrize("rooted", [False, True])

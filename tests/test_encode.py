@@ -141,12 +141,9 @@ def test_twins_are_the_plain_mode_states_with_the_same_base_and_mask():
 def test_an_encoding_groups_its_moves_as_lts_does(rng, rooted):
     # an encoding writes each state's moves while it explores; they must be
     # what Lts groups from the same transitions, labels and targets in the
-    # same order, with no transition repeated; the last system is an
-    # encoding read back and encoded again, whose own eps labels a state
-    # offers beside the settling ones
+    # same order, with no transition repeated
     from ccspt.sampling import random_process
     systems = [random_process(rng, ("a", "b"), depth=3, max_states=10)[1] for _ in range(25)]
-    systems.append(from_aut(to_aut(encode(lts_of("a.0 + t.b.0")))))
     for lts in systems:
         enc = encode(lts, rooted=rooted, sigma={"a", "b"})
         grouped = Lts(enc.tags, enc.transitions, enc.initial, enc.sigma, enc.labels)
@@ -154,3 +151,15 @@ def test_an_encoding_groups_its_moves_as_lts_does(rng, rooted):
         assert ([list(enc.out(s).items()) for s in range(len(enc))]
                 == [list(grouped.out(s).items()) for s in range(len(grouped))])
         assert (enc.sigma, enc.labels) == (grouped.sigma, grouped.labels)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_encode_refuses_an_encoded_system(rooted):
+    # an encoding moves by eps_X, t_eps and t_X labels, which encoding it
+    # again would merge with the settling moves it adds: an encoding, or one
+    # read back from .aut, is refused as the reactive checkers refuse it
+    for source_rooted in (False, True):
+        enc = encode(lts_of("a.0 + t.b.0"), rooted=source_rooted)
+        for system in (enc, from_aut(to_aut(enc))):
+            with pytest.raises(LabelUniverseMismatch, match="not an encoded one"):
+                encode(system, rooted=rooted)

@@ -127,8 +127,9 @@ def test_pair_context_is_freed_without_the_cycle_collector():
     # nothing in a context refers to the systems, no store is referred to by
     # its arena, and a plain encoding refers to nothing of its system, so
     # dropping the systems, their encodings and the verdicts frees every
-    # arena by reference counting: the systems', the plain encodings' that
-    # tb and tb-rooted share, and the rooted encodings'
+    # arena by reference counting: the systems' and the plain encodings',
+    # on which tb-rooted judges the twins and no arena over the rooted
+    # encodings is built
     l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
     contexts, plain = len(bisim._CONTEXTS), len(_PLAIN)
     gc.disable()
@@ -139,13 +140,13 @@ def test_pair_context_is_freed_without_the_cycle_collector():
         (e1, e2), (r1, r2) = encodings(l1, l2, sig)
         assert tb_check(e1, 0, e2, 0)
         w = tb_check(r1, 0, r2, 0, rooted=True)
-        assert w.equivalent and w.witness.plain.arena is not w.witness.arena
-        arenas = [weakref.ref(a) for a in (v.witness.arena, w.witness.arena,
-                                           w.witness.plain.arena)]
-        assert len(bisim._CONTEXTS) == contexts + 3
+        assert w.equivalent and w.witness.plain.arena is w.witness.arena
+        assert w.witness.arena is bisim._context(bisim.Arena, e1, e2, ()).arena
+        arenas = [weakref.ref(a) for a in (v.witness.arena, w.witness.arena)]
+        assert len(bisim._CONTEXTS) == contexts + 2
         assert len(_PLAIN) == plain + 2
         del l1, l2, v, e1, e2, r1, r2, w
-        assert [a() for a in arenas] == [None] * 3
+        assert [a() for a in arenas] == [None] * 2
         assert len(bisim._CONTEXTS) == contexts
         assert len(_PLAIN) == plain
     finally:
@@ -192,7 +193,7 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     assert all(revalidate(store, relation) for relation, _, store in runs)
     assert not strong_bisim(l1, 0, l2, 0, sigma=sig)
     # tb's plain fixpoint runs once, over the plain encodings: tb-rooted
-    # reads that store, and runs only its rooted layer over its own
+    # reads that store, and runs only its rooted layer, on the same arena
     assert sorted(relation for relation, _, _ in runs) == [
         "brb", "brb-rooted", "brbX-rooted", "cbrb", "cbrb-rooted",
         "gbrb", "gbrb-rooted", "gbrb-rooted", "tb", "tb-rooted", "tob", "tob-rooted"]
@@ -201,13 +202,12 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     (tb,) = [store for relation, _, store in runs if relation == "tb"]
     ((rooted_arena, rooted),) = [(arena, store) for relation, arena, store in runs
                                  if relation == "tb-rooted"]
-    assert rooted.plain is tb and tb.arena is not rooted_arena
-    # an arena that runs only a rooted layer builds no weak closure
-    assert rooted_arena._weak is None and rooted_arena.rweak is None
-    # strong bisimilarity reads the pair's Arena, and builds no tables on it
+    assert rooted.plain is tb and tb.arena is rooted_arena
+    # strong bisimilarity reads the pair's Arena, and builds no tables on
+    # it; no arena over the rooted encodings is built
     assert sorted(arenas, key=repr) == sorted([("Arena", l1, l2), ("ThetaArena", l1, l2),
-                                               ("Arena", e1, e2), ("Arena", r1, r2)], key=repr)
-    assert len(tables) == len({id(arena) for arena in tables}) == 4
+                                               ("Arena", e1, e2)], key=repr)
+    assert len(tables) == len({id(arena) for arena in tables}) == 3
     assert {id(arena) for _, arena, _ in runs} == {id(arena) for arena in tables}
 
 

@@ -4,9 +4,11 @@ The reference below is the per-pair formulation the row engine replaced:
 one clause check per stored pair, in sorted order, against the store the
 round started with.  Both must agree on every observable field.
 
-Rooted tb over two rooted encodings reads the plain fixpoint over their
-plain twin encodings, mapped by the twins the reference reads off the tags;
-over other systems it reads the plain fixpoint over the same arena.
+Rooted tb over two rooted encodings is judged by the engine at the plain
+twins of the queried states, on the arena of their plain twin encodings.
+The reference judges it on the arena of the rooted encodings, against the
+plain fixpoint over the twins, and maps its store onto the twins it reads
+off the tags; over other systems both judge the same arena.
 """
 
 import contextlib
@@ -210,7 +212,8 @@ def ref_tb(e1, e2, rooted, twins=None):
     """(store, entry, iterations, checked) of the per-pair reference.  The
     rooted layer is seeded with the queried entry alone; with ``twins``, the
     plain encodings of the rooted ``e1`` and ``e2``, it reads the plain
-    fixpoint over them, at the twins of the queried states."""
+    fixpoint over them, at the twins of the queried states, and its store
+    and entry are mapped onto those twins (``twinned``)."""
     arena = Arena(e1, None if e2 is e1 else e2)
     p, gq = e1.initial, arena.state2(e2.initial)
     plain_arena = arena
@@ -227,7 +230,21 @@ def ref_tb(e1, e2, rooted, twins=None):
         store.plain = plain
         it2, ch2 = ref_fixpoint(store, RefRootedTb(arena, plain))
         it, ch = it + it2, ch + ch2
+        if plain_arena is not arena:
+            store, p, gq = twinned(store, plain_arena, twin), twin[p], twin[gq]
     return store, (p, gq), it, ch
+
+
+def twinned(store, plain_arena, twin):
+    """A rooted reference store mapped by ``twin`` onto ``plain_arena``: its
+    entries, ranks and failing clauses, each detail's derivative mapped too."""
+    def entry(e):
+        return twin[e[0]], twin[e[1]]
+    out = SetStore(plain_arena, store.relation, map(entry, store.pairs), plain=store.plain)
+    out.rank = {entry(e): rnd for e, rnd in store.rank.items()}
+    out.fail = {entry(e): (clause, {**info, "derivative": twin[info["derivative"]]})
+                for e, (clause, info) in store.fail.items()}
+    return out
 
 
 def ref_revalidate(store, rooted):
@@ -248,27 +265,37 @@ def ref_revalidate(store, rooted):
 
 @pytest.fixture
 def engine_store(monkeypatch):
-    """Run tb_check and also return the store behind its verdict."""
-    seen = []
-    real = bisim._row_fixpoints
+    """Run tb_check and also return the store behind its verdict and the
+    systems of every arena the check built."""
+    seen, built = [], []
+    real, arena_init = bisim._row_fixpoints, Arena.__init__
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
+    def spy_arena(arena, *systems):
+        built.extend(systems[:2])
+        arena_init(arena, *systems)
+
     monkeypatch.setattr(bisim, "_row_fixpoints", spy)
+    monkeypatch.setattr(Arena, "__init__", spy_arena)
 
     def run(e1, e2, rooted):
+        built.clear()
         v = tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
-        return v, seen.pop()
+        return v, seen.pop(), list(built)
     return run
 
 
 def assert_same(engine_store, e1, e2, rooted, twins=None):
-    v, store = engine_store(e1, e2, rooted)
+    v, store, built = engine_store(e1, e2, rooted)
     ref, entry, it, ch = ref_tb(e1, e2, rooted, twins)
-    if rooted:   # the plain store lives on the twins' arena exactly when they are given
-        assert (store.plain.arena is store.arena) == (twins is None)
+    if rooted:   # the rooted layer lives on tb's arena: the plain twins' when they are given
+        assert store.plain.arena is store.arena
+        assert not any(isinstance(lts, Encoding) and lts.rooted for lts in built)
+        if twins is not None:
+            assert store.arena is bisim._context(Arena, *twins, ()).arena
     assert v.equivalent == (entry in ref.pairs)
     assert (v.iterations, v.entries_checked) == (it, ch)
     assert v.refutation == ([] if v.equivalent else
@@ -379,8 +406,8 @@ def test_plain_tb_over_rooted_encodings_is_plain_tb_over_their_twins(engine_stor
     base, sig = ring(12, {1}, False), frozenset({"a", "b"})
     cases += [(base, ring(12, {1}, True), sig), (base, ring(12, {1, 6}, True), sig)]
     for l1, l2, sig in cases:
-        v, over_rooted = engine_store(*encoded(l1, l2, sig, True), False)
-        w, over_plain = engine_store(*encoded(l1, l2, sig, False), False)
+        v, over_rooted, _ = engine_store(*encoded(l1, l2, sig, True), False)
+        w, over_plain, _ = engine_store(*encoded(l1, l2, sig, False), False)
         twin = tag_twins(over_rooted.arena, over_plain.arena)
         assert (v.equivalent, v.iterations) == (w.equivalent, w.iterations)
         entries = [(i, j) for i in range(len(twin)) for j in range(len(twin))]
