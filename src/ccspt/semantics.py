@@ -49,9 +49,11 @@ class _StepCtx:
     specification and variable, and ``unfolded`` the body each
     (specification, variable) unfolds to, re-tied to those calls; so the
     derivatives of a component are shared objects, and they hit ``moves``.
-    ``nodes`` holds every node the SOS rules build (see ``node``), so a
-    derivative reached from several states is one object, whose key and
-    moves are computed once.
+    ``nodes`` holds every node the SOS rules build, so a derivative reached
+    from several states is one object, whose key and moves are computed
+    once.  A rule finds its node with one read of ``nodes``, keyed by the
+    operator, its own fields and the ids of the operand objects (the key
+    ``node`` stores under), and calls ``node`` only on a miss.
     """
 
     __slots__ = ("budget", "active", "moves", "calls", "unfolded", "nodes")
@@ -71,7 +73,9 @@ class _StepCtx:
         subterms is first replaced by the context's call for its
         specification and variable, so a parsed call and the one its
         unfoldings are re-tied to give one node.  The stored node keeps
-        those ids its own."""
+        those ids its own.  The SOS rules call this only when their own
+        read of ``nodes`` under the same key misses; a key naming a parsed
+        call misses there, as it is stored under the context's call."""
         own = len(fields) - len(cls._kids)
         kids = [self._calls(k.spec)[k.var] if type(k) is RecCall else k
                 for k in fields[own:]]
@@ -107,10 +111,7 @@ def initials(term: Term, fuse: int = DEFAULT_UNFOLD_FUSE) -> frozenset:
 
 
 def _dedup(moves):
-    out = {}
-    for mv in moves:
-        out.setdefault(mv, None)
-    return tuple(out)
+    return tuple(dict.fromkeys(moves))
 
 
 def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term], ...]:
@@ -132,62 +133,69 @@ def _step(term: Term, ctx: _StepCtx, keep: bool = True) -> Tuple[Tuple[str, Term
             raise UnfoldingDiverged("recursion unfolded past the fuse")
         ctx.budget -= cost
         return moves
-    budget = ctx.budget
+    budget, nodes = ctx.budget, ctx.nodes
     if isinstance(term, Choice):
         moves = _dedup(_step(term.left, ctx) + _step(term.right, ctx))
     elif isinstance(term, Par):
-        left = _step(term.left, ctx)
-        right = _step(term.right, ctx)
+        sync, l, r = term.sync, term.left, term.right
+        left = _step(l, ctx)
+        right = _step(r, ctx)
         moves = []
         for lab, nxt in left:
-            if lab not in term.sync:
-                moves.append((lab, ctx.node(Par, term.sync, nxt, term.right)))
+            if lab not in sync:
+                moves.append((lab, nodes.get((Par, sync, id(nxt), id(r)))
+                              or ctx.node(Par, sync, nxt, r)))
         for lab, nxt in right:
-            if lab not in term.sync:
-                moves.append((lab, ctx.node(Par, term.sync, term.left, nxt)))
+            if lab not in sync:
+                moves.append((lab, nodes.get((Par, sync, id(l), id(nxt)))
+                              or ctx.node(Par, sync, l, nxt)))
         for lab, nl in left:
-            if lab in term.sync:
+            if lab in sync:
                 for lab2, nr in right:
                     if lab2 == lab:
-                        moves.append((lab, ctx.node(Par, term.sync, nl, nr)))
+                        moves.append((lab, nodes.get((Par, sync, id(nl), id(nr)))
+                                      or ctx.node(Par, sync, nl, nr)))
         moves = _dedup(moves)
     elif isinstance(term, Hide):
-        moves = []
+        hidden, moves = term.hidden, []
         for lab, nxt in _step(term.body, ctx):
-            out = TAU if lab in term.hidden else lab
-            moves.append((out, ctx.node(Hide, term.hidden, nxt)))
+            out = TAU if lab in hidden else lab
+            moves.append((out, nodes.get((Hide, hidden, id(nxt)))
+                          or ctx.node(Hide, hidden, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, Rename):
-        moves = []
+        pairs, moves = term.pairs, []
         for lab, nxt in _step(term.body, ctx):
-            if lab in (TAU, TIMEOUT):
-                moves.append((lab, ctx.node(Rename, term.pairs, nxt)))
-            else:
-                for a, b in term.pairs:
-                    if a == lab:
-                        moves.append((b, ctx.node(Rename, term.pairs, nxt)))
+            outs = (lab,) if lab in (TAU, TIMEOUT) else [b for a, b in pairs if a == lab]
+            for out in outs:
+                moves.append((out, nodes.get((Rename, pairs, id(nxt)))
+                              or ctx.node(Rename, pairs, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, Theta):
+        low, high = term.low, term.high
         inner = _step(term.body, ctx)
-        idles = _idles(inner, term.low)
+        idles = _idles(inner, low)
         moves = []
         for lab, nxt in inner:
             if lab == TAU:
-                moves.append((TAU, ctx.node(Theta, term.low, term.high, nxt)))
-            if lab in term.high:
+                moves.append((TAU, nodes.get((Theta, low, high, id(nxt)))
+                              or ctx.node(Theta, low, high, nxt)))
+            if lab in high:
                 moves.append((lab, nxt))
             if idles:
                 moves.append((lab, nxt))
         moves = _dedup(moves)
     elif isinstance(term, Psi):
+        x = term.allowed
         inner = _step(term.body, ctx)
-        idles = _idles(inner, term.allowed)
+        idles = _idles(inner, x)
         moves = []
         for lab, nxt in inner:
             if lab != TIMEOUT:
                 moves.append((lab, nxt))
             elif idles:
-                moves.append((TIMEOUT, ctx.node(Theta, term.allowed, term.allowed, nxt)))
+                moves.append((TIMEOUT, nodes.get((Theta, x, x, id(nxt)))
+                              or ctx.node(Theta, x, x, nxt)))
         moves = _dedup(moves)
     elif isinstance(term, RecCall):
         added = []
@@ -380,12 +388,17 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
     The states share one step context: each subterm object's moves are
     derived, each recursion call unfolded and each derived node built once
     per build, and nothing is kept past it.  Each state's step gets the
-    whole ``fuse``.  A term that uses a reserved name as a visible action
-    is refused before it is explored.
+    whole ``fuse``.  The state index is keyed by the reached terms
+    themselves: a lookup hashes through the term's cached hash and matches
+    the indexed object by identity, and a distinct object with an equal
+    key compares keys and meets the same state.  A reserved name, used as
+    a visible action by the term or declared in ``sigma``, is refused
+    before anything is explored.
     """
     limits = limits or ExplorationLimits()
     actions = visible_alphabet(alphabet(term), "the term's alphabet")
-    index: Dict[object, int] = {term.key(): 0}
+    sigma = visible_alphabet(sigma)
+    index: Dict[Term, int] = {term: 0}
     tags: List[Term] = [term]
     transitions: List[Tuple[int, str, int]] = []
     frontier = [(0, term)]
@@ -395,18 +408,17 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
         for idx, t in frontier:
             ctx.budget = fuse
             for lab, target in _step(t, ctx, keep=False):
-                key = target.key()
-                j = index.get(key)
+                j = index.get(target)
                 if j is None:
                     j = len(tags)
                     if j >= limits.max_states:
                         raise StateBudgetExceeded(j + 1, limits.max_states)
-                    index[key] = j
+                    index[target] = j
                     tags.append(target)
                     nxt.append((j, target))
                 transitions.append((idx, lab, j))
         frontier = nxt
-    return Lts(tags, transitions, 0, sigma=frozenset(sigma) | actions)
+    return Lts(tags, transitions, 0, sigma=sigma | actions)
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,84 @@ def test_build_matches_fresh_steps_on_random_terms(rng):
 
 
 def test_build_matches_fresh_steps_on_interleaving():
-    term = parse_term(" ||{} ".join(component(i) for i in range(4)))
-    lts = assert_same_build(term)
-    assert lts.num_states == 256
+    # five components are the size of the benchmark's compose systems
+    for k in (4, 5):
+        term = parse_term(" ||{} ".join(component(i) for i in range(k)))
+        assert assert_same_build(term).num_states == 4 ** k
+
+
+def test_equal_key_objects_meet_as_one_state():
+    # the two b.0 are distinct objects with one key: one state
+    term = parse_term("a.b.0 + c.b.0")
+    (_, left), (_, right) = step(term)
+    assert left is not right and left == right
+    assert assert_same_build(term).num_states == 3
+    # two separately parsed copies of one component, side by side and in
+    # choice, meet their derivatives as one state each
+    one, other = parse_term(component(0)), parse_term(component(0))
+    assert one is not other and one == other
+    assert assert_same_build(Par(frozenset(), one, other)).num_states == 16
+    assert assert_same_build(Choice(one, Prefix("d", other))).num_states == 5
+
+
+@pytest.mark.parametrize("src, states", [
+    ("<x|{x = a.b.x}>", 2),
+    (component(0), 4),
+    (component(0) + " ||{} " + component(1), 16),
+    ("hide{a0}(" + component(0) + ") ||{} rename{b1->d}(" + component(1) + ")", 12),
+])
+def test_derivatives_cycle_back_to_the_parsed_root(src, states):
+    # the derivatives reach the context's recursion calls, which are
+    # distinct from the parsed ones but have their keys: the root again
+    lts = assert_same_build(parse_term(src))
+    assert lts.num_states == states
+    assert any(d == 0 for _, _, d in lts.transitions)
+
+
+def test_each_node_built_and_each_key_read_once_per_object(monkeypatch):
+    # one build of the 1024-state interleaving reads each derived node
+    # from the context by its operand objects, and each reached state from
+    # the index by its cached hash; counts, not timings
+    keys, built = {}, []
+    key, node = Node.key, _StepCtx.node
+
+    def counted_key(self):
+        keys[id(self)] = keys.get(id(self), 0) + 1
+        return key(self)
+
+    def counted_node(ctx, cls, *fields):
+        built.append(ctx)
+        return node(ctx, cls, *fields)
+
+    monkeypatch.setattr(Node, "key", counted_key)
+    monkeypatch.setattr(_StepCtx, "node", counted_node)
+    lts = build_lts(parse_term(" ||{} ".join(component(i) for i in range(5))))
+    assert (lts.num_states, lts.num_transitions) == (1024, 6400)
+    [ctx] = set(built)
+    assert len(built) <= len({id(n) for n in ctx.nodes.values()})
+    assert sum(keys.values()) <= 2 * len(keys)
+
+
+def test_reserved_names_in_sigma_are_refused_before_exploring(monkeypatch):
+    # as encode refuses them, with the same error and message, and before
+    # a single state is stepped
+    from ccspt import encode
+    calls = []
+    original = _step
+
+    def spy(term, ctx, keep=True):
+        calls.append(term)
+        return original(term, ctx, keep)
+
+    monkeypatch.setattr("ccspt.semantics._step", spy)
+    term = parse_term(" ||{} ".join(component(i) for i in range(5)))
+    with pytest.raises(LabelUniverseMismatch) as built:
+        build_lts(term, sigma={"tau"})
+    assert calls == []
+    with pytest.raises(LabelUniverseMismatch) as encoded:
+        encode(lts_of("a.0"), sigma={"tau"})
+    assert str(built.value) == str(encoded.value)
+    assert "reserved names in a declared alphabet: ['tau']" in str(built.value)
 
 
 # Each term reaches, over several states, the node one SOS rule builds for a
