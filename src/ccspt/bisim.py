@@ -121,7 +121,10 @@ class Arena:
         """Move tables of the states of ``out`` from ``start`` on, one loop
         per state, appended to those of the states before it (a
         ``ThetaArena`` appends its wrappers'); the weak closure and the
-        engine's tables are dropped until their next read."""
+        engine's tables are dropped until their next read, and with them the
+        mask memo of ``failing`` and the mask primitives, whose values are
+        functions of those tables: every fixpoint and ``revalidate`` on the
+        arena shares it while they stand."""
         if not start:
             self.tau_succ, self.t_succ, self.has_tau = [], [], []
             self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
@@ -156,6 +159,7 @@ class Arena:
         self.rweak: Optional[List[int]] = None
         self._idle: Optional[Dict[int, int]] = None
         self._programs: Dict[tuple, tuple] = {}
+        self._memo: Dict = {}
 
     @property
     def weak(self) -> List[Tuple[int, ...]]:
@@ -479,7 +483,7 @@ class Arena:
         (``plain``, the plain fixpoint's (rows, trows), matches the rooted
         layer's steps).  A partner fails by the first op it does not pass,
         and a row stops once no partner is left.  Nothing but a row's
-        program is written, so a caller may stop early."""
+        program and the mask ``memo`` is written, so a caller may stop early."""
         rooted = plain is not None
         pairs, triples, compile_pair, compile_triple = self.program(
             family, None if trows is None else tuple(trows), rooted)
@@ -554,6 +558,8 @@ class Arena:
         triple row counts once per declared mask of its class in the
         entries checked.  ``family`` names the clause program, and ``plain``
         is the plain fixpoint's (rows, trows) when the store is a rooted layer.
+        Every round reads the arena's one mask memo, so the fixpoints of
+        every family and layer on the arena share their pre-images.
         """
         rows, trows = store.rows, store.trows
         lines = list(trows.values()) if trows else []
@@ -561,11 +567,10 @@ class Arena:
         alive = _count(rows) + weight * sum(_count(line) for line in lines)
         iterations = checked = 0
         seeded = todo = [p for p, held in enumerate(zip(rows, *lines)) if any(held)]
-        memo = {}
         while True:
             iterations += 1
             checked += alive
-            bad = list(self.failing(family, rows, trows, plain, todo, memo))
+            bad = list(self.failing(family, rows, trows, plain, todo, self._memo))
             if not bad:
                 return iterations, checked
             changed = 0
@@ -1089,8 +1094,11 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     the row engine; the rooted layer is one more row pass, over the queried
     pair, against the plain rows.  Over two rooted encodings
     (``encode.Encoding``), both layers judge the plain twins of p and q, on
-    the arena ``tb`` builds over the plain twin encodings, after the budget
-    is checked on the twins of the side states.
+    the arena ``tb`` builds over the plain twin encodings.  The budget is
+    checked first, before any arena, on the states the twins reach in their
+    encodings, which are the twins of the side states: a root's twin
+    reaches its whole encoding.  Only the roots' codes are read, so neither
+    rooted encoding writes its moves.
 
     The twin map tw sends a rooted-mode state to the plain-mode state with
     the same base and mask, any other to itself.  trig_r(s) moves by a or
@@ -1115,16 +1123,12 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     _same_labels(l1, l2)
     if rooted and all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
         _refuse_states(l1, p, l2, q)
-        _budget_check(_twins_reached(l1, p) + _twins_reached(l2, q), 1)
         twins = [(lts.twin_encoding(), lts.codes[s] & ~1) for lts, s in ((l1, p), (l2, q))]
         (l1, p), (l2, q) = [(plain, plain.index[code]) for plain, code in twins]
+        _budget_check(sum(len(lts) if s == lts.initial else len(reach(
+            lambda u: chain.from_iterable(lts.out(u).values()), s))
+            for lts, s in ((l1, p), (l2, q))), 1)
     return _check("tb", "tb", l1, p, l2, q, rooted)
-
-
-def _twins_reached(lts: Encoding, s: int) -> int:
-    """The number of plain twins of the states ``s`` reaches in an encoding."""
-    return len({lts.codes[u] & ~1 for u in reach(
-        lambda u: chain.from_iterable(lts.out(u).values()), s)})
 
 
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
@@ -1243,7 +1247,8 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
-        if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n), {}), None):
+        if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n),
+                                 st.arena._memo), None):
             return False
         plain = st.rows, trows
     return True

@@ -4,7 +4,8 @@ Each state of the source system is wrapped in an environment operator: either
 triggered (about to pick a new set of allowed actions) or settled on a set X.
 Fresh labels record environment moves: ``eps_{..}`` for settling on a set,
 ``t_eps`` for an environment time-out, and (rooted variant only) ``t_{..}``
-for a system time-out fused with the preceding settling step.
+for a system time-out fused with the preceding settling step.  The rooted
+variant is numbered from the plain one, which it reads its moves off.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ TRIGGERED = "trig"
 TRIGGERED_ROOTED = "trig_r"
 ENV = "env"
 ENV_ROOTED = "env_r"
+_ROOTED_MODE = {TRIGGERED: TRIGGERED_ROOTED, ENV: ENV_ROOTED}
 
 
 @dataclass(frozen=True)
@@ -45,24 +47,63 @@ class Encoding(Lts):
     where slot 0 is a triggered mode and slot k + 1 the settled mode under
     the k-th subset of Sigma; ``codes`` lists them by state.  A plain
     encoding keeps ``index``, the state of each code.  In a rooted one
-    (``rooted``), a state's twin is the plain-mode state with the same base
-    and mask, whose code is its own with the rooted bit cleared, in the
-    plain encoding ``twin_encoding`` gives.
+    (``rooted``, a ``RootedEncoding``), a state's twin is the plain-mode
+    state with the same base and mask, whose code is its own with the
+    rooted bit cleared, in the plain encoding ``twin_encoding`` gives.
     """
 
-    def __init__(self, tags, transitions, out, sigma, labels, codes: List[int],
-                 index: Dict[int, int], twin_of: Optional[tuple] = None):
-        self._init(tags, tuple(transitions), out, 0, sigma, labels)
-        self.codes = codes
-        self.rooted = twin_of is not None
-        self.index: Optional[Dict[int, int]] = None if self.rooted else index
-        self._twin_of = twin_of
+    rooted = False
 
-    def twin_encoding(self) -> "Encoding":
+    def __init__(self, tags, transitions, out, sigma, labels, codes, index):
+        self._init(tags, tuple(transitions), out, 0, sigma, labels)
+        self.codes, self.index = codes, index
+
+    def __len__(self):
+        return len(self.codes)
+
+
+class RootedEncoding(Encoding):
+    """A rooted encoding, numbered from its plain twin encoding (``encode``).
+
+    It keeps ``codes``, ``initial``, its length, ``sigma`` and ``labels``,
+    and ``walk``: the order the walk expanded its states in and the t_X
+    label of each eps_X label.  Its move dicts, ``transitions`` and
+    ``tags`` are written on the first read of one of them (the lookup hook
+    that does so is on this class alone, so attribute reads of a plain
+    encoding keep the interpreter's fast path).
+    """
+
+    rooted = True
+
+    def __init__(self, codes: List[int], twin: Encoding, labels, walk: tuple):
+        self.codes, self._twin, self._walk = codes, twin, walk
+        self.initial, self.sigma, self.labels, self._weak = 0, twin.sigma, labels, None
+
+    def __getattr__(self, name):
+        """Reached only for an attribute not set: the lazy fields."""
+        if name in ("_out", "transitions", "tags"):
+            self._write_moves()
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _write_moves(self):
+        """Write the move dicts (``_twin_moves``), the transitions in the
+        order the walk expanded the states, and the tags."""
+        (order, fused), twin, codes = self._walk, self._twin, self.codes
+        index = {code: i for i, code in enumerate(codes)}
+        twins = [twin.index[code & ~1] for code in codes]
+        self._out = out = [{lab: tuple([index[twin.codes[d] | bit] for d in ds])
+                            for lab, ds, bit in _twin_moves(twin, t, code & 1, fused)}
+                           for code, t in zip(codes, twins)]
+        self.transitions = tuple((i, lab, j) for i in order for lab, js in out[i].items()
+                                 for j in js)
+        self.tags = [EncodedState(_ROOTED_MODE[tag.mode], tag.allowed, tag.base) if code & 1
+                     else tag for code, tag in zip(codes, map(twin.tags.__getitem__, twins))]
+
+    def twin_encoding(self) -> Encoding:
         """The plain encoding of the same system, alphabet and bound (built
-        once per system, see ``encode``)."""
-        lts, sig, max_states = self._twin_of
-        return encode(lts, sigma=sig, max_states=max_states)
+        once per system, see ``encode``) this one is numbered from."""
+        return self._twin
 
 
 def subsets(sigma: Iterable[str]) -> List[frozenset]:
@@ -90,32 +131,32 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
     States are explored depth first by their int codes (``Encoding``), and
     each tag is built once, when its state is first reached.  The plain
     encoding of one (system, alphabet, ``max_states``) is built once and
-    kept while the system lives, so every call returns that same object; a
-    rooted encoding is built on each call, and refers to its system for its
-    plain twin encoding, which it does not build.
+    kept while the system lives, so every call returns that same object.  A
+    rooted encoding is new on each call: it is numbered from the plain one,
+    in the order an exploration of the system would number it
+    (``_derive_rooted``), and writes its moves only when they are read.  A
+    rooted encoding over ``max_states`` is refused at the same count as a
+    plain one, ``max_states + 1``; its plain twin is never larger.
     """
     sig = visible_alphabet(sigma) if sigma is not None else lts.sigma
     if not lts.sigma <= sig:
         raise LabelUniverseMismatch(
             f"encoding alphabet {sorted(sig)} must cover the system's {sorted(lts.sigma)}")
-    if not rooted:
-        got = _PLAIN.get(lts, {}).get((sig, max_states))
-        if got is None:
-            got = _encode(lts, False, sig, max_states)
-            _PLAIN.setdefault(lts, {})[sig, max_states] = got
-        return got
-    return _encode(lts, True, sig, max_states)
+    plain = _PLAIN.get(lts, {}).get((sig, max_states))
+    if plain is None:
+        plain = _encode(lts, sig, max_states)
+        _PLAIN.setdefault(lts, {})[sig, max_states] = plain
+    return _derive_rooted(plain, max_states) if rooted else plain
 
 
-def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding:
-    """Explore the encoding, writing each state's moves as ``Lts`` would
-    group them, after refusing a source with a label of an encoding; no
-    transition repeats, as each label's targets are distinct."""
+def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
+    """Explore the plain encoding, writing each state's moves as ``Lts``
+    would group them, after refusing a source with a label of an encoding;
+    no transition repeats, as each label's targets are distinct."""
     xs = subsets(sig)
     bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
     xmask = [sum(bit[a] for a in x) for x in xs]
     eps = [eps_label(x) for x in xs]
-    tlab = [t_label(x) for x in xs] if rooted else []
     stride = len(xs) + 1
     moves = [lts.out(s) for s in range(len(lts))]
     if set().union(*moves) - lts.sigma - {TAU, TIMEOUT}:
@@ -126,34 +167,29 @@ def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding
     offers = [sum(bit[a] for a in o if a in lts.sigma) for o in moves]
     if max_states < 1:
         raise StateBudgetExceeded(1, max_states)
-    codes = [(lts.initial * stride) << 1 | rooted]
+    codes = [(lts.initial * stride) << 1]
     index: Dict[int, int] = {codes[0]: 0}
     transitions: List[Tuple[int, str, int]] = []
     out: List[Optional[Dict[str, Tuple[int, ...]]]] = [None]   # by state, once explored
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        code = codes[i]
-        s, slot = divmod(code >> 1, stride)
-        rb = code & 1
+        s, slot = divmod(codes[i] >> 1, stride)
         # (label, target codes), each label's targets together
         if slot == 0:
-            groups = [(lab, [(d * stride) << 1 | rb for d in targets])
+            groups = [(lab, [(d * stride) << 1 for d in targets])
                       for lab, targets in moves[s].items() if lab != TIMEOUT]
-            settle = (s * stride) << 1 | rb
+            settle = (s * stride) << 1
             groups += [(eps[k], (settle + ((k + 1) << 1),)) for k in range(len(xs))]
-            if rb and tout[s] and not tau[s]:   # rooted time-outs, fused with settling on X
-                groups += [(tlab[k], [(d * stride + k + 1) << 1 for d in tout[s]])
-                           for k, m in enumerate(xmask) if not offers[s] & m]
         else:
             m = xmask[slot - 1]
-            groups = [(TAU, [(d * stride + slot) << 1 | rb for d in tau[s]])] if tau[s] else []
+            groups = [(TAU, [(d * stride + slot) << 1 for d in tau[s]])] if tau[s] else []
             groups += [(lab, [(d * stride) << 1 for d in targets])
                        for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
             if not tau[s] and not offers[s] & m:
-                groups.append((T_EPS, ((s * stride) << 1 | rb,)))
+                groups.append((T_EPS, ((s * stride) << 1,)))
                 if tout[s]:
-                    groups.append((TIMEOUT, [(d * stride + slot) << 1 | rb for d in tout[s]]))
+                    groups.append((TIMEOUT, [(d * stride + slot) << 1 for d in tout[s]]))
         mine = out[i] = {}
         for lab, targets in groups:
             js = []
@@ -171,14 +207,60 @@ def _encode(lts: Lts, rooted: bool, sig: frozenset, max_states: int) -> Encoding
                 transitions.append((i, lab, j))
             mine[lab] = tuple(js)
 
-    modes = ((TRIGGERED, ENV), (TRIGGERED_ROOTED, ENV_ROOTED))
     tags = []
     for code in codes:
         s, slot = divmod(code >> 1, stride)
-        tags.append(EncodedState(modes[code & 1][slot > 0], xs[slot - 1] if slot else None, s))
-    labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab))
-    return Encoding(tags, transitions, out, sig, labels, codes, index,
-                    (lts, sig, max_states) if rooted else None)
+        tags.append(EncodedState(ENV if slot else TRIGGERED, xs[slot - 1] if slot else None, s))
+    labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps))
+    return Encoding(tags, transitions, out, sig, labels, codes, index)
+
+
+def _twin_moves(twin: Encoding, i: int, rooted: int, fused: Dict[str, str]):
+    """The moves of a rooted encoding's state whose twin is state i of the
+    plain encoding ``twin``, in rooted mode or not, as (label, the twins of
+    its targets, the targets' rooted bit), in the order of its moves.
+
+    A plain-mode state moves as its twin does.  A rooted-mode state's
+    targets keep the rooted bit but those of a visible step out of a
+    settled state.  After its twin's moves, a rooted triggered state has a
+    t_X step for each eps_X step whose target times out, to that target's
+    t targets, in plain mode (proved in ``bisim.tb_check``)."""
+    out = twin._out
+    moves = out[i].items()
+    if not rooted:
+        return [(lab, ds, 0) for lab, ds in moves]
+    if twin.tags[i].allowed is not None:
+        return [(lab, ds, int(lab not in twin.sigma)) for lab, ds in moves]
+    return [(lab, ds, 1) for lab, ds in moves] + [
+        (fused[lab], ts, 0) for lab, ds in moves if lab in fused
+        for ts in (out[ds[0]].get(TIMEOUT),) if ts]
+
+
+def _derive_rooted(twin: Encoding, max_states: int) -> RootedEncoding:
+    """The rooted encoding numbered from its plain twin encoding, depth
+    first from trig_r of the initial state over ``_twin_moves``: states in
+    the order ``_encode`` would number them in an exploration of the source
+    system, each keyed by its twin's index and its rooted bit until its
+    code is read off the twin's."""
+    fused = {eps_label(x): t_label(x) for x in subsets(twin.sigma)}
+    keys = [twin.initial << 1 | 1]
+    seen, order, frontier = set(keys), [], [0]
+    while frontier:
+        i = frontier.pop()
+        order.append(i)
+        key = keys[i]
+        for _, ds, bit in _twin_moves(twin, key >> 1, key & 1, fused):
+            for d in ds:
+                target = d << 1 | bit
+                if target not in seen:
+                    j = len(keys)
+                    if j >= max_states:
+                        raise StateBudgetExceeded(j + 1, max_states)
+                    seen.add(target)
+                    keys.append(target)
+                    frontier.append(j)
+    return RootedEncoding([twin.codes[k >> 1] | k & 1 for k in keys], twin,
+                          twin.labels.union(fused.values()), (order, fused))
 
 
 def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None,

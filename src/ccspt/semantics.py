@@ -290,7 +290,7 @@ class Lts:
 
     @property
     def num_states(self) -> int:
-        return len(self.tags)
+        return len(self)
 
     @property
     def num_transitions(self) -> int:

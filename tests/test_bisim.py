@@ -401,6 +401,37 @@ def test_damaged_witness_is_judged_without_a_fixpoint(family, rooted, monkeypatc
     assert [st.row_kills for st in layers] == kills
 
 
+@pytest.mark.parametrize("family", ["brb", "tob", "tb"])
+def test_a_warm_memo_still_rejects_a_damaged_witness(family):
+    # the fixpoints and revalidate on one arena share its mask memo: once
+    # the pair's plain and rooted fixpoints and revalidate have filled it,
+    # a damaged witness still fails, in either layer, and the whole one passes
+    l1, l2, sig = ring(8, {1}, False), ring(8, {1}, True), frozenset({"a", "b"})
+    if family == "tb":
+        l1, l2 = encode(l1, sigma=sig), encode(l2, sigma=sig)
+
+        def check(rooted):
+            return tb_check(l1, l1.initial, l2, l2.initial, rooted=rooted)
+    else:
+        def check(rooted):
+            checker = brb_check if family == "brb" else tob_check
+            return checker(l1, 0, l2, 0, rooted=rooted, sigma=sig)
+    store, rooted = check(False).witness, check(True).witness
+    assert rooted.plain is store and rooted.arena is store.arena
+    assert revalidate(store, family) and revalidate(rooted, family + "-rooted")
+    arena = store.arena
+    warm = dict(arena._memo)
+    assert warm
+    p, q = l1.initial, arena.state2(l2.initial)
+    masks = range(arena.full_mask + 1) if store.trows else ()
+    entries = [(p, q), (q, p)] + [e for x in masks for e in ((p, x, q), (q, x, p))]
+    with taken_out(store, *entries):
+        assert not revalidate(store, family)
+        assert not revalidate(rooted, family + "-rooted")
+    assert warm.items() <= arena._memo.items()
+    assert revalidate(store, family) and revalidate(rooted, family + "-rooted")
+
+
 def test_witness_sets_are_read_only_views_of_the_rows():
     # c is declared and offered by no state, so each triple row stands for
     # two declared masks, and the triples name both

@@ -1,10 +1,19 @@
 
+import random
+from itertools import chain
+
 import pytest
 
-from ccspt import LabelUniverseMismatch, brb_check, brb_X_check, encode, tb_check
-from ccspt.encode import ENV, EncodedState, encoded_entry
-from ccspt.semantics import T_EPS, Lts, eps_label, from_aut, t_label, to_aut
+from ccspt import (LabelUniverseMismatch, StateBudgetExceeded, brb_check, brb_X_check,
+                   encode, tb_check)
+from ccspt.encode import (ENV, ENV_ROOTED, TRIGGERED, TRIGGERED_ROOTED, EncodedState,
+                          encoded_entry, subsets)
+from ccspt.sampling import equivalent_variant, random_process
+from ccspt.semantics import (T_EPS, TAU, TIMEOUT, Lts, build_lts, eps_label, from_aut,
+                             reach, t_label, to_aut)
+from ccspt.terms import alphabet
 from conftest import lts_of
+from test_tb_engine import ring
 
 
 def test_encode_nil_with_one_action():
@@ -163,3 +172,162 @@ def test_encode_refuses_an_encoded_system(rooted):
         for system in (enc, from_aut(to_aut(enc))):
             with pytest.raises(LabelUniverseMismatch, match="not an encoded one"):
                 encode(system, rooted=rooted)
+
+
+# ---------------------------------------------------------------------------
+# the rooted encoding, explored from the source system, as the reference
+
+
+def explored_rooted(lts, sig, max_states):
+    """The rooted encoding explored from the source system, depth first by
+    int codes, as ``encode`` explored it before it numbered a rooted
+    encoding from its plain twin: (codes, tags, transitions, out, labels)."""
+    xs = subsets(sig)
+    bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
+    xmask = [sum(bit[a] for a in x) for x in xs]
+    eps, tlab = [eps_label(x) for x in xs], [t_label(x) for x in xs]
+    stride = len(xs) + 1
+    moves = [lts.out(s) for s in range(len(lts))]
+    tau = [o.get(TAU, ()) for o in moves]
+    tout = [o.get(TIMEOUT, ()) for o in moves]
+    offers = [sum(bit[a] for a in o if a in lts.sigma) for o in moves]
+    if max_states < 1:
+        raise StateBudgetExceeded(1, max_states)
+    codes = [(lts.initial * stride) << 1 | 1]
+    index, transitions, out, frontier = {codes[0]: 0}, [], [None], [0]
+    while frontier:
+        i = frontier.pop()
+        s, slot = divmod(codes[i] >> 1, stride)
+        rb = codes[i] & 1
+        if slot == 0:
+            groups = [(lab, [(d * stride) << 1 | rb for d in targets])
+                      for lab, targets in moves[s].items() if lab != TIMEOUT]
+            settle = (s * stride) << 1 | rb
+            groups += [(eps[k], (settle + ((k + 1) << 1),)) for k in range(len(xs))]
+            if rb and tout[s] and not tau[s]:
+                groups += [(tlab[k], [(d * stride + k + 1) << 1 for d in tout[s]])
+                           for k, m in enumerate(xmask) if not offers[s] & m]
+        else:
+            m = xmask[slot - 1]
+            groups = [(TAU, [(d * stride + slot) << 1 | rb for d in tau[s]])] if tau[s] else []
+            groups += [(lab, [(d * stride) << 1 for d in targets])
+                       for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
+            if not tau[s] and not offers[s] & m:
+                groups.append((T_EPS, ((s * stride) << 1 | rb,)))
+                if tout[s]:
+                    groups.append((TIMEOUT, [(d * stride + slot) << 1 | rb for d in tout[s]]))
+        mine = out[i] = {}
+        for lab, targets in groups:
+            js = []
+            for target in targets:
+                j = index.get(target)
+                if j is None:
+                    j = len(codes)
+                    if j >= max_states:
+                        raise StateBudgetExceeded(j + 1, max_states)
+                    index[target] = j
+                    codes.append(target)
+                    out.append(None)
+                    frontier.append(j)
+                js.append(j)
+                transitions.append((i, lab, j))
+            mine[lab] = tuple(js)
+    modes = ((TRIGGERED, ENV), (TRIGGERED_ROOTED, ENV_ROOTED))
+    tags = []
+    for code in codes:
+        s, slot = divmod(code >> 1, stride)
+        tags.append(EncodedState(modes[code & 1][slot > 0], xs[slot - 1] if slot else None, s))
+    labels = frozenset(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab))
+    return codes, tags, tuple(transitions), out, labels
+
+
+def reference_systems():
+    """(system, alphabet): criterion-3 style pairs, the n=12 rings, states
+    with only tau or only time-out steps, and declared but unused actions."""
+    rng = random.Random(20240)
+    for i in range(100):
+        sigma = ("a",) if i % 6 == 0 else (("a", "b") if i % 3 else ("a", "b", "c"))
+        t1, _ = random_process(rng, sigma, depth=4, max_states=10)
+        if rng.random() < 0.45:
+            t2 = equivalent_variant(rng, t1)
+            try:
+                build_lts(t2)
+            except Exception:
+                t2, _ = random_process(rng, sigma, depth=4, max_states=10)
+        else:
+            t2, _ = random_process(rng, sigma, depth=4, max_states=10)
+        sig = frozenset(sigma) | alphabet(t1) | alphabet(t2)
+        yield build_lts(t1, sigma=sig), sig
+        yield build_lts(t2, sigma=sig), sig
+    for double_t in (False, True):
+        yield ring(12, {1}, double_t), frozenset({"a", "b"})
+    for source in ("tau.tau.0", "t.t.0", "tau.a.0 + t.b.0", "t.0 + t.tau.0", "a.t.t.b.0"):
+        lts = lts_of(source)
+        yield lts, lts.sigma | {"a"}
+        yield lts, lts.sigma | {"a", "c", "d"}
+
+
+def test_rooted_encoding_matches_the_explored_one():
+    # a rooted encoding numbered from its plain twin has every field of the
+    # one explored from the source system, in the same order
+    count = 0
+    for lts, sig in reference_systems():
+        codes, tags, transitions, out, labels = explored_rooted(lts, sig, 10_000)
+        enc = encode(lts, rooted=True, sigma=sig)
+        assert (enc.codes, len(enc), enc.sigma, enc.labels) == (codes, len(codes), sig, labels)
+        assert enc.tags == tags
+        assert enc.transitions == transitions
+        assert [list(enc.out(s).items()) for s in range(len(enc))] == [
+            list(moves.items()) for moves in out]
+        assert enc.num_transitions == len(transitions) and enc.num_states == len(codes)
+        assert to_aut(enc) == to_aut(Lts(tags, transitions, 0, sig, labels))
+        count += 1
+    assert count == 212
+
+
+def test_rooted_encoding_is_refused_at_the_explored_count():
+    # a rooted encoding over max_states is refused with the count and the
+    # message of the explored one, also where the plain twin is refused
+    for source in ("a.t.t.b.0", "tau.a.0 + t.b.0"):
+        lts = lts_of(source)
+        n = len(explored_rooted(lts, lts.sigma, 10_000)[0])
+        assert len(encode(lts)) < n
+        for max_states in range(-1, n + 2):
+            want = got = None
+            try:
+                explored_rooted(lts, lts.sigma, max_states)
+            except StateBudgetExceeded as exc:
+                want = str(exc)
+            try:
+                encode(lts, rooted=True, max_states=max_states)
+            except StateBudgetExceeded as exc:
+                got = str(exc)
+            assert got == want, max_states
+            assert (want is None) == (max_states >= n)
+
+
+def test_the_twins_a_state_reaches_are_those_its_twin_reaches():
+    # the budget of rooted tb is checked on the twin's reachable states
+    for lts, sig in list(reference_systems())[::10]:
+        enc = encode(lts, rooted=True, sigma=sig)
+        plain = enc.twin_encoding()
+        for s in range(len(enc)):
+            reached = reach(lambda u: chain.from_iterable(enc.out(u).values()), s)
+            twin = plain.index[enc.codes[s] & ~1]
+            twins = reach(lambda u: chain.from_iterable(plain.out(u).values()), twin)
+            assert {enc.codes[u] & ~1 for u in reached} == {plain.codes[v] for v in twins}
+        assert len(reach(lambda u: chain.from_iterable(plain.out(u).values()),
+                         plain.initial)) == len(plain)
+
+
+def test_rooted_tb_writes_no_moves_of_the_rooted_encodings():
+    # rooted tb over two rooted encodings reads their roots' codes alone:
+    # neither encoding writes its move dicts, transitions or tags
+    l1, l2 = ring(12, {1}, False), ring(12, {1}, True)
+    sig = frozenset({"a", "b"})
+    r1, r2 = encode(l1, rooted=True, sigma=sig), encode(l2, rooted=True, sigma=sig)
+    lazy = {"_out", "transitions", "tags"}
+    assert tb_check(r1, r1.initial, r2, r2.initial, rooted=True).equivalent
+    assert not lazy & (vars(r1).keys() | vars(r2).keys())
+    r1.out(r1.initial)
+    assert lazy <= vars(r1).keys()

@@ -492,14 +492,14 @@ def test_damaged_rooted_tb_witness_fails():
     assert not revalidate(store, "tb-rooted")
 
 
-def test_rooted_budget_is_checked_before_the_twins_are_encoded(monkeypatch):
+def test_rooted_budget_is_checked_before_an_arena_is_built(monkeypatch):
     # six declared but unused actions: 2^8 masks a base state.  The plain
-    # fixpoint over the twins would seed 770 M pairs, refused on the twin
-    # image of the rooted side states before a plain twin encoding is built
+    # fixpoint over the twins would seed 770 M pairs, refused on the plain
+    # twins' reachable states before any arena, and so any store, over the
+    # twins is built; the twin encodings are built by encode itself
     l1, l2 = ring(48, {1}, False), ring(48, {1}, True)
     sig = frozenset("abcdefgh")
     r1, r2 = encoded(l1, l2, sig, True)
-    monkeypatch.setattr(Encoding, "twin_encoding",
-                        lambda self: pytest.fail("a twin encoding was built"))
+    monkeypatch.setattr(Arena, "__init__", lambda self, *args: pytest.fail("an arena was built"))
     with pytest.raises(StateBudgetExceeded, match="770"):
         tb_check(r1, r1.initial, r2, r2.initial, rooted=True)

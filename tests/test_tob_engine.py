@@ -142,6 +142,23 @@ class DeclaredThetaArena(ThetaArena):
         self.vmask, self.class_size = self.full_mask, 1
 
 
+def test_rebuilt_tables_start_with_an_empty_memo():
+    # the mask memo holds functions of the engine tables, so it goes with
+    # them: a rebuild, such as the one by which the declared arena keys its
+    # wrappers by every declared mask, starts it empty
+    l1, l2 = lts_of("a.t.b.0 + b.0", sigma={"c"}), lts_of("a.t.t.b.0 + b.0", sigma={"c"})
+    arena = DeclaredThetaArena(l1, l2, {"a", "b", "c"})
+    assert arena._memo == {} and arena.vmask == arena.full_mask
+    store = arena.seeded("tob", arena.side_states(0), arena.side_states(arena.state2(0)), False)
+    arena.fixpoint(store, "tob")
+    assert arena._memo and arena.pred is not None
+    arena._build_tables(arena.n)
+    assert arena._memo == {} and arena.pred is None
+    again = arena.seeded("tob", arena.side_states(0), arena.side_states(arena.state2(0)), False)
+    arena.fixpoint(again, "tob")
+    assert again.rows == store.rows and again.row_kills == store.row_kills
+
+
 class NestedThetaArena(ThetaArena):
     """Wrappers nested ``depth`` levels deep, built by the theta rules with
     no normal form: each wrapper of a wrapper is a state of its own, and
