@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import bisim
-from .encode import encode as _encode_lts
+from .encode import encode as _encode_lts, subsets
 from .errors import SideConditionViolated, UnfoldingDiverged
 from .parser import render
 from .sampling import guarded_spec_pool, random_process
@@ -404,20 +404,21 @@ def head_normal_form(term: Term) -> Term:
 # Equivalence backends and the harness
 
 
-def rooted_brb_equiv(t1: Term, t2: Term, sigma: Iterable[str] = ()) -> bool:
+def _systems(t1: Term, t2: Term, sigma: Iterable[str]):
+    """The systems of two terms over their alphabets and ``sigma``, and that alphabet."""
     sig = frozenset(sigma) | alphabet(t1) | alphabet(t2)
-    l1 = build_lts(t1, sigma=sig)
-    l2 = build_lts(t2, sigma=sig)
+    return build_lts(t1, sigma=sig), build_lts(t2, sigma=sig), sig
+
+
+def rooted_brb_equiv(t1: Term, t2: Term, sigma: Iterable[str] = ()) -> bool:
+    l1, l2, sig = _systems(t1, t2, sigma)
     return bisim.brb_check(l1, l1.initial, l2, l2.initial,
                            rooted=True, sigma=sig).equivalent
 
 
 def rooted_tb_equiv(t1: Term, t2: Term, sigma: Iterable[str] = ()) -> bool:
-    sig = frozenset(sigma) | alphabet(t1) | alphabet(t2)
-    l1 = build_lts(t1, sigma=sig)
-    l2 = build_lts(t2, sigma=sig)
-    e1 = _encode_lts(l1, rooted=True, sigma=sig)
-    e2 = _encode_lts(l2, rooted=True, sigma=sig)
+    l1, l2, sig = _systems(t1, t2, sigma)
+    e1, e2 = (_encode_lts(lts, rooted=True, sigma=sig) for lts in (l1, l2))
     return bisim.tb_check(e1, e1.initial, e2, e2.initial, rooted=True).equivalent
 
 
@@ -462,11 +463,8 @@ def soundness_raa(p: Term, q: Term, sigma: Iterable[str] = ()) -> bool:
     powerset of the shared alphabet, p and q must be rooted-equivalent too;
     vacuously true when the premise fails.
     """
-    sig = sorted(frozenset(sigma) | alphabet(p) | alphabet(q))
-    subsets = [frozenset()]
-    for a in sig:
-        subsets += [s | {a} for s in subsets]
-    for x in subsets:
+    sig = frozenset(sigma) | alphabet(p) | alphabet(q)
+    for x in subsets(sig):
         if not rooted_brb_equiv(Psi(x, p), Psi(x, q), sig):
             return True
     return rooted_brb_equiv(p, q, sig)

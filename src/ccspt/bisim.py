@@ -8,7 +8,8 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-One driver, ``_check``, takes every checker from a pair to its verdict, and
+One driver, ``_check``, takes every checker from a pair to its verdict,
+through the front half (``_query``) that ``modal.distinguish`` shares, and
 one engine, the arena itself, runs the rounds: ``Arena`` decides ``brb``,
 ``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
 too), ``tb`` over encoded systems and the rooted layer of each, and the
@@ -258,26 +259,26 @@ class Arena:
         return RelationStore(self, relation, rows, trows)
 
     # -- mask primitives -----------------------------------------------------
-    def _pre(self, lab, mask: int, memo) -> int:
+    def _pre(self, lab, mask: int) -> int:
         """States with a ``lab``-step into ``mask``.
 
         Memoised by value: states with equal rows, common once the relation
         settles into classes (and all of one side in round one), share it.
         """
         key = (lab, mask)
-        got = memo.get(key)
+        got = self._memo.get(key)
         if got is None:
-            got = memo[key] = _gather(self.pred[lab], mask)
+            got = self._memo[key] = _gather(self.pred[lab], mask)
         return got
 
-    def _reaching(self, good: int, memo) -> int:
+    def _reaching(self, good: int) -> int:
         """The states whose weak closure meets ``good``."""
-        got = memo.get(good)   # a bare mask: the weak closure, beside the keys of _pre
+        got = self._memo.get(good)   # a bare mask: the weak closure, beside the keys of _pre
         if got is None:
-            got = memo[good] = _gather(self.rweak, good)
+            got = self._memo[good] = _gather(self.rweak, good)
         return got
 
-    def _tpath(self, alive: int, mid: int, target: int, memo) -> int:
+    def _tpath(self, alive: int, mid: int, target: int) -> int:
         """States of ``alive`` that match a time-out into ``target``.
 
         A match is an alternating weak/t path whose stations (its start and
@@ -290,11 +291,11 @@ class Arena:
         nothing is added or every station won.  Memoised by value.
         """
         key = ("t", alive, mid, target)
-        got = memo.get(key)
+        got = self._memo.get(key)
         if got is not None:
             return got
-        hit = mid & (target | self._pre(TIMEOUT, target, memo))
-        won = self._reaching(hit, memo) & alive
+        hit = mid & (target | self._pre(TIMEOUT, target))
+        won = self._reaching(hit) & alive
         new = won
         tpred = self.pred[TIMEOUT]
         while new and alive & ~won:
@@ -302,9 +303,9 @@ class Arena:
             if not more:
                 break
             hit |= more
-            new = self._reaching(more, memo) & alive & ~won
+            new = self._reaching(more) & alive & ~won
             won |= new
-        memo[key] = won
+        self._memo[key] = won
         return won
 
     def _idle_masks(self) -> Dict[int, int]:
@@ -321,17 +322,17 @@ class Arena:
             self._idle = {x: self.notau & ~b for x, b in busy.items()}
         return self._idle
 
-    def _gpath(self, y, alive: int, target: int, memo) -> int:
+    def _gpath(self, y, alive: int, target: int) -> int:
         """Partners matching a time-out under y into ``target`` over the
         stations ``alive``: a stable state of their weak closure is in the
         target, or times out into it or into a station that matches (the
         first station need not be alive)."""
         key = ("g", y, alive, target)
-        got = memo.get(key)
+        got = self._memo.get(key)
         if got is None:
-            won = self._tpath(alive, self._idle_masks()[y & self.vmask], target, memo)
-            hit = self.notau & (target | self._pre(TIMEOUT, target | won, memo))
-            got = memo[key] = self._reaching(hit, memo)
+            won = self._tpath(alive, self._idle_masks()[y & self.vmask], target)
+            hit = self.notau & (target | self._pre(TIMEOUT, target | won))
+            got = self._memo[key] = self._reaching(hit)
         return got
 
     # -- clause programs -----------------------------------------------------
@@ -474,7 +475,7 @@ class Arena:
         return clause, info
 
     # -- drivers -------------------------------------------------------------
-    def failing(self, family, rows, trows, plain, todo, memo):
+    def failing(self, family, rows, trows, plain, todo):
         """The rows of ``todo`` with a failing partner, as (p, x, line,
         [(mask of partners, op), ...], mask of all failing partners), x
         None for a pair row: pair rows first, then triple rows in (p, x)
@@ -483,12 +484,12 @@ class Arena:
         (``plain``, the plain fixpoint's (rows, trows), matches the rooted
         layer's steps).  A partner fails by the first op it does not pass,
         and a row stops once no partner is left.  Nothing but a row's
-        program and the mask ``memo`` is written, so a caller may stop early."""
+        program and the arena's memo is written, so a caller may stop early."""
         rooted = plain is not None
         pairs, triples, compile_pair, compile_triple = self.program(
             family, None if trows is None else tuple(trows), rooted)
         mrows, mtrows = plain if rooted else (rows, trows)
-        pred, rweak = self.pred, self.rweak
+        pred, rweak, memo = self.pred, self.rweak, self._memo
         lines = [(x, trows[x], mtrows[x], progs) for x, progs in (triples or {}).items()]
         jobs = [(p, None, rows, mrows, pairs) for p in todo if rows[p]] + [
             (p, x, line, mline, progs) for p in todo for x, line, mline, progs in lines if line[p]]
@@ -519,20 +520,20 @@ class Arena:
                 elif kind == _TRIPLE:
                     ok = trows[a][p]
                 elif kind == _TPATH:
-                    ok = self._tpath(alive, alive if a is None else a, line[b], memo)
+                    ok = self._tpath(alive, alive if a is None else a, line[b])
                 elif kind == _ROW:
-                    ok = rows[p] if rooted else self._reaching(rows[p], memo)
+                    ok = rows[p] if rooted else self._reaching(rows[p])
                 elif kind == _CONCRETE:
-                    ok = self._reaching(self._pre(TIMEOUT, line[b], memo), memo)
+                    ok = self._reaching(self._pre(TIMEOUT, line[b]))
                 elif kind == _FUSED:
-                    ok = self._pre(a, self._pre(TIMEOUT, mrows[b], memo), memo)
+                    ok = self._pre(a, self._pre(TIMEOUT, mrows[b]))
                 else:   # a time-out under a
-                    target = mtrows[a][b] if kind == _GPATH else self._unwrap(a, mrows[b], memo)
+                    target = mtrows[a][b] if kind == _GPATH else self._unwrap(a, mrows[b])
                     if rooted:
-                        ok = self._pre(TIMEOUT, target, memo)
+                        ok = self._pre(TIMEOUT, target)
                     else:
                         ok = self._gpath(a, trows[a][p] if kind == _GPATH
-                                         else self._unwrap(a, rows[p], memo), target, memo)
+                                         else self._unwrap(a, rows[p]), target)
                 bad = live & ~ok
                 if bad:
                     fails.append((bad, op))
@@ -542,7 +543,7 @@ class Arena:
             if fails:
                 yield p, x, line, fails, alive ^ live
 
-    def fixpoint(self, store: RelationStore, family: str, plain=None) -> Tuple[int, int]:
+    def fixpoint(self, store: RelationStore, family: str) -> Tuple[int, int]:
         """Delete failing entries from the store's rows in synchronous rounds.
 
         As in a per-entry deletion in sorted order, every row is judged
@@ -556,12 +557,13 @@ class Arena:
         only when a row they read has changed: their own, a successor's or,
         for ``tob``, that of a t-successor's wrapper.  A
         triple row counts once per declared mask of its class in the
-        entries checked.  ``family`` names the clause program, and ``plain``
-        is the plain fixpoint's (rows, trows) when the store is a rooted layer.
+        entries checked.  ``family`` names the clause program, and a rooted
+        layer's steps are matched in the rows of its ``store.plain``.
         Every round reads the arena's one mask memo, so the fixpoints of
         every family and layer on the arena share their pre-images.
         """
-        rows, trows = store.rows, store.trows
+        rows, trows, plain = store.rows, store.trows, store.plain
+        plain = None if plain is None else (plain.rows, plain.trows)
         lines = list(trows.values()) if trows else []
         weight = self.class_size
         alive = _count(rows) + weight * sum(_count(line) for line in lines)
@@ -570,7 +572,7 @@ class Arena:
         while True:
             iterations += 1
             checked += alive
-            bad = list(self.failing(family, rows, trows, plain, todo, self._memo))
+            bad = list(self.failing(family, rows, trows, plain, todo))
             if not bad:
                 return iterations, checked
             changed = 0
@@ -690,12 +692,12 @@ class ThetaArena(Arena):
             for p in _bits(tpred[s] & idle[x]):
                 self.deps[p] |= 1 << w
 
-    def _unwrap(self, x, mask: int, memo) -> int:
+    def _unwrap(self, x, mask: int) -> int:
         """The states whose wrapper under x lies in ``mask``."""
         key = ("u", x, mask)
-        got = memo.get(key)
+        got = self._memo.get(key)
         if got is None:
-            got = memo[key] = _gather(self.unwrapped[x], mask)
+            got = self._memo[key] = _gather(self.unwrapped[x], mask)
         return got
 
 
@@ -1014,28 +1016,38 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
     a, b = root or (p, arena.state2(q))
     store = arena.seeded(relation + "-rooted", (a,), (b,), with_triples)
     store.plain = plain
-    rounds, checked = arena.fixpoint(store, family, (plain.rows, plain.trows))
+    rounds, checked = arena.fixpoint(store, family)
     store.iterations, store.checked = rounds + plain.iterations, checked + plain.checked
     return store
 
 
-def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
-           rooted: bool, sigma: Iterable[str] = (), env=None) -> Verdict:
-    """Take the family's arena from the pair context, read the queried entry
-    off it before any store is seeded (the pair, the triple (p, X, q) under
-    ``env``, or for ``tob`` the wrapped pair), run the fixpoints and judge
-    that entry, under the queried relation's name."""
+def _query(family: str, l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str],
+           env: Optional[Iterable[str]]) -> Tuple[_PairContext, tuple, Optional[int]]:
+    """The front half of ``_check`` and ``modal.distinguish``: refuse a state
+    outside its system and a reserved name in ``env`` before any pair context
+    is built, take the context of the family's arena over ``sigma`` and read
+    the queried entry off it, as (context, the pair, the triple (p, X, q) or
+    for ``tob`` the wrapped pair, X the declared mask of ``env`` or None)."""
     _refuse_states(l1, p, l2, q)
+    if env is not None:
+        env = visible_alphabet(env, "an environment set")
     ctx = _context(ThetaArena if family == "tob" else Arena, l1, l2, sigma)
     arena = ctx.arena
     gq = arena.state2(q)
-    entry, x = (p, gq), None
-    if env is not None:
-        x = arena.mask_of(env)
-        entry = (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq)
+    if env is None:
+        return ctx, (p, gq), None
+    x = arena.mask_of(env)
+    return ctx, (arena.wrap(x, p), arena.wrap(x, gq)) if family == "tob" else (p, x, gq), x
+
+
+def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
+           rooted: bool, sigma: Iterable[str] = (), env=None) -> Verdict:
+    """Take the queried entry from ``_query``, run the fixpoints and judge
+    that entry, under the queried relation's name."""
+    ctx, entry, x = _query(family, l1, p, l2, q, sigma, env)
     store = _row_fixpoints(ctx, p, q, family, relation, rooted, (entry[0], entry[-1]))
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
-    return Verdict(relation + "-rooted" if rooted else relation, alive, arena.sigma,
+    return Verdict(relation + "-rooted" if rooted else relation, alive, ctx.arena.sigma,
                    store.iterations, store.checked,
                    [] if alive else _refutation_records(store, [entry, entry[::-1]], x),
                    store if alive else None)
@@ -1247,8 +1259,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     for st, trows in zip(layers, lines):
         if not all(_symmetric(line) for line in [st.rows, *(trows or {}).values()]):
             return False
-        if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n),
-                                 st.arena._memo), None):
+        if next(st.arena.failing(family, st.rows, trows, plain, range(st.arena.n)), None):
             return False
         plain = st.rows, trows
     return True

@@ -325,19 +325,19 @@ class _Builder:
     earlier; the recursion is well-founded on ranks.  An entry that died only
     by symmetry gets the negation of its mirror's formula.
 
-    A rooted store's builder holds the builder of the plain store as
-    ``plain``: a rooted clause (r1a-r2c) is one strong step by its action,
-    tau or t, continued by plain formulas.  Plain and rooted clause names
-    never overlap, so one dispatch serves both.  A rooted clause reads plain
-    entries alone, so the rooted store is read only at the queried entry and
-    its mirror, the entries a rooted layer is seeded with.
+    The builder reads the store's arena, and a rooted store's builder holds
+    the builder of its ``plain`` store as ``plain``: a rooted clause
+    (r1a-r2c) is one strong step by its action, tau or t, continued by plain
+    formulas.  Plain and rooted clause names never overlap, so one dispatch
+    serves both.  A rooted clause reads plain entries alone, so the rooted
+    store is read only at the queried entry and its mirror, the entries a
+    rooted layer is seeded with.
     """
 
-    def __init__(self, arena: "_bisim.Arena", store: "_bisim.RelationStore",
-                 plain: Optional["_Builder"] = None):
-        self.a = arena
+    def __init__(self, store: "_bisim.RelationStore"):
+        self.a = store.arena
         self.st = store
-        self.plain = plain
+        self.plain = None if store.plain is None else _Builder(store.plain)
         self.memo: Dict[tuple, Formula] = {}
         self._ttreach: Dict[int, Tuple[int, ...]] = {}
 
@@ -347,12 +347,6 @@ class _Builder:
             a = self.a
             got = self._ttreach[q] = reach(lambda u: a.tau_succ[u] + a.t_succ[u], q)
         return got
-
-    def pair(self, p, q) -> Formula:
-        return self.entry((p, q))
-
-    def triple(self, p, x, q) -> Formula:
-        return self.entry((p, x, q))
 
     def entry(self, e: tuple) -> Formula:
         got = self.memo.get(e)
@@ -416,20 +410,15 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     rooted version.  The produced formula is built from the refutation tree
     of the generalised fixpoint and holds on exactly one of the two states;
     that fixpoint is the one ``gbrb_check`` of the same pair reads, computed
-    once for the pair (``bisim._PairContext``).
+    once for the pair (``bisim._PairContext``).  The queried entry comes
+    from the front half the checkers share (``bisim._query``), a triple
+    read under X & V.
     """
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
-    _bisim._refuse_states(l1, p, l2, q)
-    ctx = _bisim._context(_bisim.Arena, l1, l2, sigma)
-    arena = ctx.arena
-    xmask = None if env is None else arena.mask_of(env) & arena.vmask
+    ctx, entry, x = _bisim._query("gbrb", l1, p, l2, q, sigma, env)
+    if x is not None:
+        entry = (p, x & ctx.arena.vmask, entry[-1])
     store = _bisim._row_fixpoints(ctx, p, q, "gbrb", "gbrb", fragment == "Lbr")
-    gq = arena.state2(q)
-    builder = (_Builder(arena, store) if fragment == "Lb"
-               else _Builder(arena, store, _Builder(arena, store.plain)))
-    if xmask is None:
-        return None if store.has_pair(p, gq) else builder.pair(p, gq)
-    if store.has_triple(p, xmask, gq):
-        return None
-    return builder.triple(p, xmask, gq)
+    alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
+    return None if alive else _Builder(store).entry(entry)

@@ -15,7 +15,7 @@ from .errors import (ParseError, StateBudgetExceeded, UnfoldingDiverged, Validit
                      depth_guarded)
 # the label vocabulary of ``terms`` is read from here too
 from .terms import (T_EPS, TAU, TIMEOUT, Hide, Nil, Par, Prefix, Psi, RecCall,
-                    Rename, Term, Theta, Choice, Var, alphabet, eps_label,
+                    Rename, Term, Theta, Choice, Var, _acyclic, alphabet, eps_label,
                     is_visible, label_kind, t_label, unfold, visible_alphabet)
 
 if sys.getrecursionlimit() < 20_000:
@@ -351,32 +351,7 @@ def stable_reachable(lts: Lts, s: int) -> bool:
 
 def is_strongly_guarded(lts: Lts) -> bool:
     """No cycle in the subgraph of tau and t edges (hence no infinite such path)."""
-    n = len(lts)
-    colour = [0] * n  # 0 unseen, 1 on stack, 2 done
-
-    def edges(u):
-        return lts.succ(u, TAU) + lts.succ(u, TIMEOUT)
-
-    for root in range(n):
-        if colour[root]:
-            continue
-        stack = [(root, iter(edges(root)))]
-        colour[root] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if colour[v] == 1:
-                    return False
-                if colour[v] == 0:
-                    colour[v] = 1
-                    stack.append((v, iter(edges(v))))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[u] = 2
-                stack.pop()
-    return True
+    return _acyclic({u: lts.succ(u, TAU) + lts.succ(u, TIMEOUT) for u in range(len(lts))})
 
 
 @depth_guarded

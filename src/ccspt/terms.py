@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
+from graphlib import CycleError, TopologicalSorter
 from inspect import get_annotations
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -582,20 +583,17 @@ def is_well_guarded(sp: RecSpec) -> bool:
         if _has_hide(body):
             return False
         _unguarded(body, sp.vars, frozenset(), False, edges[name])
-    # cycle detection over the unguarded-dependency graph
-    state = {}  # 0 visiting, 1 done
+    return _acyclic(edges)
 
-    def dfs(v):
-        state[v] = 0
-        for w in edges[v]:
-            if state.get(w) == 0:
-                return False
-            if w not in state and not dfs(w):
-                return False
-        state[v] = 1
-        return True
 
-    return all(dfs(v) for v in edges if v not in state)
+def _acyclic(graph: Mapping) -> bool:
+    """Whether the graph, each node mapped to its successors, has no cycle,
+    a self-loop included."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def _has_hide(term: Term) -> bool:

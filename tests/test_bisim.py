@@ -726,10 +726,10 @@ def test_a_rooted_layer_judges_only_its_seeded_states(monkeypatch):
     todos = []
     failing = bisim.Arena.failing
 
-    def spy(self, family, rows, trows, plain, todo, memo):
+    def spy(self, family, rows, trows, plain, todo):
         if plain is not None:
             todos.append(list(todo))
-        return failing(self, family, rows, trows, plain, todo, memo)
+        return failing(self, family, rows, trows, plain, todo)
 
     monkeypatch.setattr(bisim.Arena, "failing", spy)
     # in the rings, a killed root has predecessors, whose rows read its row

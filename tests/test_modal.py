@@ -1,9 +1,9 @@
 import pytest
 
 from ccspt import (Diamond, EpsStep, EpsX, FragmentUnsupported, LabelUniverseMismatch,
-                   Not, Stable, TimeoutDiamond, Top, brb_X_check, brb_check,
+                   Not, Stable, TimeoutDiamond, Top, bisim, brb_X_check, brb_check,
                    distinguish, enumerate_fragment, in_fragment, parse_formula,
-                   parse_term, render, sat, sat_env)
+                   parse_term, render, sat, sat_env, tob_check)
 from ccspt.modal import And, Evaluator
 from ccspt.semantics import Lts
 from conftest import lts_of, pair_lts
@@ -220,8 +220,24 @@ def test_theorem_soundness_small(rng):
 
 
 def test_reserved_name_in_an_environment_set_is_a_named_error():
+    # refused before any pair context, and so any arena, is built
     l1, l2, sig = pair_lts("a.0 + b.0", "a.0")
-    with pytest.raises(LabelUniverseMismatch, match="an environment set"):
-        distinguish(l1, 0, l2, 0, env=["t_eps"], sigma=sig)
+    for query in (lambda env: distinguish(l1, 0, l2, 0, env=env, sigma=sig),
+                  lambda env: brb_X_check(l1, 0, l2, 0, env, sigma=sig),
+                  lambda env: tob_check(l1, 0, l2, 0, sigma=sig, env=env)):
+        for env in (["t_eps"], ["tau"], ["a", "t"]):
+            with pytest.raises(LabelUniverseMismatch, match="an environment set"):
+                query(env)
+            assert l1 not in bisim._CONTEXTS
     with pytest.raises(LabelUniverseMismatch, match="an environment set"):
         sat_env(l1, 0, ["tau"], Top())
+
+
+@pytest.mark.parametrize("fragment", ["Lb", "Lbr"])
+def test_distinguish_reads_an_environment_under_the_offered_actions(fragment):
+    # z is declared but offered by no state: {b, z} and {b} are one
+    # environment, whose triple is read under {b}
+    l1, l2, sig = pair_lts("t.a.0", "t.b.0", sigma={"z"})
+    want = distinguish(l1, 0, l2, 0, fragment=fragment, env={"b"}, sigma=sig)
+    got = distinguish(l1, 0, l2, 0, fragment=fragment, env={"b", "z"}, sigma=sig)
+    assert want is not None and str(got) == str(want)

@@ -533,18 +533,17 @@ def test_distinguishing_formulas_match_reference():
     for l1, l2, sig in sampled_pairs(40, 5):
         for fragment in ("Lb", "Lbr"):
             ref, gq = ref_check("gbrb", l1, l2, sig, fragment == "Lbr")
-            builder = (_Builder(ref.arena, ref) if fragment == "Lb"
-                       else _Builder(ref.arena, ref, _Builder(ref.arena, ref.plain)))
+            builder = _Builder(ref)
             for env in [None] + environments(sig):
                 f = distinguish(l1, l1.initial, l2, l2.initial, fragment=fragment,
                                 env=env, sigma=sig)
                 if env is None:
                     want = None if (l1.initial, gq) in ref.pairs else \
-                        builder.pair(l1.initial, gq)
+                        builder.entry((l1.initial, gq))
                 else:
                     x = ref.arena.mask_of(env)
                     want = None if (l1.initial, x, gq) in ref.triples else \
-                        builder.triple(l1.initial, x, gq)
+                        builder.entry((l1.initial, x, gq))
                 assert str(f) == str(want)
                 found += f is not None
     assert found
@@ -554,22 +553,22 @@ def test_distinguishing_formulas_match_reference():
 # fixpoint bookkeeping: grouped deletion and lookups off the row log
 
 
-def sequential_fixpoint(arena, store, family, plain=None):
+def sequential_fixpoint(arena, store, family):
     """``Arena.fixpoint`` with the symmetric deletion done per bad row
     and per dead partner bit, in log order: the loop the grouped deletion
     replaced.  The rows are judged by the same clause programs, and each
     row's dead partners are read off its failing clauses."""
     rows, trows = store.rows, store.trows
+    plain = None if store.plain is None else (store.plain.rows, store.plain.trows)
     weight = arena.class_size
     alive = bisim._count(rows) + (weight * sum(bisim._count(line) for line in trows.values())
                                   if trows else 0)
     iterations = checked = 0
     todo = range(arena.n)
-    memo = {}
     while True:
         iterations += 1
         checked += alive
-        bad = list(arena.failing(family, rows, trows, plain, todo, memo))
+        bad = list(arena.failing(family, rows, trows, plain, todo))
         if not bad:
             return iterations, checked
         changed = 0
@@ -597,8 +596,8 @@ def run_fixpoints(fixpoint, arena, family, rooted):
     counts = [fixpoint(arena, store, family)]
     if rooted:
         plain, store = store, arena.seeded(family, lefts, rights, True)
-        counts.append(fixpoint(arena, store, family, (plain.rows, plain.trows)))
         store.plain = plain
+        counts.append(fixpoint(arena, store, family))
     return store, counts
 
 

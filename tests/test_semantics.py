@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from ccspt import (ExplorationLimits, LabelUniverseMismatch, StateBudgetExceeded,
                    TermTooDeep, UnfoldingDiverged, ValidityError,
                    alphabet, build_lts, from_aut, initials, parse_term,
                    step, to_aut, weak_reach)
-from ccspt.semantics import (DEFAULT_UNFOLD_FUSE, Lts, _step, _StepCtx,
+from ccspt.sampling import guarded_spec_pool
+from ccspt.semantics import (DEFAULT_UNFOLD_FUSE, TAU, TIMEOUT, Lts, _step, _StepCtx,
                              is_strongly_guarded, label_kind, stable_reachable,
                              to_dot)
 from ccspt.terms import (NIL, Choice, Hide, Node, Par, Prefix, Psi, RecCall, Rename,
@@ -99,6 +102,56 @@ def test_strong_guardedness():
     assert is_strongly_guarded(lts_of("a.t.b.0"))
     assert not is_strongly_guarded(lts_of("<x|{x = t.x}>"))
     assert not is_strongly_guarded(lts_of("<x|{x = t.(a.0 + tau.x)}>"))
+
+
+def reference_strongly_guarded(lts):
+    """The iterative colouring search ``is_strongly_guarded`` ran before it
+    asked ``graphlib``: the reference it is compared against."""
+    n = len(lts)
+    colour = [0] * n  # 0 unseen, 1 on stack, 2 done
+
+    def edges(u):
+        return lts.succ(u, TAU) + lts.succ(u, TIMEOUT)
+
+    for root in range(n):
+        if colour[root]:
+            continue
+        stack = [(root, iter(edges(root)))]
+        colour[root] = 1
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for v in it:
+                if colour[v] == 1:
+                    return False
+                if colour[v] == 0:
+                    colour[v] = 1
+                    stack.append((v, iter(edges(v))))
+                    advanced = True
+                    break
+            if not advanced:
+                colour[u] = 2
+                stack.pop()
+    return True
+
+
+def test_strong_guardedness_matches_the_reference_search():
+    from test_acceptance import _sample_pair
+    hand = [Lts([f"s{i}" for i in range(n)], moves) for n, moves in (
+        (1, [(0, "t", 0)]),
+        (3, [(0, "tau", 1), (1, "t", 2), (2, "tau", 0)]),
+        (2, [(0, "tau", 1), (1, "a", 0)]),
+        (4, [(0, "tau", 1), (0, "t", 2), (1, "tau", 3), (2, "t", 3)]),
+        (3, [(0, "tau", 1), (1, "t", 2), (2, "tau", 1)]),
+        (4, [(0, "a", 1), (1, "tau", 2), (2, "t", 3), (3, "t", 1)]),
+        (4, [(3, "tau", 2), (2, "tau", 1), (1, "tau", 0), (0, "b", 3)]))]
+    rng = random.Random(20240)
+    sampled = [lts for i in range(500) for lts in _sample_pair(rng, i)[2:4]]
+    systems = hand + sampled + [lts_of(RecCall("x", sp))
+                                for sp in guarded_spec_pool(("a", "b"))]
+    verdicts = [is_strongly_guarded(lts) for lts in systems]
+    assert verdicts == [reference_strongly_guarded(lts) for lts in systems]
+    assert True in verdicts[len(hand):] and False in verdicts[len(hand):]
 
 
 def test_alphabet_covers_reachable_labels(rng):

@@ -1,3 +1,4 @@
+import random
 import typing
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from ccspt import (NIL, Choice, InvalidResult, Prefix, RecCall, Var, alphabet,
                    free_vars, is_valid, is_well_guarded, parse_spec,
                    parse_term, rec, render, spec, substitute, theta, theta_x, psi)
-from ccspt.sampling import random_term
-from ccspt.terms import Term, children, is_guarded, rebuild, seq
+from ccspt.sampling import guarded_spec_pool, random_term
+from ccspt.terms import Term, _has_hide, _unguarded, children, is_guarded, rebuild, seq
 
 
 def test_free_vars():
@@ -117,6 +118,60 @@ def test_well_guardedness():
     # hiding anywhere disqualifies
     from ccspt.terms import hide
     assert not is_well_guarded(spec({"x": hide(["a"], Prefix("a", Var("x")))}))
+
+
+def reference_well_guarded(sp):
+    """The recursive depth-first cycle search ``is_well_guarded`` ran before
+    it asked ``graphlib``: the reference it is compared against."""
+    edges = {name: set() for name, _ in sp.equations}
+    for name, body in sp.equations:
+        if _has_hide(body):
+            return False
+        _unguarded(body, sp.vars, frozenset(), False, edges[name])
+    state = {}  # 0 visiting, 1 done
+
+    def dfs(v):
+        state[v] = 0
+        for w in edges[v]:
+            if state.get(w) == 0:
+                return False
+            if w not in state and not dfs(w):
+                return False
+        state[v] = 1
+        return True
+
+    return all(dfs(v) for v in edges if v not in state)
+
+
+def specs_in(term):
+    """The specifications of every recursion call in ``term``, nested ones too."""
+    found, stack = {}, [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, RecCall):
+            if id(t.spec) not in found:
+                found[id(t.spec)] = t.spec
+                stack.extend(t.spec.bodies)
+        else:
+            stack.extend(children(t))
+    return list(found.values())
+
+
+def test_well_guardedness_matches_the_reference_search():
+    from test_acceptance import _sample_pair
+    pool = [sp for sigma in (("a",), ("a", "b")) for sp in guarded_spec_pool(sigma)]
+    hand = [parse_spec(text) for text in (
+        "x = x", "x = y; y = z; z = x", "x = y + a.x; y = tau.x", "x = a.y; y = b.z; z = x",
+        "x = y; y = z; z = w; w = a.x", "x = y; y = z; z = w; w = tau.x",
+        "x = t.y; y = x ||{} a.0", "x = <y|{y = x}>", "x = a.<y|{y = y}>",
+        "x = y + z; y = a.x; z = w; w = x", "x = y + z; y = w; z = w; w = a.x")]
+    rng = random.Random(20240)
+    sampled = [sp for i in range(500) for t in _sample_pair(rng, i)[:2] for sp in specs_in(t)]
+    specs = pool + hand + sampled
+    assert len(sampled) > 100
+    verdicts = [is_well_guarded(sp) for sp in specs]
+    assert verdicts == [reference_well_guarded(sp) for sp in specs]
+    assert True in verdicts and False in verdicts[len(pool):len(pool) + len(hand)]
 
 
 def test_is_guarded_checks_nested_specs():
