@@ -8,23 +8,24 @@ started with, until nothing moves.  The queried states are equivalent iff
 their entry survives.  Deletion order is deterministic, so ranks and
 refutation records are reproducible.
 
-One driver, ``_check``, takes every checker from a pair to its verdict,
-through the front half (``_query``) that ``modal.distinguish`` shares, and
-one engine, the arena itself, runs the rounds: ``Arena`` decides ``brb``,
-``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind ``modal.distinguish``
-too), ``tb`` over encoded systems and the rooted layer of each, and the
-environment-augmented ``ThetaArena`` decides ``tob`` and its rooted layer.
-It keeps a relation as bit masks, one pair row per state and one triple row
-per state and environment mask, and decides a row's clauses for all of its
-partners at once, with the same rounds, ranks and refutation records as a
-per-entry check.  Each family's clauses are written once, in
-``Arena._compile``: the rooted layer reads them strongly, matching a first
-step by the same step into the plain fixpoint.  They are compiled into a
-clause program per row, a tuple of ops naming their clauses, once per
+One front half, ``_query``, refuses any input a relation does not take
+before a pair context exists, for every checker and ``modal.distinguish``;
+one driver, ``_check``, takes every checker but ``strong_bisim`` on to its
+verdict, and one engine, the arena itself, runs the rounds: ``Arena``
+decides ``brb``, ``brbX``, ``cbrb``, ``gbrb`` (the fixpoints behind
+``modal.distinguish`` too), ``tb`` over encoded systems and the rooted layer
+of each, and the environment-augmented ``ThetaArena`` decides ``tob`` and
+its rooted layer.  It keeps a relation as bit masks, one pair row per state
+and one triple row per state and environment mask, and decides a row's
+clauses for all of its partners at once, with the same rounds, ranks and
+refutation records as a per-entry check.  Each family's clauses are written
+once, in ``Arena._compile``: the rooted layer reads them strongly, matching
+a first step by the same step into the plain fixpoint.  They are compiled
+into a clause program per row, a tuple of ops naming their clauses, once per
 arena, family and layer, on the row's first read by the one loop,
 ``Arena.failing``, that runs them for every row a round judges; ``lookup``
-renders the op an entry failed by when it reads it.  A relation has that
-one form, rows, which ``revalidate`` judges once, in place, with the same
+renders the op an entry failed by when it reads it.  A relation has that one
+form, rows, which ``revalidate`` judges once, in place, with the same
 programs: a witness holds iff no row of it fails a clause.
 
 The checks of one pair of systems share a pair context (``_PairContext``):
@@ -56,6 +57,8 @@ TRIPLE_BUDGET = 50_000_000
 # the families the row engine decides, and those of them without triples
 FAMILIES = ("brb", "cbrb", "gbrb", "tob", "tb")
 PAIR_FAMILIES = ("tob", "tb")
+# the relations defined over any labels, which compare label universes instead
+ANY_LABELS = ("strong", "tb")
 # the kinds of a clause program's ops (``Arena._compile``); steps come first
 (_WEAK, _WEAK_TAU, _STRONG, _STRONG_LINE, _TRIPLE, _CONST, _TPATH, _ROW, _CONCRETE,
  _GPATH, _TOB, _FUSED) = range(12)
@@ -75,11 +78,11 @@ class Arena:
     state's labels to its targets, and the move tables are read off it when
     the arena is built.  The weak closure is computed on its first read and
     the stability mask with the engine's tables, so strong bisimilarity,
-    which reads ``out`` alone, never builds them.  ``sigma`` is the shared visible alphabet, realised
-    as bit masks so environment sets enumerate cheaply; a label is visible
-    iff it has a bit (``Lts.sigma`` holds every visible label), and any
-    other label but tau and t is one of an encoding (``encoded`` says
-    whether a move carries one).
+    which reads ``out`` alone, never builds them.  ``sigma`` is the shared
+    visible alphabet, realised as bit masks so environment sets enumerate
+    cheaply; a label is visible iff it has a bit (``Lts.sigma`` holds every
+    visible label), and any other label but tau and t is one of an encoding
+    (``encoded``, read off the systems', says whether a move carries one).
 
     An environment X reaches a clause only through idle and permission tests
     on the visible actions some state offers, ``vmask`` (V).  So X and X & V
@@ -107,6 +110,7 @@ class Arena:
         self.bit = {a: 1 << i for i, a in enumerate(self.sigma)}
         self.full_mask = (1 << len(self.sigma)) - 1
         self._xmasks = None
+        self.encoded = any(l.encoded for l in systems)
 
         self.tags = list(l1.tags)
         # the first system's move dicts are shared: nothing writes to them
@@ -129,7 +133,7 @@ class Arena:
         if not start:
             self.tau_succ, self.t_succ, self.has_tau = [], [], []
             self.moves_vt: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = []
-            self.vis_mask, self.vmask, self.encoded = [], 0, False
+            self.vis_mask, self.vmask = [], 0
         bit = self.bit
         for moves in self.out[start:]:
             tau = moves.get(TAU, ())
@@ -138,8 +142,6 @@ class Arena:
                 if lab in bit:
                     vis.append((lab, ds))
                     mask |= bit[lab]
-                elif lab != TAU and lab != TIMEOUT:
-                    self.encoded = True
             if tau:
                 vis.append((TAU, tau))
             self.tau_succ.append(tau)
@@ -619,15 +621,13 @@ class ThetaArena(Arena):
     that state, also for a wrapper with a tau step, where no clause reads
     it.
 
-    Before the wrappers are built, an encoded input is refused and the
-    states they can add are counted against the pair budget; their move
-    tables are then appended to the base states'.  A wrapper is named from
-    ``wrap_key`` when it is described.
+    Before the wrappers are built, the states they can add are counted
+    against the pair budget; their move tables are then appended to the
+    base states'.  A wrapper is named from ``wrap_key`` when it is described.
     """
 
     def __init__(self, l1, l2=None, sigma=()):
         super().__init__(l1, l2, sigma)
-        _refuse_encoded(self, "tob")
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
         base = self.n
@@ -924,10 +924,10 @@ def _symmetric(rows: List[int]) -> bool:
 # Drivers
 
 
-def _refuse_encoded(arena: Arena, family: str):
-    """Only ``tb`` reads an encoded arena; every other family refuses it
-    before building anything over it."""
-    if arena.encoded and family != "tb":
+def _refuse_encoded(family: str, *systems):
+    """Only ``strong`` and ``tb`` read an encoding; every other relation
+    refuses systems, or an arena, with a move by one of its labels."""
+    if family not in ANY_LABELS and any(s.encoded for s in systems):
         raise LabelUniverseMismatch("reactive checkers take base systems, not encoded ones")
 
 
@@ -940,28 +940,20 @@ def _budget_check(n_states: int, n_masks: int):
 class _PairContext:
     """What the checks of one pair of systems share: their arena of one kind
     over one alphabet, whose engine tables and clause programs the first
-    fixpoint of each layer builds, the side states of each root, and the
-    plain store of each (family, p, q), kept once its fixpoint is done:
-    ``brb`` and ``brbX`` read one.
+    fixpoint of each layer builds, and the plain store of each (family, p,
+    q), kept once its fixpoint is done: ``brb`` and ``brbX`` read one.  It
+    exists only for inputs ``_query`` let through, over an arena built.
 
     Nothing in it refers to the systems, and the arena refers to no store,
     so reference counting frees the context with the systems, without the
     cycle collector.
     """
 
-    __slots__ = ("arena", "sides", "stores")
+    __slots__ = ("arena", "stores")
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.sides: Dict[int, Tuple[int, ...]] = {}
         self.stores: Dict[Tuple[str, int, int], RelationStore] = {}
-
-    def side_states(self, root: int) -> Tuple[int, ...]:
-        """The arena's ``side_states`` of ``root``, walked once."""
-        got = self.sides.get(root)
-        if got is None:
-            got = self.sides[root] = self.arena.side_states(root)
-        return got
 
 
 # l1 -> l2 -> {(arena kind, alphabet): context}, the systems held weakly
@@ -971,25 +963,24 @@ _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _context(kind: type, l1: Lts, l2: Lts, sigma: Iterable[str]) -> _PairContext:
     """The pair context of ``l1`` and ``l2`` for an arena of ``kind`` over
     ``sigma``, widened by the systems' alphabets as the arena widens it; the
-    arena is built on the first call, and a refused one is not kept."""
-    sig = visible_alphabet(sigma).union(l1.sigma, l2.sigma)
-    contexts = _CONTEXTS.get(l1)
-    if contexts is None:
-        contexts = _CONTEXTS[l1] = weakref.WeakKeyDictionary()
-    kinds = contexts.setdefault(l2, {})
-    ctx = kinds.get((kind, sig))
+    arena is built on the first call, and kept only once it is built, so a
+    refused one (a ``ThetaArena`` over budget) leaves nothing behind."""
+    sig = frozenset(sigma).union(l1.sigma, l2.sigma)
+    ctx = _CONTEXTS.get(l1, {}).get(l2, {}).get((kind, sig))
     if ctx is None:
-        ctx = kinds[kind, sig] = _PairContext(kind(l1, None if l2 is l1 else l2, sig))
+        ctx = _PairContext(kind(l1, None if l2 is l1 else l2, sig))
+        _CONTEXTS.setdefault(l1, weakref.WeakKeyDictionary()).setdefault(l2, {})[kind, sig] = ctx
     return ctx
 
 
 def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str,
                    rooted: bool, root: Optional[Tuple[int, int]] = None) -> RelationStore:
-    """The plain fixpoint of a family on the context's arena, seeded over the
-    side states of p and q, run only where the context holds none yet; with
-    ``rooted``, the rooted layer over it (its ``plain`` is the plain store),
-    whose ``iterations`` and ``checked`` add its own to the plain ones.  The
-    input is refused and the budget checked on every call, before seeding.
+    """The plain fixpoint of a family on the context's arena, looked up
+    first and run only where the context holds none yet, seeded over the
+    side states of p and q, walked then and counted against the budget;
+    with ``rooted``, the rooted layer over it (its ``plain`` is the plain
+    store), whose ``iterations`` and ``checked`` add its own to the plain
+    ones.  Every refusal of the input was made by ``_query``.
 
     The rooted layer is seeded with the queried entry alone, ``root`` (p and
     q's global index unless given) and, for the triple families, it under
@@ -1001,16 +992,15 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
     round by the plain store and the entries (a, Y, b) alone, and dies with
     (b, X, a): the seeded entries decide one another."""
     arena = ctx.arena
-    _refuse_encoded(arena, family)
     with_triples = family not in PAIR_FAMILIES
-    lefts, rights = ctx.side_states(p), ctx.side_states(arena.state2(q))
-    _budget_check(len(lefts) + len(rights),
-                  1 << arena.vmask.bit_count() if with_triples else 1)
-    key = (family, p, q)
-    plain = ctx.stores.get(key)
+    plain = ctx.stores.get((family, p, q))
     if plain is None:
-        plain = ctx.stores[key] = arena.seeded(family, lefts, rights, with_triples)
+        lefts, rights = arena.side_states(p), arena.side_states(arena.state2(q))
+        _budget_check(len(lefts) + len(rights),
+                      1 << arena.vmask.bit_count() if with_triples else 1)
+        plain = arena.seeded(family, lefts, rights, with_triples)
         plain.iterations, plain.checked = arena.fixpoint(plain, family)
+        ctx.stores[family, p, q] = plain
     if not rooted:
         return plain
     a, b = root or (p, arena.state2(q))
@@ -1023,14 +1013,22 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
 
 def _query(family: str, l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str],
            env: Optional[Iterable[str]]) -> Tuple[_PairContext, tuple, Optional[int]]:
-    """The front half of ``_check`` and ``modal.distinguish``: refuse a state
-    outside its system and a reserved name in ``env`` before any pair context
-    is built, take the context of the family's arena over ``sigma`` and read
+    """The front half of every checker (``_check``, ``strong_bisim``) and of
+    ``modal.distinguish``.  It makes every refusal of the input before any
+    pair context exists, in this order: a state outside its system, a
+    reserved name in ``env``, distinct label universes (``ANY_LABELS``), a
+    reserved name in ``sigma`` and an encoded system (every other family).
+    It then takes the context of the family's arena over ``sigma`` and reads
     the queried entry off it, as (context, the pair, the triple (p, X, q) or
     for ``tob`` the wrapped pair, X the declared mask of ``env`` or None)."""
     _refuse_states(l1, p, l2, q)
     if env is not None:
         env = visible_alphabet(env, "an environment set")
+    sigma = frozenset(sigma)
+    if family in ANY_LABELS:
+        _same_labels(l1, l2, sigma)
+    sigma = visible_alphabet(sigma)
+    _refuse_encoded(family, l1, l2)
     ctx = _context(ThetaArena if family == "tob" else Arena, l1, l2, sigma)
     arena = ctx.arena
     gq = arena.state2(q)
@@ -1054,7 +1052,7 @@ def _check(family: str, relation: str, l1: Lts, p: int, l2: Lts, q: int,
 
 
 def _refuse_states(l1: Lts, p: int, l2: Lts, q: int):
-    """Refuse a queried state outside its system, before any context is built."""
+    """Refuse a queried state outside its system."""
     for lts, s in ((l1, p), (l2, q)):
         if not 0 <= s < len(lts):
             raise ValueError(f"state {s!r} out of range for a system of {len(lts)} states")
@@ -1132,9 +1130,9 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     the verdicts, rounds, entries checked and records agree, the records
     naming the twins.
     """
-    _same_labels(l1, l2)
     if rooted and all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
         _refuse_states(l1, p, l2, q)
+        _same_labels(l1, l2)   # here, so a mismatch names the rooted encodings' labels
         twins = [(lts.twin_encoding(), lts.codes[s] & ~1) for lts, s in ((l1, p), (l2, q))]
         (l1, p), (l2, q) = [(plain, plain.index[code]) for plain, code in twins]
         _budget_check(sum(len(lts) if s == lts.initial else len(reach(
@@ -1144,7 +1142,8 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
 
 
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
-    """Strong bisimilarity by signature refinement on the disjoint union.
+    """Strong bisimilarity by signature refinement on the disjoint union,
+    from the front half the other checkers share (``_query``).
 
     Blocks start as one.  Each round gives every state the signature (its
     block, the set of (label, block of target) over its moves in
@@ -1159,11 +1158,8 @@ def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) ->
     every other checker: it shows in the reported ``sigma`` and in the
     label universes compared.
     """
-    _refuse_states(l1, p, l2, q)
-    sig = frozenset(sigma)
-    _same_labels(l1, l2, sig)
-    arena = _context(Arena, l1, l2, sig).arena
-    gq = arena.state2(q)
+    ctx, (p, gq), _ = _query("strong", l1, p, l2, q, sigma, None)
+    arena = ctx.arena
     block = [0] * arena.n
     iterations = 0
     while True:
@@ -1241,7 +1237,7 @@ def _revalidate_rows(witness: RelationStore, family: str, rooted: bool) -> bool:
     declared masks if either layer has them, and a store of pairs only as
     having no triples."""
     arena = witness.arena
-    _refuse_encoded(arena, family)
+    _refuse_encoded(family, arena)
     if rooted and witness.plain is None:
         return False
     if family == "tob" and not isinstance(arena, ThetaArena):

@@ -52,7 +52,7 @@ class Encoding(Lts):
     rooted bit cleared, in the plain encoding ``twin_encoding`` gives.
     """
 
-    rooted = False
+    rooted, encoded = False, True   # every encoding moves by eps labels
 
     def __init__(self, tags, transitions, out, sigma, labels, codes, index):
         self._init(tags, tuple(transitions), out, 0, sigma, labels)
@@ -151,16 +151,17 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
 
 def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
     """Explore the plain encoding, writing each state's moves as ``Lts``
-    would group them, after refusing a source with a label of an encoding;
-    no transition repeats, as each label's targets are distinct."""
+    would group them, after refusing an ``encoded`` source, one with a
+    label of an encoding; no transition repeats, as each label's targets
+    are distinct."""
+    if lts.encoded:
+        raise LabelUniverseMismatch("encode takes a base system, not an encoded one")
     xs = subsets(sig)
     bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
     xmask = [sum(bit[a] for a in x) for x in xs]
     eps = [eps_label(x) for x in xs]
     stride = len(xs) + 1
     moves = [lts.out(s) for s in range(len(lts))]
-    if set().union(*moves) - lts.sigma - {TAU, TIMEOUT}:
-        raise LabelUniverseMismatch("encode takes a base system, not an encoded one")
     tau = [o.get(TAU, ()) for o in moves]
     tout = [o.get(TIMEOUT, ()) for o in moves]
     # s idles under X iff it has no tau step and offers no action of X

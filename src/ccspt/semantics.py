@@ -246,7 +246,8 @@ class Lts:
     targets in order.  An initial state or a transition outside the states
     is refused with a ``ValueError``.  ``sigma`` is the visible alphabet:
     the declared names and every visible transition label, classified once
-    here.  Derived tables (weak reachability) are computed once and cached.
+    here, as is ``encoded``: whether a move has any other label but tau and
+    t, one of an encoding.  Derived tables are computed once and cached.
     """
 
     def __init__(self, tags: Sequence, transitions: Iterable[Tuple[int, str, int]],
@@ -279,6 +280,7 @@ class Lts:
         self.tags, self.transitions, self._out, self.initial = tags, transitions, out, initial
         seen = set().union(*out)
         self.sigma = visible_alphabet(sigma) | {l for l in seen if is_visible(l)}
+        self.encoded = bool(seen - self.sigma - {TAU, TIMEOUT})
         universe = set(labels) if labels is not None else set()
         universe |= seen | self.sigma | {TAU, TIMEOUT}
         self.labels = frozenset(universe)

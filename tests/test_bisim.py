@@ -123,13 +123,17 @@ def test_brb_rejects_encoded_inputs():
         brb_check(enc, 0, enc, 0)
 
 
+def contexts():
+    """The pair contexts kept, by system, partner and (arena kind, alphabet)."""
+    return {l1: {l2: set(kinds) for l2, kinds in partners.items()}
+            for l1, partners in bisim._CONTEXTS.items()}
+
+
 def test_encoded_input_refused_before_engine_or_wrappers(monkeypatch):
     # only tb reads an encoding; every other family refuses one before it
-    # builds the engine tables or a tob wrapper
+    # builds a pair context, the engine tables or a tob wrapper
     e = encode(ring(8, {1}, False), sigma={"a", "b"})
     p = e.initial
-    v = tb_check(e, p, e, p)
-    assert v.equivalent and revalidate(make_store(e, None, "tb", v.witness.pairs), "tb")
     brb_store = make_store(e, None, "brb", pairs=[(p, p)])
     built = lambda *args: pytest.fail("built over an encoded input")
     monkeypatch.setattr(bisim.Arena, "_engine_tables", built)
@@ -139,9 +143,21 @@ def test_encoded_input_refused_before_engine_or_wrappers(monkeypatch):
     calls += [(check, (e, p, e, p), {"rooted": rooted}) for rooted in (False, True)
               for check in (brb_check, cbrb_check, gbrb_check, tob_check)]
     calls += [(distinguish, (e, p, e, p, fragment)) for fragment in ("Lb", "Lbr")]
+    before = contexts()
     for fn, args, *kw in calls:
         with pytest.raises(LabelUniverseMismatch, match="not encoded ones"):
             fn(*args, **(kw[0] if kw else {}))
+        assert contexts() == before, fn.__name__
+    # the relations defined over any labels still answer over the encoding
+    monkeypatch.undo()
+    v = tb_check(e, p, e, p)
+    assert v.equivalent and revalidate(make_store(e, None, "tb", v.witness.pairs), "tb")
+    assert strong_bisim(e, p, e, p).equivalent
+    # a ThetaArena refused over budget leaves no context behind either
+    wide = lts_of(" + ".join(f"x{i}.0" for i in range(30)))
+    with pytest.raises(StateBudgetExceeded):
+        tob_check(wide, 0, wide, 0)
+    assert wide not in bisim._CONTEXTS
 
 
 def test_brb_triple_budget():

@@ -291,7 +291,7 @@ def test_a_plain_fixpoint_compiles_only_its_side_states_rows(compiled_rows):
         ctx = bisim._context(bisim.ThetaArena if name == "tob" else bisim.Arena, l1, l2,
                              () if name == "tb" else sig)
         arena = ctx.arena
-        side = set(ctx.side_states(1) + ctx.side_states(arena.state2(1)))
+        side = set(arena.side_states(1) + arena.side_states(arena.state2(1)))
         assert len(side) < arena.n
         want = side | ({(p, x) for p in side for x in arena.xmasks}
                        if name not in bisim.PAIR_FAMILIES else set())
