@@ -25,6 +25,10 @@ from .terms import alphabet
 RELATIONS = ("strong", "brb", "brb-rooted", "brbX", "cbrb", "gbrb",
              "gbrb-rooted", "tob", "tob-rooted", "tb", "tb-rooted")
 ENV_RELATIONS = ("brbX", "tob", "tob-rooted")
+# each relation's base family; "-rooted" asks for the rooted layer
+_CHECKERS = {"strong": _bisim.strong_bisim, "brb": _bisim.brb_check,
+             "brbX": _bisim.brb_X_check, "cbrb": _bisim.cbrb_check,
+             "gbrb": _bisim.gbrb_check, "tob": _bisim.tob_check, "tb": _bisim.tb_check}
 
 
 def _read(path: str) -> str:
@@ -43,6 +47,13 @@ def _load_system(path: str, sigma, max_states):
     src = parse_source(text)
     sig = frozenset(sigma) | src.alphabet | alphabet(src.root)
     return build_lts(src.root, ExplorationLimits(max_states=max_states), sigma=sig)
+
+
+def _load_pair(args, sigma):
+    """The two systems of a comparison and their shared alphabet."""
+    l1 = _load_system(args.left, sigma, args.max_states)
+    l2 = _load_system(args.right, sigma, args.max_states)
+    return l1, l2, l1.sigma | l2.sigma | sigma
 
 
 def _split_sigma(text):
@@ -207,35 +218,18 @@ def _dispatch(args, sigma) -> int:
 
 
 def _run_check(args, sigma) -> int:
-    l1 = _load_system(args.left, sigma, args.max_states)
-    l2 = _load_system(args.right, sigma, args.max_states)
-    shared = l1.sigma | l2.sigma | sigma
+    l1, l2, shared = _load_pair(args, sigma)
     rel = args.rel
-    if rel == "strong":
-        verdict = _bisim.strong_bisim(l1, l1.initial, l2, l2.initial, sigma=shared)
-    elif rel in ("brb", "brb-rooted"):
-        verdict = _bisim.brb_check(l1, l1.initial, l2, l2.initial,
-                                   rooted=rel.endswith("rooted"), sigma=shared)
-    elif rel == "brbX":
-        env = _split_sigma(args.env or "")
-        verdict = _bisim.brb_X_check(l1, l1.initial, l2, l2.initial, env,
-                                     sigma=shared)
-    elif rel in ("gbrb", "gbrb-rooted"):
-        verdict = _bisim.gbrb_check(l1, l1.initial, l2, l2.initial,
-                                    rooted=rel.endswith("rooted"), sigma=shared)
-    elif rel == "cbrb":
-        verdict = _bisim.cbrb_check(l1, l1.initial, l2, l2.initial, sigma=shared)
-    elif rel in ("tob", "tob-rooted"):
-        env = None if args.env is None else _split_sigma(args.env)
-        verdict = _bisim.tob_check(l1, l1.initial, l2, l2.initial,
-                                   rooted=rel.endswith("rooted"), sigma=shared, env=env)
-    else:  # tb, tb-rooted: encode first
-        rooted = rel.endswith("rooted")
-        e1 = _encode_lts(l1, rooted=rooted, sigma=shared,
-                            max_states=args.max_states)
-        e2 = _encode_lts(l2, rooted=rooted, sigma=shared,
-                            max_states=args.max_states)
-        verdict = _bisim.tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted)
+    family, rooted = rel.removesuffix("-rooted"), rel.endswith("-rooted")
+    options = {"rooted": True} if rooted else {}
+    if family == "brbX" or args.env is not None:
+        options["env"] = _split_sigma(args.env)
+    if family == "tb":  # over the encodings' own labels
+        l1, l2 = (_encode_lts(lts, rooted=rooted, sigma=shared, max_states=args.max_states)
+                  for lts in (l1, l2))
+    else:
+        options["sigma"] = shared
+    verdict = _CHECKERS[family](l1, l1.initial, l2, l2.initial, **options)
     if args.fmt == "json":
         print(verdict.to_json())
     else:
@@ -260,9 +254,7 @@ def _run_modal(args, sigma) -> int:
         print(json.dumps({"holds": holds, "env": env}))
         return 0 if holds else 1
     # distinguish
-    l1 = _load_system(args.left, sigma, args.max_states)
-    l2 = _load_system(args.right, sigma, args.max_states)
-    shared = l1.sigma | l2.sigma | sigma
+    l1, l2, shared = _load_pair(args, sigma)
     env = None if args.env is None else _split_sigma(args.env)
     formula = _modal.distinguish(l1, l1.initial, l2, l2.initial,
                                  fragment=args.fragment, env=env, sigma=shared)

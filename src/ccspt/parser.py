@@ -20,15 +20,19 @@ A visible ident, as in renamings and the actions of formulas too, is one
 ``terms.is_visible`` accepts: not ``tau``, ``t`` or ``t_eps``, a label of
 the encoding.
 
-Spec files are ``ident = term`` lines with ``#`` comments.  Rendering is the
-inverse: ``parse(render(x))`` is structurally equal to ``x``.
+A process file is a bare term or lines each opened by a keyword, which is
+one only as a line's first token: ``alphabet a, b`` (identifiers on one
+line), ``spec NAME`` (alone on its line, then ``var = term`` equations up to
+the next keyword), ``endspec``, and one ``root TERM``.  ``#`` comments run
+to the end of a line in every entry point; positions are the input's own.
+Rendering is the inverse: ``parse(render(x))`` is structurally equal to ``x``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from . import modal as _modal
 from .errors import (DuplicateEquation, ParseError, UnboundReference, ValidityError,
@@ -39,11 +43,13 @@ from .terms import (NIL, TAU, TIMEOUT, Choice, Hide, Nil, Par, Prefix, Psi,
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
   | (?P<arrow>->)
   | (?P<parpar>\|\|)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<sym>[0-9().{},<>|+=;\[\]!&^~])
 """, re.VERBOSE)
+_KEYWORDS = ("alphabet", "spec", "endspec", "root")
 
 
 @dataclass
@@ -63,7 +69,7 @@ def _tokenize(text: str) -> List[_Tok]:
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         chunk = m.group(0)
-        if m.lastgroup != "ws":
+        if m.lastgroup not in ("ws", "comment"):
             toks.append(_Tok(m.lastgroup, chunk, line, col))
         nl = chunk.count("\n")
         if nl:
@@ -77,10 +83,12 @@ def _tokenize(text: str) -> List[_Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str, specs: Optional[Dict[str, RecSpec]] = None):
+    def __init__(self, text: str, specs: Optional[Dict[str, RecSpec]] = None,
+                 keywords: Tuple[str, ...] = ()):
         self.toks = _tokenize(text)
         self.pos = 0
         self.specs = specs or {}
+        self.keywords = keywords
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead=0) -> _Tok:
@@ -92,19 +100,21 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def fail(self, expected: str) -> NoReturn:
+        """Refuse the next token, where the grammar ``expected`` another."""
+        tok = self.peek()
+        raise ParseError(f"found {tok.text or 'end of input'!r}", tok.line, tok.col,
+                         expected=expected)
+
     def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col, expected=repr(text))
-        return tok
+        if self.peek().text != text:
+            self.fail(repr(text))
+        return self.next()
 
     def expect_ident(self) -> _Tok:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col, expected="an identifier")
-        return tok
+        if self.peek().kind != "ident":
+            self.fail("an identifier")
+        return self.next()
 
     def visible(self) -> str:
         """An identifier naming a visible action; a reserved name is refused
@@ -118,6 +128,18 @@ class _Parser:
     def action(self) -> str:
         """``tau``, ``t`` or a visible action name."""
         return self.next().text if self.peek().text in (TAU, TIMEOUT) else self.visible()
+
+    def keyword(self) -> Optional[str]:
+        """The next token's text if it is a keyword opening a line."""
+        tok = self.peek()
+        head = self.pos == 0 or self.toks[self.pos - 1].line < tok.line
+        return tok.text if head and tok.text in self.keywords else None
+
+    def line_ident(self, head: _Tok) -> _Tok:
+        """An identifier on ``head``'s line."""
+        if self.peek().line != head.line:
+            self.fail(f"an identifier on line {head.line}")
+        return self.expect_ident()
 
     def finish(self, out):
         """``out``, once no input is left after it."""
@@ -183,8 +205,7 @@ class _Parser:
                 return Psi(self.braced(), self.parenthesised())
             self.next()
             return Var(tok.text)
-        raise ParseError(f"found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col, expected="a term")
+        self.fail("a term")
 
     def parenthesised(self) -> Term:
         self.expect("(")
@@ -215,7 +236,7 @@ class _Parser:
     def equations(self, stop: str) -> RecSpec:
         eqs: List[Tuple[str, Term]] = []
         seen = set()
-        while self.peek().text != stop:
+        while self.peek().text != stop and not self.keyword():
             name = self.expect_ident()
             if name.text in seen:
                 raise DuplicateEquation(f"duplicate equation for {name.text!r}",
@@ -257,6 +278,39 @@ class _Parser:
                 break
             self.next()
         return frozenset(pairs)
+
+    # -- process files -----------------------------------------------
+    def source(self) -> Tuple[List[str], Term]:
+        """The alphabet names and root term of a bare term or of keyword lines;
+        a ``spec`` block, which any keyword line ends, goes into ``self.specs``."""
+        if not self.keyword():
+            return [], self.finish(self.term())
+        names: List[str] = []
+        root: Optional[Term] = None
+        while self.peek().kind != "eof":
+            if not self.keyword():
+                self.fail("alphabet, spec, endspec or root opening a line")
+            tok = self.next()
+            if tok.text == "alphabet":
+                names.append(self.line_ident(tok).text)
+                while self.peek().text == ",":
+                    self.next()
+                    names.append(self.line_ident(tok).text)
+            elif tok.text == "spec":
+                name = self.line_ident(tok)
+                if name.text in self.specs:
+                    raise DuplicateEquation(f"specification {name.text!r} redefined",
+                                            name.line, name.col)
+                if self.peek().line == tok.line:
+                    self.fail("equations from the next line")
+                self.specs[name.text] = self.equations(stop="")
+            elif tok.text == "root":
+                if root is not None:
+                    raise ParseError("more than one root term", tok.line, tok.col)
+                root = self.term()
+        if root is None:
+            self.fail("a root line")
+        return names, root
 
     # -- formulas ------------------------------------------------------
     def formula(self) -> _modal.Formula:
@@ -325,8 +379,7 @@ class _Parser:
             right = self.formula()
             self.expect(")")
             return _modal.EpsStep(left, action, right)
-        raise ParseError(f"found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col, expected="a formula")
+        self.fail("a formula")
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +396,11 @@ def parse_term(text: str, specs: Optional[Dict[str, RecSpec]] = None,
     return out
 
 
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
 @depth_guarded
 def parse_spec(text: str, specs: Optional[Dict[str, RecSpec]] = None) -> RecSpec:
     """One ``name = term`` equation per line, up to the end of input; mutual
     references allowed."""
-    return _Parser(_strip_comments(text), specs).equations(stop="")
+    return _Parser(text, specs).equations(stop="")
 
 
 @depth_guarded
@@ -371,68 +420,18 @@ class SourceFile:
 
 @depth_guarded
 def parse_source(text: str, open_terms: bool = False) -> SourceFile:
-    """Parse a process file.
-
-    The file may declare ``alphabet a, b``, any number of ``spec NAME`` blocks
-    of ``var = term`` lines, and one ``root TERM``.  A file whose entire
-    content is a single term expression is also accepted.
+    """Parse a process file: a bare term, or an optional ``alphabet a, b``
+    line, any number of ``spec NAME`` blocks of ``var = term`` equations, and
+    one ``root TERM``, which may span lines.  Either way the root must be
+    valid and, unless ``open_terms``, closed.
     """
-    stripped = _strip_comments(text)
-    lines = stripped.splitlines()
-    keywords = ("alphabet", "spec", "root", "endspec")
-    if not any(line.strip().split(" ", 1)[0] in keywords for line in lines if line.strip()):
-        root = parse_term(stripped)
-        return SourceFile(frozenset(), {}, root)
-
-    alphabet_extra: frozenset = frozenset()
-    specs: Dict[str, RecSpec] = {}
-    root: Optional[Term] = None
-    current_name: Optional[str] = None
-    current_eqs: List[str] = []
-
-    def close_block():
-        nonlocal current_name, current_eqs
-        if current_name is not None:
-            specs[current_name] = parse_spec("\n".join(current_eqs), specs)
-            current_name, current_eqs = None, []
-
-    for lineno, line in enumerate(lines, start=1):
-        body = line.strip()
-        if not body:
-            continue
-        head = body.split(" ", 1)[0]
-        if head == "alphabet":
-            close_block()
-            rest = body[len("alphabet"):].strip()
-            names = [n.strip() for n in rest.split(",") if n.strip()]
-            alphabet_extra |= frozenset(names)
-        elif head == "spec":
-            close_block()
-            current_name = body[len("spec"):].strip()
-            if not current_name:
-                raise ParseError("spec block needs a name", lineno, 1)
-            if current_name in specs:
-                raise DuplicateEquation(f"specification {current_name!r} redefined",
-                                        lineno, 1)
-        elif head == "endspec":
-            close_block()
-        elif head == "root":
-            close_block()
-            if root is not None:
-                raise ParseError("more than one root term", lineno, 1)
-            root = parse_term(body[len("root"):], specs, require_valid=False)
-        elif current_name is not None:
-            current_eqs.append(body)
-        else:
-            raise ParseError(f"stray line {body!r}", lineno, 1)
-    close_block()
-    if root is None:
-        raise ParseError("no root term", len(lines), 1)
+    p = _Parser(text, keywords=_KEYWORDS)
+    names, root = p.source()
     if not is_valid(root):
         raise ValidityError("root term is invalid")
     if not open_terms and free_vars(root):
         raise ValidityError(f"root term has free variables {sorted(free_vars(root))}")
-    return SourceFile(alphabet_extra, specs, root)
+    return SourceFile(frozenset(names), p.specs, root)
 
 
 # ---------------------------------------------------------------------------

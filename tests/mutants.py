@@ -54,6 +54,10 @@ MUTANTS = [
      "inverse[self.wrap(x, s)] |= 1 << s", "inverse[s] |= 1 << s"),
     ("no encoded refusal in the front half", "bisim.py",
      "    _refuse_encoded(family, l1, l2)\n", ""),
+    ("no comment token", "parser.py",
+     "  | (?P<comment>\\#[^\\n]*)\n", ""),
+    ("a keyword anywhere in a line", "parser.py",
+     "head = self.pos == 0 or self.toks[self.pos - 1].line < tok.line", "head = True"),
 ]
 
 # survivors known today, each with the ROADMAP item expected to kill it

@@ -125,6 +125,10 @@ def test_axioms_subcommand(capsys):
 
 def test_bad_input_exits_2(proc, capsys):
     assert main(["parse", proc("bad.proc", "a..0")]) == 2
+    # a bare term with a free variable, as a root line with one is
+    assert main(["parse", proc("open.proc", "a.x")]) == 2
+    assert "ValidityError" in capsys.readouterr().err
+    assert main(["parse", "--open", proc("open.proc", "a.x")]) == 0
     assert main(["check", proc("x.proc", "<x|{x = x}>"),
                  proc("y.proc", "0")]) == 2
 

@@ -6,7 +6,8 @@ from ccspt import (Choice, DuplicateEquation, ParseError, Prefix, TAU,
                    parse_source, parse_spec, parse_term, render)
 from ccspt.modal import (And, Diamond, EnvBox, Eps, EpsStep, EpsX,
                          HatDiamond, Not, Stable, TimeoutDiamond, Top)
-from ccspt.terms import NIL, Par, Theta, Var
+from ccspt.sampling import random_term
+from ccspt.terms import NIL, Par, Theta, Var, free_vars, is_valid
 
 
 def test_prefix_chain():
@@ -120,6 +121,142 @@ def test_source_files():
     with pytest.raises(ValidityError):
         parse_source("root a.x")
     assert parse_source("root a.x", open_terms=True).root == Prefix("a", Var("x"))
+
+
+def _line_based_parse_source(text, open_terms=False):
+    """The line-based reader ``parse_source`` replaced, kept as the reference
+    for valid files: comments stripped line by line, keywords found at line
+    heads, and each spec block and root line re-parsed on its own."""
+    lines = [line.split("#", 1)[0] for line in text.splitlines()]
+    keywords = ("alphabet", "spec", "root", "endspec")
+    if not any(line.strip().split(" ", 1)[0] in keywords for line in lines if line.strip()):
+        return frozenset(), {}, parse_term("\n".join(lines))
+    alphabet, specs, root, name, eqs = frozenset(), {}, None, None, []
+
+    def close_block():
+        nonlocal name, eqs
+        if name is not None:
+            specs[name] = parse_spec("\n".join(eqs), specs)
+            name, eqs = None, []
+
+    for lineno, line in enumerate(lines, start=1):
+        body = line.strip()
+        if not body:
+            continue
+        head = body.split(" ", 1)[0]
+        if head in keywords:
+            close_block()
+        if head == "alphabet":
+            rest = body[len("alphabet"):].strip()
+            alphabet |= frozenset(n.strip() for n in rest.split(",") if n.strip())
+        elif head == "spec":
+            name = body[len("spec"):].strip()
+            if not name:
+                raise ParseError("spec block needs a name", lineno, 1)
+            if name in specs:
+                raise DuplicateEquation(f"specification {name!r} redefined", lineno, 1)
+        elif head == "root":
+            if root is not None:
+                raise ParseError("more than one root term", lineno, 1)
+            root = parse_term(body[len("root"):], specs, require_valid=False)
+        elif head != "endspec":
+            if name is None:
+                raise ParseError(f"stray line {body!r}", lineno, 1)
+            eqs.append(body)
+    close_block()
+    if root is None:
+        raise ParseError("no root term", len(lines), 1)
+    if not is_valid(root):
+        raise ValidityError("root term is invalid")
+    if not open_terms and free_vars(root):
+        raise ValidityError(f"root term has free variables {sorted(free_vars(root))}")
+    return alphabet, specs, root
+
+
+_COMMENTS = ["", "", "", "  # note", " #root a.0", "\t# spec S; x = a.x", "#"]
+
+
+def _declaration_file(rng):
+    """A random valid process file: comments, alphabet lines, 0-3 spec blocks
+    with and without ``endspec``, and a root that calls them."""
+    acts = ["a", "b", "c"]
+    lines = [f"# process {rng.randrange(99)}"] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(0, 2)):
+        names = rng.sample(["a", "b", "z", "q_1", "tau", "t_eps"], rng.randint(1, 3))
+        indent = " " * rng.randint(0, 2)
+        lines.append(f"{indent}alphabet {', '.join(names)}" + rng.choice(_COMMENTS))
+    calls = []
+    for i in range(rng.randint(0, 3)):
+        lines.append(f"spec S{i}" + rng.choice(_COMMENTS))
+        variables = rng.sample(["x", "y", "w"], rng.randint(1, 3))
+        for v in variables:
+            body = f"{rng.choice(acts)}.{rng.choice(variables)}"
+            if rng.random() < 0.5:
+                body += f" + {render(random_term(rng, acts, depth=2))}"
+            if calls and rng.random() < 0.4:
+                body += f" + {rng.choice(calls)}"
+            lines.append(f"{v} = {body}" + rng.choice(_COMMENTS))
+            if rng.random() < 0.2:
+                lines.append("")
+        calls.append(f"<{rng.choice(variables)}|S{i}>")
+        if rng.random() < 0.5:
+            lines.append("endspec" + rng.choice(_COMMENTS))
+    parts = rng.sample(calls, rng.randint(0, len(calls)))
+    parts.append(render(random_term(rng, acts, depth=3)))
+    lines.append("root " + " + ".join(parts) + rng.choice(_COMMENTS))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n# end\n"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_declaration_files_parse_as_the_line_based_reader_did(seed):
+    import random
+    rng = random.Random(seed)
+    for _ in range(400):
+        text = _declaration_file(rng)
+        alphabet, specs, root = _line_based_parse_source(text)
+        src = parse_source(text)
+        assert src.alphabet == alphabet, text
+        assert {n: render(sp) for n, sp in src.specs.items()} == \
+            {n: render(sp) for n, sp in specs.items()}, text
+        assert src.root == root, text
+
+
+@pytest.mark.parametrize("text, line, col", [
+    # in a spec block, after a comment line and a blank one
+    ("# header\nalphabet a, b\nspec S\nx = a.x  # loops\n\ny = b.(x + ]\nroot <x|S>\n", 6, 12),
+    # on a root line, and an unclosed one
+    ("alphabet a  # extra\nroot a.0 + b..0\n", 2, 14),
+    ("spec S\nx = a.x\nendspec\nroot (<x|S> + b.0", 4, 18),
+    # a name that is no identifier on an alphabet line
+    ("alphabet <z, a\nroot a.0\n", 1, 10),
+    ("alphabet a b\nroot a.0\n", 1, 12),
+    ("alphabet a,\nroot a.0\n", 2, 1),
+    # a spec name, which stands alone on its line
+    ("spec S x = a.x\nroot a.0\n", 1, 8),
+])
+def test_declaration_file_faults_name_the_files_own_position(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_source(text)
+    assert (err.value.line, err.value.col) == (line, col), str(err.value)
+
+
+def test_comments_and_lines_in_every_entry_point():
+    assert parse_term("a.0 # first\n + b.0 # second") == parse_term("a.0 + b.0")
+    assert parse_formula("<a>T # holds") == Diamond("a", Top())
+    with pytest.raises(ParseError) as err:
+        parse_term("# a.0\n a..0")
+    assert (err.value.line, err.value.col) == (2, 4)
+    # a root may span lines, and a keyword is one only opening a line
+    assert parse_source("root a.0 +\n  b.0\n").root == parse_term("a.0 + b.0")
+    term = "a.0 + <root|{root = a.root}>"
+    assert parse_source(term).root == parse_term(term)
+    assert parse_source("spec S\nx = root.x\nroot <x|S>").root == parse_term("<x|{x = root.x}>")
+
+
+def test_an_open_bare_term_file_is_refused_unless_open_terms():
+    with pytest.raises(ValidityError):
+        parse_source("a.x")
+    assert parse_source("a.x", open_terms=True).root == Prefix("a", Var("x"))
 
 
 def test_formula_surface():
