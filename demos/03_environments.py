@@ -36,7 +36,9 @@ print("\nwrapped verdict:",
       tob_check(l1, 0, l2, 0, sigma=sig, env=frozenset()).equivalent)
 
 # And the encoding spells environments out as labels: settling on X is an
-# eps_{..} step, an environment time-out is t_eps.
+# eps_{..} step, an environment time-out is t_eps.  A state settles only
+# under the actions it can still meet, so t.0, which never offers a, enters
+# env{}(0) under {a} as under {}.
 enc = encode(build_lts(parse_term("t.0"), sigma={"a"}))
 print("\nencoded system:")
 print(to_aut(enc))

@@ -1111,19 +1111,20 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     rooted encoding writes its moves.
 
     The twin map tw sends a rooted-mode state to the plain-mode state with
-    the same base and mask, any other to itself.  trig_r(s) moves by a or
-    tau to trig_r(d) and by eps_X to env_r(X, s), as trig(s) to trig(d) and
-    env(X, s); env_r(X, s) by tau to env_r(X, d), by a in X to trig(d) and,
-    idle, by t_eps to trig_r(s) and t to env_r(X, d), as env(X, s) to
-    env(X, d), trig(d), trig(s) and env(X, d).  Only t_X moves lack a twin:
-    trig_r(s) moves by t_X to env(X, d) for each time-out d of s exactly
-    when env(X, s) times out to env(X, d) (s has no tau step and idles
-    under X), so a t_X step of trig_r(s) is an eps_X step then a t step of
-    trig(s).  No plain clause reads t_X (tb1 drops it, tb2 reads t alone),
-    so tw maps the moves a plain clause reads label by label, and the side
-    states onto the twins'; as a clause reads moves and the last round's
-    entries alone, (a, b) survives each plain round iff (tw(a), tw(b))
-    does.  rtb1 matches each first step by the same step into the plain
+    the same base and mask, any other to itself.  Write X_s for X ∩ R(s),
+    the mask ``encode`` settles s under.  trig_r(s) moves by a or tau to
+    trig_r(d) and by eps_X to env_r(X_s, s), as trig(s) to trig(d) and
+    env(X_s, s); env_r(X, s) by tau to env_r(X_d, d), by a in X to trig(d)
+    and, idle, by t_eps to trig_r(s) and t to env_r(X_d, d), as env(X, s) to
+    env(X_d, d), trig(d), trig(s) and env(X_d, d).  Only t_X moves lack a
+    twin: trig_r(s) moves by t_X to env(X_d, d) for each time-out d of s
+    exactly when env(X_s, s) times out to env(X_d, d) (s has no tau step and
+    idles under X, so under X_s), so a t_X step of trig_r(s) is an eps_X
+    step then a t step of trig(s).  No plain clause reads t_X (tb1 drops
+    it, tb2 reads t alone), so tw maps the moves a plain clause reads label
+    by label, and the side states onto the twins'; as a clause reads moves
+    and the last round's entries alone, (a, b) survives each plain round
+    iff (tw(a), tw(b)) does.  rtb1 matches each first step by the same step into the plain
     rows, in label order, and at tw(a), with eps_X steps and no t_X step,
     reads each eps_X step then t step as a t_X step (``Arena._compile``).
     So each rooted row fails each partner by the same op in the same round:

@@ -16,8 +16,8 @@ from . import axioms as _axioms
 from . import bisim as _bisim
 from .encode import encode as _encode_lts
 from . import modal as _modal
-from .errors import CcsptError
-from .parser import parse_formula, parse_source, render
+from .errors import CcsptError, ParseError
+from .parser import is_identifier, parse_formula, parse_source, render
 from .semantics import (ExplorationLimits, build_lts, from_aut, to_aut,
                         to_dot)
 from .terms import alphabet
@@ -56,8 +56,14 @@ def _load_pair(args, sigma):
     return l1, l2, l1.sigma | l2.sigma | sigma
 
 
-def _split_sigma(text):
-    return frozenset(n.strip() for n in text.split(",") if n.strip()) if text else frozenset()
+def _split_sigma(text, option="--sigma"):
+    """The comma-separated action names of an option; a name that is not an
+    identifier, as an ``alphabet`` line would refuse it, is a ``ParseError``."""
+    names = frozenset(n.strip() for n in text.split(",") if n.strip()) if text else frozenset()
+    for name in sorted(names):
+        if not is_identifier(name):
+            raise ParseError(f"{option} names {name!r}", expected="identifiers, comma separated")
+    return names
 
 
 def _seed(args, parser) -> int:
@@ -146,9 +152,8 @@ def main(argv=None) -> int:
         if args.samples <= 0:
             parser.error(f"--samples must be positive, not {args.samples}")
         args.seed = _seed(args, parser)
-    sigma = _split_sigma(args.sigma)
     try:
-        return _dispatch(args, sigma)
+        return _dispatch(args, _split_sigma(args.sigma))
     except CcsptError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -223,7 +228,7 @@ def _run_check(args, sigma) -> int:
     family, rooted = rel.removesuffix("-rooted"), rel.endswith("-rooted")
     options = {"rooted": True} if rooted else {}
     if family == "brbX" or args.env is not None:
-        options["env"] = _split_sigma(args.env)
+        options["env"] = _split_sigma(args.env, "--env")
     if family == "tb":  # over the encodings' own labels
         l1, l2 = (_encode_lts(lts, rooted=rooted, sigma=shared, max_states=args.max_states)
                   for lts in (l1, l2))
@@ -249,13 +254,13 @@ def _run_modal(args, sigma) -> int:
             holds = _modal.sat(lts, lts.initial, formula)
             env = None
         else:
-            env = sorted(_split_sigma(args.env))
+            env = sorted(_split_sigma(args.env, "--env"))
             holds = _modal.sat_env(lts, lts.initial, frozenset(env), formula)
         print(json.dumps({"holds": holds, "env": env}))
         return 0 if holds else 1
     # distinguish
     l1, l2, shared = _load_pair(args, sigma)
-    env = None if args.env is None else _split_sigma(args.env)
+    env = None if args.env is None else _split_sigma(args.env, "--env")
     formula = _modal.distinguish(l1, l1.initial, l2, l2.initial,
                                  fragment=args.fragment, env=env, sigma=shared)
     if formula is None:

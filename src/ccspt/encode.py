@@ -6,6 +6,26 @@ Fresh labels record environment moves: ``eps_{..}`` for settling on a set,
 ``t_eps`` for an environment time-out, and (rooted variant only) ``t_{..}``
 for a system time-out fused with the preceding settling step.  The rooted
 variant is numbered from the plain one, which it reads its moves off.
+
+A state s is settled only under the actions it can still meet: R(s), the
+visible actions offered anywhere in the tau/t-closure of s.  trig(s) moves
+by eps_X to env(X ∩ R(s), s), and a tau or t step of env(X, s) into d goes
+to env(X ∩ R(d), d); every eps_X label stays, so two systems encoded apart
+still share their labels.  This keeps the root's strong bisimilarity class
+of the full encoding, in which env(X, s) exists for every X: there,
+
+    {(env(X, s), env(Y, s)) : X ∩ R(s) = Y ∩ R(s)} ∪ Id
+
+is a strong bisimulation.  offers(s) ⊆ R(s), so the two states have the
+same a-steps, to the same trig(d), and idle alike; R(d) ⊆ R(s) for every
+tau or t successor d, so their tau and t steps lead to env(X, d) and
+env(Y, d) with X ∩ R(d) = Y ∩ R(d).  The rooted variant's fused t_X step of
+trig_r(s) leads to env(X, d) in the full encoding and to env(X ∩ R(d), d)
+here, related again.  Every move of a canonical state is a move of the full
+encoding with its target replaced by a related one, so each state of the
+full encoding is strongly bisimilar to its canonical one, the root to the
+root; strong bisimilarity implies ``tb`` and rooted ``tb``, so no verdict
+changes.  Declared but unused actions thus add no settled state.
 """
 
 from __future__ import annotations
@@ -128,8 +148,9 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
     ``LabelUniverseMismatch``: its environment moves would share labels
     with the ones the encoding adds.
 
-    States are explored depth first by their int codes (``Encoding``), and
-    each tag is built once, when its state is first reached.  The plain
+    States are explored depth first by their int codes (``Encoding``), each
+    settled under X ∩ R(s) (see the module docstring), and each tag is
+    built once, when its state is first reached.  The plain
     encoding of one (system, alphabet, ``max_states``) is built once and
     kept while the system lives, so every call returns that same object.  A
     rooted encoding is new on each call: it is numbered from the plain one,
@@ -166,6 +187,10 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
     tout = [o.get(TIMEOUT, ()) for o in moves]
     # s idles under X iff it has no tau step and offers no action of X
     offers = [sum(bit[a] for a in o if a in lts.sigma) for o in moves]
+    meets = _meets(tau, tout, offers)
+    slot_of = [0] * (1 << len(sig))   # mask -> slot
+    for k, m in enumerate(xmask):
+        slot_of[m] = k + 1
     if max_states < 1:
         raise StateBudgetExceeded(1, max_states)
     codes = [(lts.initial * stride) << 1]
@@ -180,17 +205,21 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
         if slot == 0:
             groups = [(lab, [(d * stride) << 1 for d in targets])
                       for lab, targets in moves[s].items() if lab != TIMEOUT]
-            settle = (s * stride) << 1
-            groups += [(eps[k], (settle + ((k + 1) << 1),)) for k in range(len(xs))]
+            settle, r = (s * stride) << 1, meets[s]
+            groups += [(eps[k], (settle + (slot_of[m & r] << 1),))
+                       for k, m in enumerate(xmask)]
         else:
             m = xmask[slot - 1]
-            groups = [(TAU, [(d * stride + slot) << 1 for d in tau[s]])] if tau[s] else []
+            # the tau steps or, with none, the t steps, each into d settled
+            # under X ∩ R(d)
+            settled = [(d * stride + slot_of[m & meets[d]]) << 1 for d in tau[s] or tout[s]]
+            groups = [(TAU, settled)] if tau[s] else []
             groups += [(lab, [(d * stride) << 1 for d in targets])
                        for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
             if not tau[s] and not offers[s] & m:
                 groups.append((T_EPS, ((s * stride) << 1,)))
-                if tout[s]:
-                    groups.append((TIMEOUT, [(d * stride + slot) << 1 for d in tout[s]]))
+                if settled:
+                    groups.append((TIMEOUT, settled))
         mine = out[i] = {}
         for lab, targets in groups:
             js = []
@@ -214,6 +243,26 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
         tags.append(EncodedState(ENV if slot else TRIGGERED, xs[slot - 1] if slot else None, s))
     labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps))
     return Encoding(tags, transitions, out, sig, labels, codes, index)
+
+
+def _meets(tau, tout, offers) -> List[int]:
+    """R(s) by state, as a mask: the visible actions offered anywhere in the
+    tau/t-closure of s.  A backward worklist over tau and t steps re-queues
+    a state only when its mask grows."""
+    preds: List[List[int]] = [[] for _ in offers]
+    for s, ds in enumerate(map(chain, tau, tout)):
+        for d in ds:
+            preds[d].append(s)
+    meets = list(offers)
+    todo = [d for d, m in enumerate(offers) if m]
+    while todo:
+        d = todo.pop()
+        m = meets[d]
+        for s in preds[d]:
+            if m & ~meets[s]:
+                meets[s] |= m
+                todo.append(s)
+    return meets
 
 
 def _twin_moves(twin: Encoding, i: int, rooted: int, fused: Dict[str, str]):
@@ -264,16 +313,16 @@ def _derive_rooted(twin: Encoding, max_states: int) -> RootedEncoding:
                           twin.labels.union(fused.values()), (order, fused))
 
 
-def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None,
-                  rooted: bool = False) -> int:
-    """Index of the wrapped initial state, optionally under a settled environment."""
-    base = encoded.tags[encoded.initial].base
+def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None) -> int:
+    """Index of the wrapped initial state or, given ``allowed`` = X, of the
+    state its eps_X step settles on: env(X ∩ R(s), s), in rooted mode in a
+    rooted encoding.  An X outside the encoding's alphabet has no eps_X
+    step and is refused with ``LabelUniverseMismatch``."""
     if allowed is None:
         return encoded.initial
-    mode = ENV_ROOTED if rooted else ENV
-    want = EncodedState(mode, frozenset(allowed), base)
-    for i, tag in enumerate(encoded.tags):
-        if tag == want:
-            return i
-    raise LabelUniverseMismatch(
-        f"state {want} not present in the encoding over {sorted(encoded.sigma)}")
+    targets = encoded.out(encoded.initial).get(eps_label(allowed))
+    if targets is None:
+        raise LabelUniverseMismatch(
+            f"environment {sorted(allowed)} not present in the encoding over "
+            f"{sorted(encoded.sigma)}")
+    return targets[0]

@@ -82,6 +82,13 @@ def _tokenize(text: str) -> List[_Tok]:
     return toks
 
 
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is one identifier token, as an ``alphabet`` line names
+    an action: a letter, then letters, digits and underscores."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident"
+
+
 class _Parser:
     def __init__(self, text: str, specs: Optional[Dict[str, RecSpec]] = None,
                  keywords: Tuple[str, ...] = ()):

@@ -54,6 +54,10 @@ MUTANTS = [
      "inverse[self.wrap(x, s)] |= 1 << s", "inverse[s] |= 1 << s"),
     ("no encoded refusal in the front half", "bisim.py",
      "    _refuse_encoded(family, l1, l2)\n", ""),
+    ("R over tau steps only", "encode.py",
+     "for s, ds in enumerate(map(chain, tau, tout)):", "for s, ds in enumerate(tau):"),
+    ("tau and t targets settled under X", "encode.py",
+     "slot_of[m & meets[d]]", "slot"),
     ("no comment token", "parser.py",
      "  | (?P<comment>\\#[^\\n]*)\n", ""),
     ("a keyword anywhere in a line", "parser.py",

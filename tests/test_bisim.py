@@ -88,12 +88,13 @@ def test_two_tau_steps_in_a_row_are_inert(rooted):
 def test_a_root_time_out_decides_the_rooted_pair():
     # the pair differs only in the time-outs of the root: rooted tb matches
     # the rooted encoding's t_X step, on the plain twins an eps_X step then
-    # a t step, by the same step, which t.t.a.0 has into no equivalent state
+    # a t step, by the same step, which t.t.a.0 has into no equivalent state;
+    # the derivative is settled on {a,b} ∩ R(a.0) = {a}
     plain, rooted = (family_verdicts("t.a.0", "t.t.a.0", r, {"b"}) for r in (False, True))
     for name in ("brb", "gbrb", "tob", "tb"):
         assert plain[name].equivalent and not rooted[name].equivalent, name
     assert [(r["clause"], r["detail"]) for r in rooted["tb"].refutation] == [
-        ("rtb1", "action t_{a,b}; derivative env{a,b}(1)")] * 2
+        ("rtb1", "action t_{a,b}; derivative env{a}(1)")] * 2
 
 
 def test_brb_visible_first_clause_fixture():

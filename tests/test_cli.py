@@ -262,6 +262,22 @@ def test_reserved_name_in_an_environment_set_exits_2(proc, capsys):
         assert "LabelUniverseMismatch: reserved names in an environment set: ['tau']" in err
 
 
+def test_a_name_that_is_no_identifier_exits_2(proc, capsys):
+    # --sigma and --env name actions as an alphabet line does: '<z' and
+    # 'a b' used to be taken as action names, with exit 0
+    path = proc("a.proc", "a.0")
+    two = proc("ab.proc", "a.0 + b.0")
+    for argv, bad in ((["--sigma", "<z, a b", "lts", "--fmt", "json", path], "'<z'"),
+                      (["check", "--rel", "brb", "--sigma", "a,b c", path, two], "'b c'"),
+                      (["check", "--rel", "brbX", "--env", "a-b", path, two], "'a-b'"),
+                      (["modal", "eval", path, "--formula", "T", "--env", "1a"], "'1a'")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        option = "--env" if "--env" in argv else "--sigma"
+        assert f"error: ParseError: {option} names {bad}" in captured.err, argv
+
+
 def test_sigma_before_the_subcommand_survives(proc, capsys):
     p = proc("p.proc", "a.0")
     assert main(["--sigma", "z1,z2", "lts", "--fmt", "json", p]) == 0

@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 
 from ccspt import (LabelUniverseMismatch, StateBudgetExceeded, brb_check, brb_X_check,
-                   encode, tb_check)
+                   encode, strong_bisim, tb_check)
 from ccspt.encode import (ENV, ENV_ROOTED, TRIGGERED, TRIGGERED_ROOTED, EncodedState,
                           encoded_entry, subsets)
 from ccspt.sampling import equivalent_variant, random_process
@@ -17,15 +17,17 @@ from test_tb_engine import ring
 
 
 def test_encode_nil_with_one_action():
+    # R(0) is empty, so both eps steps settle on env{}(0)
     lts = Lts(["0"], [], sigma={"a"})
     enc = encode(lts)
-    assert enc.num_states == 3
+    assert enc.num_states == 2
     tags = set(map(str, enc.tags))
-    assert tags == {"trig(0)", "env{}(0)", "env{a}(0)"}
+    assert tags == {"trig(0)", "env{}(0)"}
     labels = sorted(lab for _, lab, _ in enc.transitions)
-    assert labels.count("t_eps") == 2
+    assert labels.count("t_eps") == 1
     assert eps_label(frozenset()) in labels and eps_label({"a"}) in labels
-    assert enc.num_transitions == 4
+    assert enc.out(enc.initial) == {eps_label(frozenset()): (1,), eps_label({"a"}): (1,)}
+    assert enc.num_transitions == 3
 
 
 def test_encode_no_environment_timeout_under_tau():
@@ -79,6 +81,14 @@ def test_encoded_entry_lookup():
     enc = encode(lts_of("a.0"))
     i = encoded_entry(enc, frozenset({"a"}))
     assert enc.tags[i] == EncodedState(ENV, frozenset({"a"}), enc.tags[enc.initial].base)
+    # the entry under X is the target of the eps_X step, env(X ∩ R(s), s):
+    # under {a, b}, b.0 + t.a.0 meets both, and t.a.0 meets only a
+    for source, want in (("b.0 + t.a.0", "env{a,b}(0)"), ("t.a.0", "env{a}(0)")):
+        for rooted in (False, True):
+            enc = encode(lts_of(source), rooted=rooted, sigma={"a", "b"})
+            i = encoded_entry(enc, frozenset({"a", "b"}))
+            assert (i,) == enc.out(enc.initial)[eps_label({"a", "b"})]
+            assert str(enc.tags[i]) == want.replace("env", "env_r" if rooted else "env")
 
 
 def test_encoded_entry_outside_the_alphabet_is_a_named_error():
@@ -175,16 +185,39 @@ def test_encode_refuses_an_encoded_system(rooted):
 
 
 # ---------------------------------------------------------------------------
-# the rooted encoding, explored from the source system, as the reference
+# encodings explored from the source system, as the reference
 
 
-def explored_rooted(lts, sig, max_states):
-    """The rooted encoding explored from the source system, depth first by
-    int codes, as ``encode`` explored it before it numbered a rooted
-    encoding from its plain twin: (codes, tags, transitions, out, labels)."""
+def meets(lts):
+    """R(s) by state: the visible actions offered anywhere in the tau/t-closure
+    of s, by a forward search from each state."""
+    out = []
+    for s in range(len(lts)):
+        seen, todo, names = {s}, [s], set()
+        while todo:
+            u = todo.pop()
+            for lab, ds in lts.out(u).items():
+                if lab in (TAU, TIMEOUT):
+                    todo += [d for d in ds if d not in seen]
+                    seen.update(ds)
+                elif lab in lts.sigma:
+                    names.add(lab)
+        out.append(frozenset(names))
+    return out
+
+
+def explored(lts, sig, max_states, rooted=True, full=False):
+    """The encoding explored from the source system, depth first by int
+    codes, as ``encode`` explored a rooted one before it numbered it from
+    its plain twin: (codes, tags, transitions, out, labels).  A state
+    settles under X as env(X ∩ R(s), s), or, ``full``, as env(X, s): with
+    ``rooted`` false, that is the plain encoding ``encode`` built before it
+    settled states in canonical form."""
     xs = subsets(sig)
     bit = {a: 1 << i for i, a in enumerate(sorted(sig))}
     xmask = [sum(bit[a] for a in x) for x in xs]
+    slot_of = {m: k + 1 for k, m in enumerate(xmask)}
+    r = [sum(bit[a] for a in (sig if full else names)) for names in meets(lts)]
     eps, tlab = [eps_label(x) for x in xs], [t_label(x) for x in xs]
     stride = len(xs) + 1
     moves = [lts.out(s) for s in range(len(lts))]
@@ -193,7 +226,7 @@ def explored_rooted(lts, sig, max_states):
     offers = [sum(bit[a] for a in o if a in lts.sigma) for o in moves]
     if max_states < 1:
         raise StateBudgetExceeded(1, max_states)
-    codes = [(lts.initial * stride) << 1 | 1]
+    codes = [(lts.initial * stride) << 1 | rooted]
     index, transitions, out, frontier = {codes[0]: 0}, [], [None], [0]
     while frontier:
         i = frontier.pop()
@@ -203,19 +236,22 @@ def explored_rooted(lts, sig, max_states):
             groups = [(lab, [(d * stride) << 1 | rb for d in targets])
                       for lab, targets in moves[s].items() if lab != TIMEOUT]
             settle = (s * stride) << 1 | rb
-            groups += [(eps[k], (settle + ((k + 1) << 1),)) for k in range(len(xs))]
+            groups += [(eps[k], (settle + (slot_of[m & r[s]] << 1),))
+                       for k, m in enumerate(xmask)]
             if rb and tout[s] and not tau[s]:
-                groups += [(tlab[k], [(d * stride + k + 1) << 1 for d in tout[s]])
+                groups += [(tlab[k], [(d * stride + slot_of[m & r[d]]) << 1 for d in tout[s]])
                            for k, m in enumerate(xmask) if not offers[s] & m]
         else:
             m = xmask[slot - 1]
-            groups = [(TAU, [(d * stride + slot) << 1 | rb for d in tau[s]])] if tau[s] else []
+            groups = [(TAU, [(d * stride + slot_of[m & r[d]]) << 1 | rb for d in tau[s]])
+                      ] if tau[s] else []
             groups += [(lab, [(d * stride) << 1 for d in targets])
                        for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
             if not tau[s] and not offers[s] & m:
                 groups.append((T_EPS, ((s * stride) << 1 | rb,)))
                 if tout[s]:
-                    groups.append((TIMEOUT, [(d * stride + slot) << 1 | rb for d in tout[s]]))
+                    groups.append((TIMEOUT, [(d * stride + slot_of[m & r[d]]) << 1 | rb
+                                             for d in tout[s]]))
         mine = out[i] = {}
         for lab, targets in groups:
             js = []
@@ -237,7 +273,7 @@ def explored_rooted(lts, sig, max_states):
     for code in codes:
         s, slot = divmod(code >> 1, stride)
         tags.append(EncodedState(modes[code & 1][slot > 0], xs[slot - 1] if slot else None, s))
-    labels = frozenset(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab))
+    labels = frozenset(chain([TAU, TIMEOUT, T_EPS], sig, eps, tlab if rooted else ()))
     return codes, tags, tuple(transitions), out, labels
 
 
@@ -272,7 +308,7 @@ def test_rooted_encoding_matches_the_explored_one():
     # one explored from the source system, in the same order
     count = 0
     for lts, sig in reference_systems():
-        codes, tags, transitions, out, labels = explored_rooted(lts, sig, 10_000)
+        codes, tags, transitions, out, labels = explored(lts, sig, 10_000)
         enc = encode(lts, rooted=True, sigma=sig)
         assert (enc.codes, len(enc), enc.sigma, enc.labels) == (codes, len(codes), sig, labels)
         assert enc.tags == tags
@@ -290,12 +326,12 @@ def test_rooted_encoding_is_refused_at_the_explored_count():
     # message of the explored one, also where the plain twin is refused
     for source in ("a.t.t.b.0", "tau.a.0 + t.b.0"):
         lts = lts_of(source)
-        n = len(explored_rooted(lts, lts.sigma, 10_000)[0])
+        n = len(explored(lts, lts.sigma, 10_000)[0])
         assert len(encode(lts)) < n
         for max_states in range(-1, n + 2):
             want = got = None
             try:
-                explored_rooted(lts, lts.sigma, max_states)
+                explored(lts, lts.sigma, max_states)
             except StateBudgetExceeded as exc:
                 want = str(exc)
             try:
@@ -304,6 +340,35 @@ def test_rooted_encoding_is_refused_at_the_explored_count():
                 got = str(exc)
             assert got == want, max_states
             assert (want is None) == (max_states >= n)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_the_encoding_is_strongly_bisimilar_to_the_full_one(rooted):
+    # settling each state under X ∩ R(s), in place of every X, keeps the
+    # root's strong bisimilarity class (the relation in encode's docstring),
+    # and so every tb verdict; no encoding grows
+    for lts, sig in reference_systems():
+        _, tags, transitions, _, labels = explored(lts, sig, 10_000, rooted, full=True)
+        full = Lts(tags, transitions, 0, sig, labels)
+        enc = encode(lts, rooted=rooted, sigma=sig)
+        assert len(enc) <= len(full)
+        assert strong_bisim(full, 0, enc, enc.initial).equivalent, (str(lts.tags[0]), sig)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_every_settled_mask_is_a_submask_of_what_its_base_meets(rooted):
+    for lts, sig in reference_systems():
+        r = meets(lts)
+        enc = encode(lts, rooted=rooted, sigma=sig)
+        assert all(tag.allowed is None or tag.allowed <= r[tag.base] for tag in enc.tags)
+
+
+def test_the_plain_encoding_matches_the_explored_one():
+    for lts, sig in list(reference_systems())[::5]:
+        codes, tags, transitions, out, labels = explored(lts, sig, 10_000, rooted=False)
+        enc = encode(lts, sigma=sig)
+        assert (enc.codes, enc.tags, enc.transitions, enc.labels) == (
+            codes, tags, transitions, labels)
 
 
 def test_the_twins_a_state_reaches_are_those_its_twin_reaches():

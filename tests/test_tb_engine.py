@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from ccspt import (alphabet, build_lts, encode, from_aut, revalidate,
+from ccspt import (alphabet, brb_check, build_lts, encode, from_aut, revalidate,
                    tb_check)
 from ccspt import bisim
 from ccspt.bisim import Arena
@@ -345,8 +345,9 @@ def sampled_pairs(n, seed):
         yield build_lts(t1, sigma=sig), build_lts(t2, sigma=sig), sig
 
 
-def ring(n, markers, double_t):
-    """Ring of n states, ``t`` after every 4th, ``b`` at the markers."""
+def ring(n, markers, double_t, loops=""):
+    """Ring of n states, ``t`` after every 4th, ``b`` at the markers, and a
+    self-loop by each action of ``loops`` at every state."""
     transitions = []
     extra = n
     for i in range(n):
@@ -357,6 +358,7 @@ def ring(n, markers, double_t):
             extra += 1
         else:
             transitions.append((i, label, j))
+    transitions += [(i, a, i) for i in range(extra) for a in loops]
     lines = [f"des (0, {len(transitions)}, {extra})"]
     lines += [f'({s},"{lab}",{d})' for s, lab, d in transitions]
     return from_aut("\n".join(lines) + "\n")
@@ -493,13 +495,25 @@ def test_damaged_rooted_tb_witness_fails():
 
 
 def test_rooted_budget_is_checked_before_an_arena_is_built(monkeypatch):
-    # six declared but unused actions: 2^8 masks a base state.  The plain
-    # fixpoint over the twins would seed 770 M pairs, refused on the plain
-    # twins' reachable states before any arena, and so any store, over the
-    # twins is built; the twin encodings are built by encode itself
-    l1, l2 = ring(48, {1}, False), ring(48, {1}, True)
+    # every state offers all eight actions: 2^8 masks a base state.  The
+    # plain fixpoint over the twins would seed 770 M pairs, refused on the
+    # plain twins' reachable states before any arena, and so any store,
+    # over the twins is built; the twin encodings are built by encode itself
+    l1, l2 = ring(48, {1}, False, "abcdefgh"), ring(48, {1}, True, "abcdefgh")
     sig = frozenset("abcdefgh")
     r1, r2 = encoded(l1, l2, sig, True)
     monkeypatch.setattr(Arena, "__init__", lambda self, *args: pytest.fail("an arena was built"))
     with pytest.raises(StateBudgetExceeded, match="770"):
         tb_check(r1, r1.initial, r2, r2.initial, rooted=True)
+
+
+def test_a_ring_with_six_unused_actions_answers_tb():
+    # a state is settled only under the actions its tau/t-closure offers, so
+    # six declared but unused actions add no settled state, and tb answers
+    # the n=48 ring within the budget, plain and rooted, as brb does
+    l1, l2 = ring(48, {1}, False), ring(48, {1}, True)
+    sig = frozenset("abcdefgh")
+    for rooted in (False, True):
+        assert brb_check(l1, 0, l2, 0, rooted=rooted, sigma=sig).equivalent
+        e1, e2 = encoded(l1, l2, sig, rooted)
+        assert tb_check(e1, e1.initial, e2, e2.initial, rooted=rooted).equivalent
