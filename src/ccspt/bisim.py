@@ -46,6 +46,7 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .encode import Encoding
@@ -100,8 +101,13 @@ class Arena:
     each failing partner gets the same first failing clause.  ``failing``
     runs them as each judged row's clause program (``program``), compiled
     on its first read, once for ``revalidate`` and in each round of
-    ``fixpoint``; ``why`` renders an op a partner failed by.
+    ``fixpoint``; ``why`` renders an op a partner failed by.  A
+    ``ThetaArena``'s wrappers are read from ``wrapped`` ((x, s) to the
+    wrapper of s under x) and its inverse ``wrap_key``, read-only and empty
+    here.
     """
+
+    wrapped = wrap_key = MappingProxyType({})
 
     def __init__(self, l1: Lts, l2: Optional[Lts] = None, sigma: Iterable[str] = ()):
         systems = [l1] if l2 is None else [l1, l2]
@@ -207,10 +213,18 @@ class Arena:
         return reach(lambda u: chain.from_iterable(out[u].values()), s)
 
     def side_states(self, root: int) -> Tuple[int, ...]:
-        """The states a store is seeded with on the side of ``root``."""
-        return self.reach(root)
+        """The states a store is seeded with on the side of ``root``: those
+        it reaches, base states alone, and every wrapper of one of them."""
+        members = set(self.reach(root))
+        for (x, s), w in self.wrapped.items():
+            if s in members:
+                members.add(w)
+        return tuple(sorted(members))
 
     def describe(self, s: int) -> str:
+        if s in self.wrap_key:
+            x, s = self.wrap_key[s]
+            return f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})"
         return str(self.tags[s])
 
     # -- the engine's tables ------------------------------------------------
@@ -623,7 +637,8 @@ class ThetaArena(Arena):
 
     Before the wrappers are built, the states they can add are counted
     against the pair budget; their move tables are then appended to the
-    base states'.  A wrapper is named from ``wrap_key`` when it is described.
+    base states'.  It adds the wrappers alone: their construction, ``wrap``
+    and its inverse (``_unwrap``); ``Arena`` seeds and describes them.
     """
 
     def __init__(self, l1, l2=None, sigma=()):
@@ -661,21 +676,6 @@ class ThetaArena(Arena):
             inner, s = self.wrap_key[s]
             x &= inner
         return self.wrapped[(x, s)]
-
-    def describe(self, s: int) -> str:
-        if s in self.wrap_key:
-            x, s = self.wrap_key[s]
-            return f"theta{{{','.join(self.mask_names(x))}}}({self.describe(s)})"
-        return super().describe(s)
-
-    def side_states(self, root: int) -> Tuple[int, ...]:
-        """The base states ``root`` reaches (a base state steps only to base
-        states) and every wrapper of one of them."""
-        members = set(self.reach(root))
-        for (x, s), w in self.wrapped.items():
-            if s in members:
-                members.add(w)
-        return tuple(sorted(members))
 
     def _engine_tables(self):
         """The tables of ``Arena``, one inverse of ``wrap`` per effective

@@ -263,13 +263,9 @@ def _run_modal(args, sigma) -> int:
     env = None if args.env is None else _split_sigma(args.env, "--env")
     formula = _modal.distinguish(l1, l1.initial, l2, l2.initial,
                                  fragment=args.fragment, env=env, sigma=shared)
-    if formula is None:
-        print(json.dumps({"formula": None,
-                          "env": None if env is None else sorted(env)}))
-        return 0
-    print(json.dumps({"formula": render(formula),
+    print(json.dumps({"formula": None if formula is None else render(formula),
                       "env": None if env is None else sorted(env)}))
-    return 1
+    return 0 if formula is None else 1
 
 
 if __name__ == "__main__":

@@ -130,32 +130,28 @@ def conj(parts: Iterable[Formula]) -> Formula:
 
 def in_fragment(f: Formula, which: str) -> bool:
     """Grammar membership for the branching fragments ``Lb`` and ``Lbr``."""
+    if which not in ("Lb", "Lbr"):
+        raise FragmentUnsupported(f"unknown fragment {which!r}")
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, And):
+        return all(in_fragment(p, which) for p in f.parts)
+    if isinstance(f, Not):
+        return in_fragment(f.sub, which)
     if which == "Lb":
-        if isinstance(f, (Top, Stable)):
+        if isinstance(f, Stable):
             return True
-        if isinstance(f, And):
-            return all(in_fragment(p, "Lb") for p in f.parts)
-        if isinstance(f, Not):
-            return in_fragment(f.sub, "Lb")
         if isinstance(f, EpsStep):
             return (f.action != TIMEOUT
                     and in_fragment(f.left, "Lb") and in_fragment(f.right, "Lb"))
         if isinstance(f, EpsX):
             return in_fragment(f.left, "Lb") and in_fragment(f.right, "Lb")
         return False
-    if which == "Lbr":
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, And):
-            return all(in_fragment(p, "Lbr") for p in f.parts)
-        if isinstance(f, Not):
-            return in_fragment(f.sub, "Lbr")
-        if isinstance(f, Diamond):
-            return f.action != TIMEOUT and in_fragment(f.sub, "Lb")
-        if isinstance(f, TimeoutDiamond):
-            return in_fragment(f.sub, "Lb")
-        return False
-    raise FragmentUnsupported(f"unknown fragment {which!r}")
+    if isinstance(f, Diamond):
+        return f.action != TIMEOUT and in_fragment(f.sub, "Lb")
+    if isinstance(f, TimeoutDiamond):
+        return in_fragment(f.sub, "Lb")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +407,12 @@ def distinguish(l1: Lts, p: int, l2: Lts, q: int, fragment: str = "Lb",
     of the generalised fixpoint and holds on exactly one of the two states;
     that fixpoint is the one ``gbrb_check`` of the same pair reads, computed
     once for the pair (``bisim._PairContext``).  The queried entry comes
-    from the front half the checkers share (``bisim._query``), a triple
-    read under X & V.
+    from the front half the checkers share (``bisim._query``); the store
+    reads a triple's X as X & V.
     """
     if fragment not in ("Lb", "Lbr"):
         raise FragmentUnsupported(f"unknown fragment {fragment!r}")
-    ctx, entry, x = _bisim._query("gbrb", l1, p, l2, q, sigma, env)
-    if x is not None:
-        entry = (p, x & ctx.arena.vmask, entry[-1])
+    ctx, entry, _ = _bisim._query("gbrb", l1, p, l2, q, sigma, env)
     store = _bisim._row_fixpoints(ctx, p, q, "gbrb", "gbrb", fragment == "Lbr")
     alive = store.has_pair(*entry) if len(entry) == 2 else store.has_triple(*entry)
     return None if alive else _Builder(store).entry(entry)

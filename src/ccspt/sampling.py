@@ -78,15 +78,18 @@ def random_process(rng: random.Random, sigma: Sequence[str] = DEFAULT_SIGMA,
                    depth: int = 4, rec_prob: float = 0.2,
                    max_states: int = 40, pool=None,
                    attempts: int = 200) -> Tuple[Term, Lts]:
-    """A random term together with its LTS, resampled until it fits the budget."""
+    """A random term together with its LTS, resampled until it fits the
+    budget; past ``attempts`` draws, the last draw's error is raised."""
+    if attempts < 1:
+        raise ValueError("attempts must be positive")
     limits = ExplorationLimits(max_states=max_states)
     for _ in range(attempts):
         term = random_term(rng, sigma, depth, rec_prob, pool)
         try:
             return term, build_lts(term, limits)
-        except (StateBudgetExceeded, UnfoldingDiverged):
-            continue
-    raise RuntimeError("could not sample a process within the state budget")
+        except (StateBudgetExceeded, UnfoldingDiverged) as exc:
+            failure = exc
+    raise failure
 
 
 # ---------------------------------------------------------------------------

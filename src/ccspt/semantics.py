@@ -312,8 +312,8 @@ class Lts:
 
     def idle(self, s: int, allowed) -> bool:
         """Whether ``s`` idles under an environment allowing ``allowed``: no
-        tau step and no visible action of the set."""
-        return not self.has_tau(s) and not (self.initials_visible(s) & allowed)
+        tau step and no visible action of the set (``_idles`` over its moves)."""
+        return _idles(self._out[s].items(), allowed & self.sigma)
 
     def with_sigma(self, sigma: Iterable[str]) -> "Lts":
         return Lts(self.tags, self.transitions, self.initial,

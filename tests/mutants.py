@@ -54,6 +54,14 @@ MUTANTS = [
      "inverse[self.wrap(x, s)] |= 1 << s", "inverse[s] |= 1 << s"),
     ("no encoded refusal in the front half", "bisim.py",
      "    _refuse_encoded(family, l1, l2)\n", ""),
+    ("side states without their wrappers", "bisim.py",
+     "members.add(w)", "pass"),
+    ("Lts.idle ignoring its set", "semantics.py",
+     "_idles(self._out[s].items(), allowed & self.sigma)",
+     "_idles(self._out[s].items(), frozenset())"),
+    ("in_fragment admitting Stable in Lbr", "modal.py",
+     "    if isinstance(f, Top):\n        return True",
+     "    if isinstance(f, (Top, Stable)):\n        return True"),
     ("R over tau steps only", "encode.py",
      "for s, ds in enumerate(map(chain, tau, tout)):", "for s, ds in enumerate(tau):"),
     ("tau and t targets settled under X", "encode.py",

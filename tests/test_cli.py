@@ -123,7 +123,7 @@ def test_axioms_subcommand(capsys):
     assert data["axioms"][0]["passes"] == 3
 
 
-def test_bad_input_exits_2(proc, capsys):
+def test_bad_input_exits_2(proc, capsys, tmp_path):
     assert main(["parse", proc("bad.proc", "a..0")]) == 2
     # a bare term with a free variable, as a root line with one is
     assert main(["parse", proc("open.proc", "a.x")]) == 2
@@ -131,6 +131,13 @@ def test_bad_input_exits_2(proc, capsys):
     assert main(["parse", "--open", proc("open.proc", "a.x")]) == 0
     assert main(["check", proc("x.proc", "<x|{x = x}>"),
                  proc("y.proc", "0")]) == 2
+    capsys.readouterr()
+    # a file that cannot be read
+    missing = str(tmp_path / "absent.proc")
+    assert main(["lts", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert missing in err
 
 
 def test_aut_out_of_range_state_exits_2(proc, capsys):
@@ -322,3 +329,20 @@ def test_check_reads_each_aut_system_once(proc, capsys, monkeypatch):
         assert main(["check", "--rel", "strong", "--fmt", "json", *sigma, left, right]) == 1
         assert len(built) == lts_count
         assert json.loads(capsys.readouterr().out)["sigma"] == shared
+
+
+def test_encode_and_lts_in_every_format(proc, capsys):
+    src = proc("left.proc", "a.0 + a.0")
+    assert main(["encode", "--fmt", "human", src]) == 0
+    assert capsys.readouterr().out == "5 states, 8 transitions\n"
+    assert main(["encode", "--fmt", "dot", src]) == 0
+    dot = capsys.readouterr().out
+    assert dot.startswith("digraph lts {\n") and dot.endswith("}\n")
+    assert 'n0 [shape=circle,label="trig(0)"];' in dot
+    assert 'n0 -> n3 [label="eps_{a}"];' in dot
+    assert dot.count(" -> n") == 8 + 1   # every transition and the initial arrow
+    assert main(["lts", "--fmt", "dot", src]) == 0
+    assert capsys.readouterr().out == (
+        'digraph lts {\n  rankdir=LR;\n  init [shape=point]; init -> n0;\n'
+        '  n0 [shape=circle,label="a.0 + a.0"];\n  n1 [shape=circle,label="0"];\n'
+        '  n0 -> n1 [label="a"];\n}\n')

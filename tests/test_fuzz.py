@@ -8,12 +8,14 @@ which means "inequivalent" -- whenever the library raised.
 
 import random
 
-from ccspt import (CcsptError, ExplorationLimits, brb_X_check, brb_check,
-                   build_lts, cbrb_check, encode, from_aut, gbrb_check,
+import pytest
+
+from ccspt import (CcsptError, ExplorationLimits, StateBudgetExceeded, brb_X_check,
+                   brb_check, build_lts, cbrb_check, encode, from_aut, gbrb_check,
                    parse_term, render, strong_bisim, tb_check, to_aut,
                    tob_check)
 from ccspt.cli import main
-from ccspt.sampling import random_term
+from ccspt.sampling import random_process, random_term
 
 MAX_STATES = 30
 PARTNER = "a.t.b.0 + tau.b.0"
@@ -116,3 +118,16 @@ def test_only_named_errors_escape(tmp_path, capsys):
             assert code == (0 if want.equivalent else 1), (text[:80], rel, code)
     # the sample must reach errors in both stages
     assert failed["build"] > 20 and failed["check"] > 0, failed
+
+
+def test_sampling_that_gives_up_raises_its_last_named_error():
+    with pytest.raises(CcsptError) as err:
+        random_process(random.Random(0), ("a", "b"), depth=4, max_states=1, attempts=5)
+    assert type(err.value) is StateBudgetExceeded
+    assert str(err.value) == "state budget exceeded: 2 > 1"
+    # a draw that fits after one refused draw: the campaign's inputs come
+    # from the generator, so both the term and the next number are pinned
+    rng = random.Random(0)
+    term, lts = random_process(rng, ("a", "b"), depth=4, max_states=3)
+    assert render(term) == "rename{}(<x|{x = a.x}>) + hide{}(rename{b->b}(b.a.0))"
+    assert len(lts) == 2 and rng.random() == 0.23861592861522019

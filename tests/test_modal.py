@@ -28,6 +28,11 @@ def test_fragments():
     assert not in_fragment(Diamond("t", Top()), "Lbr")
     assert in_fragment(TimeoutDiamond(frozenset(), Stable()), "Lbr")
     assert in_fragment(Not(And((Top(), Stable()))), "Lb")
+    # stability is an Lb observation; an Lbr formula reaches it only past a first step
+    assert not in_fragment(Stable(), "Lbr")
+    assert not in_fragment(Not(And((Top(), Stable()))), "Lbr")
+    assert in_fragment(Not(And((Top(), Diamond("a", Stable())))), "Lbr")
+    assert not in_fragment(TimeoutDiamond(frozenset(), Top()), "Lb")
     with pytest.raises(FragmentUnsupported):
         in_fragment(Top(), "Lx")
 

@@ -1,7 +1,7 @@
 
 import pytest
 
-from ccspt import (Choice, DuplicateEquation, ParseError, Prefix, TAU,
+from ccspt import (CcsptError, Choice, DuplicateEquation, ParseError, Prefix, TAU,
                    UnboundReference, ValidityError, parse_formula,
                    parse_source, parse_spec, parse_term, render)
 from ccspt.modal import (And, Diamond, EnvBox, Eps, EpsStep, EpsX,
@@ -323,3 +323,20 @@ def test_spec_round_trip(rng):
     call = parse_term("<x|{x = a.(x + u)}>", require_valid=False)
     renamed = substitute(call, {"u": Var("x")}).spec
     assert parse_spec(render(renamed)) == renamed
+
+
+@pytest.mark.parametrize("text, error, message, where", [
+    ("spec S\nroot a.0\n", ParseError, "empty specification at 2:1", (2, 1)),
+    ("spec S\nx = a.x\nspec S\ny = b.y\nroot a.0\n", DuplicateEquation,
+     "specification 'S' redefined at 3:6", (3, 6)),
+    ("root a.0\nroot b.0\n", ParseError, "more than one root term at 2:1", (2, 1)),
+    ("alphabet a\n", ParseError, "found 'end of input' at 2:1 (expected a root line)", (2, 1)),
+    ("root <x|{x = theta{}{}(x)}>\n", ValidityError, "root term is invalid", None),
+])
+def test_each_declaration_file_refusal_is_named_with_its_position(text, error, message, where):
+    with pytest.raises(CcsptError) as err:
+        parse_source(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if where is not None:
+        assert (err.value.line, err.value.col) == where

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ccspt import (ExplorationLimits, LabelUniverseMismatch, StateBudgetExceeded,
-                   TermTooDeep, UnfoldingDiverged, ValidityError,
+from ccspt import (ExplorationLimits, LabelUniverseMismatch, ParseError,
+                   StateBudgetExceeded, TermTooDeep, UnfoldingDiverged, ValidityError,
                    alphabet, build_lts, from_aut, initials, parse_term,
                    step, to_aut, weak_reach)
 from ccspt.sampling import guarded_spec_pool
@@ -78,6 +78,8 @@ def test_build_lts_budget():
     grower = parse_term("<x|{x = a.(x ||{} x)}>")
     with pytest.raises(StateBudgetExceeded):
         build_lts(grower, ExplorationLimits(max_states=100))
+    with pytest.raises(ValueError, match="exploration limits must be positive"):
+        ExplorationLimits(max_states=0)
 
 
 def test_weak_reach():
@@ -507,3 +509,15 @@ def test_an_initial_state_outside_the_states_is_refused(initial):
     with pytest.raises(ValueError, match=r"transition \(0,'a',1\) out of range"):
         Lts(["s0"], [(0, "a", 1)])
     assert Lts(["s0", "s1"], [(0, "a", 1)], initial=1).initial == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "not an aut file: missing des header at 1:1"),
+    ('des (0, 2, 2)\n(0,"a",1)\n', "aut header promises 2 transitions, found 1 at 1:1"),
+])
+def test_an_aut_file_that_breaks_its_header_is_refused_at_1_1(text, message):
+    with pytest.raises(ParseError) as err:
+        from_aut(text)
+    assert type(err.value) is ParseError
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == (1, 1)
