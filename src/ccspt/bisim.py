@@ -49,7 +49,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .encode import Encoding
+from .encode import RootedEncoding
 from .errors import FragmentUnsupported, LabelUniverseMismatch, StateBudgetExceeded
 from .semantics import (TAU, TIMEOUT, Lts, label_kind, reach, t_label,
                         visible_alphabet, weak_closure)
@@ -1103,11 +1103,11 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     """t-branching bisimilarity over encoded labels (pairs only), decided by
     the row engine; the rooted layer is one more row pass, over the queried
     pair, against the plain rows.  Over two rooted encodings
-    (``encode.Encoding``), both layers judge the plain twins of p and q, on
-    the arena ``tb`` builds over the plain twin encodings.  The budget is
+    (``encode.RootedEncoding``), both layers judge the plain twins of p and
+    q, on the arena ``tb`` builds over the plain twin encodings.  The budget is
     checked first, before any arena, on the states the twins reach in their
     encodings, which are the twins of the side states: a root's twin
-    reaches its whole encoding.  Only the roots' codes are read, so neither
+    reaches its whole encoding.  Only the roots' twins are read, so neither
     rooted encoding writes its moves.
 
     The twin map tw sends a rooted-mode state to the plain-mode state with
@@ -1131,11 +1131,10 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     the verdicts, rounds, entries checked and records agree, the records
     naming the twins.
     """
-    if rooted and all(isinstance(lts, Encoding) and lts.rooted for lts in (l1, l2)):
+    if rooted and all(isinstance(lts, RootedEncoding) for lts in (l1, l2)):
         _refuse_states(l1, p, l2, q)
         _same_labels(l1, l2)   # here, so a mismatch names the rooted encodings' labels
-        twins = [(lts.twin_encoding(), lts.codes[s] & ~1) for lts, s in ((l1, p), (l2, q))]
-        (l1, p), (l2, q) = [(plain, plain.index[code]) for plain, code in twins]
+        (l1, p), (l2, q) = [(lts.twin_encoding(), lts.twin(s)) for lts, s in ((l1, p), (l2, q))]
         _budget_check(sum(len(lts) if s == lts.initial else len(reach(
             lambda u: chain.from_iterable(lts.out(u).values()), s))
             for lts, s in ((l1, p), (l2, q))), 1)

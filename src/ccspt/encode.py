@@ -61,64 +61,53 @@ class EncodedState:
 
 
 class Encoding(Lts):
-    """An encoded system whose states carry int codes.
+    """An encoded system: every encoding moves by eps labels."""
 
-    A state's code is ``((base * (|subsets| + 1) + slot) << 1) | rooted``,
-    where slot 0 is a triggered mode and slot k + 1 the settled mode under
-    the k-th subset of Sigma; ``codes`` lists them by state.  A plain
-    encoding keeps ``index``, the state of each code.  In a rooted one
-    (``rooted``, a ``RootedEncoding``), a state's twin is the plain-mode
-    state with the same base and mask, whose code is its own with the
-    rooted bit cleared, in the plain encoding ``twin_encoding`` gives.
-    """
+    encoded = True
 
-    rooted, encoded = False, True   # every encoding moves by eps labels
-
-    def __init__(self, tags, transitions, out, sigma, labels, codes, index):
-        self._init(tags, tuple(transitions), out, 0, sigma, labels)
-        self.codes, self.index = codes, index
-
-    def __len__(self):
-        return len(self.codes)
+    def __init__(self, tags, out, sigma, labels):
+        self._init(tags, out, 0, sigma, labels)
 
 
 class RootedEncoding(Encoding):
     """A rooted encoding, numbered from its plain twin encoding (``encode``).
 
-    It keeps ``codes``, ``initial``, its length, ``sigma`` and ``labels``,
-    and ``walk``: the order the walk expanded its states in and the t_X
-    label of each eps_X label.  Its move dicts, ``transitions`` and
-    ``tags`` are written on the first read of one of them (the lookup hook
-    that does so is on this class alone, so attribute reads of a plain
-    encoding keep the interpreter's fast path).
+    It keeps ``initial``, ``sigma``, ``labels`` and the key of each state,
+    ``(twin << 1) | rooted``: the index of its twin, the plain-mode state
+    of the plain encoding ``twin_encoding`` gives with the same base and
+    mask, and whether it is in rooted mode.  Its move dicts and ``tags``
+    are written on the first read of one of them (the lookup hook that does
+    so is on this class alone, so attribute reads of a plain encoding keep
+    the interpreter's fast path).
     """
 
-    rooted = True
-
-    def __init__(self, codes: List[int], twin: Encoding, labels, walk: tuple):
-        self.codes, self._twin, self._walk = codes, twin, walk
+    def __init__(self, keys: List[int], twin: Encoding, labels, fused: Dict[str, str]):
+        self._keys, self._twin, self._fused = keys, twin, fused
         self.initial, self.sigma, self.labels, self._weak = 0, twin.sigma, labels, None
+
+    def __len__(self):
+        return len(self._keys)
 
     def __getattr__(self, name):
         """Reached only for an attribute not set: the lazy fields."""
-        if name in ("_out", "transitions", "tags"):
+        if name in ("_out", "tags"):
             self._write_moves()
             return getattr(self, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _write_moves(self):
-        """Write the move dicts (``_twin_moves``), the transitions in the
-        order the walk expanded the states, and the tags."""
-        (order, fused), twin, codes = self._walk, self._twin, self.codes
-        index = {code: i for i, code in enumerate(codes)}
-        twins = [twin.index[code & ~1] for code in codes]
-        self._out = out = [{lab: tuple([index[twin.codes[d] | bit] for d in ds])
-                            for lab, ds, bit in _twin_moves(twin, t, code & 1, fused)}
-                           for code, t in zip(codes, twins)]
-        self.transitions = tuple((i, lab, j) for i in order for lab, js in out[i].items()
-                                 for j in js)
-        self.tags = [EncodedState(_ROOTED_MODE[tag.mode], tag.allowed, tag.base) if code & 1
-                     else tag for code, tag in zip(codes, map(twin.tags.__getitem__, twins))]
+        """Write the move dicts (``_twin_moves``) and the tags."""
+        twin, keys = self._twin, self._keys
+        index = {key: i for i, key in enumerate(keys)}
+        self._out = [{lab: tuple([index[d << 1 | bit] for d in ds])
+                      for lab, ds, bit in _twin_moves(twin, key >> 1, key & 1, self._fused)}
+                     for key in keys]
+        self.tags = [EncodedState(_ROOTED_MODE[tag.mode], tag.allowed, tag.base) if key & 1
+                     else tag for key, tag in zip(keys, (twin.tags[k >> 1] for k in keys))]
+
+    def twin(self, s: int) -> int:
+        """The index of state ``s``'s twin in ``twin_encoding()``."""
+        return self._keys[s] >> 1
 
     def twin_encoding(self) -> Encoding:
         """The plain encoding of the same system, alphabet and bound (built
@@ -148,13 +137,12 @@ def encode(lts: Lts, rooted: bool = False, sigma: Optional[Iterable[str]] = None
     ``LabelUniverseMismatch``: its environment moves would share labels
     with the ones the encoding adds.
 
-    States are explored depth first by their int codes (``Encoding``), each
-    settled under X ∩ R(s) (see the module docstring), and each tag is
-    built once, when its state is first reached.  The plain
-    encoding of one (system, alphabet, ``max_states``) is built once and
-    kept while the system lives, so every call returns that same object.  A
-    rooted encoding is new on each call: it is numbered from the plain one,
-    in the order an exploration of the system would number it
+    States are explored depth first, each keyed by its base and its mode
+    (``_encode``) and settled under X ∩ R(s) (see the module docstring).
+    The plain encoding of one (system, alphabet, ``max_states``) is built
+    once and kept while the system lives, so every call returns that same
+    object.  A rooted encoding is new on each call: it is numbered from the
+    plain one, in the order an exploration of the system would number it
     (``_derive_rooted``), and writes its moves only when they are read.  A
     rooted encoding over ``max_states`` is refused at the same count as a
     plain one, ``max_states + 1``; its plain twin is never larger.
@@ -174,7 +162,9 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
     """Explore the plain encoding, writing each state's moves as ``Lts``
     would group them, after refusing an ``encoded`` source, one with a
     label of an encoding; no transition repeats, as each label's targets
-    are distinct."""
+    are distinct.  A state's key is ``base * (|subsets| + 1) + slot``,
+    where slot 0 is the triggered mode and slot k + 1 the settled mode
+    under the k-th subset of Sigma."""
     if lts.encoded:
         raise LabelUniverseMismatch("encode takes a base system, not an encoded one")
     xs = subsets(sig)
@@ -193,31 +183,29 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
         slot_of[m] = k + 1
     if max_states < 1:
         raise StateBudgetExceeded(1, max_states)
-    codes = [(lts.initial * stride) << 1]
-    index: Dict[int, int] = {codes[0]: 0}
-    transitions: List[Tuple[int, str, int]] = []
+    keys = [lts.initial * stride]
+    index: Dict[int, int] = {keys[0]: 0}
     out: List[Optional[Dict[str, Tuple[int, ...]]]] = [None]   # by state, once explored
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        s, slot = divmod(codes[i] >> 1, stride)
-        # (label, target codes), each label's targets together
+        s, slot = divmod(keys[i], stride)
+        # (label, target keys), each label's targets together
         if slot == 0:
-            groups = [(lab, [(d * stride) << 1 for d in targets])
+            groups = [(lab, [d * stride for d in targets])
                       for lab, targets in moves[s].items() if lab != TIMEOUT]
-            settle, r = (s * stride) << 1, meets[s]
-            groups += [(eps[k], (settle + (slot_of[m & r] << 1),))
-                       for k, m in enumerate(xmask)]
+            settle, r = s * stride, meets[s]
+            groups += [(eps[k], (settle + slot_of[m & r],)) for k, m in enumerate(xmask)]
         else:
             m = xmask[slot - 1]
             # the tau steps or, with none, the t steps, each into d settled
             # under X ∩ R(d)
-            settled = [(d * stride + slot_of[m & meets[d]]) << 1 for d in tau[s] or tout[s]]
+            settled = [d * stride + slot_of[m & meets[d]] for d in tau[s] or tout[s]]
             groups = [(TAU, settled)] if tau[s] else []
-            groups += [(lab, [(d * stride) << 1 for d in targets])
+            groups += [(lab, [d * stride for d in targets])
                        for lab, targets in moves[s].items() if bit.get(lab, 0) & m]
             if not tau[s] and not offers[s] & m:
-                groups.append((T_EPS, ((s * stride) << 1,)))
+                groups.append((T_EPS, (s * stride,)))
                 if settled:
                     groups.append((TIMEOUT, settled))
         mine = out[i] = {}
@@ -226,23 +214,22 @@ def _encode(lts: Lts, sig: frozenset, max_states: int) -> Encoding:
             for target in targets:
                 j = index.get(target)
                 if j is None:
-                    j = len(codes)
+                    j = len(keys)
                     if j >= max_states:
                         raise StateBudgetExceeded(j + 1, max_states)
                     index[target] = j
-                    codes.append(target)
+                    keys.append(target)
                     out.append(None)
                     frontier.append(j)
                 js.append(j)
-                transitions.append((i, lab, j))
             mine[lab] = tuple(js)
 
     tags = []
-    for code in codes:
-        s, slot = divmod(code >> 1, stride)
+    for key in keys:
+        s, slot = divmod(key, stride)
         tags.append(EncodedState(ENV if slot else TRIGGERED, xs[slot - 1] if slot else None, s))
     labels = set(chain([TAU, TIMEOUT, T_EPS], sig, eps))
-    return Encoding(tags, transitions, out, sig, labels, codes, index)
+    return Encoding(tags, out, sig, labels)
 
 
 def _meets(tau, tout, offers) -> List[int]:
@@ -290,15 +277,12 @@ def _derive_rooted(twin: Encoding, max_states: int) -> RootedEncoding:
     """The rooted encoding numbered from its plain twin encoding, depth
     first from trig_r of the initial state over ``_twin_moves``: states in
     the order ``_encode`` would number them in an exploration of the source
-    system, each keyed by its twin's index and its rooted bit until its
-    code is read off the twin's."""
+    system, each keyed by its twin's index and its rooted bit."""
     fused = {eps_label(x): t_label(x) for x in subsets(twin.sigma)}
     keys = [twin.initial << 1 | 1]
-    seen, order, frontier = set(keys), [], [0]
+    seen, frontier = set(keys), [0]
     while frontier:
-        i = frontier.pop()
-        order.append(i)
-        key = keys[i]
+        key = keys[frontier.pop()]
         for _, ds, bit in _twin_moves(twin, key >> 1, key & 1, fused):
             for d in ds:
                 target = d << 1 | bit
@@ -309,8 +293,7 @@ def _derive_rooted(twin: Encoding, max_states: int) -> RootedEncoding:
                     seen.add(target)
                     keys.append(target)
                     frontier.append(j)
-    return RootedEncoding([twin.codes[k >> 1] | k & 1 for k in keys], twin,
-                          twin.labels.union(fused.values()), (order, fused))
+    return RootedEncoding(keys, twin, twin.labels.union(fused.values()), fused)
 
 
 def encoded_entry(encoded: Lts, allowed: Optional[frozenset] = None) -> int:

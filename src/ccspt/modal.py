@@ -186,37 +186,41 @@ class Evaluator:
         if isinstance(f, Not):
             return not self.sat(s, f.sub, env)
         if isinstance(f, Diamond):
-            a = f.action
-            if a == TAU or a == TIMEOUT:
-                return any(self.sat(d, f.sub, env) for d in lts.succ(s, a))
-            # a visible action under an environment needs permission or idling
-            # and triggers the environment; triggered stays triggered
-            if env is not None and a not in env and not lts.idle(s, env):
-                return False
-            return any(self.sat(d, f.sub, None) for d in lts.succ(s, a))
+            return self._diamond(s, f.action, f.sub, env)
         if isinstance(f, HatDiamond):
-            if f.action == TAU and self.sat(s, f.sub, env):
-                return True
-            return self.sat(s, Diamond(f.action, f.sub), env)
+            return self._hat(s, f.action, f.sub, env)
         if isinstance(f, EnvBox):
-            x = f.allowed
-            gate = x if env is None else (x | env)
-            return lts.idle(s, gate) and self.sat(s, f.sub, x)
+            return self._idles(s, f.allowed, env) and self.sat(s, f.sub, f.allowed)
         if isinstance(f, TimeoutDiamond):
-            x = f.allowed
-            gate = x if env is None else (x | env)
-            return lts.idle(s, gate) and any(
-                self.sat(d, f.sub, x) for d in lts.succ(s, TIMEOUT))
+            return self._idles(s, f.allowed, env) and any(
+                self.sat(d, f.sub, f.allowed) for d in lts.succ(s, TIMEOUT))
         if isinstance(f, Eps):
             return any(self.sat(u, f.sub, env) for u in self.weak[s])
         if isinstance(f, EpsStep):
-            inner = And((f.left, HatDiamond(f.action, f.right)))
-            return any(self.sat(u, inner, env) for u in self.weak[s])
+            return any(self.sat(u, f.left, env) and self._hat(u, f.action, f.right, env)
+                       for u in self.weak[s])
         if isinstance(f, Stable):
             return stable_reachable(lts, s)
         if isinstance(f, EpsX):
             return self._eps_x(s, f, env)
         raise TypeError(f"not a formula: {f!r}")
+
+    def _idles(self, s, x, env) -> bool:
+        """Whether ``s`` idles under x, and under env unless triggered."""
+        return self.lts.idle(s, x if env is None else x | env)
+
+    def _diamond(self, s, a, sub, env) -> bool:
+        """<a>sub: a visible step needs permission or idling, and triggers env."""
+        lts = self.lts
+        if a == TAU or a == TIMEOUT:
+            return any(self.sat(d, sub, env) for d in lts.succ(s, a))
+        if env is not None and a not in env and not lts.idle(s, env):
+            return False
+        return any(self.sat(d, sub, None) for d in lts.succ(s, a))
+
+    def _hat(self, s, a, sub, env) -> bool:
+        """<a^>sub at ``s``: <a>sub, or for tau also staying put in sub."""
+        return (a == TAU and self.sat(s, sub, env)) or self._diamond(s, a, sub, env)
 
     def _eps_x(self, s, f: EpsX, env) -> bool:
         """A time-out path under x from ``s``: from a station, an x-idle
@@ -227,11 +231,10 @@ class Evaluator:
         under x alone."""
         lts = self.lts
         x = f.allowed
-        gate = x if env is None else x | env
         stack, seen = [s], set()
         while stack:
             for s1 in self.weak[stack.pop()]:
-                if not lts.idle(s1, gate) or not self.sat(s1, f.left, x):
+                if not self._idles(s1, x, env) or not self.sat(s1, f.left, x):
                     continue
                 if self.sat(s1, f.right, x):
                     return True
@@ -241,7 +244,7 @@ class Evaluator:
                     if s2 not in seen and self.sat(s2, f.left, x):
                         seen.add(s2)
                         stack.append(s2)
-            gate = x
+            env = None
         return False
 
 

@@ -240,14 +240,14 @@ class Lts:
     """A finite LTS with indexed states and a fixed label universe.
 
     ``tags`` carries one descriptive object per state (a term, an encoding
-    tag, or a plain name).  The transitions are kept once each, in the order
-    they first occur, and grouped in the same pass into each state's moves
-    (``out``): its labels in the order they first occur, each with its
-    targets in order.  An initial state or a transition outside the states
-    is refused with a ``ValueError``.  ``sigma`` is the visible alphabet:
-    the declared names and every visible transition label, classified once
-    here, as is ``encoded``: whether a move has any other label but tau and
-    t, one of an encoding.  Derived tables are computed once and cached.
+    tag, or a plain name).  The transitions, each kept once, are grouped
+    into each state's moves (``out``), their only record: its labels in the
+    order they first occur, each with its targets in order.  An initial
+    state or a transition outside the states is refused with a
+    ``ValueError``.  ``sigma`` is the visible alphabet: the declared names
+    and every visible transition label, classified once here, as is
+    ``encoded``: whether a move has any other label but tau and t, one of an
+    encoding.  Derived tables are computed once and cached.
     """
 
     def __init__(self, tags: Sequence, transitions: Iterable[Tuple[int, str, int]],
@@ -255,9 +255,8 @@ class Lts:
                  labels: Optional[Iterable[str]] = None):
         tags = list(tags)
         n = len(tags)
-        transitions = tuple(dict.fromkeys(transitions))
         out: List[Dict[str, list]] = [{} for _ in range(n)]
-        for s, lab, d in transitions:
+        for s, lab, d in dict.fromkeys(transitions):
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"transition ({s},{lab!r},{d}) out of range")
             moves = out[s]
@@ -268,16 +267,16 @@ class Lts:
         for moves in out:
             for lab, ds in moves.items():
                 moves[lab] = tuple(ds)
-        self._init(tags, transitions, out, initial, sigma, labels)
+        self._init(tags, out, initial, sigma, labels)
 
-    def _init(self, tags: list, transitions: tuple, out: List[Dict[str, Tuple[int, ...]]],
+    def _init(self, tags: list, out: List[Dict[str, Tuple[int, ...]]],
               initial: int, sigma: Iterable[str], labels: Optional[Iterable[str]]):
-        """Set the fields from transitions kept once each and grouped into
-        ``out`` as ``Lts`` groups them (an ``Encoding`` writes its own)."""
+        """Set the fields from moves grouped as ``Lts`` groups them (an
+        ``Encoding`` writes its own)."""
         if not 0 <= initial < len(tags):
             raise ValueError(f"initial state {initial!r} out of range "
                              f"for a system of {len(tags)} states")
-        self.tags, self.transitions, self._out, self.initial = tags, transitions, out, initial
+        self.tags, self._out, self.initial = tags, out, initial
         seen = set().union(*out)
         self.sigma = visible_alphabet(sigma) | {l for l in seen if is_visible(l)}
         self.encoded = bool(seen - self.sigma - {TAU, TIMEOUT})
@@ -296,7 +295,13 @@ class Lts:
 
     @property
     def num_transitions(self) -> int:
-        return len(self.transitions)
+        return sum(len(ds) for moves in self._out for ds in moves.values())
+
+    @property
+    def transitions(self) -> Tuple[Tuple[int, str, int], ...]:
+        """The moves state by state, as (source, label, target)."""
+        return tuple((s, lab, d) for s, moves in enumerate(self._out)
+                     for lab, ds in moves.items() for d in ds)
 
     def out(self, s: int) -> Dict[str, Tuple[int, ...]]:
         return self._out[s]

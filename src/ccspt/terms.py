@@ -39,8 +39,6 @@ TIMEOUT = "t"
 # Labels carried by encoded systems only.
 T_EPS = "t_eps"
 
-ActionSet = frozenset
-
 _fresh_counter = itertools.count()
 
 

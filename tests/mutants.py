@@ -70,6 +70,19 @@ MUTANTS = [
      "  | (?P<comment>\\#[^\\n]*)\n", ""),
     ("a keyword anywhere in a line", "parser.py",
      "head = self.pos == 0 or self.toks[self.pos - 1].line < tok.line", "head = True"),
+    ("twin as the unshifted key", "encode.py",
+     "return self._keys[s] >> 1", "return self._keys[s]"),
+    ("num_transitions counting labels", "semantics.py",
+     "sum(len(ds) for moves in self._out for ds in moves.values())",
+     "sum(len(moves) for moves in self._out)"),
+    ("memo key without its environment", "modal.py",
+     "key = (s, env, id(f))", "key = (s, id(f))"),
+    ("a visible step keeping the environment", "modal.py",
+     "return any(self.sat(d, sub, None) for d in lts.succ(s, a))",
+     "return any(self.sat(d, sub, env) for d in lts.succ(s, a))"),
+    ("<tau^> without staying put", "modal.py",
+     "return (a == TAU and self.sat(s, sub, env)) or self._diamond(s, a, sub, env)",
+     "return self._diamond(s, a, sub, env)"),
 ]
 
 # survivors known today, each with the ROADMAP item expected to kill it

@@ -7,7 +7,7 @@ import pytest
 from ccspt import (LabelUniverseMismatch, StateBudgetExceeded, brb_check, brb_X_check,
                    encode, strong_bisim, tb_check)
 from ccspt.encode import (ENV, ENV_ROOTED, TRIGGERED, TRIGGERED_ROOTED, EncodedState,
-                          encoded_entry, subsets)
+                          RootedEncoding, encoded_entry, subsets)
 from ccspt.sampling import equivalent_variant, random_process
 from ccspt.semantics import (T_EPS, TAU, TIMEOUT, Lts, build_lts, eps_label, from_aut,
                              reach, t_label, to_aut)
@@ -141,19 +141,19 @@ def test_plain_encoding_is_built_once_per_system_and_alphabet():
     rooted = encode(lts, rooted=True, sigma=sig)
     assert encode(lts, rooted=True, sigma=sig) is not rooted
     assert rooted.twin_encoding() is plain
-    assert rooted.rooted and not plain.rooted
+    assert isinstance(rooted, RootedEncoding) and not isinstance(plain, RootedEncoding)
 
 
 def test_twins_are_the_plain_mode_states_with_the_same_base_and_mask():
     lts = lts_of("a.t.0 + tau.b.0")
     rooted = encode(lts, rooted=True, sigma={"a", "b"})
     plain = rooted.twin_encoding()
-    for code, tag in zip(rooted.codes, rooted.tags):
-        twin = plain.tags[plain.index[code & ~1]]
+    for s, tag in enumerate(rooted.tags):
+        twin = plain.tags[rooted.twin(s)]
         assert (twin.mode, twin.allowed, twin.base) == (
             tag.mode.removesuffix("_r"), tag.allowed, tag.base)
     # and every plain state is the twin of one
-    assert {plain.index[code & ~1] for code in rooted.codes} == set(range(len(plain)))
+    assert {rooted.twin(s) for s in range(len(rooted))} == set(range(len(plain)))
 
 
 @pytest.mark.parametrize("rooted", [False, True])
@@ -305,18 +305,22 @@ def reference_systems():
 
 def test_rooted_encoding_matches_the_explored_one():
     # a rooted encoding numbered from its plain twin has every field of the
-    # one explored from the source system, in the same order
+    # one explored from the source system, in the same order, and each
+    # state's twin is the plain-mode state with its base and mask
     count = 0
     for lts, sig in reference_systems():
         codes, tags, transitions, out, labels = explored(lts, sig, 10_000)
         enc = encode(lts, rooted=True, sigma=sig)
-        assert (enc.codes, len(enc), enc.sigma, enc.labels) == (codes, len(codes), sig, labels)
+        assert (len(enc), enc.sigma, enc.labels) == (len(codes), sig, labels)
         assert enc.tags == tags
-        assert enc.transitions == transitions
+        assert sorted(enc.transitions) == sorted(transitions)
         assert [list(enc.out(s).items()) for s in range(len(enc))] == [
             list(moves.items()) for moves in out]
         assert enc.num_transitions == len(transitions) and enc.num_states == len(codes)
         assert to_aut(enc) == to_aut(Lts(tags, transitions, 0, sig, labels))
+        plain = enc.twin_encoding()
+        assert [plain.tags[enc.twin(s)] for s in range(len(enc))] == [
+            EncodedState(tag.mode.removesuffix("_r"), tag.allowed, tag.base) for tag in tags]
         count += 1
     assert count == 212
 
@@ -367,8 +371,10 @@ def test_the_plain_encoding_matches_the_explored_one():
     for lts, sig in list(reference_systems())[::5]:
         codes, tags, transitions, out, labels = explored(lts, sig, 10_000, rooted=False)
         enc = encode(lts, sigma=sig)
-        assert (enc.codes, enc.tags, enc.transitions, enc.labels) == (
-            codes, tags, transitions, labels)
+        assert (len(enc), enc.tags, sorted(enc.transitions), enc.labels) == (
+            len(codes), tags, sorted(transitions), labels)
+        assert [list(enc.out(s).items()) for s in range(len(enc))] == [
+            list(moves.items()) for moves in out]
 
 
 def test_the_twins_a_state_reaches_are_those_its_twin_reaches():
@@ -378,20 +384,19 @@ def test_the_twins_a_state_reaches_are_those_its_twin_reaches():
         plain = enc.twin_encoding()
         for s in range(len(enc)):
             reached = reach(lambda u: chain.from_iterable(enc.out(u).values()), s)
-            twin = plain.index[enc.codes[s] & ~1]
-            twins = reach(lambda u: chain.from_iterable(plain.out(u).values()), twin)
-            assert {enc.codes[u] & ~1 for u in reached} == {plain.codes[v] for v in twins}
+            twins = reach(lambda u: chain.from_iterable(plain.out(u).values()), enc.twin(s))
+            assert {enc.twin(u) for u in reached} == set(twins)
         assert len(reach(lambda u: chain.from_iterable(plain.out(u).values()),
                          plain.initial)) == len(plain)
 
 
 def test_rooted_tb_writes_no_moves_of_the_rooted_encodings():
-    # rooted tb over two rooted encodings reads their roots' codes alone:
-    # neither encoding writes its move dicts, transitions or tags
+    # rooted tb over two rooted encodings reads their roots' twins alone:
+    # neither encoding writes its move dicts or tags
     l1, l2 = ring(12, {1}, False), ring(12, {1}, True)
     sig = frozenset({"a", "b"})
     r1, r2 = encode(l1, rooted=True, sigma=sig), encode(l2, rooted=True, sigma=sig)
-    lazy = {"_out", "transitions", "tags"}
+    lazy = {"_out", "tags"}
     assert tb_check(r1, r1.initial, r2, r2.initial, rooted=True).equivalent
     assert not lazy & (vars(r1).keys() | vars(r2).keys())
     r1.out(r1.initial)

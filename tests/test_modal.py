@@ -63,11 +63,23 @@ def test_sat_visible_under_environment():
     assert sat_env(lts, 0, frozenset(), f)
     lts2 = lts_of("a.0 + b.0")
     assert not sat_env(lts2, 0, {"b"}, f)
+    # the a step triggers the environment, so b then needs no permission,
+    # where under {a, c} it would be neither allowed nor idle
+    assert sat_env(lts_of("a.(b.0 + c.0)"), 0, {"a", "c"}, parse_formula("<a><b>T"))
     # [{X}] needs the state to idle under X and under the current set
     box = parse_formula("[{b}]<a>T")
     assert sat(lts_of("a.0"), 0, box)
     assert not sat(lts_of("a.0"), 0, parse_formula("[{a}]<a>T"))
     assert not sat_env(lts_of("a.0"), 0, {"a"}, box)
+
+
+def test_one_evaluator_keeps_each_environment_apart():
+    # under {b}, a.0 + b.0 neither allows a nor idles, so <a>T fails; the
+    # same evaluator must answer it again, triggered, where it holds
+    ev = Evaluator(lts_of("a.0 + b.0"))
+    f = Diamond("a", Top())
+    assert ev.sat(0, f, frozenset({"b"})) is False
+    assert ev.sat(0, f, None) is True
 
 
 def test_sat_stability():

@@ -186,6 +186,20 @@ def test_aut_round_trip():
     assert sorted(back.transitions) == sorted(lts.transitions)
 
 
+def test_exports_list_each_state_s_moves_together():
+    # the initial state moves by a, b, then a again: the moves are listed
+    # from the move table, each label's targets together, and read back as
+    # they are written
+    lts = lts_of("a.0 + b.0 + a.c.0")
+    text = to_aut(lts)
+    assert text.splitlines() == ['des (0, 4, 3)', '(0,"a",1)', '(0,"a",2)', '(0,"b",1)',
+                                 '(2,"c",1)']
+    assert lts.transitions == ((0, "a", 1), (0, "a", 2), (0, "b", 1), (2, "c", 1))
+    assert to_aut(from_aut(text)) == text
+    # a transition given twice is one move
+    assert Lts(["p", "q"], [(0, "a", 1), (1, "b", 0), (0, "a", 1)]).num_transitions == 2
+
+
 def test_label_kinds():
     assert label_kind("tau") == ("tau", None)
     assert label_kind("t") == ("timeout", None)

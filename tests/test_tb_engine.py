@@ -22,7 +22,7 @@ from ccspt import (alphabet, brb_check, build_lts, encode, from_aut, revalidate,
 from ccspt import bisim
 from ccspt.bisim import Arena
 from ccspt.errors import StateBudgetExceeded
-from ccspt.encode import Encoding
+from ccspt.encode import RootedEncoding
 from ccspt.sampling import equivalent_variant, random_process
 from ccspt.semantics import TAU, TIMEOUT, Lts, label_kind
 
@@ -293,7 +293,7 @@ def assert_same(engine_store, e1, e2, rooted, twins=None):
     ref, entry, it, ch = ref_tb(e1, e2, rooted, twins)
     if rooted:   # the rooted layer lives on tb's arena: the plain twins' when they are given
         assert store.plain.arena is store.arena
-        assert not any(isinstance(lts, Encoding) and lts.rooted for lts in built)
+        assert not any(isinstance(lts, RootedEncoding) for lts in built)
         if twins is not None:
             assert store.arena is bisim._context(Arena, *twins, ()).arena
     assert v.equivalent == (entry in ref.pairs)
