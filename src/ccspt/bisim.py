@@ -76,10 +76,13 @@ class Arena:
     States are integers; those of the second system are shifted by
     ``offset``, the size of the first, or 0 where the second system is the
     first.  The arena keeps no reference to the systems.  ``out`` maps each
-    state's labels to its targets, and the move tables are read off it when
-    the arena is built.  The weak closure is computed on its first read and
-    the stability mask with the engine's tables, so strong bisimilarity,
-    which reads ``out`` alone, never builds them.  ``sigma`` is the shared
+    state's labels to its targets.  The move tables read off it (``tau_succ``
+    to ``vmask`` and ``class_size``) are built by the first ``tables`` call,
+    which each reader of them makes first (a fixpoint, ``program``,
+    ``xmasks``, a ``ThetaArena``, a triple's ``lookup``), the weak closure on
+    its first read, and the stability mask with the engine's tables.  So
+    strong bisimilarity, which reads ``out`` alone, builds none of them on
+    the arena the other checks of the pair share.  ``sigma`` is the shared
     visible alphabet, realised as bit masks so environment sets enumerate
     cheaply; a label is visible iff it has a bit (``Lts.sigma`` holds every
     visible label), and any other label but tau and t is one of an encoding
@@ -126,7 +129,14 @@ class Arena:
             self.tags.extend(l2.tags)
             self.out.extend({lab: tuple([d + off for d in ds]) for lab, ds in l2.out(s).items()}
                             for s in range(len(l2)))
-        self._build_tables()
+        self.n = len(self.out)
+        self.tau_succ: Optional[List[Tuple[int, ...]]] = None   # no move tables yet
+
+    def tables(self) -> "Arena":
+        """The arena, its move tables built if they are not yet."""
+        if self.tau_succ is None:
+            self._build_tables()
+        return self
 
     def _build_tables(self, start: int = 0):
         """Move tables of the states of ``out`` from ``start`` on, one loop
@@ -181,7 +191,7 @@ class Arena:
     def xmasks(self) -> Tuple[int, ...]:
         """The effective environment masks, the submasks of V, in increasing order."""
         if self._xmasks is None:
-            _budget_check(self.n, 1 << self.vmask.bit_count())
+            _budget_check(self.n, 1 << self.tables().vmask.bit_count())
             self._xmasks = tuple(_submasks(self.vmask))
         return self._xmasks
 
@@ -360,7 +370,7 @@ class Arena:
         program is None until ``failing`` first reads it and compiles it.
         The first call for a (family, layer, keys) builds the engine tables
         if need be and the compilers, kept beside the tables."""
-        if self.pred is None:
+        if self.tables().pred is None:
             self._engine_tables()
         key = family, rooted, keys
         got = self._programs.get(key)
@@ -643,6 +653,7 @@ class ThetaArena(Arena):
 
     def __init__(self, l1, l2=None, sigma=()):
         super().__init__(l1, l2, sigma)
+        self.tables()
         self.wrapped: Dict[Tuple[int, int], int] = {}
         self.wrap_key: Dict[int, Tuple[int, int]] = {}
         base = self.n
@@ -786,7 +797,7 @@ class RelationStore:
             for rnd, key, fails in self.row_kills:
                 self._log.setdefault(key, []).append((rnd, fails))
         p, q = entry[0], entry[-1]
-        env = (entry[1] & self.arena.vmask,) if len(entry) == 3 else ()
+        env = (entry[1] & self.arena.tables().vmask,) if len(entry) == 3 else ()
         for row, partner in ((p, q), (q, p)):
             for rnd, fails in self._log.get((row,) + env, ()):
                 for mask, op in fails:
@@ -991,7 +1002,7 @@ def _row_fixpoints(ctx: _PairContext, p: int, q: int, family: str, relation: str
     and ``_CONCRETE`` occur in plain layers alone.  So (a, X, b) passes a
     round by the plain store and the entries (a, Y, b) alone, and dies with
     (b, X, a): the seeded entries decide one another."""
-    arena = ctx.arena
+    arena = ctx.arena.tables()
     with_triples = family not in PAIR_FAMILIES
     plain = ctx.stores.get((family, p, q))
     if plain is None:
@@ -1141,38 +1152,91 @@ def tb_check(l1: Lts, p: int, l2: Lts, q: int, rooted: bool = False) -> Verdict:
     return _check("tb", "tb", l1, p, l2, q, rooted)
 
 
+def _refine(out: List[Dict[str, Tuple[int, ...]]]):
+    """The rounds of ``strong_bisim``'s refinement over the move table
+    ``out``: after each round, (the block of every state, the number of
+    states the round signed), until a round splits no block, which comes
+    last.  Where a block splits, the states with the first signature keep
+    its number, and those of each other signature take a new one; where
+    some of its states are not signed, one of them is signed first."""
+    n = len(out)
+    block = [0] * n
+    members = [list(range(n))]
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for s, moves in enumerate(out):
+        for ds in moves.values():
+            for d in ds:
+                pred[d].append(s)
+
+    def signature(s):
+        return frozenset([(lab, old[d]) for lab, ds in out[s].items() for d in ds])
+
+    dirty = range(n)
+    while True:
+        old = block[:]
+        touched: Dict[int, List[int]] = {}
+        for s in dirty:
+            touched.setdefault(old[s], []).append(s)
+        signed = 0
+        split: List[int] = []   # the states of every block that splits
+        for b, states in touched.items():
+            mem = members[b]
+            if len(mem) == 1:
+                continue
+            if len(states) < len(mem):   # the others share one signature: sign one, first
+                states.insert(0, next(s for s in mem if s not in dirty))
+            groups: Dict[frozenset, List[int]] = {}
+            for s in states:
+                groups.setdefault(signature(s), []).append(s)
+            signed += len(states)
+            if len(groups) > 1:
+                del groups[next(iter(groups))]   # the first signature's states stay
+                for moved in groups.values():
+                    members.append(moved)
+                    for s in moved:
+                        block[s] = len(members) - 1
+                members[b] = [s for s in mem if block[s] == b]
+                split += mem
+        yield block, signed
+        if not split:
+            return
+        dirty = {u for s in split for u in pred[s]}
+
+
 def strong_bisim(l1: Lts, p: int, l2: Lts, q: int, sigma: Iterable[str] = ()) -> Verdict:
     """Strong bisimilarity by signature refinement on the disjoint union,
     from the front half the other checkers share (``_query``).
 
-    Blocks start as one.  Each round gives every state the signature (its
-    block, the set of (label, block of target) over its moves in
-    ``Arena.out``, as a sorted tuple) and numbers the blocks of the next
-    round by first occurrence of a signature, until a round moves nothing.
+    Blocks start as one.  A state's signature is the set of (label, block
+    of target) over its moves in ``Arena.out``, and each round splits the
+    blocks by the signatures of their states, until a round splits none
+    (``_refine``).  The rounds are synchronous: each signs against a
+    snapshot of the blocks the round before left, so each leaves the
+    partition that signing every state would, in as many rounds.  Yet
+    round k signs only the states with a successor whose block split in
+    round k-1 (every state in round 1), and splits only the blocks that
+    hold such a state.  For a block none of whose states has such a
+    successor does not split in round k: round k-1 kept its states
+    together, so their signatures against the blocks of round k-2 were
+    equal, and round k-1 changed no block their moves lead into, so their
+    signatures are equal again.  By the same argument the states of a
+    block that have no such successor keep one signature, so one of them
+    is signed for all.  ``entries_checked`` counts every state in every
+    round, as each round decides every state.
+
     Only the move table is read, so the arena, taken from the pair context
-    the other checkers share, builds neither its weak closure nor its
-    stability for it.  An equivalence's witness pairs each state reachable
-    on the left with the states reachable on the right in its block, both
-    orientations.
+    the other checkers share, builds none of its tables for it.  An
+    equivalence's witness pairs each state reachable on the left with the
+    states reachable on the right in its block, both orientations.
     ``sigma`` widens the visible alphabet of both systems, as it does for
     every other checker: it shows in the reported ``sigma`` and in the
     label universes compared.
     """
     ctx, (p, gq), _ = _query("strong", l1, p, l2, q, sigma, None)
     arena = ctx.arena
-    block = [0] * arena.n
     iterations = 0
-    while True:
+    for block, _ in _refine(arena.out):
         iterations += 1
-        signatures = {}
-        nxt = [signatures.setdefault(
-                   (block[s], tuple(sorted({(lab, block[d]) for lab, ds in moves.items()
-                                            for d in ds}))),
-                   len(signatures))
-               for s, moves in enumerate(arena.out)]
-        if nxt == block:
-            break
-        block = nxt
     equivalent = block[p] == block[gq]
     checked = arena.n * iterations
     if not equivalent:

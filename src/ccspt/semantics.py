@@ -242,12 +242,14 @@ class Lts:
     ``tags`` carries one descriptive object per state (a term, an encoding
     tag, or a plain name).  The transitions, each kept once, are grouped
     into each state's moves (``out``), their only record: its labels in the
-    order they first occur, each with its targets in order.  An initial
-    state or a transition outside the states is refused with a
-    ``ValueError``.  ``sigma`` is the visible alphabet: the declared names
-    and every visible transition label, classified once here, as is
-    ``encoded``: whether a move has any other label but tau and t, one of an
-    encoding.  Derived tables are computed once and cached.
+    order they first occur, each with its targets in order.  ``build_lts``
+    and ``from_aut`` write that table as they find the moves, and build the
+    system over it (``_from_moves``).  An initial state or a transition
+    outside the states is refused with a ``ValueError``.  ``sigma`` is the
+    visible alphabet: the declared names and every visible transition
+    label, classified once here, as is ``encoded``: whether a move has any
+    other label but tau and t, one of an encoding.  Derived tables are
+    computed once and cached.
     """
 
     def __init__(self, tags: Sequence, transitions: Iterable[Tuple[int, str, int]],
@@ -256,18 +258,20 @@ class Lts:
         tags = list(tags)
         n = len(tags)
         out: List[Dict[str, list]] = [{} for _ in range(n)]
-        for s, lab, d in dict.fromkeys(transitions):
+        for s, lab, d in transitions:
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"transition ({s},{lab!r},{d}) out of range")
-            moves = out[s]
-            if lab in moves:
-                moves[lab].append(d)
-            else:
-                moves[lab] = [d]
-        for moves in out:
-            for lab, ds in moves.items():
-                moves[lab] = tuple(ds)
-        self._init(tags, out, initial, sigma, labels)
+            _add_move(out[s], lab, d)
+        self._init(tags, _frozen(out), initial, sigma, labels)
+
+    @classmethod
+    def _from_moves(cls, tags: list, out: List[Dict[str, Tuple[int, ...]]], initial: int = 0,
+                    sigma: Iterable[str] = (), labels: Optional[Iterable[str]] = None) -> "Lts":
+        """The LTS whose move table is ``out``, grouped as ``Lts`` groups
+        transitions and within the states: taken as it is, not copied."""
+        lts = cls.__new__(cls)
+        lts._init(tags, out, initial, sigma, labels)
+        return lts
 
     def _init(self, tags: list, out: List[Dict[str, Tuple[int, ...]]],
               initial: int, sigma: Iterable[str], labels: Optional[Iterable[str]]):
@@ -321,8 +325,29 @@ class Lts:
         return _idles(self._out[s].items(), allowed & self.sigma)
 
     def with_sigma(self, sigma: Iterable[str]) -> "Lts":
-        return Lts(self.tags, self.transitions, self.initial,
-                   sigma=self.sigma | frozenset(sigma), labels=self.labels)
+        """The same system over an alphabet widened by ``sigma``, a plain
+        ``Lts`` sharing this one's move dicts, which nothing writes."""
+        return Lts._from_moves(list(self.tags), list(self._out), self.initial,
+                               self.sigma | frozenset(sigma), self.labels)
+
+
+def _add_move(moves: Dict[str, list], lab: str, d: int):
+    """Write a move into a state's moves as ``Lts`` groups them: a new
+    label after the others, a new target after the label's others, and a
+    move already there not again."""
+    ds = moves.get(lab)
+    if ds is None:
+        moves[lab] = [d]
+    elif d not in ds:
+        ds.append(d)
+
+
+def _frozen(out: List[Dict[str, list]]) -> List[Dict[str, Tuple[int, ...]]]:
+    """A move table written with lists of targets, each made a tuple in place."""
+    for moves in out:
+        for lab, ds in moves.items():
+            moves[lab] = tuple(ds)
+    return out
 
 
 def reach(succ: Callable[[int], Iterable[int]], s: int) -> Tuple[int, ...]:
@@ -373,34 +398,34 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
     whole ``fuse``.  The state index is keyed by the reached terms
     themselves: a lookup hashes through the term's cached hash and matches
     the indexed object by identity, and a distinct object with an equal
-    key compares keys and meets the same state.  A reserved name, used as
-    a visible action by the term or declared in ``sigma``, is refused
-    before anything is explored.
+    key compares keys and meets the same state.  States are stepped in
+    index order, which is breadth first, and each one's moves are written
+    into the move table as they are found: labels in first-occurrence
+    order, targets in order, a repeated move (two derivatives that are one
+    state) dropped.  A reserved name, used as a visible action by the term
+    or declared in ``sigma``, is refused before anything is explored.
     """
     limits = limits or ExplorationLimits()
     actions = visible_alphabet(alphabet(term), "the term's alphabet")
     sigma = visible_alphabet(sigma)
     index: Dict[Term, int] = {term: 0}
     tags: List[Term] = [term]
-    transitions: List[Tuple[int, str, int]] = []
-    frontier = [(0, term)]
+    out: List[Dict[str, list]] = []
     ctx = _StepCtx(fuse)
-    while frontier:
-        nxt = []
-        for idx, t in frontier:
-            ctx.budget = fuse
-            for lab, target in _step(t, ctx, keep=False):
-                j = index.get(target)
-                if j is None:
-                    j = len(tags)
-                    if j >= limits.max_states:
-                        raise StateBudgetExceeded(j + 1, limits.max_states)
-                    index[target] = j
-                    tags.append(target)
-                    nxt.append((j, target))
-                transitions.append((idx, lab, j))
-        frontier = nxt
-    return Lts(tags, transitions, 0, sigma=sigma | actions)
+    for t in tags:   # visits the states appended while it runs
+        ctx.budget = fuse
+        moves: Dict[str, list] = {}
+        for lab, target in _step(t, ctx, keep=False):
+            j = index.get(target)
+            if j is None:
+                j = len(tags)
+                if j >= limits.max_states:
+                    raise StateBudgetExceeded(j + 1, limits.max_states)
+                index[target] = j
+                tags.append(target)
+            _add_move(moves, lab, j)
+        out.append(moves)
+    return Lts._from_moves(tags, _frozen(out), 0, sigma | actions)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +433,22 @@ def build_lts(term: Term, limits: Optional[ExplorationLimits] = None,
 
 
 def to_aut(lts: Lts) -> str:
-    """Aldebaran format: ``des (initial, transitions, states)`` plus one line per edge."""
+    """Aldebaran format: ``des (initial, transitions, states)`` plus one line
+    per edge, read off the move table state by state."""
     lines = [f"des ({lts.initial}, {lts.num_transitions}, {lts.num_states})"]
-    for s, lab, d in lts.transitions:
-        lines.append(f'({s},"{lab}",{d})')
+    lines += [f'({s},"{lab}",{d})' for s, moves in enumerate(lts._out)
+              for lab, ds in moves.items() for d in ds]
     return "\n".join(lines) + "\n"
 
 
 def from_aut(text: str) -> Lts:
-    """Read an Aldebaran ``.aut`` file; errors name the file line at fault."""
+    """Read an Aldebaran ``.aut`` file; errors name the file line at fault.
+
+    Each line's move is written into the move table as it is read, as
+    ``Lts`` groups transitions (a repeated line adds no move), and every
+    line counts against the header's promise."""
     head_no = None
-    transitions = []
+    found = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -426,6 +456,7 @@ def from_aut(text: str) -> Lts:
         if head_no is None:
             head_no = lineno
             initial, m, n = _aut_header(line, lineno)
+            out: List[Dict[str, list]] = [{} for _ in range(n)]
             continue
         if not (line.startswith("(") and line.endswith(")")):
             raise ParseError(f"bad aut line {line!r}", lineno, 1)
@@ -441,13 +472,14 @@ def from_aut(text: str) -> Lts:
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"transition {line!r} names a state outside 0..{n - 1}",
                              lineno, 1)
-        transitions.append((src, label, dst))
+        found += 1
+        _add_move(out[src], label, dst)
     if head_no is None:
         raise ParseError("not an aut file: missing des header", 1, 1)
-    if len(transitions) != m:
-        raise ParseError(f"aut header promises {m} transitions, found {len(transitions)}",
+    if found != m:
+        raise ParseError(f"aut header promises {m} transitions, found {found}",
                          head_no, 1)
-    return Lts([f"s{i}" for i in range(n)], transitions, initial)
+    return Lts._from_moves([f"s{i}" for i in range(n)], _frozen(out), initial)
 
 
 def _aut_header(line: str, lineno: int) -> Tuple[int, int, int]:
@@ -473,7 +505,7 @@ def to_dot(lts: Lts, name: str = "lts") -> str:
     for i, tag in enumerate(lts.tags):
         label = str(tag).replace('"', r'\"')
         lines.append(f'  n{i} [shape=circle,label="{label}"];')
-    for s, lab, d in lts.transitions:
-        lines.append(f'  n{s} -> n{d} [label="{lab}"];')
+    lines += [f'  n{s} -> n{d} [label="{lab}"];' for s, moves in enumerate(lts._out)
+              for lab, ds in moves.items() for d in ds]
     lines.append("}")
     return "\n".join(lines) + "\n"

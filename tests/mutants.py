@@ -75,6 +75,12 @@ MUTANTS = [
     ("num_transitions counting labels", "semantics.py",
      "sum(len(ds) for moves in self._out for ds in moves.values())",
      "sum(len(moves) for moves in self._out)"),
+    ("strong rounds updating blocks in place", "bisim.py",
+     "old = block[:]", "old = block"),
+    ("strong worklist of the split states alone", "bisim.py",
+     "dirty = {u for s in split for u in pred[s]}", "dirty = set(split)"),
+    ("move tables keeping repeated moves", "semantics.py",
+     "elif d not in ds:", "else:"),
     ("memo key without its environment", "modal.py",
      "key = (s, env, id(f))", "key = (s, id(f))"),
     ("a visible step keeping the environment", "modal.py",

@@ -311,16 +311,17 @@ def test_seed_env_fallback(proc, capsys, monkeypatch):
 
 def test_check_reads_each_aut_system_once(proc, capsys, monkeypatch):
     # widening a system's alphabet builds a second Lts; a --sigma a file
-    # already declares needs none (here only the right file lacks a)
+    # already declares needs none (here only the right file lacks a).
+    # from_aut and with_sigma both build through the move-table constructor
     from ccspt.semantics import Lts
     built = []
-    real = Lts.__init__
+    real = Lts._from_moves.__func__
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        built.append(real(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(Lts, "__init__", counted)
+    monkeypatch.setattr(Lts, "_from_moves", classmethod(counted))
     left = proc("left.aut", 'des (0, 2, 2)\n(0,"a",1)\n(1,"t",0)\n')
     right = proc("right.aut", 'des (0, 2, 2)\n(0,"b",1)\n(1,"t",0)\n')
     for sigma, lts_count, shared in (([], 2, ["a", "b"]), (["--sigma", "a"], 3, ["a", "b"]),

@@ -211,6 +211,36 @@ def test_each_plain_fixpoint_runs_once_per_query(monkeypatch):
     assert {id(arena) for _, arena, _ in runs} == {id(arena) for arena in tables}
 
 
+def test_strong_builds_no_move_tables_and_a_later_check_builds_them_once(monkeypatch):
+    # strong bisimilarity reads the move dicts alone; the first row-engine
+    # check of the pair builds the move tables of that same arena, once
+    built = []
+    build = bisim.Arena._build_tables
+
+    def spy(arena, start=0):
+        built.append((arena, start))
+        build(arena, start)
+
+    monkeypatch.setattr(bisim.Arena, "_build_tables", spy)
+    l1 = ring(8, {1}, False)
+    l2 = fresh(l1)
+    v = strong_bisim(l1, 0, l2, 0)
+    assert v.equivalent and revalidate(v.witness, "strong")
+    assert not strong_bisim(l1, 0, l2, 1)
+    arena = v.witness.arena
+    assert built == [] and arena.tau_succ is None
+    assert arena is bisim._context(bisim.Arena, l1, l2, ()).arena
+    w = brb_check(l1, 0, l2, 0)
+    assert w.equivalent and w.witness.arena is arena
+    assert built == [(arena, 0)]
+    assert brb_check(l1, 0, l2, 0, rooted=True) and gbrb_check(l1, 0, l2, 0)
+    assert strong_bisim(l1, 0, l2, 0) and revalidate(v.witness, "strong")
+    assert built == [(arena, 0)]
+    # a strong store holds no triple; looking one up builds the tables it reads
+    w = strong_bisim(l1, 0, fresh(l1), 0).witness
+    assert w.lookup((0, 0, 8)) == (None, None) and built[-1] == (w.arena, 0)
+
+
 def test_each_clause_program_is_compiled_once_per_arena(monkeypatch):
     # an equivalent ring pair: brb plain and rooted, revalidate of both
     # witnesses, then distinguish in Lb and Lbr, which run the gbrb

@@ -360,7 +360,7 @@ def ref_seeded(arena, relation, lefts, rights):
 def ref_check(family, l1, l2, sig, rooted):
     """The reference store behind a verdict, and the global index of q; the
     rooted layer is seeded with the queried pair, and its triples, alone."""
-    arena = Arena(l1, None if l2 is l1 else l2, sig)
+    arena = Arena(l1, None if l2 is l1 else l2, sig).tables()
     p, gq = l1.initial, arena.state2(l2.initial)
     lefts, rights = arena.reach(p), arena.reach(gq)
     store = ref_seeded(arena, family, lefts, rights)
@@ -607,7 +607,7 @@ def test_grouped_deletion_matches_sequential_deletion(family):
     # in the alive count, which entries_checked sums round by round; round 1
     # judges every row against the full seed, so many rows share a dead mask
     l1, l2 = ring(8, {1}, False), ring(8, {1, 4}, True)
-    arena = Arena(l1, l2, frozenset({"a", "b", "c", "d"}))
+    arena = Arena(l1, l2, frozenset({"a", "b", "c", "d"})).tables()
     assert arena.class_size == 4
     for rooted in (False, True):
         got, got_counts = run_fixpoints(bisim.Arena.fixpoint, arena, family, rooted)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -177,6 +178,85 @@ def test_theta_tau_selfloop_property(rng):
         assert got == inner_taus
 
 
+# ---------------------------------------------------------------------------
+# Move tables written as they are found, against grouped transitions
+
+
+def move_digest(lts):
+    """A digest of the tags and of each state's moves, labels and targets
+    in their order."""
+    moves = [list(lts.out(s).items()) for s in range(len(lts))]
+    return hashlib.sha256(repr(([str(t) for t in lts.tags], moves, lts.initial,
+                                sorted(lts.sigma))).encode()).hexdigest()
+
+
+def reference_aut(text):
+    """The system of an ``.aut`` text through ``Lts(tags, transitions)``,
+    its transitions listed in the order of their lines."""
+    head, *lines = [line.strip() for line in text.splitlines() if line.strip()]
+    initial, m, n = (int(x) for x in head[head.index("(") + 1:-1].split(","))
+    transitions = []
+    for line in lines:
+        src, rest = line[1:-1].split(",", 1)
+        label, dst = rest.rsplit(",", 1)
+        transitions.append((int(src), label.strip().strip('"'), int(dst)))
+    assert len(transitions) == m
+    return Lts([f"s{i}" for i in range(n)], transitions, initial)
+
+
+def reshuffled(text, rng):
+    """The same ``.aut`` system with its lines shuffled and some repeated,
+    the header counting every line."""
+    head, *lines = text.splitlines()
+    lines += rng.sample(lines, len(lines) // 3)
+    rng.shuffle(lines)
+    initial, _, n = head[head.index("(") + 1:-1].split(", ")
+    return "\n".join([f"des ({initial}, {len(lines)}, {n})"] + lines) + "\n"
+
+
+# interleaved labels, sources out of order and repeated lines
+REPEATED = """des (1, 9, 4)
+(1,"a",2)
+(0,"b",1)
+(1,"b",3)
+(1,"a",0)
+(1,"a",2)
+(3,"t",3)
+(1,"b",3)
+(0,"tau",0)
+(1,"a",2)
+"""
+
+
+def test_move_tables_match_grouped_transitions():
+    from test_encode import reference_systems
+    rng = random.Random(36)
+    built = 0
+    for lts, sig in reference_systems():
+        text = to_aut(lts)
+        for aut in (text, reshuffled(text, rng)):
+            assert move_digest(from_aut(aut)) == move_digest(reference_aut(aut))
+        if not isinstance(lts.tags[0], str):   # built from its term
+            term = lts.tags[0]
+            assert move_digest(build_lts(term, sigma=sig)) == \
+                move_digest(reference_build(term, sig))
+            built += 1
+    assert built > 200
+    # the compose terms: an interleaving, a reordering and an altered copy,
+    # and the benchmark's size (1 024 states) once
+    for k, variants in ((2, 3), (3, 3), (5, 1)):
+        for order, altered in ((range(k), 1), (range(k), None), (reversed(range(k)), None))[
+                :variants]:
+            term = parse_term(" ||{} ".join(component(i, i == altered) for i in order))
+            lts = build_lts(term)
+            assert move_digest(lts) == move_digest(reference_build(term))
+            text = reshuffled(to_aut(lts), rng)
+            assert move_digest(from_aut(text)) == move_digest(reference_aut(text))
+    lts = from_aut(REPEATED)
+    assert move_digest(lts) == move_digest(reference_aut(REPEATED))
+    assert lts.num_transitions == 6 and lts.out(1) == {"a": (2, 0), "b": (3,)}
+
+
 def test_aut_round_trip():
     lts = lts_of("a.t.b.0 + tau.a.0")
     text = to_aut(lts)
@@ -318,8 +398,9 @@ def walk(term):
             stack.extend(children(node))
 
 
-def component(i):
-    return f"<x|{{x = a{i}.y + tau.z; y = b{i}.z; z = t.w; w = c{i}.x}}>"
+def component(i, altered=False):
+    back = "y" if altered else "x"
+    return f"<x|{{x = a{i}.y + tau.z; y = b{i}.z; z = t.w; w = c{i}.{back}}}>"
 
 
 def test_build_matches_fresh_steps_on_random_terms(rng):

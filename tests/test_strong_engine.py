@@ -1,11 +1,13 @@
-"""Strong bisimilarity against the formulation it replaced.
+"""Strong bisimilarity against the formulations it replaced.
 
 The reference below is the earlier ``strong_bisim``: each round builds, for
 every state, a sorted tuple of per-label sorted block tuples, and the
 witness compares every pair of reachable states.  ``RefStrong`` is the
 per-pair clause check that ``revalidate(w, "strong")`` ran.  Verdicts,
 rounds, counts, witnesses, refutations and revalidation answers must all
-be identical.
+be identical.  ``ref_rounds`` is the full re-signing loop that the
+worklist refinement (``bisim._refine``) replaced, round by round: every
+round must leave the same partition.
 """
 
 import pytest
@@ -55,6 +57,43 @@ def ref_strong(l1, p, l2, q):
         }]
     return Verdict("strong", equivalent, arena.sigma, iterations,
                    arena.n * iterations, refutation, store if equivalent else None)
+
+
+def ref_rounds(out):
+    """The blocks after each round of the full re-signing loop: every state
+    is signed in every round, and the blocks are numbered by the first
+    occurrence of a signature, until a round moves nothing (yielded last)."""
+    block = [0] * len(out)
+    while True:
+        signatures = {}
+        nxt = [signatures.setdefault(
+                   (block[s], tuple(sorted({(lab, block[d]) for lab, ds in moves.items()
+                                            for d in ds}))),
+                   len(signatures))
+               for s, moves in enumerate(out)]
+        yield nxt
+        if nxt == block:
+            return
+        block = nxt
+
+
+def canonical(block):
+    """A partition numbered by the first occurrence of each block."""
+    first = {}
+    return [first.setdefault(b, len(first)) for b in block]
+
+
+def assert_same_rounds(l1, p, l2, q):
+    """The worklist leaves the reference's partition after every round, in
+    as many rounds; returns the number of states each round signed."""
+    arena = Arena(l1, None if l2 is l1 else l2)
+    got, signed = [], []
+    for block, count in bisim._refine(arena.out):
+        got.append(canonical(block))
+        signed.append(count)
+    assert got == list(ref_rounds(arena.out))
+    assert strong_bisim(l1, p, l2, q).iterations == len(got)
+    return arena.n, signed
 
 
 class RefStrong:
@@ -129,6 +168,19 @@ REORDERED = ("<z|{z = tau.a.z + b.0}> ||{a}"
              " hide{c}(<y|{y = c.a.y + t.y}> ||{c} <x|{x = a.c.x + b.x}>)")
 ALTERED = ("hide{c}(<x|{x = a.c.x + b.x}> ||{c} <y|{y = c.a.0 + t.y}>)"
            " ||{a} <z|{z = tau.a.z + b.0}>")
+
+
+
+def component(i, altered=False):
+    """A 4-state recursive component over its own actions; the altered one
+    loops back to ``y`` instead of ``x``."""
+    back = "y" if altered else "x"
+    return f"<x|{{x = a{i}.y + tau.z; y = b{i}.z; z = t.w; w = c{i}.{back}}}>"
+
+
+def interleaving(order, altered=None):
+    return " ||{} ".join(component(i, i == altered) for i in order)
+
 
 # duplicate transitions, a nondeterministic choice and a self-loop
 DUPLICATES = """des (0, 8, 4)
@@ -224,3 +276,43 @@ def test_strong_builds_no_weak_closure(monkeypatch):
     v = strong_bisim(l1, 0, l2, 0)
     assert v.equivalent and revalidate(v.witness, "strong")
     assert not strong_bisim(l1, 0, l1, 1).equivalent
+
+
+# ---------------------------------------------------------------------------
+# the worklist, round by round
+
+
+def test_rounds_match_full_resigning_on_sampled_pairs():
+    rounds = []
+    for l1, l2, _ in sampled_pairs(120, seed=4242):
+        rounds.append(len(assert_same_rounds(l1, l1.initial, l2, l2.initial)[1]))
+        assert_same_rounds(l2, l2.initial, l2, len(l2) - 1)
+    assert max(rounds) > 3
+
+
+def test_rounds_match_full_resigning_on_rings():
+    for n in (8, 12, 16):
+        for markers, double_t in (({1}, False), ({1}, True), ({1, n // 2}, True)):
+            assert_same_rounds(ring(n, {1}, False), 0, ring(n, markers, double_t), 0)
+    _, signed = assert_same_rounds(ring(16, {1}, False), 0, ring(16, {1, 8}, False), 0)
+    assert len(signed) > 4
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rounds_match_full_resigning_on_interleavings(k):
+    left = interleaving(range(k))
+    for right in [interleaving(reversed(range(k)))] + [
+            interleaving(range(k), altered) for altered in range(k)]:
+        l1, l2, _ = pair_lts(left, right)
+        assert_same_rounds(l1, 0, l2, 0)
+    l1, l2, _ = pair_lts(left, interleaving(reversed(range(k))))
+    assert strong_bisim(l1, 0, l2, 0).equivalent
+    assert not strong_bisim(l1, 0, pair_lts(left, interleaving(range(k), 0))[1], 0).equivalent
+
+
+def test_worklist_signs_fewer_states_than_full_rounds():
+    # a count, not a timing: the full loop signs every state in every round
+    l1, l2, _ = pair_lts(interleaving(range(3)), interleaving(range(3), 1))
+    n, signed = assert_same_rounds(l1, 0, l2, 0)
+    assert len(signed) > 3 and signed[0] == n
+    assert sum(signed) < n * len(signed)

@@ -214,11 +214,11 @@ def ref_tb(e1, e2, rooted, twins=None):
     plain encodings of the rooted ``e1`` and ``e2``, it reads the plain
     fixpoint over them, at the twins of the queried states, and its store
     and entry are mapped onto those twins (``twinned``)."""
-    arena = Arena(e1, None if e2 is e1 else e2)
+    arena = Arena(e1, None if e2 is e1 else e2).tables()
     p, gq = e1.initial, arena.state2(e2.initial)
     plain_arena = arena
     if rooted and twins is not None:
-        plain_arena = Arena(twins[0], None if twins[1] is twins[0] else twins[1])
+        plain_arena = Arena(twins[0], None if twins[1] is twins[0] else twins[1]).tables()
     twin = tag_twins(arena, plain_arena)
     store = SetStore(plain_arena, "tb")
     seed_pairs(store, plain_arena.reach(twin[p]), plain_arena.reach(twin[gq]))
